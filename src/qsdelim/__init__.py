@@ -57,7 +57,6 @@ from .operator_core import (
     HilbertSpace,
     Operator,
     SubspacePair,
-    adjoint,
     matrix_exponential,
     restricted_inverse,
     spectral_norm,
@@ -86,6 +85,7 @@ from .semigroup import (
     evolve,
     generator,
     matrix_element_U,
+    propagate_on_grid,
 )
 
 __version__ = "0.1.0"
@@ -114,7 +114,6 @@ __all__ = [
     "StudyParams",
     "SubspacePair",
     "ValidationReport",
-    "adjoint",
     "assemble",
     "builtin_fixture",
     "cavity_closed_form",
@@ -141,6 +140,7 @@ __all__ = [
     "matrix_exponential",
     "mirror_fixture",
     "parse_model",
+    "propagate_on_grid",
     "random_hp_coefficients",
     "random_scaled_family",
     "random_structured_fixture",

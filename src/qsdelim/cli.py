@@ -8,7 +8,9 @@ Subcommands:
   example    emit a bundled example model as a JSON document
 
 Exit codes: 0 success, 1 domain failure (a check or verdict fails),
-2 malformed input or usage error.
+2 malformed input or usage error, including a time grid that is not
+finite T > 0 with >= 2 points and a truncation study on a model whose
+coefficients depend on k.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,7 +48,7 @@ from .qsde_model import (
     scaled_hp_validate,
     structural_validate,
 )
-from .semigroup import FieldAmplitudes, evolve
+from .semigroup import FieldAmplitudes, propagate_on_grid
 
 CSV_HEADER = ("fixture", "kind", "k", "t_max", "grid_points", "alpha", "beta", "value")
 
@@ -209,13 +212,18 @@ def cmd_eliminate(args) -> int:
     return 0 if check.overall else 1
 
 
+def _time_grid(args, model: ModelFile) -> tuple[float, int]:
+    t_final = args.T if args.T is not None else model.study.t_max
+    grid = args.grid if args.grid is not None else model.study.grid_points
+    if not (math.isfinite(t_final) and t_final > 0) or grid < 2:
+        raise ModelParseError("need finite T > 0 and --grid >= 2")
+    return t_final, grid
+
+
 def cmd_semigroup(args) -> int:
     model = _resolve_model(args.model)
     amp = _amplitudes(args, model)
-    t_final = args.T if args.T is not None else model.study.t_max
-    grid = args.grid if args.grid is not None else model.study.grid_points
-    if t_final <= 0 or grid < 2:
-        raise ModelParseError("need T > 0 and --grid >= 2")
+    t_final, grid = _time_grid(args, model)
     if args.k is not None:
         if len(args.k) != 1:
             raise ModelParseError("semigroup takes a single --k value")
@@ -232,8 +240,12 @@ def cmd_semigroup(args) -> int:
     rows = []
     worst = 0.0
     alpha_s, beta_s = _fmt_amps(amp.alpha), _fmt_amps(amp.beta)
-    for t in np.linspace(0.0, t_final, grid):
-        norm = float(np.linalg.norm(evolve(coeffs, amp, float(t)).entries, 2))
+    # The adjoint propagator has the same spectral norm as the propagator.
+    propagators = propagate_on_grid(
+        coeffs, amp, t_final, grid, np.eye(coeffs.space.total_dim)
+    )
+    for t, prop in zip(np.linspace(0.0, t_final, grid), propagators):
+        norm = float(np.linalg.norm(prop, 2))
         worst = max(worst, norm)
         rows.append((
             model.name, "contraction_norm", _fmt_float(label), _fmt_float(t),
@@ -263,8 +275,7 @@ def _study_rows(name: str, report: ConvergenceReport, amp: FieldAmplitudes):
 def cmd_converge(args) -> int:
     model = _resolve_model(args.model)
     amp = _amplitudes(args, model)
-    t_final = args.T if args.T is not None else model.study.t_max
-    grid = args.grid if args.grid is not None else model.study.grid_points
+    t_final, grid = _time_grid(args, model)
     schedule = tuple(args.k) if args.k is not None else model.study.k_schedule
     if args.kind in ("generator", "semigroup"):
         if len(schedule) < 3:
@@ -286,8 +297,14 @@ def cmd_converge(args) -> int:
         cutoffs = sorted({int(round(k)) for k in schedule})
         if len(cutoffs) < 2:
             raise ModelParseError("truncation needs >= 2 distinct cutoffs")
+        fam = model.family
+        if any(np.any(op.entries) for op in (fam.y, fam.a, *fam.f_ops)):
+            raise ModelParseError(
+                f"truncation needs a fixed-coefficient model (Y = A = F = 0); "
+                f"model {model.name} depends on k"
+            )
         try:
-            reference = assemble(model.family, 1.0)
+            reference = assemble(fam, 1.0)
             report = truncation_study(reference, cutoffs, amp, t_final, grid)
         except ValueError as exc:
             raise ModelParseError(str(exc)) from exc

@@ -100,11 +100,6 @@ class Operator:
         return Operator(self.space, self.entries @ other.entries)
 
 
-def adjoint(x: Operator) -> Operator:
-    """Conjugate transpose; an exact involution."""
-    return x.dag()
-
-
 def tensor_embed(x: Operator, factor_index: int, target: HilbertSpace) -> Operator:
     """Ampliation I (x) ... (x) x (x) ... (x) I into `target` at `factor_index`."""
     dims = target.factor_dims

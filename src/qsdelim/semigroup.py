@@ -113,6 +113,34 @@ def evolve(c, amp: FieldAmplitudes, t: float) -> Operator:
     return matrix_exponential(generator(c, amp), t)
 
 
+def propagate_on_grid(c, amp: FieldAmplitudes, T: float, grid_points: int,
+                      block):
+    """Adjoint propagators applied to `block` on a uniform time grid.
+
+    Yields exp(t * generator)^dagger @ block for t in
+    np.linspace(0, T, grid_points).  One scaling-and-squaring expm of the
+    grid step dt = T / (grid_points - 1) is taken; later grid points follow
+    by repeated products, since exp(m dt G) = exp(dt G)^m.  Only the current
+    block is kept, so memory does not grow with the grid.  Arguments are
+    checked when the function is called, not when iteration starts.
+    """
+    T = float(T)
+    grid_points = int(grid_points)
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError("T must be positive and finite")
+    if grid_points < 2:
+        raise ValueError("need at least two grid points")
+    step = evolve(c, amp, T / (grid_points - 1)).entries.conj().T
+
+    def blocks(current):
+        yield current
+        for _ in range(grid_points - 1):
+            current = step @ current
+            yield current
+
+    return blocks(np.asarray(block, dtype=np.complex128))
+
+
 def dissipativity_check(c, amp: FieldAmplitudes) -> float:
     """Largest eigenvalue of the Hermitian part of the dressed generator.
 

@@ -320,6 +320,30 @@ class TestCli:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["converge", "truncation-demo", "--kind", "truncation",
+         "--k", "4", "6", "8", "--grid", "0"],
+        ["converge", "truncation-demo", "--kind", "truncation",
+         "--k", "4", "6", "8", "--grid", "1"],
+        ["converge", "duan-kimble", "--kind", "semigroup",
+         "--k", "2", "4", "8", "--grid", "1"],
+        ["converge", "duan-kimble", "--kind", "semigroup",
+         "--k", "2", "4", "8", "--T", "-1"],
+    ])
+    def test_converge_rejects_bad_time_grid(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "verdict: PASS" not in captured.out
+        assert "--grid >= 2" in captured.err
+
+    @pytest.mark.parametrize("model", ["mirror", "duan-kimble"])
+    def test_converge_truncation_rejects_scaled_model(self, model, capsys):
+        assert main(["converge", model, "--kind", "truncation",
+                     "--k", "1", "2", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "verdict: PASS" not in captured.out
+        assert "fixed-coefficient" in captured.err
+
     def test_example_round_trips_through_validate(self, tmp_path, capsys):
         model = tmp_path / "dk.json"
         assert main(["example", "duan-kimble", "--report", str(model)]) == 0
