@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 domain failure (a check or verdict fails),
 2 malformed input or usage error, including a time grid that is not
-finite T > 0 with >= 2 points and a truncation study on a model whose
-coefficients depend on k.
+finite T > 0 with >= 2 points, a truncation study on a model whose
+coefficients depend on k, a scaling parameter k (from --k or the model's
+k_schedule) that is not finite and > 0, a truncation cutoff that is not
+finite and >= 0, and a model file with a NaN, Infinity or null entry.
 """
 
 from __future__ import annotations
@@ -137,13 +139,13 @@ def _report_lines(report) -> list[str]:
 def cmd_validate(args) -> int:
     model = _resolve_model(args.model)
     tol = args.tol
+    ks = _k_values(args.k) if args.k is not None else ()
     reports = {"scaled": scaled_hp_validate(model.family, tol=tol)}
     reports["structural"] = structural_validate(model.family, model.sub, tol=tol)
-    if args.k is not None:
-        for k in args.k:
-            reports[f"assembled(k={_fmt_float(k)})"] = hp_validate(
-                assemble(model.family, k), tol=tol
-            )
+    for k in ks:
+        reports[f"assembled(k={_fmt_float(k)})"] = hp_validate(
+            assemble(model.family, k), tol=tol
+        )
     overall = True
     print(f"model {model.name}")
     for label, report in reports.items():
@@ -220,6 +222,17 @@ def _time_grid(args, model: ModelFile) -> tuple[float, int]:
     return t_final, grid
 
 
+def _k_values(values, cutoffs: bool = False) -> tuple[float, ...]:
+    """Reject scaling parameters that are not finite and > 0, or, for a
+    truncation study, cutoffs that are not finite and >= 0."""
+    values = tuple(values)
+    for k in values:
+        if not (math.isfinite(k) and (k >= 0 if cutoffs else k > 0)):
+            need = "cutoffs >= 0" if cutoffs else "k > 0"
+            raise ModelParseError(f"bad k value {k!r}: need finite {need}")
+    return values
+
+
 def cmd_semigroup(args) -> int:
     model = _resolve_model(args.model)
     amp = _amplitudes(args, model)
@@ -227,7 +240,7 @@ def cmd_semigroup(args) -> int:
     if args.k is not None:
         if len(args.k) != 1:
             raise ModelParseError("semigroup takes a single --k value")
-        k = args.k[0]
+        (k,) = _k_values(args.k)
         coeffs = assemble(model.family, k)
         label = k
     else:
@@ -276,7 +289,10 @@ def cmd_converge(args) -> int:
     model = _resolve_model(args.model)
     amp = _amplitudes(args, model)
     t_final, grid = _time_grid(args, model)
-    schedule = tuple(args.k) if args.k is not None else model.study.k_schedule
+    schedule = _k_values(
+        args.k if args.k is not None else model.study.k_schedule,
+        cutoffs=args.kind == "truncation",
+    )
     if args.kind in ("generator", "semigroup"):
         if len(schedule) < 3:
             raise ModelParseError("--k needs >= 3 values for a rate fit")

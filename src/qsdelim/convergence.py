@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionFailed
-from .operator_core import Operator, SubspacePair, restricted_inverse, spectral_norm
-from .qsde_model import QsdeCoefficients, ScaledFamily, assemble, structural_validate
+from .operator_core import Operator, SubspacePair, spectral_norm
+from .qsde_model import QsdeCoefficients, ScaledFamily, _structural_report, assemble
 from .semigroup import FieldAmplitudes, generator, propagate_on_grid
 
 log = logging.getLogger(__name__)
@@ -88,13 +88,12 @@ def field_dressed_parts(fam: ScaledFamily, amp: FieldAmplitudes):
 def kurtz_corrector(fam: ScaledFamily, sub: SubspacePair, amp: FieldAmplitudes,
                     u, tol: float = 1e-9) -> KurtzCorrector:
     """Build the corrector that cancels the k^2 and k^1 generator orders."""
-    report = structural_validate(fam, sub, tol=tol)
+    report, yt = _structural_report(fam, sub, tol=tol)
     if not report.overall:
         raise PreconditionFailed("structural requirements fail", report)
     u = np.asarray(u, dtype=np.complex128)
     if np.linalg.norm(sub.p0.entries @ u - u) > tol * max(1.0, np.linalg.norm(u)):
         raise PreconditionFailed("u must be supported on the slow subspace")
-    yt = restricted_inverse(fam.y, sub, tol=tol)
     a_op, b_op = field_dressed_parts(fam, amp)
     u1 = -yt.entries @ (a_op.entries @ u)
     slow_part = (b_op.entries - a_op.entries @ yt.entries @ a_op.entries) @ u

@@ -27,14 +27,13 @@ from .operator_core import (
     HilbertSpace,
     Operator,
     SubspacePair,
-    restricted_inverse,
     spectral_norm,
 )
 from .qsde_model import (
     QsdeCoefficients,
     ScaledFamily,
+    _structural_report,
     scaled_hp_validate,
-    structural_validate,
 )
 
 
@@ -66,11 +65,10 @@ def eliminate(
     report = scaled_hp_validate(fam, tol)
     if not report.overall:
         raise PreconditionFailed("scaled unitarity relations fail", report)
-    report = structural_validate(fam, sub, tol=tol, cond_limit=cond_limit)
+    report, yt = _structural_report(fam, sub, tol=tol, cond_limit=cond_limit)
     if not report.overall:
         raise PreconditionFailed("structural requirements fail", report)
 
-    yt = restricted_inverse(fam.y, sub, cond_limit=cond_limit, tol=tol)
     p0 = sub.p0.entries
     v = sub.slow_basis()
     small = HilbertSpace((v.shape[1],))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .qsde_model import ScaledFamily
 from .semigroup import FieldAmplitudes
 
 DEFAULT_K_SCHEDULE = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+_SEQUENCE = (list, tuple)
 
 
 def _complex_from_pair(pair) -> complex:
@@ -33,23 +35,34 @@ def _complex_from_pair(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def _pair(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_to_json(m: np.ndarray):
-    return [[_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    """Decode a row-major nested [re, im] matrix into a complex array.
+
+    The structure is checked for the whole matrix first; the values then
+    go through `float` into one float64 buffer viewed as complex128, so
+    every entry has exactly the bits `complex(float(re), float(im))` gives.
+    """
     if not isinstance(rows, list) or not rows:
         raise ModelParseError("matrix must be a nonempty nested list")
+    lists = all(map(isinstance, rows, repeat(_SEQUENCE)))
+    if not lists or len(set(map(len, rows))) != 1:
+        raise ModelParseError("matrix rows must be lists of equal length")
+    pairs = list(chain.from_iterable(rows))
+    lists = all(map(isinstance, pairs, repeat(_SEQUENCE)))
+    if not lists or not set(map(len, pairs)) <= {2}:
+        raise ModelParseError("matrix entries must be [re, im] pairs")
     try:
-        return np.array(
-            [[_complex_from_pair(z) for z in row] for row in rows], dtype=complex
+        buf = np.fromiter(
+            map(float, chain.from_iterable(pairs)), np.float64, 2 * len(pairs)
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelParseError(f"bad matrix entries: {exc}") from exc
+    return buf.view(np.complex128).reshape(len(rows), len(rows[0]))
 
 
 def _funcalc(name: str, params: dict, x: np.ndarray) -> np.ndarray:
@@ -148,7 +161,10 @@ def _operator(space: HilbertSpace, node, role: str) -> Operator:
             f"operator {role} has shape {m.shape}, expected square of "
             f"dimension {space.total_dim}"
         )
-    return Operator(space, m)
+    try:
+        return Operator(space, m)
+    except ValueError as exc:  # non-finite entries: JSON admits NaN, Infinity
+        raise ModelParseError(f"operator {role}: {exc}") from exc
 
 
 def parse_model(doc: dict) -> ModelFile:
@@ -284,7 +300,5 @@ def limit_to_json(result) -> dict:
         "N": [
             [matrix_to_json(op.entries) for op in row] for row in limit.n_ops
         ],
-        "compression": [
-            [_pair(z) for z in row] for row in np.asarray(result.compression)
-        ],
+        "compression": matrix_to_json(result.compression),
     }

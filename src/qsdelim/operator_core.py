@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -142,11 +143,25 @@ def subspace_basis(p0: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
     coordinate projection yields exactly the corresponding unit vectors.
     The basis is deterministic; every module that needs coordinates on the
     slow subspace derives them through this routine so bases agree.
+
+    A coordinate projection (square, every nonzero entry on the diagonal,
+    every diagonal entry exactly 0 or 1) skips the Gram-Schmidt loop and
+    returns the columns of the identity at the indices of its ones.  The
+    result is exactly equal (`np.array_equal`) to the Gram-Schmidt output
+    for the same input; any other input goes through Gram-Schmidt.
     """
     if isinstance(p0, Operator):
         p0 = p0.entries
     p0 = np.asarray(p0, dtype=np.complex128)
     d = p0.shape[0]
+    diag = p0.diagonal()
+    if (
+        rank_tol < 1.0
+        and p0.shape == (d, d)
+        and np.count_nonzero(p0) == np.count_nonzero(diag)
+        and np.all((diag == 0) | (diag == 1))
+    ):
+        return np.eye(d, dtype=np.complex128)[:, np.flatnonzero(diag)]
     cols = []
     for j in range(d):
         v = p0[:, j].astype(np.complex128, copy=True)
@@ -201,12 +216,25 @@ class SubspacePair:
     def rank(self) -> int:
         return int(round(self.p0.entries.trace().real))
 
+    # Built on first use; the pair is immutable, so every caller shares it.
+    @cached_property
+    def _slow_basis(self) -> np.ndarray:
+        return _freeze(subspace_basis(self.p0.entries))
+
+    @cached_property
+    def _fast_basis(self) -> np.ndarray:
+        return _freeze(subspace_basis(self.p1.entries))
+
     def slow_basis(self) -> np.ndarray:
-        """Isometry mapping slow-subspace coordinates into the full space."""
-        return subspace_basis(self.p0.entries)
+        """Isometry mapping slow-subspace coordinates into the full space.
+
+        Computed once per pair; every call returns the same read-only array.
+        """
+        return self._slow_basis
 
     def fast_basis(self) -> np.ndarray:
-        return subspace_basis(self.p1.entries)
+        """Isometry onto the fast subspace, computed once like `slow_basis`."""
+        return self._fast_basis
 
 
 def restricted_inverse(

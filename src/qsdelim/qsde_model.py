@@ -216,6 +216,18 @@ def structural_validate(
     Covers the fast-generator conditions (b)-(e) on the slow subspace and
     the side conditions that make the limit coefficients close on it.
     """
+    return _structural_report(fam, sub, tol, cond_limit)[0]
+
+
+def _structural_report(
+    fam: ScaledFamily,
+    sub: SubspacePair,
+    tol: float = DEFAULT_TOL,
+    cond_limit: float = DEFAULT_COND_LIMIT,
+) -> tuple[ValidationReport, Operator | None]:
+    """`structural_validate`'s report and the restricted inverse Y~ it
+    computed (None when Y~ does not exist), so callers that need Y~ after
+    a passing report do not compute it again."""
     p0, p1 = sub.p0, sub.p1
     scale = max(
         [spectral_norm(op) for op in (fam.y, fam.a)]
@@ -269,4 +281,4 @@ def structural_validate(
         checks.append(_check("limit.l_side", l_side, tol, side_scale))
         checks.append(_check("limit.n_side_right", n_right, tol, side_scale))
         checks.append(_check("limit.n_side_left", n_left, tol, side_scale))
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks)), y_tilde

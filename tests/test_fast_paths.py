@@ -1,0 +1,244 @@
+"""Array-level fast paths against the per-entry and Gram-Schmidt loops they replace.
+
+`matrix_from_json` decodes a whole matrix into one float64 buffer, and
+`subspace_basis` selects identity columns for a coordinate projection.  The
+references below keep the loops they replaced; the fast paths must give
+exactly their bits (no tolerance) and reject every input they rejected.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qsdelim import (
+    HilbertSpace,
+    ModelParseError,
+    SubspacePair,
+    eliminate,
+    restricted_inverse,
+    subspace_basis,
+)
+from qsdelim.modelfile import matrix_from_json, matrix_to_json
+
+
+def _reference_pair(pair) -> complex:
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ModelParseError(f"expected [re, im] pair, got {pair!r}")
+    return complex(float(pair[0]), float(pair[1]))
+
+
+def _reference_from_json(rows) -> np.ndarray:
+    """The per-entry decoder that `matrix_from_json` replaced."""
+    if not isinstance(rows, list) or not rows:
+        raise ModelParseError("matrix must be a nonempty nested list")
+    try:
+        return np.array(
+            [[_reference_pair(z) for z in row] for row in rows], dtype=complex
+        )
+    except (TypeError, ValueError) as exc:
+        raise ModelParseError(f"bad matrix entries: {exc}") from exc
+
+
+def _reference_to_json(m):
+    return [[[float(z.real), float(z.imag)] for z in row]
+            for row in np.asarray(m, dtype=complex)]
+
+
+def _reference_basis(p0, rank_tol=1e-8):
+    """The modified Gram-Schmidt loop of `subspace_basis`."""
+    p0 = np.asarray(p0, dtype=np.complex128)
+    d = p0.shape[0]
+    cols = []
+    for j in range(d):
+        v = p0[:, j].astype(np.complex128, copy=True)
+        for _ in range(2):
+            for q in cols:
+                v -= q * (q.conj() @ v)
+        nv = np.linalg.norm(v)
+        if nv > rank_tol:
+            cols.append(v / nv)
+    if not cols:
+        return np.zeros((d, 0), dtype=np.complex128)
+    return np.column_stack(cols)
+
+
+def _bits(m: np.ndarray) -> np.ndarray:
+    # uint64 view: -0.0 and NaN payloads compare by their bits.
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def _decode_outcome(decode, rows):
+    try:
+        return decode(rows)
+    except (ModelParseError, OverflowError) as exc:
+        return exc
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_scalars = st.one_of(
+    _floats,
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormal-heavy
+    st.just(-0.0),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    _floats.map(repr),  # numeric strings, "nan" and "inf" included
+    st.integers(min_value=-(10**6), max_value=10**6).map(str),
+)
+_pairs = st.one_of(
+    st.lists(_scalars, min_size=2, max_size=2),
+    st.tuples(_scalars, _scalars),
+)
+
+
+@st.composite
+def _matrices(draw, entry=_pairs):
+    r = draw(st.integers(1, 6))
+    c = draw(st.integers(0, 6))
+    return [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+
+
+_bad_entries = st.one_of(
+    _scalars,  # a scalar where a pair belongs
+    st.lists(_scalars, min_size=1, max_size=1),
+    st.lists(_scalars, min_size=3, max_size=3),
+    st.lists(st.one_of(st.none(), st.just("x"), st.just([1.0]),
+                       st.just({}), st.just(10**400)), min_size=2, max_size=2),
+    st.just({"1": 0, "2": 0}),  # two numeric keys, but no pair
+)
+
+
+@st.composite
+def _malformed(draw):
+    rows = draw(_matrices())
+    kind = draw(st.sampled_from(["entry", "ragged", "outer"]))
+    if kind == "outer":
+        return draw(st.sampled_from([[], {}, None, "m", 1.0, ((1.0, 0.0),)]))
+    if kind == "ragged":
+        return rows + [rows[0] + [[1.0, 0.0]]]
+    # One entry replaced by a malformed one; the rows stay equally long.
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i])))
+    bad = rows[i][:j] + [draw(_bad_entries)] + rows[i][j + 1:]
+    pad = [[0.0, 0.0]] * (len(bad) - len(rows[i]))
+    return [bad if k == i else row + pad for k, row in enumerate(rows)]
+
+
+class TestMatrixDecoding:
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices())
+    def test_same_bits_as_per_entry_decoder(self, rows):
+        want = _decode_outcome(_reference_from_json, rows)
+        got = _decode_outcome(matrix_from_json, rows)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+        else:
+            assert isinstance(got, ModelParseError)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_malformed())
+    def test_rejects_what_per_entry_decoder_rejects(self, rows):
+        want = _decode_outcome(_reference_from_json, rows)
+        got = _decode_outcome(matrix_from_json, rows)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(_bits(got), _bits(want))
+        else:
+            assert isinstance(got, ModelParseError)
+
+    @pytest.mark.parametrize("rows", [
+        [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]],  # ragged
+        [[[1.0, 2.0], 3.0]],  # scalar entry
+        [[[1.0]]],  # 1-element pair
+        [[[1.0, 2.0, 3.0]]],  # 3-element pair
+        [[[None, 0.0]]],  # null: float() refuses it, fromiter would make NaN
+        [[[0.0, None]]],
+        [[{"1": 0, "2": 0}]],  # a dict with two numeric keys is no pair
+        [[[10**400, 0.0]]],  # overflows float64
+    ])
+    def test_malformed_examples_rejected(self, rows):
+        with pytest.raises(ModelParseError):
+            matrix_from_json(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_encoding_byte_identical(self, r, c, data):
+        re = data.draw(st.lists(_floats, min_size=r * c, max_size=r * c))
+        im = data.draw(st.lists(_floats, min_size=r * c, max_size=r * c))
+        m = np.empty((r, c), dtype=complex)
+        m.real = np.reshape(re, (r, c))
+        m.imag = np.reshape(im, (r, c))
+        assert json.dumps(matrix_to_json(m)) == json.dumps(_reference_to_json(m))
+
+
+@st.composite
+def _index_subsets(draw):
+    d = draw(st.integers(1, 200))
+    mask = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    return d, np.flatnonzero(mask)
+
+
+def _coordinate_projection(d, idx):
+    p = np.zeros((d, d), dtype=complex)
+    p[idx, idx] = 1.0
+    return p
+
+
+class TestSubspaceBasis:
+    @settings(max_examples=25, deadline=None)
+    @given(_index_subsets())
+    @example((1, np.array([], dtype=int)))
+    @example((1, np.array([0])))
+    @example((200, np.array([], dtype=int)))
+    @example((200, np.arange(200)))
+    def test_coordinate_projection_equals_gram_schmidt(self, case):
+        d, idx = case
+        p = _coordinate_projection(d, idx)
+        got = subspace_basis(p)
+        assert got.shape == (d, len(idx))
+        assert np.array_equal(got, _reference_basis(p))
+
+    def test_non_coordinate_projections_use_gram_schmidt(self, rng):
+        d = 7
+        half = 0.5 * np.eye(d)
+        phases = np.diag([1.0, -1.0, 1j, 0.0, 1.0, -1j, 0.0])
+        q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+        rotated = q[:, :3] @ q[:, :3].conj().T
+        tiny = _coordinate_projection(d, [1, 4])
+        tiny[0, 1] = 1e-300  # survives normalization in column 1
+        for p in (half, phases, rotated, tiny):
+            assert np.array_equal(subspace_basis(p), _reference_basis(p))
+        assert not np.array_equal(_reference_basis(phases),
+                                  np.eye(d)[:, [0, 1, 2, 4, 5]])
+        assert _reference_basis(tiny)[0, 0] == 1e-300
+
+    def test_rank_tol_at_least_one_uses_gram_schmidt(self):
+        p = _coordinate_projection(4, [0, 2])
+        got = subspace_basis(p, rank_tol=1.0)
+        assert got.shape == (4, 0)
+        assert np.array_equal(got, _reference_basis(p, rank_tol=1.0))
+
+
+class TestBasesBuiltOnce:
+    def test_same_read_only_array(self):
+        sub = SubspacePair.from_basis_indices(HilbertSpace((5,)), (1, 3))
+        for basis in (sub.slow_basis, sub.fast_basis):
+            v = basis()
+            assert basis() is v
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0, 0] = 2.0
+        assert np.array_equal(sub.slow_basis(), _reference_basis(sub.p0.entries))
+        assert np.array_equal(sub.fast_basis(), _reference_basis(sub.p1.entries))
+
+
+def test_eliminate_reuses_the_structural_inverse(dk_fixture):
+    """The Y~ that `eliminate` returns is bit-identical to a fresh one."""
+    result = eliminate(dk_fixture.family, dk_fixture.sub)
+    fresh = restricted_inverse(dk_fixture.family.y, dk_fixture.sub)
+    assert np.array_equal(_bits(result.y_tilde.entries), _bits(fresh.entries))
+

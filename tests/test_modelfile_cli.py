@@ -368,3 +368,39 @@ class TestCli:
         assert main(["frobnicate"]) == 2
         assert main([]) == 2
         assert main(["example", "no-such-example"]) == 2
+
+
+class TestRejectedInputsExit2:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "duan-kimble", "--k", "0"],
+        ["validate", "duan-kimble", "--k", "inf"],
+        ["semigroup", "duan-kimble", "--k", "-2"],
+        ["converge", "duan-kimble", "--kind", "generator", "--k", "0", "2", "4"],
+        ["converge", "duan-kimble", "--kind", "semigroup", "--k", "1", "nan", "4"],
+        ["converge", "truncation-demo", "--kind", "truncation", "--k", "-3", "5"],
+        ["converge", "truncation-demo", "--kind", "truncation", "--k", "4", "inf"],
+    ])
+    def test_bad_k_values(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "bad k value" in captured.err
+
+    def test_zero_cutoff_accepted(self, capsys):
+        assert main(["converge", "truncation-demo", "--kind", "truncation",
+                     "--k", "0", "2", "--grid", "8"]) == 0
+
+    @pytest.mark.parametrize("where", ["B", "p0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None])
+    def test_non_finite_or_null_entries(self, where, value, tmp_path, capsys):
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        rows = doc["operators"]["B"] if where == "B" else doc["p0"]
+        rows[1][1][0] = value
+        with pytest.raises(ModelParseError):
+            parse_model(json.loads(json.dumps(doc)))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # writes NaN, Infinity or null
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "overall" not in captured.out
