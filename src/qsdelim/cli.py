@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 domain failure (a check or verdict fails),
 finite T > 0 with >= 2 points, a truncation study on a model whose
 coefficients depend on k, a scaling parameter k (from --k or the model's
 k_schedule) that is not finite and > 0, a truncation cutoff that is not
-finite and >= 0, and a model file with a NaN, Infinity or null entry.
+an integer >= 0, a --tol that is not finite and > 0, and a model file
+with a NaN, Infinity or null entry.
 """
 
 from __future__ import annotations
@@ -22,21 +23,16 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .convergence import (
-    ConvergenceReport,
-    generator_study,
-    semigroup_study,
-    truncation_study,
-)
+from .convergence import generator_study, semigroup_study, truncation_study
 from .elimination import eliminate
 from .errors import ModelParseError, PreconditionFailed, QsdelimError
 from .modelfile import (
     DEFAULT_K_SCHEDULE,
     ModelFile,
-    StudyParams,
     fixture_to_model_dict,
     limit_to_json,
     load_model,
@@ -44,7 +40,6 @@ from .modelfile import (
 from .models import BUILTIN_FIXTURES, Fixture, builtin_fixture, duan_kimble_fixture
 from .operator_core import Operator
 from .qsde_model import (
-    ScaledFamily,
     assemble,
     hp_validate,
     scaled_hp_validate,
@@ -68,12 +63,18 @@ def _fmt_amps(values) -> str:
     return ";".join(_fmt_complex(z) for z in values)
 
 
-def _write_csv(path: str, rows) -> None:
+def _write_csv(path: str, name: str, kind: str, amp: FieldAmplitudes,
+               rows) -> None:
+    """Write (k, t_max, grid_points, value) rows under CSV_HEADER."""
+    amps = (_fmt_amps(amp.alpha), _fmt_amps(amp.beta))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row)
+        for k, t, grid, value in rows:
+            writer.writerow((
+                name, kind, _fmt_float(k), _fmt_float(t), grid, *amps,
+                _fmt_float(value),
+            ))
 
 
 def _write_report(path: str, doc: dict) -> None:
@@ -94,27 +95,27 @@ def _parse_amplitude_list(text: str, n: int, flag: str):
     return values
 
 
+def _bundled_fixture(name: str) -> Fixture | None:
+    """A bundled fixture or the bundled counterexample, None for other names.
+
+    The counterexample keeps a slow-block drive term, so the requirement
+    that the slow compression of the drive vanish fails.
+    """
+    if name in BUILTIN_FIXTURES:
+        return builtin_fixture(name)
+    if name != "broken-structural":
+        return None
+    fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=3)
+    family = replace(fix.family, a=fix.family.a + 0.25j * fix.sub.p0)
+    return Fixture(name="broken-structural", family=family, sub=fix.sub)
+
+
 def _resolve_model(ref: str) -> ModelFile:
     name = ref[len("fixtures/"):] if ref.startswith("fixtures/") else ref
-    if name in BUILTIN_FIXTURES:
-        fix = builtin_fixture(name)
-        return ModelFile(name=fix.name, family=fix.family, sub=fix.sub)
-    if name == "broken-structural":
-        return _broken_structural_model()
-    return load_model(ref)
-
-
-def _broken_structural_model() -> ModelFile:
-    """Bundled counterexample: a slow-block drive term survives, so the
-    requirement that the slow compression of the drive vanish fails."""
-    fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=3)
-    fam = fix.family
-    bad_a = fam.a + 0.25j * fix.sub.p0
-    family = ScaledFamily(
-        n=fam.n, space=fam.space, y=fam.y, a=bad_a, b=fam.b,
-        f_ops=fam.f_ops, g_ops=fam.g_ops, w_ops=fam.w_ops,
-    )
-    return ModelFile(name="broken-structural", family=family, sub=fix.sub)
+    fix = _bundled_fixture(name)
+    if fix is None:
+        return load_model(ref)
+    return ModelFile(name=fix.name, family=fix.family, sub=fix.sub)
 
 
 def _amplitudes(args, model: ModelFile) -> FieldAmplitudes:
@@ -224,13 +225,22 @@ def _time_grid(args, model: ModelFile) -> tuple[float, int]:
 
 def _k_values(values, cutoffs: bool = False) -> tuple[float, ...]:
     """Reject scaling parameters that are not finite and > 0, or, for a
-    truncation study, cutoffs that are not finite and >= 0."""
+    truncation study, cutoffs that are not integers >= 0."""
     values = tuple(values)
     for k in values:
-        if not (math.isfinite(k) and (k >= 0 if cutoffs else k > 0)):
-            need = "cutoffs >= 0" if cutoffs else "k > 0"
-            raise ModelParseError(f"bad k value {k!r}: need finite {need}")
+        ok = k >= 0 and float(k).is_integer() if cutoffs else k > 0
+        if not (math.isfinite(k) and ok):
+            need = "integer cutoffs >= 0" if cutoffs else "finite k > 0"
+            raise ModelParseError(f"bad k value {k!r}: need {need}")
     return values
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float > 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"need finite tol > 0, got {text!r}")
+    return tol
 
 
 def cmd_semigroup(args) -> int:
@@ -252,7 +262,6 @@ def cmd_semigroup(args) -> int:
         label = 0.0
     rows = []
     worst = 0.0
-    alpha_s, beta_s = _fmt_amps(amp.alpha), _fmt_amps(amp.beta)
     # The adjoint propagator has the same spectral norm as the propagator.
     propagators = propagate_on_grid(
         coeffs, amp, t_final, grid, np.eye(coeffs.space.total_dim)
@@ -260,29 +269,15 @@ def cmd_semigroup(args) -> int:
     for t, prop in zip(np.linspace(0.0, t_final, grid), propagators):
         norm = float(np.linalg.norm(prop, 2))
         worst = max(worst, norm)
-        rows.append((
-            model.name, "contraction_norm", _fmt_float(label), _fmt_float(t),
-            grid, alpha_s, beta_s, _fmt_float(norm),
-        ))
+        rows.append((label, t, grid, norm))
     print(f"model {model.name}: max semigroup norm {worst:.12g} over "
           f"{grid} times in [0, {t_final:g}]"
           + (f" at k={label:g}" if args.k is not None else " (limit model)"))
     if args.csv:
-        _write_csv(args.csv, rows)
+        _write_csv(args.csv, model.name, "contraction_norm", amp, rows)
     contraction_ok = worst <= 1.0 + 1e-9
     print(f"contraction: {'PASS' if contraction_ok else 'FAIL'}")
     return 0 if contraction_ok else 1
-
-
-def _study_rows(name: str, report: ConvergenceReport, amp: FieldAmplitudes):
-    alpha_s, beta_s = _fmt_amps(amp.alpha), _fmt_amps(amp.beta)
-    return [
-        (
-            name, report.kind, _fmt_float(k), _fmt_float(report.t_max),
-            report.grid_points, alpha_s, beta_s, _fmt_float(val),
-        )
-        for k, val in zip(report.k_schedule, report.values)
-    ]
 
 
 def cmd_converge(args) -> int:
@@ -297,20 +292,16 @@ def cmd_converge(args) -> int:
         if len(schedule) < 3:
             raise ModelParseError("--k needs >= 3 values for a rate fit")
         try:
-            limit = eliminate(model.family, model.sub, tol=args.tol).limit
+            result = eliminate(model.family, model.sub, tol=args.tol)
             if args.kind == "generator":
-                report = generator_study(
-                    model.family, model.sub, limit, amp, schedule
-                )
+                report = generator_study(result, amp, schedule)
             else:
-                report = semigroup_study(
-                    model.family, model.sub, limit, amp, schedule, t_final, grid
-                )
+                report = semigroup_study(result, amp, schedule, t_final, grid)
         except PreconditionFailed as exc:
             print(f"elimination preconditions fail for model {model.name}: {exc}")
             return 1
     else:
-        cutoffs = sorted({int(round(k)) for k in schedule})
+        cutoffs = sorted({int(k) for k in schedule})
         if len(cutoffs) < 2:
             raise ModelParseError("truncation needs >= 2 distinct cutoffs")
         fam = model.family
@@ -330,7 +321,10 @@ def cmd_converge(args) -> int:
     print(f"fitted log-log rate: {report.fitted_rate:.4f}")
     print(f"verdict: {'PASS' if report.verdict else 'FAIL'}")
     if args.csv:
-        _write_csv(args.csv, _study_rows(model.name, report, amp))
+        _write_csv(args.csv, model.name, report.kind, amp, (
+            (k, report.t_max, report.grid_points, val)
+            for k, val in zip(report.k_schedule, report.values)
+        ))
     if args.report:
         _write_report(args.report, {
             "model": model.name,
@@ -347,15 +341,8 @@ def cmd_converge(args) -> int:
 
 def cmd_example(args) -> int:
     name = args.name
-    if name == "broken-structural":
-        model = _broken_structural_model()
-        fix = Fixture(
-            name=model.name, family=model.family, sub=model.sub,
-            expected_limit=None, params={},
-        )
-    elif name in BUILTIN_FIXTURES:
-        fix = builtin_fixture(name)
-    else:
+    fix = _bundled_fixture(name)
+    if fix is None:
         known = sorted(BUILTIN_FIXTURES) + ["broken-structural"]
         raise ModelParseError(f"unknown example {name!r}; choose from {known}")
     study = {
@@ -396,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="path to a JSON model file or a bundled fixture name "
                 f"({', '.join(sorted(BUILTIN_FIXTURES))})",
             )
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="validation tolerance (default 1e-9)")
         p.add_argument("--report", help="write a JSON report to this path")
 

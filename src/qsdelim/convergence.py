@@ -4,7 +4,8 @@ Generator residuals use the corrector expansion u + u1/k + u2/k^2 that
 cancels the divergent orders of the prelimit generator; semigroup gaps take
 the max over a uniform time grid of the distance between the adjoint
 prelimit propagator and the embedded limit propagator, restricted to the
-slow subspace.  Grid studies (semigroup gaps and truncation gaps) take one
+slow subspace; both read one `EliminationResult` and take its limit side
+once per study.  Grid studies (semigroup gaps and truncation gaps) take one
 expm of the grid step per model and step the uniform grid by repeated
 products (`semigroup.propagate_on_grid`); `semigroup.evolve` remains the
 per-time API.  All studies are deterministic: loops run in a fixed order
@@ -19,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elimination import EliminationResult
 from .errors import PreconditionFailed
-from .operator_core import Operator, SubspacePair, spectral_norm
-from .qsde_model import QsdeCoefficients, ScaledFamily, _structural_report, assemble
-from .semigroup import FieldAmplitudes, generator, propagate_on_grid
+from .operator_core import Operator, spectral_norm
+from .qsde_model import QsdeCoefficients, ScaledFamily, _m_from_unitarity, assemble
+from .semigroup import FieldAmplitudes, _dressing, generator, propagate_on_grid
 
 log = logging.getLogger(__name__)
 
@@ -63,59 +65,80 @@ def field_dressed_parts(fam: ScaledFamily, amp: FieldAmplitudes):
     """Linear and constant parts of the dressed prelimit generator.
 
     Returns (a_op, b_op) such that the dressed generator at parameter k
-    equals k^2 Y + k a_op + b_op.
+    equals k^2 Y + k a_op + b_op: the dressing of the order-k coefficients
+    (A, F, M from F, N = 0) without the vacuum shift, and the dressed
+    generator of the order-one coefficients (B, G, M from G, W).
     """
-    if amp.n != fam.n:
-        raise ValueError(f"amplitude channel count {amp.n} != model {fam.n}")
-    a_op = fam.a
-    for i in range(fam.n):
-        a_op = a_op + amp.beta[i] * fam.f_ops[i]
-        for j in range(fam.n):
-            a_op = a_op - (
-                amp.alpha[i].conjugate() * (fam.w_ops[i][j] @ fam.f_ops[j].dag())
-            )
-    shift = 0.5 * sum(abs(z) ** 2 for z in amp.alpha + amp.beta)
-    b_op = fam.b - shift * Operator.identity(fam.space)
-    for i in range(fam.n):
-        b_op = b_op + amp.beta[i] * fam.g_ops[i]
-        for j in range(fam.n):
-            wij = fam.w_ops[i][j]
-            b_op = b_op + amp.alpha[i].conjugate() * amp.beta[j] * wij
-            b_op = b_op - amp.alpha[i].conjugate() * (wij @ fam.g_ops[j].dag())
-    return a_op, b_op
+    def coeffs(k_op, l_ops, n_ops):
+        m_ops = _m_from_unitarity(fam.w_ops, l_ops)
+        return QsdeCoefficients(fam.n, fam.space, k_op, l_ops, m_ops, n_ops)
+
+    zeros = ((Operator.zero(fam.space),) * fam.n,) * fam.n
+    a_op = _dressing(coeffs(fam.a, fam.f_ops, zeros), amp)[0]
+    b_op = generator(coeffs(fam.b, fam.g_ops, fam.w_ops), amp)
+    return Operator(fam.space, a_op), b_op
 
 
-def kurtz_corrector(fam: ScaledFamily, sub: SubspacePair, amp: FieldAmplitudes,
+def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
                     u, tol: float = 1e-9) -> KurtzCorrector:
-    """Build the corrector that cancels the k^2 and k^1 generator orders."""
-    report, yt = _structural_report(fam, sub, tol=tol)
-    if not report.overall:
-        raise PreconditionFailed("structural requirements fail", report)
+    """Corrector cancelling the k^2 and k^1 generator orders, from the result's Y~."""
+    sub, yt = result.sub, result.y_tilde.entries
     u = np.asarray(u, dtype=np.complex128)
     if np.linalg.norm(sub.p0.entries @ u - u) > tol * max(1.0, np.linalg.norm(u)):
         raise PreconditionFailed("u must be supported on the slow subspace")
-    a_op, b_op = field_dressed_parts(fam, amp)
-    u1 = -yt.entries @ (a_op.entries @ u)
-    slow_part = (b_op.entries - a_op.entries @ yt.entries @ a_op.entries) @ u
-    u2 = -yt.entries @ (sub.p1.entries @ slow_part)
+    a_op, b_op = field_dressed_parts(result.family, amp)
+    u1 = -yt @ (a_op.entries @ u)
+    slow_part = (b_op.entries - a_op.entries @ yt @ a_op.entries) @ u
+    u2 = -yt @ (sub.p1.entries @ slow_part)
     return KurtzCorrector(u=u, u1=u1, u2=u2)
 
 
-def generator_residual(fam: ScaledFamily, sub: SubspacePair,
-                       limit: QsdeCoefficients, amp: FieldAmplitudes,
+def _residuals(result: EliminationResult, amp: FieldAmplitudes, u, ks,
+               corrector: KurtzCorrector | None = None) -> tuple[float, ...]:
+    """Generator residuals for each k; the limit side is applied once."""
+    if corrector is None:
+        corrector = kurtz_corrector(result, amp, u)
+    v = result.compression
+    small = generator(result.limit, amp).entries @ (v.conj().T @ np.asarray(u))
+    limit_side = v @ small
+    return tuple(
+        float(np.linalg.norm(
+            generator(assemble(result.family, k), amp).entries @ corrector.at_k(k)
+            - limit_side
+        ))
+        for k in ks
+    )
+
+
+def generator_residual(result: EliminationResult, amp: FieldAmplitudes,
                        u, k: float, corrector: KurtzCorrector | None = None) -> float:
     """Norm distance between the corrected prelimit action and the limit action."""
-    if corrector is None:
-        corrector = kurtz_corrector(fam, sub, amp, u)
-    v = sub.slow_basis()
-    uk = corrector.at_k(k)
-    big = generator(assemble(fam, k), amp).entries @ uk
-    small = generator(limit, amp).entries @ (v.conj().T @ np.asarray(u))
-    return float(np.linalg.norm(big - v @ small))
+    return _residuals(result, amp, u, (k,), corrector)[0]
 
 
-def semigroup_gap(fam: ScaledFamily, sub: SubspacePair,
-                  limit: QsdeCoefficients, amp: FieldAmplitudes,
+def _gaps(result: EliminationResult, amp: FieldAmplitudes, T: float,
+          grid_points: int, ks) -> tuple[float, ...]:
+    """Semigroup gaps for each k; the limit side is propagated once."""
+    v = result.compression
+    limit_side = [
+        v @ small
+        for small in propagate_on_grid(
+            result.limit, amp, T, grid_points, np.eye(v.shape[1])
+        )
+    ]
+    gaps = []
+    for k in ks:
+        gap = 0.0
+        pre = assemble(result.family, k)
+        for big, embedded in zip(
+            propagate_on_grid(pre, amp, T, grid_points, v), limit_side
+        ):
+            gap = max(gap, float(np.linalg.norm(big - embedded, 2)))
+        gaps.append(gap)
+    return tuple(gaps)
+
+
+def semigroup_gap(result: EliminationResult, amp: FieldAmplitudes,
                   T: float, grid_points: int, k: float) -> float:
     """Max over the time grid of the adjoint-propagator distance on the slow subspace.
 
@@ -123,15 +146,7 @@ def semigroup_gap(fam: ScaledFamily, sub: SubspacePair,
     slow isometry v and compared with v times the limit adjoint propagator,
     so only d x r blocks are formed.
     """
-    v = sub.slow_basis()
-    pre = assemble(fam, k)
-    gap = 0.0
-    for big, small in zip(
-        propagate_on_grid(pre, amp, T, grid_points, v),
-        propagate_on_grid(limit, amp, T, grid_points, np.eye(v.shape[1])),
-    ):
-        gap = max(gap, float(np.linalg.norm(big - v @ small, 2)))
-    return gap
+    return _gaps(result, amp, T, grid_points, (k,))[0]
 
 
 def rate_fit(ks, residuals) -> float:
@@ -153,6 +168,10 @@ def rate_fit(ks, residuals) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def _at_floor(values) -> bool:
+    return all(val <= RESIDUAL_FLOOR * 10 for val in values)
+
+
 def _safe_rate(ks, values) -> float:
     try:
         return rate_fit(ks, values)
@@ -160,57 +179,47 @@ def _safe_rate(ks, values) -> float:
         return math.nan
 
 
-def generator_study(fam: ScaledFamily, sub: SubspacePair,
-                    limit: QsdeCoefficients, amp: FieldAmplitudes,
+def generator_study(result: EliminationResult, amp: FieldAmplitudes,
                     k_schedule, u=None, metadata=None) -> ConvergenceReport:
     """Corrected generator residuals over a k-schedule.
 
+    The corrector and the limit generator's action are computed once.
     Verdict: residuals all at the numerical floor, or nonincreasing with a
     clearly negative fitted decay exponent.
     """
     ks = tuple(float(k) for k in k_schedule)
     if len(ks) < 3:
         raise ValueError("need a schedule of >= 3 k-values for rate fitting")
-    v = sub.slow_basis()
+    v = result.compression
     if u is None:
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
-    corrector = kurtz_corrector(fam, sub, amp, u)
-    values = tuple(
-        generator_residual(fam, sub, limit, amp, u, k, corrector=corrector)
-        for k in ks
-    )
+    values = _residuals(result, amp, u, ks)
     rate = _safe_rate(ks, values)
-    if all(val <= RESIDUAL_FLOOR * 10 for val in values):
-        verdict = True
-    else:
-        monotone = all(a >= b - RESIDUAL_FLOOR for a, b in zip(values, values[1:]))
-        verdict = monotone and not math.isnan(rate) and rate <= -0.5
+    monotone = all(a >= b - RESIDUAL_FLOOR for a, b in zip(values, values[1:]))
+    verdict = _at_floor(values) or (
+        monotone and not math.isnan(rate) and rate <= -0.5
+    )
     return ConvergenceReport(
         kind="generator", k_schedule=ks, values=values, fitted_rate=rate,
         t_max=0.0, grid_points=0, verdict=verdict, metadata=dict(metadata or {}),
     )
 
 
-def semigroup_study(fam: ScaledFamily, sub: SubspacePair,
-                    limit: QsdeCoefficients, amp: FieldAmplitudes,
+def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
                     k_schedule, T: float, grid_points: int,
                     metadata=None) -> ConvergenceReport:
     """Sup-over-grid semigroup gaps over a k-schedule.
 
+    The limit side of the gaps is propagated once for the whole schedule.
     Verdict: the largest-k gap improves on the smallest-k gap by at least a
     factor of five (or everything sits at the numerical floor).
     """
     ks = tuple(float(k) for k in k_schedule)
     if len(ks) < 3:
         raise ValueError("need a schedule of >= 3 k-values for rate fitting")
-    values = tuple(
-        semigroup_gap(fam, sub, limit, amp, T, grid_points, k) for k in ks
-    )
+    values = _gaps(result, amp, T, grid_points, ks)
     rate = _safe_rate(ks, values)
-    if all(val <= RESIDUAL_FLOOR * 10 for val in values):
-        verdict = True
-    else:
-        verdict = values[-1] <= values[0] / 5.0
+    verdict = _at_floor(values) or values[-1] <= values[0] / 5.0
     return ConvergenceReport(
         kind="semigroup", k_schedule=ks, values=values, fitted_rate=rate,
         t_max=float(T), grid_points=int(grid_points), verdict=verdict,
@@ -267,10 +276,10 @@ def truncation_study(limit_family: QsdeCoefficients, cutoffs, amp: FieldAmplitud
         for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
             gaps[i] = max(gaps[i], float(np.linalg.norm(lo - hi, 2)))
     gaps = tuple(gaps)
-    if all(gap <= RESIDUAL_FLOOR * 10 for gap in gaps):
-        verdict = True
-    else:
-        verdict = all(a > b for a, b in zip(gaps, gaps[1:])) or len(gaps) == 1
+    verdict = (
+        _at_floor(gaps) or all(a > b for a, b in zip(gaps, gaps[1:]))
+        or len(gaps) == 1
+    )
     rate = _safe_rate(cutoffs[:-1], gaps) if len(gaps) >= 3 else math.nan
     return ConvergenceReport(
         kind="truncation",

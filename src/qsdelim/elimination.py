@@ -8,15 +8,15 @@
     N_ij = sum_l P0 W_il (F_l^* Y~ F_j + delta_lj) P0
 
 and returns them compressed to slow-subspace coordinates through a
-deterministic isometry (see `operator_core.subspace_basis`), so that the
-output is directly usable by the semigroup machinery.  The structural
+deterministic isometry (see `operator_core.subspace_basis`), in the
+prepared model that the convergence studies take.  The structural
 preconditions are enforced as hard errors: running these formulas on a
 family without the required block structure produces meaningless output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .operator_core import (
 from .qsde_model import (
     QsdeCoefficients,
     ScaledFamily,
+    _m_from_unitarity,
+    _n_limit_sum,
     _structural_report,
     scaled_hp_validate,
 )
@@ -39,16 +41,27 @@ from .qsde_model import (
 
 @dataclass(frozen=True)
 class EliminationResult:
-    """Limit coefficients on the slow subspace, plus the maps used."""
+    """The prepared model: a family with its limit on the slow subspace.
 
+    Built by `eliminate`, so the family has passed `scaled_hp_validate`
+    and the structural check.  The convergence studies take this result
+    and reuse its restricted inverse Y~, bases and limit coefficients.
+    """
+
+    family: ScaledFamily
+    sub: SubspacePair
     limit: QsdeCoefficients
     y_tilde: Operator
-    compression: np.ndarray = field(repr=False)  # full-dim x rank isometry
+
+    @property
+    def compression(self) -> np.ndarray:
+        """Full-dim x rank isometry onto the slow subspace."""
+        return self.sub.slow_basis()
 
     def embed(self, x: Operator) -> Operator:
         """Represent a slow-subspace operator on the original space."""
         v = self.compression
-        return Operator(self.y_tilde.space, v @ x.entries @ v.conj().T)
+        return Operator(self.family.space, v @ x.entries @ v.conj().T)
 
 
 def _compress(v: np.ndarray, small: HilbertSpace, big: np.ndarray) -> Operator:
@@ -88,19 +101,7 @@ def eliminate(
             fj = fam.f_ops[j].entries
             acc += fam.w_ops[i][j].entries @ (gj.conj().T - fj.conj().T @ ytm @ a)
         m_big.append(-p0 @ acc @ p0)
-    ident = np.eye(fam.space.total_dim)
-    n_big = []
-    for i in range(fam.n):
-        row = []
-        for j in range(fam.n):
-            acc = np.zeros_like(k_big)
-            for ell in range(fam.n):
-                inner = fam.f_ops[ell].entries.conj().T @ ytm @ fam.f_ops[j].entries
-                if ell == j:
-                    inner = inner + ident
-                acc += fam.w_ops[i][ell].entries @ inner
-            row.append(p0 @ acc @ p0)
-        n_big.append(row)
+    n_sum = _n_limit_sum(fam.w_ops, fam.f_ops, yt)
 
     limit = QsdeCoefficients(
         n=fam.n,
@@ -108,9 +109,12 @@ def eliminate(
         k_op=_compress(v, small, k_big),
         l_ops=tuple(_compress(v, small, m) for m in l_big),
         m_ops=tuple(_compress(v, small, m) for m in m_big),
-        n_ops=tuple(tuple(_compress(v, small, m) for m in row) for row in n_big),
+        n_ops=tuple(
+            tuple(_compress(v, small, p0 @ op.entries @ p0) for op in row)
+            for row in n_sum
+        ),
     )
-    return EliminationResult(limit=limit, y_tilde=yt, compression=v)
+    return EliminationResult(family=fam, sub=sub, limit=limit, y_tilde=yt)
 
 
 def cavity_closed_form(
@@ -133,7 +137,6 @@ def cavity_closed_form(
     full tensor-product model.
     """
     space = e00.space
-    n = len(f_ops)
     if e11_inv is None:
         e11_inv = Operator(space, np.linalg.inv(e11.entries))
     ident = Operator.identity(space)
@@ -147,21 +150,7 @@ def cavity_closed_form(
         )
     k_op = e00 - e01 @ e11_inv @ e10
     l_ops = tuple(g - e01 @ e11_inv @ f for f, g in zip(f_ops, g_ops))
-    n_ops = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Operator.zero(space)
-            for ell in range(n):
-                inner = f_ops[ell].dag() @ e11_inv @ f_ops[j]
-                if ell == j:
-                    inner = inner + ident
-                acc = acc + s_ops[i][ell] @ inner
-            row.append(acc)
-        n_ops.append(tuple(row))
-    n_ops = tuple(n_ops)
-    m_ops = tuple(
-        -sum((n_ops[i][j] @ l_ops[j].dag() for j in range(n)), Operator.zero(space))
-        for i in range(n)
+    n_ops = _n_limit_sum(s_ops, f_ops, e11_inv)
+    return QsdeCoefficients(
+        len(f_ops), space, k_op, l_ops, _m_from_unitarity(n_ops, l_ops), n_ops
     )
-    return QsdeCoefficients(n, space, k_op, l_ops, m_ops, n_ops)

@@ -138,7 +138,6 @@ class StudyParams:
     k_schedule: tuple[float, ...] = DEFAULT_K_SCHEDULE
     alpha: tuple[complex, ...] | None = None
     beta: tuple[complex, ...] | None = None
-    tol: float = 1e-9
 
     def amplitudes(self, n: int) -> FieldAmplitudes:
         alpha = self.alpha if self.alpha is not None else (0.0,) * n
@@ -244,7 +243,6 @@ def parse_model(doc: dict) -> ModelFile:
                 tuple(_complex_from_pair(z) for z in study_doc["beta"])
                 if "beta" in study_doc else None
             ),
-            tol=float(study_doc.get("tol", 1e-9)),
         )
     except (TypeError, ValueError) as exc:
         raise ModelParseError(f"bad study section: {exc}") from exc

@@ -63,15 +63,6 @@ class Fixture:
     params: dict = field(default_factory=dict)
 
 
-def _scalar_grid(space: HilbertSpace, grid: np.ndarray):
-    """Lift an n x n scalar matrix to an n x n grid of multiples of I."""
-    ident = Operator.identity(space)
-    return tuple(
-        tuple(complex(grid[i, j]) * ident for j in range(grid.shape[1]))
-        for i in range(grid.shape[0])
-    )
-
-
 def cavity_fixture(hprime_dim, cutoff, s, f, g, e00, e01, e10, e11,
                    tol: float = 1e-9) -> Fixture:
     """Strongly damped oscillator coupled to a bounded auxiliary system.

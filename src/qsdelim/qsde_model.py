@@ -13,7 +13,7 @@ defect operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,12 +128,34 @@ def assemble(fam: ScaledFamily, k: float) -> QsdeCoefficients:
         raise ValueError("scaling parameter k must be positive")
     k_op = (k * k) * fam.y + k * fam.a + fam.b
     l_ops = tuple(k * f + g for f, g in zip(fam.f_ops, fam.g_ops))
-    m_ops = tuple(
-        -sum((fam.w_ops[i][j] @ l_ops[j].dag() for j in range(fam.n)),
-             Operator.zero(fam.space))
-        for i in range(fam.n)
+    return QsdeCoefficients(
+        fam.n, fam.space, k_op, l_ops, _m_from_unitarity(fam.w_ops, l_ops),
+        fam.w_ops,
     )
-    return QsdeCoefficients(fam.n, fam.space, k_op, l_ops, m_ops, fam.w_ops)
+
+
+def _m_from_unitarity(w_ops, l_ops) -> tuple[Operator, ...]:
+    """M_i = -sum_j W_ij L_j^*, the M that the unitarity relations force."""
+    zero = Operator.zero(l_ops[0].space)
+    return tuple(
+        -sum((w @ l.dag() for w, l in zip(row, l_ops)), zero) for row in w_ops
+    )
+
+
+def _n_limit_sum(w_ops, f_ops, x: Operator):
+    """Grid of sum_l W_il (F_l^* X F_j + delta_lj); the limit N for X = Y~."""
+    ident = Operator.identity(x.space)
+    inner = [[fl.dag() @ x @ fj for fj in f_ops] for fl in f_ops]
+    for ell, row in enumerate(inner):
+        row[ell] = row[ell] + ident
+    zero = Operator.zero(x.space)
+    return tuple(
+        tuple(
+            sum((w @ inner[ell][j] for ell, w in enumerate(row)), zero)
+            for j in range(len(f_ops))
+        )
+        for row in w_ops
+    )
 
 
 def _unitarity_defect(grid, space: HilbertSpace, n: int) -> float:
@@ -160,12 +182,8 @@ def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationRepo
         (l @ l.dag() for l in c.l_ops), zero
     )
     m_defect = max(
-        spectral_norm(
-            c.m_ops[i] + sum(
-                (c.n_ops[i][j] @ c.l_ops[j].dag() for j in range(c.n)), zero
-            )
-        )
-        for i in range(c.n)
+        spectral_norm(m - forced)
+        for m, forced in zip(c.m_ops, _m_from_unitarity(c.n_ops, c.l_ops))
     )
     n_defect = _unitarity_defect(c.n_ops, c.space, c.n)
     scale = max(
@@ -267,15 +285,8 @@ def _structural_report(
         )
         n_right = 0.0
         n_left = 0.0
-        ident = Operator.identity(fam.space)
-        for i in range(fam.n):
-            for j in range(fam.n):
-                term = Operator.zero(fam.space)
-                for ell in range(fam.n):
-                    inner = fam.f_ops[ell].dag() @ y_tilde @ fam.f_ops[j]
-                    if ell == j:
-                        inner = inner + ident
-                    term = term + fam.w_ops[i][ell] @ inner
+        for row in _n_limit_sum(fam.w_ops, fam.f_ops, y_tilde):
+            for term in row:
                 n_right = max(n_right, spectral_norm(p0 @ term @ p1))
                 n_left = max(n_left, spectral_norm(p1 @ term @ p0))
         checks.append(_check("limit.l_side", l_side, tol, side_scale))

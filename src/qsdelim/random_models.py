@@ -13,7 +13,7 @@ import numpy as np
 
 from .models import Fixture, cavity_fixture
 from .operator_core import HilbertSpace, Operator
-from .qsde_model import QsdeCoefficients, ScaledFamily
+from .qsde_model import QsdeCoefficients, ScaledFamily, _m_from_unitarity
 
 
 def _ginibre(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -65,11 +65,9 @@ def random_hp_coefficients(rng: np.random.Generator, dim: int, n: int = 1) -> Qs
     zero = Operator.zero(space)
     k = Operator(space, 1j * _hermitian(rng, dim)) \
         + (-0.5) * sum((l @ l.dag() for l in l_ops), zero)
-    m_ops = tuple(
-        -sum((n_ops[i][j] @ l_ops[j].dag() for j in range(n)), zero)
-        for i in range(n)
+    return QsdeCoefficients(
+        n, space, k, l_ops, _m_from_unitarity(n_ops, l_ops), n_ops
     )
-    return QsdeCoefficients(n, space, k, l_ops, m_ops, n_ops)
 
 
 def random_structured_fixture(rng: np.random.Generator, hprime_dim: int = 3,

@@ -120,13 +120,13 @@ def test_acceptance_3_unitarity_preserved_by_elimination():
 def test_acceptance_4_corrector_residual_first_order():
     t0 = time.perf_counter()
     fix = builtin_fixture("duan-kimble")
-    limit = eliminate(fix.family, fix.sub).limit
+    result = eliminate(fix.family, fix.sub)
     amp = FieldAmplitudes((0.2 - 0.1j,), (0.3 + 0.2j,))
     ks = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    report = generator_study(fix.family, fix.sub, limit, amp, ks)
+    report = generator_study(result, amp, ks)
     v = fix.sub.slow_basis()
     u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
-    cor = kurtz_corrector(fix.family, fix.sub, amp, u)
+    cor = kurtz_corrector(result, amp, u)
     a_op, _ = field_dressed_parts(fix.family, amp)
     c2 = float(np.linalg.norm(fix.family.y.entries @ cor.u))
     c1 = float(np.linalg.norm(
@@ -147,20 +147,20 @@ def test_acceptance_4_corrector_residual_first_order():
 def test_acceptance_5_semigroup_gap_decay():
     t0 = time.perf_counter()
     fix = builtin_fixture("duan-kimble")
-    limit = eliminate(fix.family, fix.sub).limit
+    result = eliminate(fix.family, fix.sub)
     vac = FieldAmplitudes.vacuum(1)
-    gap2 = semigroup_gap(fix.family, fix.sub, limit, vac, 2.0, 64, 2.0)
-    gap16 = semigroup_gap(fix.family, fix.sub, limit, vac, 2.0, 64, 16.0)
+    gap2 = semigroup_gap(result, vac, 2.0, 64, 2.0)
+    gap16 = semigroup_gap(result, vac, 2.0, 64, 16.0)
     decay_ok = gap16 <= gap2 / 5.0
     # robustness: doubling the grid changes nothing appreciably
-    gap2_fine = semigroup_gap(fix.family, fix.sub, limit, vac, 2.0, 128, 2.0)
-    gap16_fine = semigroup_gap(fix.family, fix.sub, limit, vac, 2.0, 128, 16.0)
+    gap2_fine = semigroup_gap(result, vac, 2.0, 128, 2.0)
+    gap16_fine = semigroup_gap(result, vac, 2.0, 128, 16.0)
     # robustness: doubling the oscillator cutoff changes gaps by <= 10%
     fix8 = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j,
                                cutoff=8)
-    limit8 = eliminate(fix8.family, fix8.sub).limit
-    gap2_big = semigroup_gap(fix8.family, fix8.sub, limit8, vac, 2.0, 64, 2.0)
-    gap16_big = semigroup_gap(fix8.family, fix8.sub, limit8, vac, 2.0, 64, 16.0)
+    result8 = eliminate(fix8.family, fix8.sub)
+    gap2_big = semigroup_gap(result8, vac, 2.0, 64, 2.0)
+    gap16_big = semigroup_gap(result8, vac, 2.0, 64, 16.0)
     drift = max(
         abs(gap2_fine - gap2) / gap2,
         abs(gap16_fine - gap16) / gap16,

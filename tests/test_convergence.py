@@ -36,8 +36,7 @@ def dk():
     from qsdelim import builtin_fixture
 
     fix = builtin_fixture("duan-kimble")
-    limit = eliminate(fix.family, fix.sub).limit
-    return fix, limit
+    return fix, eliminate(fix.family, fix.sub)
 
 
 AMP = FieldAmplitudes((0.2 - 0.1j,), (0.3 + 0.2j,))
@@ -59,10 +58,10 @@ class TestFieldDressedParts:
 
 class TestKurtzCorrector:
     def test_cancellation_identities(self, dk):
-        fix, _ = dk
+        fix, result = dk
         v = fix.sub.slow_basis()
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
-        cor = kurtz_corrector(fix.family, fix.sub, AMP, u)
+        cor = kurtz_corrector(result, AMP, u)
         a_op, _ = field_dressed_parts(fix.family, AMP)
         # order k^2: Y u = 0
         assert np.linalg.norm(fix.family.y.entries @ cor.u) < 1e-10
@@ -71,38 +70,36 @@ class TestKurtzCorrector:
         assert np.linalg.norm(defect) < 1e-10
 
     def test_rejects_u_off_slow_subspace(self, dk):
-        fix, _ = dk
+        fix, result = dk
         u = np.zeros(fix.family.space.total_dim, dtype=complex)
         u[0] = 1.0  # excited atom level: not in the slow subspace
         with pytest.raises(PreconditionFailed):
-            kurtz_corrector(fix.family, fix.sub, AMP, u)
+            kurtz_corrector(result, AMP, u)
 
     def test_residual_slope_near_minus_one(self, dk):
-        fix, limit = dk
+        fix, result = dk
         ks = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-        report = generator_study(fix.family, fix.sub, limit, AMP, ks)
+        report = generator_study(result, AMP, ks)
         assert report.verdict
         assert report.fitted_rate == pytest.approx(-1.0, abs=0.15)
 
     def test_corrected_beats_uncorrected(self, dk):
-        fix, limit = dk
+        fix, result = dk
         v = fix.sub.slow_basis()
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
         k = 64.0
-        corrected = generator_residual(fix.family, fix.sub, limit, AMP, u, k)
+        corrected = generator_residual(result, AMP, u, k)
         # uncorrected: apply the prelimit generator to u itself
         big = generator(assemble(fix.family, k), AMP).entries @ u
-        small = generator(limit, AMP).entries @ (v.conj().T @ u)
+        small = generator(result.limit, AMP).entries @ (v.conj().T @ u)
         uncorrected = float(np.linalg.norm(big - v @ small))
         assert corrected <= uncorrected / 10.0
 
     def test_residual_on_structured_fixture(self, rng):
         fix = random_structured_fixture(rng)
-        limit = eliminate(fix.family, fix.sub).limit
+        result = eliminate(fix.family, fix.sub)
         amp = FieldAmplitudes((0.1,), (0.2j,))
-        report = generator_study(
-            fix.family, fix.sub, limit, amp, (2, 4, 8, 16, 32, 64)
-        )
+        report = generator_study(result, amp, (2, 4, 8, 16, 32, 64))
         assert report.verdict
         assert report.fitted_rate == pytest.approx(-1.0, abs=0.2)
 
@@ -132,38 +129,38 @@ class TestRateFit:
 
 class TestSemigroupGap:
     def test_gap_decays_with_k(self, dk):
-        fix, limit = dk
+        fix, result = dk
         vac = FieldAmplitudes.vacuum(1)
         gaps = [
-            semigroup_gap(fix.family, fix.sub, limit, vac, 2.0, 64, k)
+            semigroup_gap(result, vac, 2.0, 64, k)
             for k in (2.0, 4.0, 8.0, 16.0)
         ]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= gaps[0] / 5.0
 
     def test_study_verdict(self, dk):
-        fix, limit = dk
+        fix, result = dk
         report = semigroup_study(
-            fix.family, fix.sub, limit, FieldAmplitudes.vacuum(1),
+            result, FieldAmplitudes.vacuum(1),
             (2.0, 4.0, 8.0, 16.0), T=2.0, grid_points=64,
         )
         assert report.verdict
         assert report.kind == "semigroup"
 
     def test_gap_stable_under_grid_refinement(self, dk):
-        fix, limit = dk
+        fix, result = dk
         vac = FieldAmplitudes.vacuum(1)
-        g64 = semigroup_gap(fix.family, fix.sub, limit, vac, 2.0, 64, 4.0)
-        g128 = semigroup_gap(fix.family, fix.sub, limit, vac, 2.0, 128, 4.0)
+        g64 = semigroup_gap(result, vac, 2.0, 64, 4.0)
+        g128 = semigroup_gap(result, vac, 2.0, 128, 4.0)
         assert abs(g64 - g128) <= 0.1 * g64
 
     def test_invalid_parameters_rejected(self, dk):
-        fix, limit = dk
+        fix, result = dk
         vac = FieldAmplitudes.vacuum(1)
         with pytest.raises(ValueError):
-            semigroup_gap(fix.family, fix.sub, limit, vac, -1.0, 64, 2.0)
+            semigroup_gap(result, vac, -1.0, 64, 2.0)
         with pytest.raises(ValueError):
-            semigroup_gap(fix.family, fix.sub, limit, vac, 2.0, 1, 2.0)
+            semigroup_gap(result, vac, 2.0, 1, 2.0)
 
 
 class TestTruncationStudy:

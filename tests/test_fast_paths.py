@@ -4,8 +4,14 @@
 `subspace_basis` selects identity columns for a coordinate projection.  The
 references below keep the loops they replaced; the fast paths must give
 exactly their bits (no tolerance) and reject every input they rejected.
+
+The limit formulas that now live in one helper each (M from unitarity, the
+N-limit sum, the field dressing) are checked against their old loops to
+1e-12 relative, and the studies, which reuse one elimination result, must
+give the same bits as the per-k functions.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,13 +20,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdelim import (
+    FieldAmplitudes,
     HilbertSpace,
     ModelParseError,
+    Operator,
     SubspacePair,
+    assemble,
+    cavity_closed_form,
     eliminate,
+    field_dressed_parts,
+    generator_residual,
+    generator_study,
+    kurtz_corrector,
+    random_structured_fixture,
     restricted_inverse,
+    semigroup_gap,
+    semigroup_study,
     subspace_basis,
 )
+from qsdelim import qsde_model
 from qsdelim.modelfile import matrix_from_json, matrix_to_json
 
 
@@ -242,3 +260,184 @@ def test_eliminate_reuses_the_structural_inverse(dk_fixture):
     fresh = restricted_inverse(dk_fixture.family.y, dk_fixture.sub)
     assert np.array_equal(_bits(result.y_tilde.entries), _bits(fresh.entries))
 
+
+
+# -- one home per formula ------------------------------------------------
+# The references keep the loops that `field_dressed_parts`, `eliminate`,
+# `cavity_closed_form` and `assemble` had before M = -sum_j W_ij L_j^*, the
+# N-limit sum and the field dressing each moved into one helper.  The old
+# `eliminate` and `cavity_closed_form` N loops were the same formula, so
+# one reference serves both.
+
+REL_TOL = 1e-12
+
+
+def _rel_close(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return np.linalg.norm(got - want) <= REL_TOL * np.linalg.norm(want)
+
+
+def _reference_dressed_parts(fam, amp):
+    a_op = fam.a
+    for i in range(fam.n):
+        a_op = a_op + amp.beta[i] * fam.f_ops[i]
+        for j in range(fam.n):
+            a_op = a_op - (
+                amp.alpha[i].conjugate() * (fam.w_ops[i][j] @ fam.f_ops[j].dag())
+            )
+    shift = 0.5 * sum(abs(z) ** 2 for z in amp.alpha + amp.beta)
+    b_op = fam.b - shift * Operator.identity(fam.space)
+    for i in range(fam.n):
+        b_op = b_op + amp.beta[i] * fam.g_ops[i]
+        for j in range(fam.n):
+            wij = fam.w_ops[i][j]
+            b_op = b_op + amp.alpha[i].conjugate() * amp.beta[j] * wij
+            b_op = b_op - amp.alpha[i].conjugate() * (wij @ fam.g_ops[j].dag())
+    return a_op, b_op
+
+
+def _reference_n_sum(w_ops, f_ops, x):
+    n = len(f_ops)
+    ident = np.eye(x.shape[0])
+    grid = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = np.zeros_like(x)
+            for ell in range(n):
+                inner = f_ops[ell].entries.conj().T @ x @ f_ops[j].entries
+                if ell == j:
+                    inner = inner + ident
+                acc += w_ops[i][ell].entries @ inner
+            row.append(acc)
+        grid.append(row)
+    return grid
+
+
+def _reference_assemble_m(fam, k):
+    l_ops = tuple(k * f + g for f, g in zip(fam.f_ops, fam.g_ops))
+    return [
+        -sum((fam.w_ops[i][j] @ l_ops[j].dag() for j in range(fam.n)),
+             Operator.zero(fam.space))
+        for i in range(fam.n)
+    ]
+
+
+def _cavity_blocks(fix):
+    """The auxiliary-space inputs of `cavity_fixture`, read back from the
+    tensor-product family (auxiliary (x) oscillator, index stride c+1)."""
+    fam, c1 = fix.family, fix.params["cutoff"] + 1
+    hp = HilbertSpace((fix.params["hprime_dim"],))
+
+    def block(op, row, col):
+        return Operator(hp, op.entries[row::c1, col::c1])
+
+    return dict(
+        e00=block(fam.b, 0, 0), e01=block(fam.a, 0, 1),
+        e10=block(fam.a, 1, 0), e11=block(fam.y, 1, 1),
+        f_ops=tuple(block(f, 1, 0) for f in fam.f_ops),
+        g_ops=tuple(block(g, 0, 0) for g in fam.g_ops),
+        s_ops=tuple(tuple(block(w, 0, 0) for w in row) for row in fam.w_ops),
+    )
+
+
+@st.composite
+def _structured_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2))
+    fix = random_structured_fixture(rng, hprime_dim=draw(st.integers(3, 8)), n=n)
+    # Nonzero amplitudes with modulus in [0.1, 0.5].
+    amps = 0.1 + 0.4 * rng.uniform(size=2 * n)
+    amps = amps * np.exp(2j * np.pi * rng.uniform(size=2 * n))
+    return fix, FieldAmplitudes(tuple(amps[:n]), tuple(amps[n:]))
+
+
+class TestOneHomePerFormula:
+    @settings(max_examples=15, deadline=None)
+    @given(_structured_cases())
+    def test_field_dressing(self, case):
+        fix, amp = case
+        got = field_dressed_parts(fix.family, amp)
+        want = _reference_dressed_parts(fix.family, amp)
+        for g, w in zip(got, want):
+            assert _rel_close(g.entries, w.entries)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_structured_cases())
+    def test_eliminate_n_limit_sum(self, case):
+        fix, _ = case
+        result = eliminate(fix.family, fix.sub)
+        p0, v = fix.sub.p0.entries, result.compression
+        want = _reference_n_sum(fix.family.w_ops, fix.family.f_ops,
+                                result.y_tilde.entries)
+        for got_row, want_row in zip(result.limit.n_ops, want):
+            for got, acc in zip(got_row, want_row):
+                assert _rel_close(got.entries, v.conj().T @ (p0 @ acc @ p0) @ v)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_structured_cases())
+    def test_cavity_closed_form_n_and_m(self, case):
+        fix, _ = case
+        blocks = _cavity_blocks(fix)
+        got = cavity_closed_form(**blocks)
+        assert _rel_close(got.k_op.entries, fix.expected_limit.k_op.entries)
+        e11_inv = np.linalg.inv(blocks["e11"].entries)
+        want_n = _reference_n_sum(blocks["s_ops"], blocks["f_ops"], e11_inv)
+        for i, row in enumerate(want_n):
+            want_m = -sum(
+                acc @ got.l_ops[j].entries.conj().T for j, acc in enumerate(row)
+            )
+            assert _rel_close(got.m_ops[i].entries, want_m)
+            for got_op, acc in zip(got.n_ops[i], row):
+                assert _rel_close(got_op.entries, acc)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_structured_cases(), st.sampled_from([0.5, 1.0, 16.0, 4096.0]))
+    def test_assemble_m(self, case, k):
+        fix, _ = case
+        got = assemble(fix.family, k).m_ops
+        for g, w in zip(got, _reference_assemble_m(fix.family, k)):
+            assert _rel_close(g.entries, w.entries)
+
+
+class TestStudiesReuseTheLimitSide:
+    AMP = FieldAmplitudes((0.2 - 0.1j,), (0.3 + 0.2j,))
+
+    def test_semigroup_study_equals_per_k_gaps(self, dk_fixture):
+        result = eliminate(dk_fixture.family, dk_fixture.sub)
+        ks = (2.0, 4.0, 8.0, 16.0)
+        report = semigroup_study(result, self.AMP, ks, T=2.0, grid_points=16)
+        per_k = [semigroup_gap(result, self.AMP, 2.0, 16, k) for k in ks]
+        assert np.array_equal(_bits(np.array(report.values)), _bits(np.array(per_k)))
+
+    def test_generator_study_equals_per_k_residuals(self, dk_fixture):
+        result = eliminate(dk_fixture.family, dk_fixture.sub)
+        ks = (2.0, 8.0, 64.0)
+        v = result.compression
+        u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
+        report = generator_study(result, self.AMP, ks, u=u)
+        per_k = [generator_residual(result, self.AMP, u, k) for k in ks]
+        assert np.array_equal(_bits(np.array(report.values)), _bits(np.array(per_k)))
+
+    def test_kurtz_corrector_uses_the_results_inverse(self, dk_fixture,
+                                                      monkeypatch):
+        result = eliminate(dk_fixture.family, dk_fixture.sub)
+        marker = Operator(result.y_tilde.space, 2.0 * result.y_tilde.entries)
+        swapped = dataclasses.replace(result, y_tilde=marker)
+        assert swapped.y_tilde is marker
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("kurtz_corrector recomputed the inverse")
+
+        monkeypatch.setattr(qsde_model, "restricted_inverse", recomputed)
+        monkeypatch.setattr(qsde_model, "_structural_report", recomputed)
+        v = result.compression
+        u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
+        cor = kurtz_corrector(swapped, self.AMP, u)
+        a_op, b_op = field_dressed_parts(dk_fixture.family, self.AMP)
+        yt = marker.entries
+        assert np.array_equal(cor.u1, -yt @ (a_op.entries @ cor.u))
+        slow_part = (b_op.entries - a_op.entries @ yt @ a_op.entries) @ cor.u
+        assert np.array_equal(
+            cor.u2, -yt @ (dk_fixture.sub.p1.entries @ slow_part)
+        )

@@ -130,19 +130,20 @@ class TestAgainstPerPointExpm:
                                              grid_points, T):
         rng = np.random.default_rng(seed)
         fix = random_structured_fixture(rng, hprime_dim=hprime, n=n, cutoff=2)
-        limit = eliminate(fix.family, fix.sub).limit
+        result = eliminate(fix.family, fix.sub)
         amp = _amplitudes(rng, n)
-        got = semigroup_gap(fix.family, fix.sub, limit, amp, T, grid_points, k)
-        want = _gap_reference(fix.family, fix.sub, limit, amp, T, grid_points, k)
+        got = semigroup_gap(result, amp, T, grid_points, k)
+        want = _gap_reference(fix.family, fix.sub, result.limit, amp, T,
+                              grid_points, k)
         assert _close(got, want), (got, want)
 
     @pytest.mark.parametrize("k", [2.0, 16.0, 4096.0])
     def test_semigroup_gap_duan_kimble(self, dk_fixture, k):
         fix = dk_fixture
-        limit = eliminate(fix.family, fix.sub).limit
+        result = eliminate(fix.family, fix.sub)
         amp = FieldAmplitudes((0.2 - 0.1j,), (0.3 + 0.2j,))
-        got = semigroup_gap(fix.family, fix.sub, limit, amp, 2.0, 64, k)
-        want = _gap_reference(fix.family, fix.sub, limit, amp, 2.0, 64, k)
+        got = semigroup_gap(result, amp, 2.0, 64, k)
+        want = _gap_reference(fix.family, fix.sub, result.limit, amp, 2.0, 64, k)
         assert _close(got, want), (got, want)
 
     def test_truncation_gaps(self):

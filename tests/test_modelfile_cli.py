@@ -379,12 +379,27 @@ class TestRejectedInputsExit2:
         ["converge", "duan-kimble", "--kind", "semigroup", "--k", "1", "nan", "4"],
         ["converge", "truncation-demo", "--kind", "truncation", "--k", "-3", "5"],
         ["converge", "truncation-demo", "--kind", "truncation", "--k", "4", "inf"],
+        ["converge", "truncation-demo", "--kind", "truncation",
+         "--k", "4.5", "6.5", "8"],
     ])
     def test_bad_k_values(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "bad k value" in captured.err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "broken-structural"],
+        ["eliminate", "broken-structural"],
+        ["validate", "duan-kimble"],
+        ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8"],
+    ])
+    def test_bad_tol(self, argv, tol, capsys):
+        assert main([*argv, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
 
     def test_zero_cutoff_accepted(self, capsys):
         assert main(["converge", "truncation-demo", "--kind", "truncation",
