@@ -78,9 +78,12 @@ def eliminate(
     report = scaled_hp_validate(fam, tol)
     if not report.overall:
         raise PreconditionFailed("scaled unitarity relations fail", report)
-    report, yt = _structural_report(fam, sub, tol=tol, cond_limit=cond_limit)
+    report, limit_parts = _structural_report(
+        fam, sub, tol=tol, cond_limit=cond_limit
+    )
     if not report.overall:
         raise PreconditionFailed("structural requirements fail", report)
+    yt, n_sum = limit_parts
 
     p0 = sub.p0.entries
     v = sub.slow_basis()
@@ -101,7 +104,6 @@ def eliminate(
             fj = fam.f_ops[j].entries
             acc += fam.w_ops[i][j].entries @ (gj.conj().T - fj.conj().T @ ytm @ a)
         m_big.append(-p0 @ acc @ p0)
-    n_sum = _n_limit_sum(fam.w_ops, fam.f_ops, yt)
 
     limit = QsdeCoefficients(
         n=fam.n,

@@ -8,11 +8,15 @@ slow projection, as a matrix or a basis-index list), and an optional
 `study` section with schedule and grid parameters.
 
 Parsing is total: any inconsistency raises ModelParseError, never a
-half-built model.
+half-built model.  Integer fields (factor dimensions, channel count, grid
+points, basis indices, expression `dim`/`row`/`col`) take JSON integers or
+integral floats such as 4.0; booleans and fractional values are rejected,
+never truncated.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -27,6 +31,23 @@ from .semigroup import FieldAmplitudes
 
 DEFAULT_K_SCHEDULE = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 _SEQUENCE = (list, tuple)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer or integral float as int; anything else is an error."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or isinstance(value, float) and not value.is_integer()
+    ):
+        raise ModelParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integer_list(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ModelParseError(f"{what} must be a list of integers")
+    return tuple(_integer(v, what) for v in values)
 
 
 def _complex_from_pair(pair) -> complex:
@@ -90,15 +111,18 @@ def eval_expression(node) -> np.ndarray:
     op = node["op"]
     try:
         if op == "identity":
-            return np.eye(int(node["dim"]), dtype=complex)
+            return np.eye(_integer(node["dim"], "dim"), dtype=complex)
         if op == "annihilator":
-            return fock_toolbox(int(node["dim"]) - 1).b.entries.copy()
+            return fock_toolbox(_integer(node["dim"], "dim") - 1).b.entries.copy()
         if op == "creator":
-            return fock_toolbox(int(node["dim"]) - 1).b_dag.entries.copy()
+            return fock_toolbox(_integer(node["dim"], "dim") - 1).b_dag.entries.copy()
         if op == "number":
-            return fock_toolbox(int(node["dim"]) - 1).number.entries.copy()
+            return fock_toolbox(_integer(node["dim"], "dim") - 1).number.entries.copy()
         if op == "basis_matrix":
-            d, i, j = int(node["dim"]), int(node["row"]), int(node["col"])
+            d = _integer(node["dim"], "dim")
+            i, j = _integer(node["row"], "row"), _integer(node["col"], "col")
+            if not (0 <= i < d and 0 <= j < d):
+                raise ModelParseError(f"basis_matrix entry ({i}, {j}) outside dim {d}")
             m = np.zeros((d, d), dtype=complex)
             m[i, j] = 1.0
             return m
@@ -171,8 +195,10 @@ def parse_model(doc: dict) -> ModelFile:
     if not isinstance(doc, dict):
         raise ModelParseError("model document must be a JSON object")
     try:
-        space = HilbertSpace(tuple(int(d) for d in doc["space"]["factor_dims"]))
-        n = int(doc["channels"])
+        space = HilbertSpace(
+            _integer_list(doc["space"]["factor_dims"], "factor_dims")
+        )
+        n = _integer(doc["channels"], "channels")
         ops = doc["operators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelParseError(f"missing or malformed section: {exc}") from exc
@@ -217,9 +243,13 @@ def parse_model(doc: dict) -> ModelFile:
         raise ModelParseError("model must declare the slow projection p0")
     try:
         if isinstance(p0_node, dict) and "basis_indices" in p0_node:
-            sub = SubspacePair.from_basis_indices(
-                space, tuple(int(i) for i in p0_node["basis_indices"])
-            )
+            indices = _integer_list(p0_node["basis_indices"], "basis_indices")
+            d = space.total_dim
+            if any(not 0 <= i < d for i in indices):
+                raise ModelParseError(f"basis_indices must lie in [0, {d})")
+            if len(set(indices)) != len(indices):
+                raise ModelParseError("basis_indices must be distinct")
+            sub = SubspacePair.from_basis_indices(space, indices)
         else:
             sub = SubspacePair.from_projection(_operator(space, p0_node, "p0"))
     except (ValueError, TypeError, IndexError) as exc:
@@ -231,7 +261,7 @@ def parse_model(doc: dict) -> ModelFile:
     try:
         study = StudyParams(
             t_max=float(study_doc.get("T", 2.0)),
-            grid_points=int(study_doc.get("grid_points", 64)),
+            grid_points=_integer(study_doc.get("grid_points", 64), "grid_points"),
             k_schedule=tuple(
                 float(k) for k in study_doc.get("k_schedule", DEFAULT_K_SCHEDULE)
             ),
@@ -254,12 +284,26 @@ def parse_model(doc: dict) -> ModelFile:
 
 
 def load_model(path: str) -> ModelFile:
+    """Read and parse a model file with the cyclic garbage collector paused.
+
+    The decoder builds one small acyclic list per [re, im] pair (about 1e5
+    for a dim-123 model), and at the default collector thresholds those
+    allocations trigger repeated collections over the half-built document
+    and everything else alive.  None of it can form a cycle, so the
+    collector is switched off for the load and the caller's state restored.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
-    return parse_model(doc)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
+        return parse_model(doc)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def fixture_to_model_dict(fix: Fixture, study: dict | None = None) -> dict:

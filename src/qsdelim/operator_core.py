@@ -4,6 +4,11 @@ Everything is desk-scale (total dimensions up to a few hundred), so all
 storage is dense complex128 and all factorizations are direct LAPACK
 calls.  Values are immutable after construction and every operation is a
 pure function.
+
+Because an `Operator`'s entries are frozen read-only at construction, its
+spectral norm is cached on the operator: `spectral_norm` takes the SVD of
+each operator at most once, however many validators ask for it, and an
+all-zero operator costs no SVD at all.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class HilbertSpace:
 
 def _freeze(m: np.ndarray) -> np.ndarray:
     m = np.ascontiguousarray(m, dtype=np.complex128)
+    if not m.flags.owndata:  # a view: its base could still be written
+        m = m.copy()
     m.setflags(write=False)
     return m
 
@@ -100,6 +107,14 @@ class Operator:
         self._check_space(other)
         return Operator(self.space, self.entries @ other.entries)
 
+    # Sound because the entries are frozen; an all-zero matrix skips LAPACK,
+    # whose norm for it is the same 0.0.
+    @cached_property
+    def _spectral_norm(self) -> float:
+        if not self.entries.any():
+            return 0.0
+        return float(np.linalg.norm(self.entries, 2))
+
 
 def tensor_embed(x: Operator, factor_index: int, target: HilbertSpace) -> Operator:
     """Ampliation I (x) ... (x) x (x) ... (x) I into `target` at `factor_index`."""
@@ -118,10 +133,8 @@ def tensor_embed(x: Operator, factor_index: int, target: HilbertSpace) -> Operat
 
 
 def spectral_norm(x: Operator) -> float:
-    """Largest singular value."""
-    if x.space.total_dim == 0:
-        return 0.0
-    return float(np.linalg.norm(x.entries, 2))
+    """Largest singular value, computed once per operator."""
+    return x._spectral_norm
 
 
 def matrix_exponential(x: Operator, t: float) -> Operator:

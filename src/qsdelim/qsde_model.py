@@ -118,7 +118,7 @@ class ValidationReport:
 
 def _check(name: str, defect_norm: float, tol: float, scale: float) -> CheckResult:
     threshold = tol * max(1.0, scale)
-    return CheckResult(name, defect_norm, threshold, defect_norm <= threshold)
+    return CheckResult(name, defect_norm, threshold, bool(defect_norm <= threshold))
 
 
 def assemble(fam: ScaledFamily, k: float) -> QsdeCoefficients:
@@ -172,7 +172,7 @@ def _unitarity_defect(grid, space: HilbertSpace, n: int) -> float:
                 grid[j][m].entries.conj().T @ grid[j][ell].entries for j in range(n)
             ) - delta
             worst = max(worst, np.linalg.norm(right, 2), np.linalg.norm(left, 2))
-    return worst
+    return float(worst)
 
 
 def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -242,10 +242,10 @@ def _structural_report(
     sub: SubspacePair,
     tol: float = DEFAULT_TOL,
     cond_limit: float = DEFAULT_COND_LIMIT,
-) -> tuple[ValidationReport, Operator | None]:
-    """`structural_validate`'s report and the restricted inverse Y~ it
-    computed (None when Y~ does not exist), so callers that need Y~ after
-    a passing report do not compute it again."""
+) -> tuple[ValidationReport, tuple[Operator, tuple] | None]:
+    """`structural_validate`'s report and the restricted inverse Y~ and
+    N-limit sum it computed (None when Y~ does not exist), so callers that
+    need them after a passing report do not compute them again."""
     p0, p1 = sub.p0, sub.p1
     scale = max(
         [spectral_norm(op) for op in (fam.y, fam.a)]
@@ -263,6 +263,7 @@ def _structural_report(
         _check("structural.e", spectral_norm(p0 @ fam.a @ p0), tol, scale),
     ]
     y_tilde = None
+    limit_parts = None
     try:
         y_tilde = restricted_inverse(fam.y, sub, cond_limit=cond_limit, tol=tol)
         inv_defect = max(
@@ -285,11 +286,13 @@ def _structural_report(
         )
         n_right = 0.0
         n_left = 0.0
-        for row in _n_limit_sum(fam.w_ops, fam.f_ops, y_tilde):
+        n_sum = _n_limit_sum(fam.w_ops, fam.f_ops, y_tilde)
+        for row in n_sum:
             for term in row:
                 n_right = max(n_right, spectral_norm(p0 @ term @ p1))
                 n_left = max(n_left, spectral_norm(p1 @ term @ p0))
         checks.append(_check("limit.l_side", l_side, tol, side_scale))
         checks.append(_check("limit.n_side_right", n_right, tol, side_scale))
         checks.append(_check("limit.n_side_left", n_left, tol, side_scale))
-    return ValidationReport(tuple(checks)), y_tilde
+        limit_parts = (y_tilde, n_sum)
+    return ValidationReport(tuple(checks)), limit_parts

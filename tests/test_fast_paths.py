@@ -9,10 +9,16 @@ The limit formulas that now live in one helper each (M from unitarity, the
 N-limit sum, the field dressing) are checked against their old loops to
 1e-12 relative, and the studies, which reuse one elimination result, must
 give the same bits as the per-k functions.
+
+`load_model` decodes with the cyclic collector paused and restores the
+caller's collector state, and `spectral_norm` takes one SVD per operator
+(none for an all-zero one) with the bits of a direct `np.linalg.norm`.
 """
 
 import dataclasses
+import gc
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from qsdelim import (
     Operator,
     SubspacePair,
     assemble,
+    builtin_fixture,
     cavity_closed_form,
     eliminate,
     field_dressed_parts,
@@ -36,10 +43,16 @@ from qsdelim import (
     restricted_inverse,
     semigroup_gap,
     semigroup_study,
+    spectral_norm,
     subspace_basis,
 )
-from qsdelim import qsde_model
-from qsdelim.modelfile import matrix_from_json, matrix_to_json
+from qsdelim import elimination, qsde_model
+from qsdelim.modelfile import (
+    fixture_to_model_dict,
+    load_model,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 
 def _reference_pair(pair) -> complex:
@@ -261,6 +274,107 @@ def test_eliminate_reuses_the_structural_inverse(dk_fixture):
     assert np.array_equal(_bits(result.y_tilde.entries), _bits(fresh.entries))
 
 
+def test_eliminate_evaluates_the_n_limit_sum_once(dk_fixture, monkeypatch):
+    """`eliminate` takes N from its structural check instead of recomputing it."""
+    calls = []
+    real = qsde_model._n_limit_sum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qsde_model, "_n_limit_sum", counted)
+    monkeypatch.setattr(elimination, "_n_limit_sum", counted)
+    eliminate(dk_fixture.family, dk_fixture.sub)
+    assert len(calls) == 1
+
+
+# -- model loading with the collector paused ----------------------------
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """Run the test with the collector in the given state, then restore it."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestLoadModelPausesTheCollector:
+    @pytest.fixture
+    def model_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_state_restored_on_success(self, model_path, gc_state):
+        model = load_model(model_path)
+        assert model.name == "duan-kimble"
+        assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize("problem", ["bad-json", "bad-matrix", "missing"])
+    def test_state_restored_on_parse_error(self, tmp_path, gc_state, problem):
+        path = tmp_path / "bad.json"
+        if problem == "bad-json":
+            path.write_text("{not json")
+        elif problem == "bad-matrix":
+            doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+            doc["operators"]["B"][0][0] = ["x", 0.0]
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ModelParseError):
+            load_model(str(path))
+        assert gc.isenabled() is gc_state
+
+    def test_decode_runs_with_the_collector_off(self, model_path, gc_state,
+                                                monkeypatch):
+        seen = []
+        real = json.load
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json, "load", spy)
+        load_model(model_path)
+        assert seen == [False]
+        assert gc.isenabled() is gc_state
+
+
+# -- one SVD per operator --------------------------------------------------
+
+_norm_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _norm_operators(draw):
+    d = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return Operator(HilbertSpace((d,)), np.zeros((d, d)))
+    re = draw(st.lists(_norm_entries, min_size=d * d, max_size=d * d))
+    im = draw(st.lists(_norm_entries, min_size=d * d, max_size=d * d))
+    m = (np.array(re) + 1j * np.array(im)).reshape(d, d)
+    return Operator(HilbertSpace((d,)), m)
+
+
+class TestSpectralNormOncePerOperator:
+    @settings(max_examples=60, deadline=None)
+    @given(_norm_operators())
+    @example(Operator(HilbertSpace((1,)), np.array([[3.0 - 4.0j]])))
+    @example(Operator(HilbertSpace((1,)), np.zeros((1, 1))))
+    @example(Operator(HilbertSpace((3,)), np.full((3, 3), -0.0 - 0.0j)))
+    def test_same_bits_and_one_svd(self, x):
+        want = float(np.linalg.norm(x.entries, 2))
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            first = spectral_norm(x)
+            assert norm.call_count == (1 if x.entries.any() else 0)
+            second = spectral_norm(x)
+            assert norm.call_count == (1 if x.entries.any() else 0)
+        assert type(first) is float
+        assert first.hex() == want.hex()  # bits, so 0.0 and -0.0 differ
+        assert second.hex() == want.hex()
+
+
 
 # -- one home per formula ------------------------------------------------
 # The references keep the loops that `field_dressed_parts`, `eliminate`,
@@ -441,3 +555,13 @@ class TestStudiesReuseTheLimitSide:
         assert np.array_equal(
             cor.u2, -yt @ (dk_fixture.sub.p1.entries @ slow_part)
         )
+
+    def test_entries_do_not_follow_a_writable_base(self):
+        # The cache is sound only if the entries cannot change: an operator
+        # built from a view must not see later writes to the view's base.
+        base = np.zeros((4, 2), dtype=np.complex128)
+        x = Operator(HilbertSpace((2,)), base[:2])
+        assert spectral_norm(x) == 0.0
+        base[0, 0] = 5.0
+        assert x.entries[0, 0] == 0.0
+        assert spectral_norm(x) == float(np.linalg.norm(x.entries, 2)) == 0.0

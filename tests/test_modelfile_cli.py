@@ -15,6 +15,7 @@ from qsdelim import (
     fixture_to_model_dict,
     fock_toolbox,
     parse_model,
+    random_structured_fixture,
     spectral_norm,
 )
 from qsdelim.cli import main
@@ -262,6 +263,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "hp.k" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--k", "2"]])
+    def test_validate_report_on_random_model(self, extra, tmp_path, rng, capsys):
+        # A random model has a small nonzero W-unitarity defect, which once
+        # reached the report as a numpy bool that json could not write.
+        fix = random_structured_fixture(rng, hprime_dim=3, n=2, cutoff=3)
+        model = tmp_path / "random.json"
+        model.write_text(json.dumps(fixture_to_model_dict(fix)))
+        report = tmp_path / "report.json"
+        assert main(["validate", str(model), *extra, "--report", str(report)]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert doc["overall"] is True
+        checks = [c for group in doc["checks"].values() for c in group]
+        assert len(doc["checks"]) == (3 if extra else 2)
+        for c in checks:
+            assert type(c["max_violation"]) is float
+            assert type(c["passed"]) is bool
+        assert doc["checks"]["scaled"][3]["max_violation"] > 0.0
+
     def test_eliminate_writes_report(self, tmp_path, capsys):
         report = tmp_path / "limit.json"
         assert main(["eliminate", "duan-kimble", "--report", str(report)]) == 0
@@ -404,6 +424,63 @@ class TestRejectedInputsExit2:
     def test_zero_cutoff_accepted(self, capsys):
         assert main(["converge", "truncation-demo", "--kind", "truncation",
                      "--k", "0", "2", "--grid", "8"]) == 0
+
+    @staticmethod
+    def _indexed_model():
+        """duan-kimble (dims (3, 5), slow states 5 and 10) with p0 given
+        by basis indices."""
+        fix = builtin_fixture("duan-kimble")
+        doc = fixture_to_model_dict(fix, study={"grid_points": 8})
+        doc["p0"] = {"basis_indices": [5, 10]}
+        return doc
+
+    # Each edit once ran and printed PASS, because int() truncated or a
+    # negative index wrapped onto the same slow states.
+    @pytest.mark.parametrize("edit", [
+        ("channels", 1.9),
+        ("channels", True),
+        ("factor_dims", [3.5, 5.5]),
+        ("factor_dims", [True, 5]),
+        ("grid_points", 8.9),
+        ("basis_indices", [-10, -5]),
+        ("basis_indices", [5, 10, 10]),
+        ("basis_indices", [5.5, 10]),
+        ("basis_indices", [5, 15]),
+        ("basis_indices", "5"),
+    ], ids=str)
+    def test_non_integer_or_bad_index_fields(self, edit, tmp_path, capsys):
+        field, value = edit
+        doc = self._indexed_model()
+        target = {
+            "channels": doc,
+            "factor_dims": doc["space"],
+            "grid_points": doc["study"],
+            "basis_indices": doc["p0"],
+        }[field]
+        target[field] = value
+        with pytest.raises(ModelParseError):
+            parse_model(json.loads(json.dumps(doc)))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "PASS" not in captured.out
+
+    def test_integral_floats_accepted(self, tmp_path, capsys):
+        doc = self._indexed_model()
+        doc["channels"] = 1.0
+        doc["space"]["factor_dims"] = [3.0, 5.0]
+        doc["study"]["grid_points"] = 8.0
+        doc["p0"]["basis_indices"] = [5.0, 10.0]
+        model = parse_model(json.loads(json.dumps(doc)))
+        assert model.family.n == 1
+        assert model.family.space.factor_dims == (3, 5)
+        assert model.study.grid_points == 8
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("where", ["B", "p0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, None])
