@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 domain failure (a check or verdict fails),
 finite T > 0 with >= 2 points, a truncation study on a model whose
 coefficients depend on k, a scaling parameter k (from --k or the model's
 k_schedule) that is not finite and > 0, a truncation cutoff that is not
-an integer >= 0, a --tol that is not finite and > 0, and a model file
-with a NaN, Infinity or null entry.
+an integer >= 0, a --tol that is not finite and > 0, an amplitude
+(--alpha, --beta or the model's) that is not finite or whose squared
+modulus overflows, and a model file with a NaN, Infinity or null entry
+or a boolean or string where a number belongs.
 """
 
 from __future__ import annotations
@@ -126,6 +128,13 @@ def _amplitudes(args, model: ModelFile) -> FieldAmplitudes:
         alpha = _parse_amplitude_list(args.alpha, n, "--alpha")
     if getattr(args, "beta", None) is not None:
         beta = _parse_amplitude_list(args.beta, n, "--beta")
+    # The dressing shift is (|alpha|^2 + |beta|^2) / 2 in float64; a NaN,
+    # an infinity or a square past float64 makes it non-finite.
+    power = sum(z.real * z.real + z.imag * z.imag for z in alpha + beta)
+    if not math.isfinite(power):
+        raise ModelParseError(
+            "amplitudes must be finite with finite |alpha|^2 + |beta|^2"
+        )
     return FieldAmplitudes(alpha, beta)
 
 

@@ -96,14 +96,10 @@ def eliminate(
         p0 @ (g.entries - a @ ytm @ f.entries) @ p0
         for f, g in zip(fam.f_ops, fam.g_ops)
     ]
-    m_big = []
-    for i in range(fam.n):
-        acc = np.zeros_like(k_big)
-        for j in range(fam.n):
-            gj = fam.g_ops[j].entries
-            fj = fam.f_ops[j].entries
-            acc += fam.w_ops[i][j].entries @ (gj.conj().T - fj.conj().T @ ytm @ a)
-        m_big.append(-p0 @ acc @ p0)
+    # M_i = -sum_j W_ij X_j^* with X_j = G_j - A^* Y~^* F_j.
+    ay = fam.a.dag() @ yt.dag()
+    x_ops = [g - ay @ f for f, g in zip(fam.f_ops, fam.g_ops)]
+    m_big = [p0 @ m.entries @ p0 for m in _m_from_unitarity(fam.w_ops, x_ops)]
 
     limit = QsdeCoefficients(
         n=fam.n,

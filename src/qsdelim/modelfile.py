@@ -11,7 +11,9 @@ Parsing is total: any inconsistency raises ModelParseError, never a
 half-built model.  Integer fields (factor dimensions, channel count, grid
 points, basis indices, expression `dim`/`row`/`col`) take JSON integers or
 integral floats such as 4.0; booleans and fractional values are rejected,
-never truncated.
+never truncated.  Real fields (study `T`, `k_schedule`, the [re, im]
+amplitude and scale-factor pairs, funcalc `theta`/`gamma`) take JSON
+numbers only; booleans and strings are rejected, never read as 1.0.
 """
 
 from __future__ import annotations
@@ -50,10 +52,20 @@ def _integer_list(values, what: str) -> tuple[int, ...]:
     return tuple(_integer(v, what) for v in values)
 
 
-def _complex_from_pair(pair) -> complex:
+def _real(value, what: str) -> float:
+    """A JSON number as float; booleans, strings and the like are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelParseError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond float64
+        raise ModelParseError(f"{what} out of range: {value!r}") from exc
+
+
+def _complex_from_pair(pair, what: str) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ModelParseError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_real(pair[0], what), _real(pair[1], what))
 
 
 def matrix_to_json(m: np.ndarray):
@@ -87,12 +99,14 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def _funcalc(name: str, params: dict, x: np.ndarray) -> np.ndarray:
+    if not isinstance(params, dict):
+        raise ModelParseError(f"funcalc params must be an object, got {params!r}")
     herm_defect = np.linalg.norm(x - x.conj().T, 2)
     if herm_defect > 1e-10 * max(1.0, np.linalg.norm(x, 2)):
         raise ModelParseError("funcalc operand must be Hermitian")
     evals, q = np.linalg.eigh(x)
-    theta = float(params.get("theta", 1.0))
-    gamma = float(params.get("gamma", 1.0))
+    theta = _real(params.get("theta", 1.0), "funcalc theta")
+    gamma = _real(params.get("gamma", 1.0), "funcalc gamma")
     if name == "damped_cayley":
         vals = (1j * theta * evals + gamma / 2) / (1j * theta * evals - gamma / 2)
     elif name == "damped_resolvent":
@@ -135,7 +149,8 @@ def eval_expression(node) -> np.ndarray:
                 out = np.kron(out, eval_expression(arg))
             return out
         if op == "scale":
-            return _complex_from_pair(node["factor"]) * eval_expression(node["arg"])
+            factor = _complex_from_pair(node["factor"], "scale factor")
+            return factor * eval_expression(node["arg"])
         if op == "add":
             args = [eval_expression(a) for a in node["args"]]
             shapes = {a.shape for a in args}
@@ -260,17 +275,18 @@ def parse_model(doc: dict) -> ModelFile:
         raise ModelParseError("study section must be an object")
     try:
         study = StudyParams(
-            t_max=float(study_doc.get("T", 2.0)),
+            t_max=_real(study_doc.get("T", 2.0), "study T"),
             grid_points=_integer(study_doc.get("grid_points", 64), "grid_points"),
             k_schedule=tuple(
-                float(k) for k in study_doc.get("k_schedule", DEFAULT_K_SCHEDULE)
+                _real(k, "k_schedule entry")
+                for k in study_doc.get("k_schedule", DEFAULT_K_SCHEDULE)
             ),
             alpha=(
-                tuple(_complex_from_pair(z) for z in study_doc["alpha"])
+                tuple(_complex_from_pair(z, "alpha") for z in study_doc["alpha"])
                 if "alpha" in study_doc else None
             ),
             beta=(
-                tuple(_complex_from_pair(z) for z in study_doc["beta"])
+                tuple(_complex_from_pair(z, "beta") for z in study_doc["beta"])
                 if "beta" in study_doc else None
             ),
         )

@@ -275,6 +275,22 @@ def mirror_fixture(gamma: float, theta: float, omega: float,
     )
 
 
+def _driven_parts(fock: FockToolbox, detuning: float, drive: complex,
+                  kappa: float) -> tuple[Operator, Operator]:
+    """Detuned driven Hamiltonian H and damping L = sqrt(kappa) b."""
+    drive = complex(drive)
+    h = detuning * fock.number + drive * fock.b + drive.conjugate() * fock.b_dag
+    return h, math.sqrt(kappa) * fock.b
+
+
+def _scattering_free_limit(h: Operator, l1: Operator) -> QsdeCoefficients:
+    """K = iH - (1/2) L L^dag, M = -L^dag and N = I on the space of H."""
+    k = 1j * h + (-0.5) * (l1 @ l1.dag())
+    return QsdeCoefficients(
+        1, h.space, k, (l1,), (-l1.dag(),), ((Operator.identity(h.space),),),
+    )
+
+
 def driven_oscillator_limit(cutoff: int, detuning: float = 0.7,
                             drive: complex = 0.4 + 0.2j,
                             kappa: float = 1.0) -> QsdeCoefficients:
@@ -285,14 +301,7 @@ def driven_oscillator_limit(cutoff: int, detuning: float = 0.7,
     preserves unitarity.
     """
     fock = fock_toolbox(cutoff)
-    drive = complex(drive)
-    h = detuning * fock.number + drive * fock.b + drive.conjugate() * fock.b_dag
-    l1 = math.sqrt(kappa) * fock.b
-    k = 1j * h + (-0.5) * (l1 @ l1.dag())
-    return QsdeCoefficients(
-        1, fock.space, k, (l1,), (-l1.dag(),),
-        ((Operator.identity(fock.space),),),
-    )
+    return _scattering_free_limit(*_driven_parts(fock, detuning, drive, kappa))
 
 
 def windowed_oscillator_limit(cutoff: int, window: int,
@@ -306,22 +315,10 @@ def windowed_oscillator_limit(cutoff: int, window: int,
     """
     if not 1 <= window <= cutoff + 1:
         raise ValueError("window must fit inside the truncated space")
-    full = driven_oscillator_limit(cutoff, detuning, drive, kappa)
-    d = cutoff + 1
-    p = np.zeros((d, d))
-    p[:window, :window] = np.eye(window)
-    proj = Operator(full.space, p)
-    h_w = proj @ (
-        detuning * fock_toolbox(cutoff).number
-        + complex(drive) * fock_toolbox(cutoff).b
-        + complex(drive).conjugate() * fock_toolbox(cutoff).b_dag
-    ) @ proj
-    l_w = proj @ (math.sqrt(kappa) * fock_toolbox(cutoff).b) @ proj
-    k_w = 1j * h_w + (-0.5) * (l_w @ l_w.dag())
-    return QsdeCoefficients(
-        1, full.space, k_w, (l_w,), (-l_w.dag(),),
-        ((Operator.identity(full.space),),),
-    )
+    fock = fock_toolbox(cutoff)
+    h, l1 = _driven_parts(fock, detuning, drive, kappa)
+    proj = Operator(fock.space, np.diag(np.arange(cutoff + 1) < window))
+    return _scattering_free_limit(proj @ h @ proj, proj @ l1 @ proj)
 
 
 def trivial_family_from_limit(limit: QsdeCoefficients) -> tuple[ScaledFamily, SubspacePair]:

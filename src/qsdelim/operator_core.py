@@ -260,15 +260,21 @@ def restricted_inverse(
 
     Returns Y~ with Y~ p0 = 0 and Y~ Y = Y Y~ = p1.  Requires y p0 = 0 and
     an invertible compression of y to range(p1) with condition number at
-    most `cond_limit`.
+    most `cond_limit`.  `_restricted_inverse` also returns the inverse
+    defect max(|Y~ Y - p1|, |Y Y~ - p1|) measured here, for check c.
     """
+    return _restricted_inverse(y, sub, cond_limit, tol)[0]
+
+
+def _restricted_inverse(y, sub, cond_limit, tol) -> tuple[Operator, float]:
+    """`restricted_inverse`'s Y~ and its inverse defect; raises as it does."""
     y._check_space(sub.p0)
     scale = max(1.0, spectral_norm(y))
     if spectral_norm(y @ sub.p0) > tol * scale:
         raise StructuralViolation("y does not annihilate the slow subspace")
     q1 = sub.fast_basis()
-    if q1.shape[1] == 0:
-        return Operator.zero(y.space)
+    if q1.shape[1] == 0:  # Y~ = 0, so both defects are |0 - p1|
+        return Operator.zero(y.space), spectral_norm(-sub.p1)
     yc = q1.conj().T @ y.entries @ q1
     sv = np.linalg.svd(yc, compute_uv=False)
     cond = math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
@@ -288,4 +294,4 @@ def restricted_inverse(
             f"restricted inverse defect {defect:.3e} exceeds tolerance; "
             "y likely couples the subspaces"
         )
-    return yt
+    return yt, defect

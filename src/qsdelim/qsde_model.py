@@ -24,7 +24,7 @@ from .operator_core import (
     HilbertSpace,
     Operator,
     SubspacePair,
-    restricted_inverse,
+    _restricted_inverse,
     spectral_norm,
 )
 
@@ -158,21 +158,17 @@ def _n_limit_sum(w_ops, f_ops, x: Operator):
     )
 
 
-def _unitarity_defect(grid, space: HilbertSpace, n: int) -> float:
-    """Max spectral-norm defect of the co-isometry/isometry relations."""
-    ident = np.eye(space.total_dim)
-    worst = 0.0
-    for m in range(n):
-        for ell in range(n):
-            delta = ident if m == ell else 0.0
-            right = sum(
-                grid[m][j].entries @ grid[ell][j].entries.conj().T for j in range(n)
-            ) - delta
-            left = sum(
-                grid[j][m].entries.conj().T @ grid[j][ell].entries for j in range(n)
-            ) - delta
-            worst = max(worst, np.linalg.norm(right, 2), np.linalg.norm(left, 2))
-    return float(worst)
+def _unitarity_defect(grid) -> float:
+    """Largest block norm of W W^* - I and W^* W - I for the n x n grid W,
+    stacked into one nd x nd matrix so that each product is formed once."""
+    n = len(grid)
+    w = np.block([[op.entries for op in row] for row in grid])
+    d, ident = w.shape[0] // n, np.eye(w.shape[0])
+    blocks = [(p - ident).reshape(n, d, n, d) for p in (w @ w.conj().T, w.conj().T @ w)]
+    return float(max(
+        np.linalg.norm(b[m, :, ell, :], 2)
+        for m in range(n) for ell in range(n) for b in blocks
+    ))
 
 
 def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -185,7 +181,7 @@ def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationRepo
         spectral_norm(m - forced)
         for m, forced in zip(c.m_ops, _m_from_unitarity(c.n_ops, c.l_ops))
     )
-    n_defect = _unitarity_defect(c.n_ops, c.space, c.n)
+    n_defect = _unitarity_defect(c.n_ops)
     scale = max(
         [spectral_norm(c.k_op)]
         + [spectral_norm(l) for l in c.l_ops]
@@ -210,7 +206,7 @@ def scaled_hp_validate(fam: ScaledFamily, tol: float = DEFAULT_TOL) -> Validatio
         (f @ g.dag() + g @ f.dag() for f, g in zip(fam.f_ops, fam.g_ops)), zero
     )
     b_defect = fam.b + fam.b.dag() + sum((g @ g.dag() for g in fam.g_ops), zero)
-    w_defect = _unitarity_defect(fam.w_ops, fam.space, fam.n)
+    w_defect = _unitarity_defect(fam.w_ops)
     norms = [spectral_norm(op) for op in (fam.y, fam.a, fam.b)]
     norms += [spectral_norm(op) for op in fam.f_ops + fam.g_ops]
     norms += [spectral_norm(op) for row in fam.w_ops for op in row]
@@ -245,7 +241,8 @@ def _structural_report(
 ) -> tuple[ValidationReport, tuple[Operator, tuple] | None]:
     """`structural_validate`'s report and the restricted inverse Y~ and
     N-limit sum it computed (None when Y~ does not exist), so callers that
-    need them after a passing report do not compute them again."""
+    need them after a passing report do not compute them again.  Check c
+    is the inverse defect that `_restricted_inverse` measured for Y~."""
     p0, p1 = sub.p0, sub.p1
     scale = max(
         [spectral_norm(op) for op in (fam.y, fam.a)]
@@ -265,11 +262,7 @@ def _structural_report(
     y_tilde = None
     limit_parts = None
     try:
-        y_tilde = restricted_inverse(fam.y, sub, cond_limit=cond_limit, tol=tol)
-        inv_defect = max(
-            spectral_norm(y_tilde @ fam.y - p1),
-            spectral_norm(fam.y @ y_tilde - p1),
-        )
+        y_tilde, inv_defect = _restricted_inverse(fam.y, sub, cond_limit, tol)
         checks.insert(1, _check("structural.c", inv_defect, 1e-10, scale))
     except (SingularFastDynamics, StructuralViolation):
         checks.insert(1, CheckResult("structural.c", float("inf"), tol, False))

@@ -13,6 +13,11 @@ give the same bits as the per-k functions.
 `load_model` decodes with the cyclic collector paused and restores the
 caller's collector state, and `spectral_norm` takes one SVD per operator
 (none for an all-zero one) with the bits of a direct `np.linalg.norm`.
+
+Structural check c reads the defect that the restricted inverse measured
+(same bits as measuring it again), the unitarity defect forms each block
+product once (1e-12 of the double loop), and `eliminate` builds M through
+`_m_from_unitarity` (1e-12 relative of its old loop).
 """
 
 import dataclasses
@@ -38,15 +43,19 @@ from qsdelim import (
     field_dressed_parts,
     generator_residual,
     generator_study,
+    hp_validate,
     kurtz_corrector,
     random_structured_fixture,
     restricted_inverse,
+    scaled_hp_validate,
     semigroup_gap,
     semigroup_study,
     spectral_norm,
+    structural_validate,
     subspace_basis,
 )
 from qsdelim import elimination, qsde_model
+from qsdelim.cli import _bundled_fixture
 from qsdelim.modelfile import (
     fixture_to_model_dict,
     load_model,
@@ -543,7 +552,7 @@ class TestStudiesReuseTheLimitSide:
         def recomputed(*args, **kwargs):
             raise AssertionError("kurtz_corrector recomputed the inverse")
 
-        monkeypatch.setattr(qsde_model, "restricted_inverse", recomputed)
+        monkeypatch.setattr(qsde_model, "_restricted_inverse", recomputed)
         monkeypatch.setattr(qsde_model, "_structural_report", recomputed)
         v = result.compression
         u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
@@ -565,3 +574,195 @@ class TestStudiesReuseTheLimitSide:
         base[0, 0] = 5.0
         assert x.entries[0, 0] == 0.0
         assert spectral_norm(x) == float(np.linalg.norm(x.entries, 2)) == 0.0
+
+
+# -- each validation fact measured once ------------------------------------
+# The references keep what the code did before: structural check c
+# recomputed max(|Y~ Y - p1|, |Y Y~ - p1|) after `restricted_inverse` had
+# measured it, `_unitarity_defect` summed the blocks of W W^* and W^* W in
+# a double loop, and `eliminate` built M in its own loop.
+
+def _reference_inverse_and_defect(y, sub, cond_limit, tol):
+    """Y~ and check c as the structural check recomputed it."""
+    yt = restricted_inverse(y, sub, cond_limit=cond_limit, tol=tol)
+    return yt, max(
+        spectral_norm(yt @ y - sub.p1), spectral_norm(y @ yt - sub.p1)
+    )
+
+
+def _reference_structural(fam, sub):
+    with mock.patch.object(qsde_model, "_restricted_inverse",
+                           _reference_inverse_and_defect):
+        return structural_validate(fam, sub)
+
+
+def _reference_unitarity_defect(grid, space, n):
+    ident = np.eye(space.total_dim)
+    worst = 0.0
+    for m in range(n):
+        for ell in range(n):
+            delta = ident if m == ell else 0.0
+            right = sum(
+                grid[m][j].entries @ grid[ell][j].entries.conj().T for j in range(n)
+            ) - delta
+            left = sum(
+                grid[j][m].entries.conj().T @ grid[j][ell].entries for j in range(n)
+            ) - delta
+            worst = max(worst, np.linalg.norm(right, 2), np.linalg.norm(left, 2))
+    return float(worst)
+
+
+def _reference_eliminate_m(fam, sub, ytm):
+    p0, a = sub.p0.entries, fam.a.entries
+    m_big = []
+    for i in range(fam.n):
+        acc = np.zeros_like(p0)
+        for j in range(fam.n):
+            gj = fam.g_ops[j].entries
+            fj = fam.f_ops[j].entries
+            acc += fam.w_ops[i][j].entries @ (gj.conj().T - fj.conj().T @ ytm @ a)
+        m_big.append(-p0 @ acc @ p0)
+    return m_big
+
+
+def _same_report(got, want):
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    for g, w in zip(got.checks, want.checks):
+        assert g.max_violation.hex() == w.max_violation.hex(), g.name
+        assert g.tolerance.hex() == w.tolerance.hex(), g.name
+        assert g.passed is w.passed, g.name
+
+
+def _leaky(fix, eps):
+    """Y plus eps p0 X p1: Y still annihilates p0 but maps p1 into p0."""
+    fam, sub = fix.family, fix.sub
+    d = fam.space.total_dim
+    rng = np.random.default_rng(1)
+    x = Operator(fam.space, rng.standard_normal((d, d))
+                 + 1j * rng.standard_normal((d, d)))
+    return dataclasses.replace(fam, y=fam.y + eps * (sub.p0 @ x @ sub.p1)), sub
+
+
+def _singular_fast_block(fix):
+    """Y with one fast column zeroed, so its fast compression is singular."""
+    fam, sub = fix.family, fix.sub
+    keep = np.ones(fam.space.total_dim)
+    keep[np.flatnonzero(np.diag(sub.p1.entries).real)[0]] = 0.0
+    return dataclasses.replace(fam, y=fam.y @ Operator(fam.space, np.diag(keep))), sub
+
+
+def _fixture_pair(fix):
+    return fix.family, fix.sub
+
+
+# name -> (family and subspace, (check c finite, check c passes))
+_NAMED_STRUCTURAL = {
+    "duan-kimble": (
+        lambda: _fixture_pair(builtin_fixture("duan-kimble")), (True, True)),
+    "broken-structural": (
+        lambda: _fixture_pair(_bundled_fixture("broken-structural")), (True, True)),
+    "singular-fast-block": (
+        lambda: _singular_fast_block(builtin_fixture("duan-kimble")), (False, False)),
+    "leak-passes-inverse-fails-c": (
+        lambda: _leaky(builtin_fixture("duan-kimble"), 1e-9), (True, False)),
+    "leak-small": (
+        lambda: _leaky(builtin_fixture("duan-kimble"), 1e-11), (True, True)),
+    "leak-raises": (
+        lambda: _leaky(builtin_fixture("duan-kimble"), 1e-3), (False, False)),
+}
+
+
+class TestValidationFactsMeasuredOnce:
+    @settings(max_examples=20, deadline=None)
+    @given(_structured_cases())
+    def test_structural_report_bits(self, case):
+        fix, _ = case
+        got = structural_validate(fix.family, fix.sub)
+        _same_report(got, _reference_structural(fix.family, fix.sub))
+        assert got.overall
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_STRUCTURAL))
+    def test_structural_report_bits_named(self, name):
+        build, expect = _NAMED_STRUCTURAL[name]
+        fam, sub = build()
+        got = structural_validate(fam, sub)
+        _same_report(got, _reference_structural(fam, sub))
+        c = got["structural.c"]
+        assert (bool(np.isfinite(c.max_violation)), c.passed) == expect
+
+    def test_check_c_reads_the_inverse_defect(self, dk_fixture):
+        """Check c is the worker's defect, not a value measured again."""
+        real = qsde_model._restricted_inverse
+        sentinel = 0.123456789
+
+        def marked(*args):
+            return real(*args)[0], sentinel
+
+        with mock.patch.object(qsde_model, "_restricted_inverse", marked):
+            report = structural_validate(dk_fixture.family, dk_fixture.sub)
+        assert report["structural.c"].max_violation == sentinel
+        assert not report["structural.c"].passed
+
+    def test_public_inverse_is_the_workers(self, dk_fixture):
+        y, sub = dk_fixture.family.y, dk_fixture.sub
+        yt, defect = qsde_model._restricted_inverse(y, sub, 1e12, 1e-9)
+        assert np.array_equal(_bits(yt.entries),
+                              _bits(restricted_inverse(y, sub).entries))
+        assert defect == _reference_inverse_and_defect(y, sub, 1e12, 1e-9)[1]
+
+    @staticmethod
+    def _close_with_flag(check, want, tol=1e-9):
+        bound = 1e-12 * check.tolerance / tol  # 1e-12 * max(1, scale)
+        assert abs(check.max_violation - want) <= bound, check.name
+        assert check.passed is (want <= check.tolerance), check.name
+
+    @settings(max_examples=20, deadline=None)
+    @given(_structured_cases(), st.sampled_from([0.5, 16.0, 4096.0]))
+    def test_unitarity_defects(self, case, k):
+        fix, _ = case
+        fam = fix.family
+        want = _reference_unitarity_defect(fam.w_ops, fam.space, fam.n)
+        self._close_with_flag(scaled_hp_validate(fam)["scaled.w"], want)
+        self._close_with_flag(hp_validate(assemble(fam, k))["hp.n"], want)
+        limit = eliminate(fam, fix.sub).limit
+        self._close_with_flag(
+            hp_validate(limit)["hp.n"],
+            _reference_unitarity_defect(limit.n_ops, limit.space, limit.n),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3),
+           st.sampled_from(["unitary", "scaled-unitary", "ginibre"]))
+    def test_unitarity_defect_of_any_grid(self, seed, d, n, kind):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((n * d, n * d)) \
+            + 1j * rng.standard_normal((n * d, n * d))
+        if kind != "ginibre":
+            w = np.linalg.qr(w)[0] * (1.5 if kind == "scaled-unitary" else 1.0)
+        space = HilbertSpace((d,))
+        grid = tuple(
+            tuple(Operator(space, w[i * d:(i + 1) * d, j * d:(j + 1) * d])
+                  for j in range(n))
+            for i in range(n)
+        )
+        want = _reference_unitarity_defect(grid, space, n)
+        got = qsde_model._unitarity_defect(grid)
+        assert type(got) is float
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_structured_cases())
+    def test_eliminate_m(self, case):
+        fix, _ = case
+        self._check_m(fix)
+
+    def test_eliminate_m_duan_kimble(self, dk_fixture):
+        self._check_m(dk_fixture)
+
+    @staticmethod
+    def _check_m(fix):
+        result = eliminate(fix.family, fix.sub)
+        v = result.compression
+        want = _reference_eliminate_m(fix.family, fix.sub, result.y_tilde.entries)
+        for got, acc in zip(result.limit.m_ops, want):
+            assert _rel_close(got.entries, v.conj().T @ acc @ v)

@@ -496,3 +496,69 @@ class TestRejectedInputsExit2:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "overall" not in captured.out
+
+    # Each edit once ran: a boolean or a numeric string was read as a
+    # number (`true` as 1.0, `"1"` as 1), and a `params` list crashed.
+    @pytest.mark.parametrize("edit", [
+        ("T", True),
+        ("T", "2"),
+        ("k_schedule", [True, 2, 4]),
+        ("k_schedule", [2, "4", 8]),
+        ("alpha", [[True, False]]),
+        ("beta", [["0.1", 0.0]]),
+        ("B", {"op": "scale", "factor": ["1", "0"],
+               "arg": {"op": "identity", "dim": 15}}),
+        ("B", {"op": "scale", "factor": [1, False],
+               "arg": {"op": "identity", "dim": 15}}),
+        ("B", {"op": "funcalc", "name": "damped_cayley", "params": [1],
+               "arg": {"op": "identity", "dim": 15}}),
+        ("B", {"op": "funcalc", "name": "damped_cayley",
+               "params": {"theta": True}, "arg": {"op": "identity", "dim": 15}}),
+        ("B", {"op": "funcalc", "name": "damped_resolvent",
+               "params": {"gamma": "1"}, "arg": {"op": "identity", "dim": 15}}),
+        ("B", {"op": "funcalc", "name": "damped_resolvent",
+               "params": {"gamma": 10**400}, "arg": {"op": "identity", "dim": 15}}),
+    ], ids=str)
+    def test_non_number_real_fields(self, edit, tmp_path, capsys):
+        field, value = edit
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"), study={
+            "T": 1.0, "grid_points": 8, "k_schedule": [2, 4, 8],
+            "alpha": [[0.1, 0.0]], "beta": [[0.0, 0.2]],
+        })
+        (doc["operators"] if field == "B" else doc["study"])[field] = value
+        with pytest.raises(ModelParseError):
+            parse_model(json.loads(json.dumps(doc)))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["converge", str(path), "--kind", "semigroup"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("flag", [
+        "--alpha=nan", "--alpha=inf", "--alpha=nan+1j", "--beta=1e308",
+        "--beta=1e200j", "--alpha=1e155",
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8"],
+        ["converge", "duan-kimble", "--kind", "semigroup", "--k", "2", "4", "8",
+         "--grid", "8"],
+        ["semigroup", "duan-kimble", "--grid", "8"],
+    ])
+    def test_non_finite_amplitudes(self, argv, flag, capsys):
+        assert main([*argv, flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "amplitudes must be finite" in captured.err
+
+    def test_non_finite_study_amplitude(self, tmp_path, capsys):
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"), study={
+            "grid_points": 8, "k_schedule": [2, 4, 8], "alpha": [[math.nan, 0.0]],
+        })
+        path = tmp_path / "nan-alpha.json"
+        path.write_text(json.dumps(doc))  # writes NaN
+        assert main(["converge", str(path), "--kind", "generator"]) == 2
+        assert "amplitudes must be finite" in capsys.readouterr().err
+        # A finite flag value replaces the file's NaN.
+        assert main(["converge", str(path), "--kind", "generator",
+                     "--alpha=0.1"]) == 0
