@@ -10,12 +10,14 @@ Subcommands:
 Exit codes: 0 success, 1 domain failure (a check or verdict fails),
 2 malformed input or usage error, including a time grid that is not
 finite T > 0 with >= 2 points, a truncation study on a model whose
-coefficients depend on k, a scaling parameter k (from --k or the model's
-k_schedule) that is not finite and > 0, a truncation cutoff that is not
-an integer >= 0, a --tol that is not finite and > 0, an amplitude
-(--alpha, --beta or the model's) that is not finite or whose squared
-modulus overflows, and a model file with a NaN, Infinity or null entry
-or a boolean or string where a number belongs.
+coefficients depend on k or whose space has more than one tensor factor,
+a scaling parameter k (from --k or the model's k_schedule) that is not
+finite and > 0, a truncation cutoff that is not an integer >= 0, a --tol
+that is not finite and > 0, an amplitude (--alpha, --beta or the model's)
+that is not finite or whose squared modulus overflows, finite amplitudes
+or k values whose products in a semigroup or converge run overflow
+float64, and a model file with a NaN, Infinity or null entry or a boolean
+or string where a number belongs.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import numpy as np
 
 from .convergence import generator_study, semigroup_study, truncation_study
 from .elimination import eliminate
-from .errors import ModelParseError, PreconditionFailed, QsdelimError
+from .errors import ModelParseError, NonFiniteEntries, PreconditionFailed, QsdelimError
 from .modelfile import (
-    DEFAULT_K_SCHEDULE,
     ModelFile,
+    StudyParams,
     fixture_to_model_dict,
     limit_to_json,
     load_model,
@@ -124,9 +126,9 @@ def _amplitudes(args, model: ModelFile) -> FieldAmplitudes:
     n = model.family.n
     base = model.study.amplitudes(n)
     alpha, beta = base.alpha, base.beta
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         alpha = _parse_amplitude_list(args.alpha, n, "--alpha")
-    if getattr(args, "beta", None) is not None:
+    if args.beta is not None:
         beta = _parse_amplitude_list(args.beta, n, "--beta")
     # The dressing shift is (|alpha|^2 + |beta|^2) / 2 in float64; a NaN,
     # an infinity or a square past float64 makes it non-finite.
@@ -252,6 +254,22 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _finite_study(cmd):
+    """Run a study command with float64 overflow and invalid operations
+    raising.  Inputs are checked finite, so a non-finite intermediate means
+    their products left float64: ModelParseError (exit 2), before any
+    verdict is printed.  scipy's expm returns inf without raising, which
+    the operator built from it reports as NonFiniteEntries."""
+    def run(args) -> int:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return cmd(args)
+        except (FloatingPointError, NonFiniteEntries) as exc:
+            raise ModelParseError(f"{exc}: inputs too large for float64") from exc
+    return run
+
+
+@_finite_study
 def cmd_semigroup(args) -> int:
     model = _resolve_model(args.model)
     amp = _amplitudes(args, model)
@@ -289,6 +307,7 @@ def cmd_semigroup(args) -> int:
     return 0 if contraction_ok else 1
 
 
+@_finite_study
 def cmd_converge(args) -> int:
     model = _resolve_model(args.model)
     amp = _amplitudes(args, model)
@@ -318,6 +337,12 @@ def cmd_converge(args) -> int:
             raise ModelParseError(
                 f"truncation needs a fixed-coefficient model (Y = A = F = 0); "
                 f"model {model.name} depends on k"
+            )
+        if len(fam.space.factor_dims) > 1:
+            raise ModelParseError(
+                f"truncation cuts the flattened index, so it needs a space "
+                f"with one tensor factor; model {model.name} has "
+                f"{len(fam.space.factor_dims)}"
             )
         try:
             reference = assemble(fam, 1.0)
@@ -354,19 +379,16 @@ def cmd_example(args) -> int:
     if fix is None:
         known = sorted(BUILTIN_FIXTURES) + ["broken-structural"]
         raise ModelParseError(f"unknown example {name!r}; choose from {known}")
-    study = {
-        "T": 2.0,
-        "grid_points": 64,
-        "k_schedule": list(DEFAULT_K_SCHEDULE),
-    }
-    doc = fixture_to_model_dict(fix, study=study)
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    study = StudyParams()
+    doc = fixture_to_model_dict(fix, study={
+        "T": study.t_max, "grid_points": study.grid_points,
+        "k_schedule": list(study.k_schedule),
+    })
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_report(args.report, doc)
         print(f"wrote example {name} to {args.report}")
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
@@ -406,28 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_eliminate)
 
+    def add_study(p, k_help, csv_help):
+        p.add_argument("--k", type=float, nargs="+", help=k_help)
+        p.add_argument("--T", type=float, help="time horizon (default from model)")
+        p.add_argument("--grid", type=int, help="number of grid times")
+        p.add_argument("--alpha", help="comma-separated input amplitudes")
+        p.add_argument("--beta", help="comma-separated output amplitudes")
+        p.add_argument("--csv", help=csv_help)
+
     p = sub.add_parser("semigroup", help="tabulate dressed-semigroup norms")
     add_common(p)
-    p.add_argument("--k", type=float, nargs="+",
-                   help="assemble the prelimit model at this k (default: limit)")
-    p.add_argument("--T", type=float, help="time horizon (default from model)")
-    p.add_argument("--grid", type=int, help="number of grid times")
-    p.add_argument("--alpha", help="comma-separated input amplitudes")
-    p.add_argument("--beta", help="comma-separated output amplitudes")
-    p.add_argument("--csv", help="write per-time norms to this CSV path")
+    add_study(p, "assemble the prelimit model at this k (default: limit)",
+              "write per-time norms to this CSV path")
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("converge", help="run a convergence study")
     add_common(p)
     p.add_argument("--kind", choices=("generator", "semigroup", "truncation"),
                    default="semigroup")
-    p.add_argument("--k", type=float, nargs="+",
-                   help="k schedule (cutoff list for --kind truncation)")
-    p.add_argument("--T", type=float, help="time horizon (default from model)")
-    p.add_argument("--grid", type=int, help="number of grid times")
-    p.add_argument("--alpha", help="comma-separated input amplitudes")
-    p.add_argument("--beta", help="comma-separated output amplitudes")
-    p.add_argument("--csv", help="write per-k values to this CSV path")
+    add_study(p, "k schedule (cutoff list for --kind truncation)",
+              "write per-k values to this CSV path")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("example", help="emit a bundled example model as JSON")

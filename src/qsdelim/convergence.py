@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elimination import EliminationResult
 from .errors import PreconditionFailed
-from .operator_core import Operator, spectral_norm
+from .operator_core import DEFAULT_TOL, Operator, spectral_norm
 from .qsde_model import QsdeCoefficients, ScaledFamily, _m_from_unitarity, assemble
 from .semigroup import FieldAmplitudes, _dressing, generator, propagate_on_grid
 
@@ -54,7 +54,6 @@ class ConvergenceReport:
     t_max: float
     grid_points: int
     verdict: bool
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.values) != len(self.k_schedule):
@@ -80,11 +79,12 @@ def field_dressed_parts(fam: ScaledFamily, amp: FieldAmplitudes):
 
 
 def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
-                    u, tol: float = 1e-9) -> KurtzCorrector:
+                    u) -> KurtzCorrector:
     """Corrector cancelling the k^2 and k^1 generator orders, from the result's Y~."""
     sub, yt = result.sub, result.y_tilde.entries
     u = np.asarray(u, dtype=np.complex128)
-    if np.linalg.norm(sub.p0.entries @ u - u) > tol * max(1.0, np.linalg.norm(u)):
+    bound = DEFAULT_TOL * max(1.0, np.linalg.norm(u))
+    if np.linalg.norm(sub.p0.entries @ u - u) > bound:
         raise PreconditionFailed("u must be supported on the slow subspace")
     a_op, b_op = field_dressed_parts(result.family, amp)
     u1 = -yt @ (a_op.entries @ u)
@@ -93,11 +93,10 @@ def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
     return KurtzCorrector(u=u, u1=u1, u2=u2)
 
 
-def _residuals(result: EliminationResult, amp: FieldAmplitudes, u, ks,
-               corrector: KurtzCorrector | None = None) -> tuple[float, ...]:
+def _residuals(result: EliminationResult, amp: FieldAmplitudes, u,
+               ks) -> tuple[float, ...]:
     """Generator residuals for each k; the limit side is applied once."""
-    if corrector is None:
-        corrector = kurtz_corrector(result, amp, u)
+    corrector = kurtz_corrector(result, amp, u)
     v = result.compression
     small = generator(result.limit, amp).entries @ (v.conj().T @ np.asarray(u))
     limit_side = v @ small
@@ -111,9 +110,9 @@ def _residuals(result: EliminationResult, amp: FieldAmplitudes, u, ks,
 
 
 def generator_residual(result: EliminationResult, amp: FieldAmplitudes,
-                       u, k: float, corrector: KurtzCorrector | None = None) -> float:
+                       u, k: float) -> float:
     """Norm distance between the corrected prelimit action and the limit action."""
-    return _residuals(result, amp, u, (k,), corrector)[0]
+    return _residuals(result, amp, u, (k,))[0]
 
 
 def _gaps(result: EliminationResult, amp: FieldAmplitudes, T: float,
@@ -180,7 +179,7 @@ def _safe_rate(ks, values) -> float:
 
 
 def generator_study(result: EliminationResult, amp: FieldAmplitudes,
-                    k_schedule, u=None, metadata=None) -> ConvergenceReport:
+                    k_schedule, u=None) -> ConvergenceReport:
     """Corrected generator residuals over a k-schedule.
 
     The corrector and the limit generator's action are computed once.
@@ -201,13 +200,12 @@ def generator_study(result: EliminationResult, amp: FieldAmplitudes,
     )
     return ConvergenceReport(
         kind="generator", k_schedule=ks, values=values, fitted_rate=rate,
-        t_max=0.0, grid_points=0, verdict=verdict, metadata=dict(metadata or {}),
+        t_max=0.0, grid_points=0, verdict=verdict,
     )
 
 
 def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
-                    k_schedule, T: float, grid_points: int,
-                    metadata=None) -> ConvergenceReport:
+                    k_schedule, T: float, grid_points: int) -> ConvergenceReport:
     """Sup-over-grid semigroup gaps over a k-schedule.
 
     The limit side of the gaps is propagated once for the whole schedule.
@@ -223,12 +221,11 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
     return ConvergenceReport(
         kind="semigroup", k_schedule=ks, values=values, fitted_rate=rate,
         t_max=float(T), grid_points=int(grid_points), verdict=verdict,
-        metadata=dict(metadata or {}),
     )
 
 
 def truncation_study(limit_family: QsdeCoefficients, cutoffs, amp: FieldAmplitudes,
-                     T: float, grid_points: int, metadata=None) -> ConvergenceReport:
+                     T: float, grid_points: int) -> ConvergenceReport:
     """Successive gaps between truncations of a fixed coefficient set.
 
     `limit_family` lives on the reference space; each cutoff c keeps the
@@ -289,5 +286,4 @@ def truncation_study(limit_family: QsdeCoefficients, cutoffs, amp: FieldAmplitud
         t_max=float(T),
         grid_points=int(grid_points),
         verdict=verdict,
-        metadata=dict(metadata or {}),
     )

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import InverseMismatch, PreconditionFailed
 from .operator_core import (
-    DEFAULT_COND_LIMIT,
     DEFAULT_TOL,
     HilbertSpace,
     Operator,
@@ -68,19 +67,13 @@ def _compress(v: np.ndarray, small: HilbertSpace, big: np.ndarray) -> Operator:
     return Operator(small, v.conj().T @ big @ v)
 
 
-def eliminate(
-    fam: ScaledFamily,
-    sub: SubspacePair,
-    tol: float = DEFAULT_TOL,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> EliminationResult:
+def eliminate(fam: ScaledFamily, sub: SubspacePair,
+              tol: float = DEFAULT_TOL) -> EliminationResult:
     """Compute the elimination limit of a validated scaled family."""
     report = scaled_hp_validate(fam, tol)
     if not report.overall:
         raise PreconditionFailed("scaled unitarity relations fail", report)
-    report, limit_parts = _structural_report(
-        fam, sub, tol=tol, cond_limit=cond_limit
-    )
+    report, limit_parts = _structural_report(fam, sub, tol)
     if not report.overall:
         raise PreconditionFailed("structural requirements fail", report)
     yt, n_sum = limit_parts

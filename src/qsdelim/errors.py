@@ -5,6 +5,10 @@ class QsdelimError(Exception):
     """Base class for all library-specific failures."""
 
 
+class NonFiniteEntries(ValueError):
+    """An operator would hold a NaN or infinite entry."""
+
+
 class StructuralViolation(QsdelimError):
     """An operator does not have the block structure required of it."""
 

@@ -31,7 +31,6 @@ from .operator_core import HilbertSpace, Operator, SubspacePair
 from .qsde_model import ScaledFamily
 from .semigroup import FieldAmplitudes
 
-DEFAULT_K_SCHEDULE = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 _SEQUENCE = (list, tuple)
 
 
@@ -174,7 +173,7 @@ def eval_expression(node) -> np.ndarray:
 class StudyParams:
     t_max: float = 2.0
     grid_points: int = 64
-    k_schedule: tuple[float, ...] = DEFAULT_K_SCHEDULE
+    k_schedule: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     alpha: tuple[complex, ...] | None = None
     beta: tuple[complex, ...] | None = None
 
@@ -275,11 +274,13 @@ def parse_model(doc: dict) -> ModelFile:
         raise ModelParseError("study section must be an object")
     try:
         study = StudyParams(
-            t_max=_real(study_doc.get("T", 2.0), "study T"),
-            grid_points=_integer(study_doc.get("grid_points", 64), "grid_points"),
+            t_max=_real(study_doc.get("T", StudyParams.t_max), "study T"),
+            grid_points=_integer(
+                study_doc.get("grid_points", StudyParams.grid_points), "grid_points"
+            ),
             k_schedule=tuple(
                 _real(k, "k_schedule entry")
-                for k in study_doc.get("k_schedule", DEFAULT_K_SCHEDULE)
+                for k in study_doc.get("k_schedule", StudyParams.k_schedule)
             ),
             alpha=(
                 tuple(_complex_from_pair(z, "alpha") for z in study_doc["alpha"])

@@ -63,8 +63,7 @@ class Fixture:
     params: dict = field(default_factory=dict)
 
 
-def cavity_fixture(hprime_dim, cutoff, s, f, g, e00, e01, e10, e11,
-                   tol: float = 1e-9) -> Fixture:
+def cavity_fixture(hprime_dim, cutoff, s, f, g, e00, e01, e10, e11) -> Fixture:
     """Strongly damped oscillator coupled to a bounded auxiliary system.
 
     Builds Y = E11 (x) b^dag b, A = E10 (x) b^dag + E01 (x) b,
@@ -93,15 +92,13 @@ def cavity_fixture(hprime_dim, cutoff, s, f, g, e00, e01, e10, e11,
         g_ops=tuple(up(gi) for gi in g),
         w_ops=tuple(tuple(up(s[i][j]) for j in range(n)) for i in range(n)),
     )
-    report = scaled_hp_validate(fam, tol)
+    report = scaled_hp_validate(fam)
     if not report.overall:
         raise PreconditionFailed("cavity coefficients violate unitarity", report)
-    vac = np.zeros((cutoff + 1, cutoff + 1))
-    vac[0, 0] = 1.0
-    sub = SubspacePair.from_projection(
-        tensor_embed(Operator(HilbertSpace((cutoff + 1,)), vac), 1, space)
+    sub = SubspacePair.from_basis_indices(
+        space, range(0, space.total_dim, cutoff + 1)
     )
-    expected = cavity_closed_form(e00, e01, e10, e11, f, g, s, tol=tol)
+    expected = cavity_closed_form(e00, e01, e10, e11, f, g, s)
     return Fixture(
         name="cavity",
         family=fam,
@@ -238,10 +235,8 @@ def mirror_fixture(gamma: float, theta: float, omega: float,
         g_ops=(Operator.zero(space),),
         w_ops=((Operator.identity(space),),),
     )
-    vac = np.zeros((cavity_cutoff + 1, cavity_cutoff + 1))
-    vac[0, 0] = 1.0
-    sub = SubspacePair.from_projection(
-        tensor_embed(Operator(cavity.space, vac), 1, space)
+    sub = SubspacePair.from_basis_indices(
+        space, range(0, space.total_dim, cavity_cutoff + 1)
     )
 
     # Limit scattering (i theta x + gamma/2) / (i theta x - gamma/2) by
@@ -275,12 +270,16 @@ def mirror_fixture(gamma: float, theta: float, omega: float,
     )
 
 
-def _driven_parts(fock: FockToolbox, detuning: float, drive: complex,
-                  kappa: float) -> tuple[Operator, Operator]:
-    """Detuned driven Hamiltonian H and damping L = sqrt(kappa) b."""
-    drive = complex(drive)
-    h = detuning * fock.number + drive * fock.b + drive.conjugate() * fock.b_dag
-    return h, math.sqrt(kappa) * fock.b
+DRIVEN_DETUNING = 0.7
+DRIVEN_DRIVE = 0.4 + 0.2j
+DRIVEN_KAPPA = 1.0
+
+
+def _driven_parts(fock: FockToolbox) -> tuple[Operator, Operator]:
+    """Detuned driven Hamiltonian H and damping L = sqrt(DRIVEN_KAPPA) b."""
+    h = (DRIVEN_DETUNING * fock.number + DRIVEN_DRIVE * fock.b
+         + DRIVEN_DRIVE.conjugate() * fock.b_dag)
+    return h, math.sqrt(DRIVEN_KAPPA) * fock.b
 
 
 def _scattering_free_limit(h: Operator, l1: Operator) -> QsdeCoefficients:
@@ -291,24 +290,19 @@ def _scattering_free_limit(h: Operator, l1: Operator) -> QsdeCoefficients:
     )
 
 
-def driven_oscillator_limit(cutoff: int, detuning: float = 0.7,
-                            drive: complex = 0.4 + 0.2j,
-                            kappa: float = 1.0) -> QsdeCoefficients:
+def driven_oscillator_limit(cutoff: int) -> QsdeCoefficients:
     """Driven damped oscillator used as the truncation-study target.
 
-    K = iH - (kappa/2) L L^dag with L = sqrt(kappa) b, H the detuned driven
-    oscillator Hamiltonian; trivial scattering so that simple truncation
-    preserves unitarity.
+    K = iH - (1/2) L L^dag with L = sqrt(DRIVEN_KAPPA) b and
+    H = DRIVEN_DETUNING b^dag b + DRIVEN_DRIVE b + conj(DRIVEN_DRIVE) b^dag;
+    trivial scattering so that simple truncation preserves unitarity.
     """
-    fock = fock_toolbox(cutoff)
-    return _scattering_free_limit(*_driven_parts(fock, detuning, drive, kappa))
+    return _scattering_free_limit(*_driven_parts(fock_toolbox(cutoff)))
 
 
-def windowed_oscillator_limit(cutoff: int, window: int,
-                              detuning: float = 0.7,
-                              drive: complex = 0.4 + 0.2j,
-                              kappa: float = 1.0) -> QsdeCoefficients:
-    """Variant whose K and L are supported on the first `window` states.
+def windowed_oscillator_limit(cutoff: int, window: int) -> QsdeCoefficients:
+    """Variant of `driven_oscillator_limit` (same DRIVEN_* constants) whose
+    K and L are supported on the first `window` states.
 
     Truncating at any cutoff >= window - 1 reproduces the coefficients
     exactly, so the truncation gap vanishes identically.
@@ -316,7 +310,7 @@ def windowed_oscillator_limit(cutoff: int, window: int,
     if not 1 <= window <= cutoff + 1:
         raise ValueError("window must fit inside the truncated space")
     fock = fock_toolbox(cutoff)
-    h, l1 = _driven_parts(fock, detuning, drive, kappa)
+    h, l1 = _driven_parts(fock)
     proj = Operator(fock.space, np.diag(np.arange(cutoff + 1) < window))
     return _scattering_free_limit(proj @ h @ proj, proj @ l1 @ proj)
 

@@ -20,10 +20,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularFastDynamics, StructuralViolation
+from .errors import NonFiniteEntries, SingularFastDynamics, StructuralViolation
 
 DEFAULT_TOL = 1e-9
 DEFAULT_COND_LIMIT = 1e12
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,6 @@ class HilbertSpace:
     @property
     def total_dim(self) -> int:
         return math.prod(self.factor_dims)
-
-    def factor(self, index: int) -> "HilbertSpace":
-        return HilbertSpace((self.factor_dims[index],))
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -69,7 +67,7 @@ class Operator:
         if m.shape != (d, d):
             raise ValueError(f"expected {(d, d)} matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("operator entries must be finite")
+            raise NonFiniteEntries("operator entries must be finite")
         object.__setattr__(self, "entries", _freeze(m))
 
     @classmethod
@@ -149,13 +147,14 @@ def matrix_exponential(x: Operator, t: float) -> Operator:
     return Operator(x.space, scipy.linalg.expm(t * x.entries))
 
 
-def subspace_basis(p0: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
+def subspace_basis(p0: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the range of the projection `p0`.
 
     Modified Gram-Schmidt over the columns of p0 in index order, so a
     coordinate projection yields exactly the corresponding unit vectors.
     The basis is deterministic; every module that needs coordinates on the
-    slow subspace derives them through this routine so bases agree.
+    slow subspace derives them through this routine so bases agree.  A
+    column whose residual norm is at most RANK_TOL is dropped.
 
     A coordinate projection (square, every nonzero entry on the diagonal,
     every diagonal entry exactly 0 or 1) skips the Gram-Schmidt loop and
@@ -169,8 +168,7 @@ def subspace_basis(p0: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
     d = p0.shape[0]
     diag = p0.diagonal()
     if (
-        rank_tol < 1.0
-        and p0.shape == (d, d)
+        p0.shape == (d, d)
         and np.count_nonzero(p0) == np.count_nonzero(diag)
         and np.all((diag == 0) | (diag == 1))
     ):
@@ -182,7 +180,7 @@ def subspace_basis(p0: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
             for q in cols:
                 v -= q * (q.conj() @ v)
         nv = np.linalg.norm(v)
-        if nv > rank_tol:
+        if nv > RANK_TOL:
             cols.append(v / nv)
     if not cols:
         return np.zeros((d, 0), dtype=np.complex128)
@@ -250,23 +248,19 @@ class SubspacePair:
         return self._fast_basis
 
 
-def restricted_inverse(
-    y: Operator,
-    sub: SubspacePair,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-    tol: float = DEFAULT_TOL,
-) -> Operator:
+def restricted_inverse(y: Operator, sub: SubspacePair,
+                       tol: float = DEFAULT_TOL) -> Operator:
     """Partial inverse of the fast generator on the complement subspace.
 
     Returns Y~ with Y~ p0 = 0 and Y~ Y = Y Y~ = p1.  Requires y p0 = 0 and
     an invertible compression of y to range(p1) with condition number at
-    most `cond_limit`.  `_restricted_inverse` also returns the inverse
+    most DEFAULT_COND_LIMIT.  `_restricted_inverse` also returns the inverse
     defect max(|Y~ Y - p1|, |Y Y~ - p1|) measured here, for check c.
     """
-    return _restricted_inverse(y, sub, cond_limit, tol)[0]
+    return _restricted_inverse(y, sub, tol)[0]
 
 
-def _restricted_inverse(y, sub, cond_limit, tol) -> tuple[Operator, float]:
+def _restricted_inverse(y, sub, tol) -> tuple[Operator, float]:
     """`restricted_inverse`'s Y~ and its inverse defect; raises as it does."""
     y._check_space(sub.p0)
     scale = max(1.0, spectral_norm(y))
@@ -278,10 +272,10 @@ def _restricted_inverse(y, sub, cond_limit, tol) -> tuple[Operator, float]:
     yc = q1.conj().T @ y.entries @ q1
     sv = np.linalg.svd(yc, compute_uv=False)
     cond = math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    if cond > cond_limit:
+    if cond > DEFAULT_COND_LIMIT:
         raise SingularFastDynamics(
             f"compressed fast generator has condition number {cond:.3e} "
-            f"(limit {cond_limit:.3e})"
+            f"(limit {DEFAULT_COND_LIMIT:.3e})"
         )
     yt = Operator(y.space, q1 @ np.linalg.solve(yc, q1.conj().T))
     # Leakage p0 y p1 != 0 would silently break the two-sided identity.

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import SingularFastDynamics, StructuralViolation
 from .operator_core import (
-    DEFAULT_COND_LIMIT,
     DEFAULT_TOL,
     HilbertSpace,
     Operator,
@@ -219,25 +218,18 @@ def scaled_hp_validate(fam: ScaledFamily, tol: float = DEFAULT_TOL) -> Validatio
     ))
 
 
-def structural_validate(
-    fam: ScaledFamily,
-    sub: SubspacePair,
-    tol: float = DEFAULT_TOL,
-    cond_limit: float = DEFAULT_COND_LIMIT,
-) -> ValidationReport:
+def structural_validate(fam: ScaledFamily, sub: SubspacePair,
+                        tol: float = DEFAULT_TOL) -> ValidationReport:
     """Structural requirements for a well-defined elimination limit.
 
     Covers the fast-generator conditions (b)-(e) on the slow subspace and
     the side conditions that make the limit coefficients close on it.
     """
-    return _structural_report(fam, sub, tol, cond_limit)[0]
+    return _structural_report(fam, sub, tol)[0]
 
 
 def _structural_report(
-    fam: ScaledFamily,
-    sub: SubspacePair,
-    tol: float = DEFAULT_TOL,
-    cond_limit: float = DEFAULT_COND_LIMIT,
+    fam: ScaledFamily, sub: SubspacePair, tol: float,
 ) -> tuple[ValidationReport, tuple[Operator, tuple] | None]:
     """`structural_validate`'s report and the restricted inverse Y~ and
     N-limit sum it computed (None when Y~ does not exist), so callers that
@@ -262,7 +254,7 @@ def _structural_report(
     y_tilde = None
     limit_parts = None
     try:
-        y_tilde, inv_defect = _restricted_inverse(fam.y, sub, cond_limit, tol)
+        y_tilde, inv_defect = _restricted_inverse(fam.y, sub, tol)
         checks.insert(1, _check("structural.c", inv_defect, 1e-10, scale))
     except (SingularFastDynamics, StructuralViolation):
         checks.insert(1, CheckResult("structural.c", float("inf"), tol, False))

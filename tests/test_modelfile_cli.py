@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 
 from qsdelim import (
+    Fixture,
+    HilbertSpace,
     ModelParseError,
+    QsdeCoefficients,
+    StudyParams,
     builtin_fixture,
+    driven_oscillator_limit,
     eliminate,
     eval_expression,
     fixture_to_model_dict,
@@ -17,6 +22,8 @@ from qsdelim import (
     parse_model,
     random_structured_fixture,
     spectral_norm,
+    tensor_embed,
+    trivial_family_from_limit,
 )
 from qsdelim.cli import main
 from qsdelim.modelfile import matrix_from_json, matrix_to_json
@@ -364,6 +371,18 @@ class TestCli:
         assert "verdict: PASS" not in captured.out
         assert "fixed-coefficient" in captured.err
 
+    @pytest.mark.parametrize("name", [
+        "duan-kimble", "cavity", "mirror", "truncation-demo", "broken-structural",
+    ])
+    def test_example_study_is_the_default(self, name, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        assert main(["example", name, "--report", str(path)]) == 0
+        study = parse_model(json.loads(path.read_text())).study
+        assert study == StudyParams()
+        assert main(["example", name]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(path.read_text())
+
     def test_example_round_trips_through_validate(self, tmp_path, capsys):
         model = tmp_path / "dk.json"
         assert main(["example", "duan-kimble", "--report", str(model)]) == 0
@@ -550,6 +569,47 @@ class TestRejectedInputsExit2:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "amplitudes must be finite" in captured.err
+
+    # Each once ended in a traceback or a NaN verdict (exit 1): the inputs
+    # are finite, but their products leave float64.
+    @pytest.mark.parametrize("argv", [
+        ["converge", "duan-kimble", "--kind", "semigroup", "--k", "2", "4", "8",
+         "--grid", "8", "--alpha=1e100"],
+        ["converge", "duan-kimble", "--kind", "generator",
+         "--k", "1e100", "1e200", "1e300"],
+        ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8",
+         "--alpha=1e154"],
+        ["semigroup", "duan-kimble", "--grid", "8", "--alpha=1e100"],
+        ["semigroup", "duan-kimble", "--grid", "8", "--k", "1e200"],
+    ])
+    def test_overflowing_products(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_truncation_of_a_tensor_product(self, tmp_path, capsys):
+        """The oscillator of truncation-demo tensored with a qubit: the
+        study would cut the flattened index, not the oscillator."""
+        osc = driven_oscillator_limit(5)
+        space = HilbertSpace((6, 2))
+
+        def up(op):
+            return tensor_embed(op, 0, space)
+
+        limit = QsdeCoefficients(
+            1, space, up(osc.k_op), (up(osc.l_ops[0]),), (up(osc.m_ops[0]),),
+            ((up(osc.n_ops[0][0]),),),
+        )
+        fam, sub = trivial_family_from_limit(limit)
+        doc = fixture_to_model_dict(Fixture(name="osc-qubit", family=fam, sub=sub))
+        path = tmp_path / "osc-qubit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["converge", str(path), "--kind", "truncation",
+                     "--k", "2", "3", "4", "--grid", "8"]) == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert "one tensor factor" in captured.err
 
     def test_non_finite_study_amplitude(self, tmp_path, capsys):
         doc = fixture_to_model_dict(builtin_fixture("duan-kimble"), study={
