@@ -15,9 +15,9 @@ a scaling parameter k (from --k or the model's k_schedule) that is not
 finite and > 0, a truncation cutoff that is not an integer >= 0, a --tol
 that is not finite and > 0, an amplitude (--alpha, --beta or the model's)
 that is not finite or whose squared modulus overflows, finite amplitudes
-or k values whose products in a semigroup or converge run overflow
-float64, and a model file with a NaN, Infinity or null entry or a boolean
-or string where a number belongs.
+or k values whose products in a validate, semigroup or converge run
+overflow float64, and a model file with a NaN, Infinity or null entry or
+a boolean or string where a number belongs.
 """
 
 from __future__ import annotations
@@ -148,6 +148,23 @@ def _report_lines(report) -> list[str]:
     ]
 
 
+def _finite_study(cmd):
+    """Run a validate or study command with float64 overflow and invalid
+    operations raising.  Inputs are checked finite, so a non-finite
+    intermediate means their products left float64: ModelParseError
+    (exit 2), before any verdict is printed.  scipy's expm returns inf
+    without raising, which the operator built from it reports as
+    NonFiniteEntries."""
+    def run(args) -> int:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return cmd(args)
+        except (FloatingPointError, NonFiniteEntries) as exc:
+            raise ModelParseError(f"{exc}: inputs too large for float64") from exc
+    return run
+
+
+@_finite_study
 def cmd_validate(args) -> int:
     model = _resolve_model(args.model)
     tol = args.tol
@@ -252,21 +269,6 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(f"need finite tol > 0, got {text!r}")
     return tol
-
-
-def _finite_study(cmd):
-    """Run a study command with float64 overflow and invalid operations
-    raising.  Inputs are checked finite, so a non-finite intermediate means
-    their products left float64: ModelParseError (exit 2), before any
-    verdict is printed.  scipy's expm returns inf without raising, which
-    the operator built from it reports as NonFiniteEntries."""
-    def run(args) -> int:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return cmd(args)
-        except (FloatingPointError, NonFiniteEntries) as exc:
-            raise ModelParseError(f"{exc}: inputs too large for float64") from exc
-    return run
 
 
 @_finite_study

@@ -2,18 +2,25 @@
 
 A model file is a JSON document with sections: `space` (tensor factor
 dimensions), `channels`, `operators` (the scaling roles Y/A/B/F/G/W, each
-given either as a dense complex matrix in row-major nested [re, im] form or
-as an expression tree over oscillator/matrix-unit primitives), `p0` (the
-slow projection, as a matrix or a basis-index list), and an optional
-`study` section with schedule and grid parameters.
+given as a dense complex matrix in row-major nested [re, im] form, as a
+sparse node, or as an expression tree over oscillator/matrix-unit
+primitives), `p0` (the slow projection, as a matrix or a basis-index list),
+and an optional `study` section with schedule and grid parameters.
+
+A sparse node `{"op": "sparse", "dim": d, "row": [...], "col": [...],
+"re": [...], "im": [...]}` is the d x d matrix whose entry (row[i], col[i])
+is complex(re[i], im[i]) and whose other entries are +0.0.  Like every
+node it may stand wherever a matrix may, `p0` and the arguments of
+`kron`/`add`/`scale` included.
 
 Parsing is total: any inconsistency raises ModelParseError, never a
 half-built model.  Integer fields (factor dimensions, channel count, grid
-points, basis indices, expression `dim`/`row`/`col`) take JSON integers or
-integral floats such as 4.0; booleans and fractional values are rejected,
-never truncated.  Real fields (study `T`, `k_schedule`, the [re, im]
-amplitude and scale-factor pairs, funcalc `theta`/`gamma`) take JSON
-numbers only; booleans and strings are rejected, never read as 1.0.
+points, basis indices, expression `dim`/`row`/`col`, sparse `row`/`col`)
+take JSON integers or integral floats such as 4.0; booleans and fractional
+values are rejected, never truncated.  Real fields (study `T`,
+`k_schedule`, the [re, im] amplitude and scale-factor pairs, funcalc
+`theta`/`gamma`, and every matrix value, dense or sparse) take JSON
+numbers only; booleans, strings and null are rejected, never read as 1.0.
 """
 
 from __future__ import annotations
@@ -32,6 +39,9 @@ from .qsde_model import ScaledFamily
 from .semigroup import FieldAmplitudes
 
 _SEQUENCE = (list, tuple)
+# The types json.load gives a number.  A type test, not isinstance, since
+# bool is a subclass of int.
+_NUMBER_TYPES = frozenset({int, float})
 
 
 def _integer(value, what: str) -> int:
@@ -53,12 +63,37 @@ def _integer_list(values, what: str) -> tuple[int, ...]:
 
 def _real(value, what: str) -> float:
     """A JSON number as float; booleans, strings and the like are errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _NUMBER_TYPES:
         raise ModelParseError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:  # an integer beyond float64
         raise ModelParseError(f"{what} out of range: {value!r}") from exc
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """A list of JSON numbers as one float64 array, by the rule of `_real`.
+
+    The types are checked once for the whole list; `np.fromiter` then
+    converts each value with the bits `float` gives.
+    """
+    if not isinstance(values, list):
+        raise ModelParseError(f"{what} must be a list of numbers")
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        raise ModelParseError(f"{what} must be JSON numbers")
+    try:
+        return np.fromiter(values, np.float64, len(values))
+    except OverflowError as exc:  # an integer beyond float64
+        raise ModelParseError(f"{what} out of range: {exc}") from exc
+
+
+def _indices(values, d: int, what: str) -> np.ndarray:
+    """A list of integer indices in [0, d), by the rule of `_integer`."""
+    idx = _reals(values, what)
+    # NaN fails every comparison; integers past 2**53 lie beyond any d.
+    if not np.all((idx >= 0) & (idx < d) & (idx == np.floor(idx))):
+        raise ModelParseError(f"{what} must be integers in [0, {d})")
+    return idx.astype(np.intp)
 
 
 def _complex_from_pair(pair, what: str) -> complex:
@@ -76,7 +111,7 @@ def matrix_from_json(rows) -> np.ndarray:
     """Decode a row-major nested [re, im] matrix into a complex array.
 
     The structure is checked for the whole matrix first; the values then
-    go through `float` into one float64 buffer viewed as complex128, so
+    go through `_reals` into one float64 buffer viewed as complex128, so
     every entry has exactly the bits `complex(float(re), float(im))` gives.
     """
     if not isinstance(rows, list) or not rows:
@@ -88,13 +123,50 @@ def matrix_from_json(rows) -> np.ndarray:
     lists = all(map(isinstance, pairs, repeat(_SEQUENCE)))
     if not lists or not set(map(len, pairs)) <= {2}:
         raise ModelParseError("matrix entries must be [re, im] pairs")
-    try:
-        buf = np.fromiter(
-            map(float, chain.from_iterable(pairs)), np.float64, 2 * len(pairs)
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelParseError(f"bad matrix entries: {exc}") from exc
+    buf = _reals(list(chain.from_iterable(pairs)), "matrix entries")
     return buf.view(np.complex128).reshape(len(rows), len(rows[0]))
+
+
+def _sparse_from_json(node: dict) -> np.ndarray:
+    """Decode a sparse node into a dense complex array.
+
+    Each list is type-checked and converted once; the indices are checked
+    on arrays; the values are scattered into a +0.0 buffer, so every entry
+    has the bits the dense form of the same values gives.
+    """
+    d = _integer(node["dim"], "sparse dim")
+    if d < 1:
+        raise ModelParseError(f"sparse dim must be >= 1, got {d}")
+    row = _indices(node["row"], d, "sparse row")
+    col = _indices(node["col"], d, "sparse col")
+    re = _reals(node["re"], "sparse re")
+    im = _reals(node["im"], "sparse im")
+    if not len(row) == len(col) == len(re) == len(im):
+        raise ModelParseError("sparse row, col, re and im must have equal lengths")
+    flat = row * d + col
+    if np.unique(flat).size != flat.size:
+        raise ModelParseError("sparse (row, col) pairs must be distinct")
+    buf = np.zeros((d * d, 2))
+    buf[flat, 0] = re
+    buf[flat, 1] = im
+    return buf.view(np.complex128).reshape(d, d)
+
+
+def operator_to_json(m: np.ndarray):
+    """A square matrix as a sparse node when fewer than half of its entries
+    have bits other than +0.0, as a dense matrix otherwise.
+
+    Each kept entry goes in whole, so a -0.0 part survives.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    kept = m.view(np.uint64).reshape(*m.shape, 2).any(axis=-1)
+    if 2 * np.count_nonzero(kept) >= m.size:
+        return matrix_to_json(m)
+    row, col = np.nonzero(kept)
+    return {
+        "op": "sparse", "dim": len(m), "row": row.tolist(), "col": col.tolist(),
+        "re": m.real[kept].tolist(), "im": m.imag[kept].tolist(),
+    }
 
 
 def _funcalc(name: str, params: dict, x: np.ndarray) -> np.ndarray:
@@ -123,6 +195,8 @@ def eval_expression(node) -> np.ndarray:
         raise ModelParseError(f"operator must be a matrix or an expression: {node!r}")
     op = node["op"]
     try:
+        if op == "sparse":
+            return _sparse_from_json(node)
         if op == "identity":
             return np.eye(_integer(node["dim"], "dim"), dtype=complex)
         if op == "annihilator":
@@ -303,11 +377,13 @@ def parse_model(doc: dict) -> ModelFile:
 def load_model(path: str) -> ModelFile:
     """Read and parse a model file with the cyclic garbage collector paused.
 
-    The decoder builds one small acyclic list per [re, im] pair (about 1e5
-    for a dim-123 model), and at the default collector thresholds those
-    allocations trigger repeated collections over the half-built document
-    and everything else alive.  None of it can form a cycle, so the
-    collector is switched off for the load and the caller's state restored.
+    For a dense matrix the decoder builds one small acyclic list per
+    [re, im] pair (about 1e5 for a dim-123 model), and at the default
+    collector thresholds those allocations trigger repeated collections
+    over the half-built document and everything else alive.  None of it
+    can form a cycle, so the collector is switched off for the load and the
+    caller's state restored.  A sparse node builds four flat lists instead,
+    so the pause pays off for dense files.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -324,23 +400,27 @@ def load_model(path: str) -> ModelFile:
 
 
 def fixture_to_model_dict(fix: Fixture, study: dict | None = None) -> dict:
-    """Serialize a fixture as a dense-matrix model document."""
+    """Serialize a fixture as a model document.
+
+    Each matrix goes in by `operator_to_json`: as a sparse node when fewer
+    than half of its entries have bits other than +0.0, dense otherwise.
+    """
     fam = fix.family
     doc = {
         "name": fix.name,
         "space": {"factor_dims": list(fam.space.factor_dims)},
         "channels": fam.n,
         "operators": {
-            "Y": matrix_to_json(fam.y.entries),
-            "A": matrix_to_json(fam.a.entries),
-            "B": matrix_to_json(fam.b.entries),
-            "F": [matrix_to_json(f.entries) for f in fam.f_ops],
-            "G": [matrix_to_json(g.entries) for g in fam.g_ops],
+            "Y": operator_to_json(fam.y.entries),
+            "A": operator_to_json(fam.a.entries),
+            "B": operator_to_json(fam.b.entries),
+            "F": [operator_to_json(f.entries) for f in fam.f_ops],
+            "G": [operator_to_json(g.entries) for g in fam.g_ops],
             "W": [
-                [matrix_to_json(op.entries) for op in row] for row in fam.w_ops
+                [operator_to_json(op.entries) for op in row] for row in fam.w_ops
             ],
         },
-        "p0": matrix_to_json(fix.sub.p0.entries),
+        "p0": operator_to_json(fix.sub.p0.entries),
     }
     if study:
         doc["study"] = study
@@ -348,7 +428,8 @@ def fixture_to_model_dict(fix: Fixture, study: dict | None = None) -> dict:
 
 
 def limit_to_json(result) -> dict:
-    """Serialize elimination output (limit quadruple plus compression)."""
+    """Serialize elimination output (limit quadruple plus compression),
+    every matrix dense."""
     limit = result.limit
     return {
         "channels": limit.n,

@@ -4,6 +4,9 @@
 `subspace_basis` selects identity columns for a coordinate projection.  The
 references below keep the loops they replaced; the fast paths must give
 exactly their bits (no tolerance) and reject every input they rejected.
+A sparse node decodes to the bits of the dense form of the same matrix,
+and the model-file emitter picks it only when it stores fewer than half
+the entries.
 
 The limit formulas that now live in one helper each (M from unitarity, the
 N-limit sum, the field dressing) are checked against their old loops to
@@ -57,21 +60,32 @@ from qsdelim import (
 from qsdelim import elimination, qsde_model
 from qsdelim.cli import _bundled_fixture
 from qsdelim.modelfile import (
+    eval_expression,
     fixture_to_model_dict,
     load_model,
     matrix_from_json,
     matrix_to_json,
+    operator_to_json,
+    parse_model,
 )
+
+
+def _reference_real(x) -> float:
+    # JSON numbers only: a boolean, a string or null is no matrix value.
+    if type(x) not in (int, float):
+        raise ModelParseError(f"matrix values must be numbers, got {x!r}")
+    return float(x)
 
 
 def _reference_pair(pair) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ModelParseError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_reference_real(pair[0]), _reference_real(pair[1]))
 
 
 def _reference_from_json(rows) -> np.ndarray:
-    """The per-entry decoder that `matrix_from_json` replaced."""
+    """The per-entry decoder that `matrix_from_json` replaced, with the
+    JSON-number rule of every real field."""
     if not isinstance(rows, list) or not rows:
         raise ModelParseError("matrix must be a nonempty nested list")
     try:
@@ -194,8 +208,10 @@ class TestMatrixDecoding:
         [[[1.0, 2.0], 3.0]],  # scalar entry
         [[[1.0]]],  # 1-element pair
         [[[1.0, 2.0, 3.0]]],  # 3-element pair
-        [[[None, 0.0]]],  # null: float() refuses it, fromiter would make NaN
+        [[[None, 0.0]]],  # null: no JSON number; fromiter would make NaN
         [[[0.0, None]]],
+        [[[True, 0.0]]],  # booleans and numeric strings are no numbers
+        [[[0.0, "0.5"]]],
         [[{"1": 0, "2": 0}]],  # a dict with two numeric keys is no pair
         [[[10**400, 0.0]]],  # overflows float64
     ])
@@ -212,6 +228,104 @@ class TestMatrixDecoding:
         m.real = np.reshape(re, (r, c))
         m.imag = np.reshape(im, (r, c))
         assert json.dumps(matrix_to_json(m)) == json.dumps(_reference_to_json(m))
+
+
+# -- sparse operator nodes ------------------------------------------------
+
+_special_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormal-heavy
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _special_matrices(draw):
+    """d x d matrices (d in 1..40) whose entries come from a small pool of
+    values with -0.0 and subnormals, at a drawn density, with some rows
+    all +0.0."""
+    d = draw(st.integers(1, 40))
+    pool = np.array(draw(st.lists(_special_values, min_size=1, max_size=6)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.2, 0.45, 0.55, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.empty((d, d), dtype=complex)
+    for part in (m.real, m.imag):
+        picked = rng.choice(pool, (d, d))
+        part[...] = np.where(rng.random((d, d)) < density, picked, 0.0)
+    m[draw(st.lists(st.integers(0, d - 1), max_size=3))] = 0.0
+    return m, rng
+
+
+def _reference_sparse_node(m, rng):
+    """Every entry of m with bits other than +0.0, in a shuffled order."""
+    kept = [
+        (i, j, float(z.real), float(z.imag))
+        for i, row in enumerate(m) for j, z in enumerate(row)
+        if _bits(np.array([z])).any()
+    ]
+    kept = [kept[k] for k in rng.permutation(len(kept))]
+    row, col, re, im = (list(x) for x in zip(*kept)) if kept else ([],) * 4
+    return {"op": "sparse", "dim": len(m), "row": row, "col": col,
+            "re": re, "im": im}, len(kept)
+
+
+def _json_round_trip(node):
+    return eval_expression(json.loads(json.dumps(node)))
+
+
+class TestSparseNode:
+    @settings(max_examples=150, deadline=None)
+    @given(_special_matrices())
+    def test_dense_and_sparse_encodings_decode_to_the_same_bits(self, drawn):
+        m, rng = drawn
+        node, stored = _reference_sparse_node(m, rng)
+        dense = _json_round_trip(matrix_to_json(m))
+        sparse = _json_round_trip(node)
+        assert sparse.dtype == np.complex128 and sparse.shape == m.shape
+        assert np.array_equal(_bits(dense), _bits(m))
+        assert np.array_equal(_bits(sparse), _bits(m))
+        emitted = operator_to_json(m)
+        # Sparse exactly when it stores fewer than half the d^2 entries.
+        if 2 * stored < m.size:
+            assert emitted["op"] == "sparse"
+            assert len(emitted["re"]) == stored
+            assert sorted(zip(emitted["row"], emitted["col"])) == sorted(
+                zip(node["row"], node["col"]))
+        else:
+            assert emitted == matrix_to_json(m)
+        assert np.array_equal(_bits(_json_round_trip(emitted)), _bits(m))
+
+    @pytest.mark.parametrize("entries, op", [
+        ([1.0, 0.0, 0.0, 0.0], "sparse"),
+        ([1.0, -0.0, 0.0, 0.0], "dense"),  # two of four kept: not fewer than half
+        ([0.0, 0.0, -0.0j, 0.0], "sparse"),  # -0.0j is complex(-0.0, -0.0)
+        ([0.0, 0.0, 0.0, 0.0], "sparse"),
+    ])
+    def test_emitter_threshold(self, entries, op):
+        m = np.array(entries, dtype=complex).reshape(2, 2)
+        emitted = operator_to_json(m)
+        assert (emitted["op"] if isinstance(emitted, dict) else "dense") == op
+        assert np.array_equal(_bits(_json_round_trip(emitted)), _bits(m))
+
+    @pytest.mark.parametrize("name", [
+        "duan-kimble", "cavity", "mirror", "truncation-demo",
+        "broken-structural", "random",
+    ])
+    def test_fixture_documents_keep_every_bit(self, name):
+        if name == "random":
+            fix = random_structured_fixture(
+                np.random.default_rng(3), hprime_dim=4, n=2, cutoff=6)
+        else:
+            fix = _bundled_fixture(name)
+        doc = json.loads(json.dumps(fixture_to_model_dict(fix)))
+        model = parse_model(doc)
+        fam, got = fix.family, model.family
+        pairs = [(fam.y, got.y), (fam.a, got.a), (fam.b, got.b),
+                 (fix.sub.p0, model.sub.p0),
+                 *zip(fam.f_ops, got.f_ops), *zip(fam.g_ops, got.g_ops),
+                 *zip(sum(fam.w_ops, ()), sum(got.w_ops, ()))]
+        for want, have in pairs:
+            assert np.array_equal(_bits(have.entries), _bits(want.entries))
 
 
 @st.composite
@@ -316,14 +430,24 @@ class TestLoadModelPausesTheCollector:
         assert model.name == "duan-kimble"
         assert gc.isenabled() is gc_state
 
-    @pytest.mark.parametrize("problem", ["bad-json", "bad-matrix", "missing"])
+    @pytest.mark.parametrize("problem", [
+        "bad-json", "bad-matrix", "bad-sparse-matrix", "missing",
+    ])
     def test_state_restored_on_parse_error(self, tmp_path, gc_state, problem):
         path = tmp_path / "bad.json"
         if problem == "bad-json":
             path.write_text("{not json")
         elif problem == "bad-matrix":
-            doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+            fix = builtin_fixture("duan-kimble")
+            doc = fixture_to_model_dict(fix)
+            doc["operators"]["B"] = matrix_to_json(fix.family.b.entries)
             doc["operators"]["B"][0][0] = ["x", 0.0]
+            path.write_text(json.dumps(doc))
+        elif problem == "bad-sparse-matrix":
+            doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+            node = doc["operators"]["B"]
+            assert node["op"] == "sparse" and node["row"] == []
+            node.update(row=[0], col=[0], re=["x"], im=[0.0])
             path.write_text(json.dumps(doc))
         with pytest.raises(ModelParseError):
             load_model(str(path))

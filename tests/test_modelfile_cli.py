@@ -501,11 +501,27 @@ class TestRejectedInputsExit2:
         assert main(["validate", str(path)]) == 0
         assert "overall: PASS" in capsys.readouterr().out
 
+    @staticmethod
+    def _assert_rejected(doc, tmp_path, capsys):
+        with pytest.raises(ModelParseError):
+            parse_model(json.loads(json.dumps(doc)))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # may write NaN, Infinity or null
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "overall" not in captured.out
+
     @pytest.mark.parametrize("where", ["B", "p0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, None])
     def test_non_finite_or_null_entries(self, where, value, tmp_path, capsys):
-        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
-        rows = doc["operators"]["B"] if where == "B" else doc["p0"]
+        fix = builtin_fixture("duan-kimble")
+        doc = fixture_to_model_dict(fix)
+        # The dense layout: the emitter writes these duan-kimble nodes sparse.
+        if where == "B":
+            rows = doc["operators"]["B"] = matrix_to_json(fix.family.b.entries)
+        else:
+            rows = doc["p0"] = matrix_to_json(fix.sub.p0.entries)
         rows[1][1][0] = value
         with pytest.raises(ModelParseError):
             parse_model(json.loads(json.dumps(doc)))
@@ -515,6 +531,88 @@ class TestRejectedInputsExit2:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "overall" not in captured.out
+
+    @pytest.mark.parametrize("where", ["B", "p0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None])
+    def test_non_finite_or_null_sparse_entries(self, where, value, tmp_path,
+                                               capsys):
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        node = doc["operators"]["B"] if where == "B" else doc["p0"]
+        self._set_sparse_entry(node, 1, 1, value)
+        self._assert_rejected(doc, tmp_path, capsys)
+
+    @staticmethod
+    def _set_sparse_entry(node, i, j, re):
+        """Store entry (i, j) = re + 0j in a sparse node that lacks it."""
+        assert node["op"] == "sparse"
+        assert (i, j) not in zip(node["row"], node["col"])
+        for key, v in (("row", i), ("col", j), ("re", re), ("im", 0.0)):
+            node[key].append(v)
+
+    # Each value was once read as a number by the dense decoder: `true` as
+    # 1.0 and "0.5" as 0.5.
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", "0", [0.5], {}])
+    def test_non_number_matrix_values(self, layout, value, tmp_path, capsys):
+        fix = builtin_fixture("duan-kimble")
+        doc = fixture_to_model_dict(fix)
+        if layout == "dense":
+            doc["operators"]["B"] = matrix_to_json(fix.family.b.entries)
+            doc["operators"]["B"][0][0] = [value, 0.0]
+        else:
+            self._set_sparse_entry(doc["operators"]["B"], 0, 0, value)
+        self._assert_rejected(doc, tmp_path, capsys)
+
+    @staticmethod
+    def _sparse_b(**edit):
+        """duan-kimble with B replaced by a sparse node for 0.5 I + 0.25j E_01."""
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        d = 15
+        node = {"op": "sparse", "dim": d, "row": [*range(d), 0],
+                "col": [*range(d), 1], "re": [0.5] * d + [0.0],
+                "im": [0.0] * d + [0.25]}
+        node.update(edit)
+        doc["operators"]["B"] = node
+        return doc
+
+    def test_sparse_node_decodes(self):
+        b = parse_model(self._sparse_b()).family.b.entries
+        want = 0.5 * np.eye(15, dtype=complex)
+        want[0, 1] = 0.25j
+        assert np.array_equal(b, want)
+
+    @pytest.mark.parametrize("edit", [
+        {"row": [*range(15), 15]},  # index out of [0, d)
+        {"col": [*range(15), -1]},  # negative index
+        {"row": [*range(15), 0.5]},  # fractional index
+        {"col": [*range(15), True]},  # boolean index
+        {"row": [*range(15), "0"]},  # string index
+        {"row": [*range(15), math.nan]},
+        {"row": [*range(15), 10**400]},
+        {"row": [*range(15), 1], "col": [*range(15), 1]},  # repeated pair
+        {"row": [*range(15)]},  # unequal lengths
+        {"im": [0.0] * 15 + [0.25, 1.0]},
+        {"re": [0.5] * 15 + [True]},
+        {"im": [0.0] * 15 + ["0.25"]},
+        {"re": [0.5] * 15 + [math.nan]},
+        {"im": [0.0] * 15 + [math.inf]},
+        {"re": [0.5] * 15 + [10**400]},
+        {"re": "0.5"},
+        {"row": None},
+        {"dim": 0, "row": [], "col": [], "re": [], "im": []},
+        {"dim": -1},
+        {"dim": 14},  # does not match the space
+        {"dim": 16},
+        {"dim": 15.5},
+        {"dim": True},
+    ], ids=str)
+    def test_bad_sparse_nodes(self, edit, tmp_path, capsys):
+        self._assert_rejected(self._sparse_b(**edit), tmp_path, capsys)
+
+    def test_bad_sparse_node_without_a_field(self, tmp_path, capsys):
+        doc = self._sparse_b()
+        del doc["operators"]["B"]["im"]
+        self._assert_rejected(doc, tmp_path, capsys)
 
     # Each edit once ran: a boolean or a numeric string was read as a
     # number (`true` as 1.0, `"1"` as 1), and a `params` list crashed.
@@ -581,6 +679,7 @@ class TestRejectedInputsExit2:
          "--alpha=1e154"],
         ["semigroup", "duan-kimble", "--grid", "8", "--alpha=1e100"],
         ["semigroup", "duan-kimble", "--grid", "8", "--k", "1e200"],
+        ["validate", "duan-kimble", "--k", "1e200"],
     ])
     def test_overflowing_products(self, argv, capsys):
         assert main(argv) == 2
