@@ -22,7 +22,6 @@ from .convergence import (
 )
 from .elimination import EliminationResult, cavity_closed_form, eliminate
 from .errors import (
-    InverseMismatch,
     ModelParseError,
     PreconditionFailed,
     QsdelimError,
@@ -99,7 +98,6 @@ __all__ = [
     "Fixture",
     "FockToolbox",
     "HilbertSpace",
-    "InverseMismatch",
     "KurtzCorrector",
     "ModelFile",
     "ModelParseError",

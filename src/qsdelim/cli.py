@@ -14,10 +14,10 @@ coefficients depend on k or whose space has more than one tensor factor,
 a scaling parameter k (from --k or the model's k_schedule) that is not
 finite and > 0, a truncation cutoff that is not an integer >= 0, a --tol
 that is not finite and > 0, an amplitude (--alpha, --beta or the model's)
-that is not finite or whose squared modulus overflows, finite amplitudes
-or k values whose products in a validate, semigroup or converge run
-overflow float64, and a model file with a NaN, Infinity or null entry or
-a boolean or string where a number belongs.
+that is not finite or whose squared modulus overflows, finite model
+entries, amplitudes or k values whose products in a validate, eliminate,
+semigroup or converge run overflow float64, and a model file with a NaN,
+Infinity or null entry or a boolean or string where a number belongs.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _report_lines(report) -> list[str]:
 
 
 def _finite_study(cmd):
-    """Run a validate or study command with float64 overflow and invalid
+    """Run a model-reading command with float64 overflow and invalid
     operations raising.  Inputs are checked finite, so a non-finite
     intermediate means their products left float64: ModelParseError
     (exit 2), before any verdict is printed.  scipy's expm returns inf
@@ -209,6 +209,7 @@ def _print_operator(label: str, op: Operator) -> None:
         print(np.array2string(op.entries))
 
 
+@_finite_study
 def cmd_eliminate(args) -> int:
     model = _resolve_model(args.model)
     try:

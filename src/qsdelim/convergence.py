@@ -80,16 +80,20 @@ def field_dressed_parts(fam: ScaledFamily, amp: FieldAmplitudes):
 
 def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
                     u) -> KurtzCorrector:
-    """Corrector cancelling the k^2 and k^1 generator orders, from the result's Y~."""
-    sub, yt = result.sub, result.y_tilde.entries
+    """Corrector cancelling the k^2 and k^1 generator orders, from the result's Y~.
+
+    u must equal V V^* u on the slow basis V.  With a and b the dressed
+    parts, u1 = -Y~ a u and u2 = -Y~ (b - a Y~ a) u: Y~ p1 = Y~ (exactly for
+    a coordinate projection, to round-off otherwise), so no p1 is applied.
+    """
+    v, yt = result.compression, result.y_tilde.entries
     u = np.asarray(u, dtype=np.complex128)
     bound = DEFAULT_TOL * max(1.0, np.linalg.norm(u))
-    if np.linalg.norm(sub.p0.entries @ u - u) > bound:
+    if np.linalg.norm(v @ (v.conj().T @ u) - u) > bound:
         raise PreconditionFailed("u must be supported on the slow subspace")
     a_op, b_op = field_dressed_parts(result.family, amp)
     u1 = -yt @ (a_op.entries @ u)
-    slow_part = (b_op.entries - a_op.entries @ yt @ a_op.entries) @ u
-    u2 = -yt @ (sub.p1.entries @ slow_part)
+    u2 = -yt @ ((b_op.entries - a_op.entries @ yt @ a_op.entries) @ u)
     return KurtzCorrector(u=u, u1=u1, u2=u2)
 
 

@@ -2,14 +2,14 @@
 
 `eliminate` applies the limit formulas
 
-    K    = P0 (B - A Y~ A) P0
-    L_i  = P0 (G_i - A Y~ F_i) P0
-    M_i  = -sum_j P0 W_ij (G_j^* - F_j^* Y~ A) P0
-    N_ij = sum_l P0 W_il (F_l^* Y~ F_j + delta_lj) P0
+    K    = V^* (B - A Y~ A) V
+    L_i  = V^* (G_i - A Y~ F_i) V
+    M_i  = -sum_j V^* W_ij (G_j^* - F_j^* Y~ A) V
+    N_ij = sum_l V^* W_il (F_l^* Y~ F_j + delta_lj) V
 
-and returns them compressed to slow-subspace coordinates through a
-deterministic isometry (see `operator_core.subspace_basis`), in the
-prepared model that the convergence studies take.  The structural
+in the slow-subspace coordinates of a deterministic isometry V (the
+pair's `slow_basis`, see `operator_core.subspace_basis`), and returns them
+in the prepared model that the convergence studies take.  The structural
 preconditions are enforced as hard errors: running these formulas on a
 family without the required block structure produces meaningless output.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InverseMismatch, PreconditionFailed
+from .errors import PreconditionFailed, SingularFastDynamics
 from .operator_core import (
     DEFAULT_TOL,
     HilbertSpace,
@@ -55,53 +55,43 @@ class EliminationResult:
     @property
     def compression(self) -> np.ndarray:
         """Full-dim x rank isometry onto the slow subspace."""
-        return self.sub.slow_basis()
-
-    def embed(self, x: Operator) -> Operator:
-        """Represent a slow-subspace operator on the original space."""
-        v = self.compression
-        return Operator(self.family.space, v @ x.entries @ v.conj().T)
-
-
-def _compress(v: np.ndarray, small: HilbertSpace, big: np.ndarray) -> Operator:
-    return Operator(small, v.conj().T @ big @ v)
+        return self.sub.slow_basis
 
 
 def eliminate(fam: ScaledFamily, sub: SubspacePair,
               tol: float = DEFAULT_TOL) -> EliminationResult:
-    """Compute the elimination limit of a validated scaled family."""
+    """Compute the elimination limit of a validated scaled family.
+
+    Each limit coefficient is its full-space formula X~ (K~ = B - A Y~ A,
+    the structural check's L~_i and N~_ij, and M~ from unitarity)
+    compressed to V^* X~ V on the slow basis V.
+    """
     report = scaled_hp_validate(fam, tol)
     if not report.overall:
         raise PreconditionFailed("scaled unitarity relations fail", report)
     report, limit_parts = _structural_report(fam, sub, tol)
     if not report.overall:
         raise PreconditionFailed("structural requirements fail", report)
-    yt, n_sum = limit_parts
+    yt, l_tilde, n_sum = limit_parts
 
-    p0 = sub.p0.entries
-    v = sub.slow_basis()
+    v = sub.slow_basis
+    vh = v.conj().T
     small = HilbertSpace((v.shape[1],))
-    a, b = fam.a.entries, fam.b.entries
-    ytm = yt.entries
-
-    k_big = p0 @ (b - a @ ytm @ a) @ p0
-    l_big = [
-        p0 @ (g.entries - a @ ytm @ f.entries) @ p0
-        for f, g in zip(fam.f_ops, fam.g_ops)
-    ]
+    a = fam.a.entries
+    k_tilde = fam.b.entries - a @ yt.entries @ a
     # M_i = -sum_j W_ij X_j^* with X_j = G_j - A^* Y~^* F_j.
     ay = fam.a.dag() @ yt.dag()
     x_ops = [g - ay @ f for f, g in zip(fam.f_ops, fam.g_ops)]
-    m_big = [p0 @ m.entries @ p0 for m in _m_from_unitarity(fam.w_ops, x_ops)]
+    m_tilde = _m_from_unitarity(fam.w_ops, x_ops)
 
     limit = QsdeCoefficients(
         n=fam.n,
         space=small,
-        k_op=_compress(v, small, k_big),
-        l_ops=tuple(_compress(v, small, m) for m in l_big),
-        m_ops=tuple(_compress(v, small, m) for m in m_big),
+        k_op=Operator(small, vh @ k_tilde @ v),
+        l_ops=tuple(Operator(small, vh @ x @ v) for x in l_tilde),
+        m_ops=tuple(Operator(small, vh @ m.entries @ v) for m in m_tilde),
         n_ops=tuple(
-            tuple(_compress(v, small, p0 @ op.entries @ p0) for op in row)
+            tuple(Operator(small, vh @ op.entries @ v) for op in row)
             for row in n_sum
         ),
     )
@@ -116,8 +106,6 @@ def cavity_closed_form(
     f_ops,
     g_ops,
     s_ops,
-    e11_inv: Operator | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> QsdeCoefficients:
     """Oscillator-elimination limit for bounded atom-cavity couplings.
 
@@ -125,19 +113,22 @@ def cavity_closed_form(
     K = E00 - E01 E11^-1 E10, L_i = G_i - E01 E11^-1 F_i,
     N_ij = sum_l S_il (F_l^* E11^-1 F_j + delta_lj), with M forced by the
     unitarity relations.  Cross-check target for `eliminate` applied to the
-    full tensor-product model.
+    full tensor-product model.  Raises `SingularFastDynamics` when E11 is
+    singular or its computed inverse fails the two-sided defect check.
     """
     space = e00.space
-    if e11_inv is None:
+    try:
         e11_inv = Operator(space, np.linalg.inv(e11.entries))
+    except np.linalg.LinAlgError as exc:
+        raise SingularFastDynamics(f"E11 is singular: {exc}") from exc
     ident = Operator.identity(space)
     defect = max(
         spectral_norm(e11 @ e11_inv - ident),
         spectral_norm(e11_inv @ e11 - ident),
     )
-    if defect > tol * max(1.0, spectral_norm(e11)):
-        raise InverseMismatch(
-            f"supplied inverse fails verification (defect {defect:.3e})"
+    if defect > DEFAULT_TOL * max(1.0, spectral_norm(e11)):
+        raise SingularFastDynamics(
+            f"computed inverse of E11 fails verification (defect {defect:.3e})"
         )
     k_op = e00 - e01 @ e11_inv @ e10
     l_ops = tuple(g - e01 @ e11_inv @ f for f, g in zip(f_ops, g_ops))

@@ -17,10 +17,6 @@ class SingularFastDynamics(QsdelimError):
     """The fast generator is not invertible off the slow subspace."""
 
 
-class InverseMismatch(QsdelimError):
-    """A user-supplied inverse fails verification against its operator."""
-
-
 class PreconditionFailed(QsdelimError):
     """A validator precondition failed; carries the offending report."""
 

@@ -339,7 +339,7 @@ def parse_model(doc: dict) -> ModelFile:
                 raise ModelParseError("basis_indices must be distinct")
             sub = SubspacePair.from_basis_indices(space, indices)
         else:
-            sub = SubspacePair.from_projection(_operator(space, p0_node, "p0"))
+            sub = SubspacePair(_operator(space, p0_node, "p0"))
     except (ValueError, TypeError, IndexError) as exc:
         raise ModelParseError(f"bad p0 section: {exc}") from exc
 

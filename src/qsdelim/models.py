@@ -329,7 +329,7 @@ def trivial_family_from_limit(limit: QsdeCoefficients) -> tuple[ScaledFamily, Su
         g_ops=limit.l_ops,
         w_ops=limit.n_ops,
     )
-    sub = SubspacePair.from_projection(Operator.identity(space))
+    sub = SubspacePair(Operator.identity(space))
     return fam, sub
 
 

@@ -105,13 +105,18 @@ class Operator:
         self._check_space(other)
         return Operator(self.space, self.entries @ other.entries)
 
-    # Sound because the entries are frozen; an all-zero matrix skips LAPACK,
-    # whose norm for it is the same 0.0.
+    # Sound because the entries are frozen.
     @cached_property
     def _spectral_norm(self) -> float:
-        if not self.entries.any():
-            return 0.0
-        return float(np.linalg.norm(self.entries, 2))
+        return _norm2(self.entries)
+
+
+def _norm2(m: np.ndarray) -> float:
+    """Largest singular value of an array.  An all-zero or empty array skips
+    LAPACK, whose norm for it is the same 0.0."""
+    if not m.any():
+        return 0.0
+    return float(np.linalg.norm(m, 2))
 
 
 def tensor_embed(x: Operator, factor_index: int, target: HilbertSpace) -> Operator:
@@ -189,35 +194,32 @@ def subspace_basis(p0: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspacePair:
-    """Orthogonal projection onto the slow subspace and its complement."""
+    """Orthogonal projection p0 onto the slow subspace.
+
+    The complement `p1 = I - p0` and the read-only isometries `slow_basis`
+    (V) and `fast_basis` (Q), built by `subspace_basis`, are derived on
+    first use and shared by every caller.  The structural checks,
+    `eliminate` and the corrector measure in these basis coordinates.
+    """
 
     p0: Operator
-    p1: Operator
 
     def __post_init__(self):
-        p0, p1 = self.p0, self.p1
-        p0._check_space(p1)
+        p0 = self.p0
         scale = max(1.0, spectral_norm(p0))
         if spectral_norm(p0 - p0.dag()) > 1e-9 * scale:
             raise ValueError("p0 is not Hermitian")
         if spectral_norm(p0 @ p0 - p0) > 1e-9 * scale:
             raise ValueError("p0 is not idempotent")
-        ident = Operator.identity(p0.space)
-        if not np.array_equal(p1.entries, (ident - p0).entries):
-            raise ValueError("p1 must equal I - p0 exactly")
         if self.rank < 1:
             raise ValueError("p0 must have rank >= 1")
-
-    @classmethod
-    def from_projection(cls, p0: Operator) -> "SubspacePair":
-        return cls(p0, Operator.identity(p0.space) - p0)
 
     @classmethod
     def from_basis_indices(cls, space: HilbertSpace, indices) -> "SubspacePair":
         m = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
         for i in indices:
             m[i, i] = 1.0
-        return cls.from_projection(Operator(space, m))
+        return cls(Operator(space, m))
 
     @property
     def space(self) -> HilbertSpace:
@@ -227,34 +229,28 @@ class SubspacePair:
     def rank(self) -> int:
         return int(round(self.p0.entries.trace().real))
 
-    # Built on first use; the pair is immutable, so every caller shares it.
     @cached_property
-    def _slow_basis(self) -> np.ndarray:
+    def p1(self) -> Operator:
+        return Operator.identity(self.p0.space) - self.p0
+
+    @cached_property
+    def slow_basis(self) -> np.ndarray:
+        """Isometry mapping slow-subspace coordinates into the full space."""
         return _freeze(subspace_basis(self.p0.entries))
 
     @cached_property
-    def _fast_basis(self) -> np.ndarray:
-        return _freeze(subspace_basis(self.p1.entries))
-
-    def slow_basis(self) -> np.ndarray:
-        """Isometry mapping slow-subspace coordinates into the full space.
-
-        Computed once per pair; every call returns the same read-only array.
-        """
-        return self._slow_basis
-
     def fast_basis(self) -> np.ndarray:
-        """Isometry onto the fast subspace, computed once like `slow_basis`."""
-        return self._fast_basis
+        """Isometry mapping fast-subspace coordinates into the full space."""
+        return _freeze(subspace_basis(self.p1.entries))
 
 
 def restricted_inverse(y: Operator, sub: SubspacePair,
                        tol: float = DEFAULT_TOL) -> Operator:
     """Partial inverse of the fast generator on the complement subspace.
 
-    Returns Y~ with Y~ p0 = 0 and Y~ Y = Y Y~ = p1.  Requires y p0 = 0 and
-    an invertible compression of y to range(p1) with condition number at
-    most DEFAULT_COND_LIMIT.  `_restricted_inverse` also returns the inverse
+    Returns Y~ with Y~ p0 = 0 and Y~ Y = Y Y~ = p1.  Requires y V = 0 on
+    the slow basis V and an invertible compression of y to range(p1) with
+    condition number at most DEFAULT_COND_LIMIT.  `_restricted_inverse` also returns the inverse
     defect max(|Y~ Y - p1|, |Y Y~ - p1|) measured here, for check c.
     """
     return _restricted_inverse(y, sub, tol)[0]
@@ -264,9 +260,9 @@ def _restricted_inverse(y, sub, tol) -> tuple[Operator, float]:
     """`restricted_inverse`'s Y~ and its inverse defect; raises as it does."""
     y._check_space(sub.p0)
     scale = max(1.0, spectral_norm(y))
-    if spectral_norm(y @ sub.p0) > tol * scale:
+    if _norm2(y.entries @ sub.slow_basis) > tol * scale:
         raise StructuralViolation("y does not annihilate the slow subspace")
-    q1 = sub.fast_basis()
+    q1 = sub.fast_basis
     if q1.shape[1] == 0:  # Y~ = 0, so both defects are |0 - p1|
         return Operator.zero(y.space), spectral_norm(-sub.p1)
     yc = q1.conj().T @ y.entries @ q1

@@ -23,6 +23,7 @@ from .operator_core import (
     HilbertSpace,
     Operator,
     SubspacePair,
+    _norm2,
     _restricted_inverse,
     spectral_norm,
 )
@@ -230,26 +231,33 @@ def structural_validate(fam: ScaledFamily, sub: SubspacePair,
 
 def _structural_report(
     fam: ScaledFamily, sub: SubspacePair, tol: float,
-) -> tuple[ValidationReport, tuple[Operator, tuple] | None]:
-    """`structural_validate`'s report and the restricted inverse Y~ and
-    N-limit sum it computed (None when Y~ does not exist), so callers that
-    need them after a passing report do not compute them again.  Check c
-    is the inverse defect that `_restricted_inverse` measured for Y~."""
-    p0, p1 = sub.p0, sub.p1
+) -> tuple[ValidationReport, tuple | None]:
+    """`structural_validate`'s report and the limit ingredients it computed:
+    the restricted inverse Y~, the arrays L~_i = G_i - A Y~ F_i and the
+    N-limit sum (None when Y~ does not exist), so callers that need them
+    after a passing report do not compute them again.
+
+    Checks b, d, e and the side checks are measured in the coordinates of
+    the slow and fast bases V and Q, as |Y V|, |F_i^* V|, |V^* A V|,
+    |V^* L~_i Q|, |V^* N~_ij Q| and |Q^* N~_ij V|.  Check c is the inverse
+    defect that `_restricted_inverse` measured for Y~.
+    """
+    v, q = sub.slow_basis, sub.fast_basis
+    vh, qh = v.conj().T, q.conj().T
     scale = max(
         [spectral_norm(op) for op in (fam.y, fam.a)]
         + [spectral_norm(f) for f in fam.f_ops]
         + [1.0]
     )
     checks = [
-        _check("structural.b", spectral_norm(fam.y @ p0), tol, scale),
+        _check("structural.b", _norm2(fam.y.entries @ v), tol, scale),
         _check(
             "structural.d",
-            max(spectral_norm(f.dag() @ p0) for f in fam.f_ops),
+            max(_norm2(f.entries.conj().T @ v) for f in fam.f_ops),
             tol,
             scale,
         ),
-        _check("structural.e", spectral_norm(p0 @ fam.a @ p0), tol, scale),
+        _check("structural.e", _norm2(vh @ fam.a.entries @ v), tol, scale),
     ]
     y_tilde = None
     limit_parts = None
@@ -265,19 +273,18 @@ def _structural_report(
             checks.append(CheckResult(name, float("inf"), tol, False))
     else:
         side_scale = max(scale, max(spectral_norm(g) for g in fam.g_ops))
-        l_side = max(
-            spectral_norm(p0 @ (g - fam.a @ y_tilde @ f) @ p1)
-            for f, g in zip(fam.f_ops, fam.g_ops)
+        ay = fam.a.entries @ y_tilde.entries
+        l_tilde = tuple(
+            g.entries - ay @ f.entries for f, g in zip(fam.f_ops, fam.g_ops)
         )
-        n_right = 0.0
-        n_left = 0.0
         n_sum = _n_limit_sum(fam.w_ops, fam.f_ops, y_tilde)
-        for row in n_sum:
-            for term in row:
-                n_right = max(n_right, spectral_norm(p0 @ term @ p1))
-                n_left = max(n_left, spectral_norm(p1 @ term @ p0))
-        checks.append(_check("limit.l_side", l_side, tol, side_scale))
-        checks.append(_check("limit.n_side_right", n_right, tol, side_scale))
-        checks.append(_check("limit.n_side_left", n_left, tol, side_scale))
-        limit_parts = (y_tilde, n_sum)
+        terms = [term.entries for row in n_sum for term in row]
+        sides = (
+            max(_norm2(vh @ x @ q) for x in l_tilde),
+            max(_norm2(vh @ x @ q) for x in terms),
+            max(_norm2(qh @ x @ v) for x in terms),
+        )
+        for name, value in zip(side_names, sides):
+            checks.append(_check(name, value, tol, side_scale))
+        limit_parts = (y_tilde, l_tilde, n_sum)
     return ValidationReport(tuple(checks)), limit_parts

@@ -124,7 +124,7 @@ def test_acceptance_4_corrector_residual_first_order():
     amp = FieldAmplitudes((0.2 - 0.1j,), (0.3 + 0.2j,))
     ks = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     report = generator_study(result, amp, ks)
-    v = fix.sub.slow_basis()
+    v = fix.sub.slow_basis
     u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
     cor = kurtz_corrector(result, amp, u)
     a_op, _ = field_dressed_parts(fix.family, amp)

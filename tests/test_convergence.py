@@ -59,7 +59,7 @@ class TestFieldDressedParts:
 class TestKurtzCorrector:
     def test_cancellation_identities(self, dk):
         fix, result = dk
-        v = fix.sub.slow_basis()
+        v = fix.sub.slow_basis
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
         cor = kurtz_corrector(result, AMP, u)
         a_op, _ = field_dressed_parts(fix.family, AMP)
@@ -85,7 +85,7 @@ class TestKurtzCorrector:
 
     def test_corrected_beats_uncorrected(self, dk):
         fix, result = dk
-        v = fix.sub.slow_basis()
+        v = fix.sub.slow_basis
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
         k = 64.0
         corrected = generator_residual(result, AMP, u, k)

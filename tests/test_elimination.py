@@ -8,12 +8,14 @@ the fast clock) whose effect on the limit is known exactly.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qsdelim import (
     HilbertSpace,
     Operator,
     PreconditionFailed,
     ScaledFamily,
+    SingularFastDynamics,
     cavity_closed_form,
     duan_kimble_block_indices,
     duan_kimble_fast_blocks,
@@ -79,26 +81,20 @@ class TestCavityCrossOracle:
                 result = eliminate(fix.family, fix.sub)
                 assert _limit_defect(result.limit, fix.expected_limit) < 1e-10
 
-    def test_closed_form_checks_supplied_inverse(self, rng):
-        fix = random_structured_fixture(rng)
-        from qsdelim.errors import InverseMismatch
-
-        e11 = Operator(
-            HilbertSpace((3,)),
-            fix.family.y.entries[:3, :3] / 1.0,
-        )
-        # feed a wrong inverse on purpose
-        wrong = Operator(HilbertSpace((3,)), np.eye(3))
-        with pytest.raises(InverseMismatch):
+    # An exactly singular E11 fails in LAPACK; the Hilbert matrix of order
+    # 10 (condition number 1.6e13) inverts with a defect near 4e-3.
+    @pytest.mark.parametrize("e11", [
+        np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
+        scipy.linalg.hilbert(10),
+    ], ids=["exactly-singular", "numerically-singular"])
+    def test_closed_form_rejects_singular_e11(self, e11):
+        space = HilbertSpace((e11.shape[0],))
+        zero = Operator.zero(space)
+        with pytest.raises(SingularFastDynamics):
             cavity_closed_form(
-                e00=Operator(HilbertSpace((3,)), np.zeros((3, 3))),
-                e01=Operator(HilbertSpace((3,)), np.zeros((3, 3))),
-                e10=Operator(HilbertSpace((3,)), np.zeros((3, 3))),
-                e11=e11,
-                f_ops=(Operator(HilbertSpace((3,)), np.zeros((3, 3))),),
-                g_ops=(Operator(HilbertSpace((3,)), np.zeros((3, 3))),),
-                s_ops=((Operator(HilbertSpace((3,)), np.eye(3)),),),
-                e11_inv=wrong,
+                e00=zero, e01=zero, e10=zero, e11=Operator(space, e11),
+                f_ops=(zero,), g_ops=(zero,),
+                s_ops=((Operator.identity(space),),),
             )
 
 
@@ -160,7 +156,9 @@ class TestPreconditionsAndEmbedding:
 
     def test_embed_returns_to_big_space(self, dk_fixture):
         result = eliminate(dk_fixture.family, dk_fixture.sub)
-        big = result.embed(result.limit.k_op)
+        v = result.compression
+        big = Operator(dk_fixture.family.space,
+                       v @ result.limit.k_op.entries @ v.conj().T)
         assert big.space == dk_fixture.family.space
         # embedded operator is supported on the slow subspace
         p1 = dk_fixture.sub.p1.entries

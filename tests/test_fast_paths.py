@@ -21,6 +21,12 @@ Structural check c reads the defect that the restricted inverse measured
 (same bits as measuring it again), the unitarity defect forms each block
 product once (1e-12 of the double loop), and `eliminate` builds M through
 `_m_from_unitarity` (1e-12 relative of its old loop).
+
+Checks b, d, e, the side checks, `eliminate` and the corrector work in the
+coordinates of the slow and fast bases.  Their old p0/p1 products are the
+references: limits and corrector equal by value for a coordinate
+projection, 1e-12 relative for a rotated one, and check values within
+1e-12 max(1, scale) with the same flags.
 """
 
 import dataclasses
@@ -38,6 +44,8 @@ from qsdelim import (
     HilbertSpace,
     ModelParseError,
     Operator,
+    SingularFastDynamics,
+    StructuralViolation,
     SubspacePair,
     assemble,
     builtin_fixture,
@@ -56,6 +64,7 @@ from qsdelim import (
     spectral_norm,
     structural_validate,
     subspace_basis,
+    trivial_family_from_limit,
 )
 from qsdelim import elimination, qsde_model
 from qsdelim.cli import _bundled_fixture
@@ -374,14 +383,14 @@ class TestSubspaceBasis:
 class TestBasesBuiltOnce:
     def test_same_read_only_array(self):
         sub = SubspacePair.from_basis_indices(HilbertSpace((5,)), (1, 3))
-        for basis in (sub.slow_basis, sub.fast_basis):
-            v = basis()
-            assert basis() is v
+        for name in ("slow_basis", "fast_basis"):
+            v = getattr(sub, name)
+            assert getattr(sub, name) is v
             assert not v.flags.writeable
             with pytest.raises(ValueError):
                 v[0, 0] = 2.0
-        assert np.array_equal(sub.slow_basis(), _reference_basis(sub.p0.entries))
-        assert np.array_equal(sub.fast_basis(), _reference_basis(sub.p1.entries))
+        assert np.array_equal(sub.slow_basis, _reference_basis(sub.p0.entries))
+        assert np.array_equal(sub.fast_basis, _reference_basis(sub.p1.entries))
 
 
 def test_eliminate_reuses_the_structural_inverse(dk_fixture):
@@ -884,3 +893,158 @@ class TestValidationFactsMeasuredOnce:
         want = _reference_eliminate_m(fix.family, fix.sub, result.y_tilde.entries)
         for got, acc in zip(result.limit.m_ops, want):
             assert _rel_close(got.entries, v.conj().T @ acc @ v)
+
+
+# -- the slow subspace in basis coordinates ---------------------------------
+# The references keep what the code did before: checks b, d, e and the side
+# checks were norms of d x d products with p0 and p1, `eliminate` compressed
+# P0 X P0 sandwiches, and the corrector projected with p1 before applying Y~.
+
+def _reference_projection_checks(fam, sub):
+    """Check values as norms of products with p0 and p1; no side checks
+    when the restricted inverse does not exist."""
+    p0, p1 = sub.p0, sub.p1
+    want = {
+        "structural.b": spectral_norm(fam.y @ p0),
+        "structural.d": max(spectral_norm(f.dag() @ p0) for f in fam.f_ops),
+        "structural.e": spectral_norm(p0 @ fam.a @ p0),
+    }
+    try:
+        yt = restricted_inverse(fam.y, sub)
+    except (SingularFastDynamics, StructuralViolation):
+        return want
+    terms = [t for row in qsde_model._n_limit_sum(fam.w_ops, fam.f_ops, yt)
+             for t in row]
+    want["limit.l_side"] = max(
+        spectral_norm(p0 @ (g - fam.a @ yt @ f) @ p1)
+        for f, g in zip(fam.f_ops, fam.g_ops)
+    )
+    want["limit.n_side_right"] = max(spectral_norm(p0 @ t @ p1) for t in terms)
+    want["limit.n_side_left"] = max(spectral_norm(p1 @ t @ p0) for t in terms)
+    return want
+
+
+def _reference_limit(fam, sub, yt):
+    """K, L, M and N as `eliminate` formed them, through P0 X P0."""
+    p0, v = sub.p0.entries, sub.slow_basis
+    a, ytm = fam.a.entries, yt.entries
+
+    def compress(x):
+        return v.conj().T @ (p0 @ x @ p0) @ v
+
+    ay = fam.a.dag() @ yt.dag()
+    m_ops = qsde_model._m_from_unitarity(
+        fam.w_ops, [g - ay @ f for f, g in zip(fam.f_ops, fam.g_ops)])
+    n_sum = qsde_model._n_limit_sum(fam.w_ops, fam.f_ops, yt)
+    return (
+        [compress(fam.b.entries - a @ ytm @ a)]
+        + [compress(g.entries - a @ ytm @ f.entries)
+           for f, g in zip(fam.f_ops, fam.g_ops)]
+        + [compress(m.entries) for m in m_ops]
+        + [compress(t.entries) for row in n_sum for t in row]
+    )
+
+
+def _limit_arrays(limit):
+    ops = [limit.k_op, *limit.l_ops, *limit.m_ops]
+    return [op.entries for op in ops + [t for row in limit.n_ops for t in row]]
+
+
+def _reference_corrector(result, amp, u):
+    """u1 and u2, with the slow part projected by p1 before Y~."""
+    yt = result.y_tilde.entries
+    a_op, b_op = field_dressed_parts(result.family, amp)
+    slow_part = (b_op.entries - a_op.entries @ yt @ a_op.entries) @ u
+    return -yt @ (a_op.entries @ u), -yt @ (result.sub.p1.entries @ slow_part)
+
+
+def _rotated(fix, seed):
+    """The fixture conjugated by a random unitary, so that p0 is no
+    coordinate projection and its bases come from Gram-Schmidt."""
+    fam = fix.family
+    d = fam.space.total_dim
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((d, d))
+                     + 1j * rng.standard_normal((d, d)))[0]
+
+    def rot(op):
+        return Operator(fam.space, u @ op.entries @ u.conj().T)
+
+    rotated = dataclasses.replace(
+        fam, y=rot(fam.y), a=rot(fam.a), b=rot(fam.b),
+        f_ops=tuple(map(rot, fam.f_ops)), g_ops=tuple(map(rot, fam.g_ops)),
+        w_ops=tuple(tuple(map(rot, row)) for row in fam.w_ops),
+    )
+    return rotated, SubspacePair(rot(fix.sub.p0))
+
+
+SIDE_CHECKS = ("limit.l_side", "limit.n_side_right", "limit.n_side_left")
+
+
+class TestSlowSubspaceInBasisCoordinates:
+    """Checks, limits and corrector measured on the bases V and Q agree with
+    the p0/p1 products they replace: by value for a coordinate projection
+    (check values to 1e-12 max(1, scale) with the same flags), to 1e-12
+    relative for a rotated one."""
+
+    AMP = FieldAmplitudes((0.2 - 0.1j,), (0.3 + 0.2j,))
+
+    @staticmethod
+    def _checks_agree(fam, sub):
+        report = structural_validate(fam, sub)
+        for name, want in _reference_projection_checks(fam, sub).items():
+            TestValidationFactsMeasuredOnce._close_with_flag(report[name], want)
+
+    def _compare(self, fam, sub, amp, same):
+        self._checks_agree(fam, sub)
+        result = eliminate(fam, sub)
+        v = result.compression
+        u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
+        cor = kurtz_corrector(result, amp, u)
+        got = _limit_arrays(result.limit) + [cor.u1, cor.u2]
+        want = _reference_limit(fam, sub, result.y_tilde) \
+            + list(_reference_corrector(result, amp, u))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same(g, w)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_structured_cases())
+    def test_coordinate_projection(self, case):
+        fix, amp = case
+        self._compare(fix.family, fix.sub, amp, np.array_equal)
+
+    def test_coordinate_projection_duan_kimble(self, dk_fixture):
+        self._compare(dk_fixture.family, dk_fixture.sub, self.AMP, np.array_equal)
+
+    @settings(max_examples=20, deadline=None)
+    @given(_structured_cases(), st.integers(0, 2**32 - 1))
+    def test_rotated_projection(self, case, seed):
+        fix, amp = case
+        fam, sub = _rotated(fix, seed)
+        assert not np.array_equal(sub.slow_basis, subspace_basis(fix.sub.p0))
+        self._compare(fam, sub, amp, _rel_close)
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_STRUCTURAL))
+    def test_named_checks(self, name):
+        self._checks_agree(*_NAMED_STRUCTURAL[name][0]())
+
+    @settings(max_examples=10, deadline=None)
+    @given(_structured_cases())
+    def test_identity_projection_side_checks_are_zero(self, case):
+        fix, _ = case
+        fam, sub = trivial_family_from_limit(fix.expected_limit)
+        assert sub.fast_basis.shape == (fam.space.total_dim, 0)
+        report = structural_validate(fam, sub)
+        for name in SIDE_CHECKS:
+            assert report[name].max_violation == 0.0
+            assert report[name].passed
+
+    @settings(max_examples=10, deadline=None)
+    @given(_structured_cases(), st.integers(0, 2**32 - 1))
+    def test_p1_is_identity_minus_p0(self, case, seed):
+        fix, _ = case
+        for sub in (fix.sub, _rotated(fix, seed)[1]):
+            p0 = sub.p0.entries
+            assert np.array_equal(_bits(sub.p1.entries),
+                                  _bits(np.eye(p0.shape[0]) - p0))

@@ -39,7 +39,7 @@ def _close(got: float, want: float) -> bool:
 
 
 def _gap_reference(fam, sub, limit, amp, T, grid_points, k):
-    v = sub.slow_basis()
+    v = sub.slow_basis
     pre = assemble(fam, k)
     gap = 0.0
     for t in np.linspace(0.0, T, grid_points):
@@ -170,7 +170,8 @@ class TestAgainstPerPointExpm:
             "--alpha", "0.1+0.2j", "--beta", "0.3-0.1j", "--csv", str(out),
         ])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         if k_args:
             coeffs = assemble(dk_fixture.family, 16.0)
         else:

@@ -1,6 +1,7 @@
 """Model-file parsing, expression trees, and the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -308,7 +309,8 @@ class TestCli:
             "--alpha", "0.1+0.2j", "--beta", "0j", "--csv", str(out),
         ])
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == [
             "fixture", "kind", "k", "t_max", "grid_points", "alpha", "beta",
             "value",
@@ -680,8 +682,17 @@ class TestRejectedInputsExit2:
         ["semigroup", "duan-kimble", "--grid", "8", "--alpha=1e100"],
         ["semigroup", "duan-kimble", "--grid", "8", "--k", "1e200"],
         ["validate", "duan-kimble", "--k", "1e200"],
+        ["eliminate", "{big-f}"],
     ])
-    def test_overflowing_products(self, argv, capsys):
+    def test_overflowing_products(self, argv, tmp_path, capsys):
+        # {big-f}: duan-kimble with F scaled by 1e160, so F F^* overflows.
+        fix = builtin_fixture("duan-kimble")
+        fam = fix.family
+        big = Fixture(name="big-f", sub=fix.sub, family=dataclasses.replace(
+            fam, f_ops=tuple(1e160 * f for f in fam.f_ops)))
+        path = tmp_path / "big-f.json"
+        path.write_text(json.dumps(fixture_to_model_dict(big)))
+        argv = [str(path) if a == "{big-f}" else a for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -210,12 +210,12 @@ class TestSubspacePair:
 
     def test_rejects_non_projection(self, rng):
         with pytest.raises(ValueError):
-            SubspacePair.from_projection(_op(rng, 3))
+            SubspacePair(_op(rng, 3))
 
     def test_rejects_zero_rank(self):
         space = HilbertSpace((3,))
         with pytest.raises(ValueError):
-            SubspacePair.from_projection(Operator.zero(space))
+            SubspacePair(Operator.zero(space))
 
 
 class TestRestrictedInverse:
