@@ -16,14 +16,17 @@ finite and > 0, a truncation cutoff that is not an integer >= 0, a --tol
 that is not finite and > 0, an amplitude (--alpha, --beta or the model's)
 that is not finite or whose squared modulus overflows, finite model
 entries, amplitudes or k values whose products in a validate, eliminate,
-semigroup or converge run overflow float64, and a model file with a NaN,
-Infinity or null entry or a boolean or string where a number belongs.
+semigroup or converge run overflow float64, a model file with a NaN,
+Infinity or null entry or a boolean or string where a number belongs, and
+a --report or --csv path that cannot be written (a missing directory or
+a directory).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -67,24 +70,34 @@ def _fmt_amps(values) -> str:
     return ";".join(_fmt_complex(z) for z in values)
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write a --csv or --report file.  A path that cannot be written is a
+    usage error (exit 2); commands write their files before they print,
+    so no verdict line precedes the error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ModelParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: str, name: str, kind: str, amp: FieldAmplitudes,
                rows) -> None:
     """Write (k, t_max, grid_points, value) rows under CSV_HEADER."""
     amps = (_fmt_amps(amp.alpha), _fmt_amps(amp.beta))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for k, t, grid, value in rows:
-            writer.writerow((
-                name, kind, _fmt_float(k), _fmt_float(t), grid, *amps,
-                _fmt_float(value),
-            ))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for k, t, grid, value in rows:
+        writer.writerow((
+            name, kind, _fmt_float(k), _fmt_float(t), grid, *amps,
+            _fmt_float(value),
+        ))
+    _write_output(path, buf.getvalue())
 
 
 def _write_report(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_output(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_amplitude_list(text: str, n: int, flag: str):
@@ -175,13 +188,7 @@ def cmd_validate(args) -> int:
         reports[f"assembled(k={_fmt_float(k)})"] = hp_validate(
             assemble(model.family, k), tol=tol
         )
-    overall = True
-    print(f"model {model.name}")
-    for label, report in reports.items():
-        print(f"{label}:")
-        for line in _report_lines(report):
-            print(line)
-        overall = overall and report.overall
+    overall = all(report.overall for report in reports.values())
     if args.report:
         _write_report(args.report, {
             "model": model.name,
@@ -199,6 +206,11 @@ def cmd_validate(args) -> int:
                 for label, report in reports.items()
             },
         })
+    print(f"model {model.name}")
+    for label, report in reports.items():
+        print(f"{label}:")
+        for line in _report_lines(report):
+            print(line)
     print(f"overall: {'PASS' if overall else 'FAIL'}")
     return 0 if overall else 1
 
@@ -223,6 +235,12 @@ def cmd_eliminate(args) -> int:
             print(f"  {exc}")
         return 1
     limit = result.limit
+    check = hp_validate(limit, tol=args.tol)
+    if args.report:
+        doc = limit_to_json(result)
+        doc["model"] = model.name
+        doc["unitarity_ok"] = check.overall
+        _write_report(args.report, doc)
     print(f"model {model.name}: slow subspace dimension {limit.space.total_dim}, "
           f"{limit.n} channel(s)")
     _print_operator("K", limit.k_op)
@@ -233,14 +251,8 @@ def cmd_eliminate(args) -> int:
     for i, row in enumerate(limit.n_ops):
         for j, op in enumerate(row):
             _print_operator(f"N[{i}][{j}]", op)
-    check = hp_validate(limit, tol=args.tol)
     for line in _report_lines(check):
         print(line)
-    if args.report:
-        doc = limit_to_json(result)
-        doc["model"] = model.name
-        doc["unitarity_ok"] = check.overall
-        _write_report(args.report, doc)
     return 0 if check.overall else 1
 
 
@@ -300,11 +312,11 @@ def cmd_semigroup(args) -> int:
         norm = float(np.linalg.norm(prop, 2))
         worst = max(worst, norm)
         rows.append((label, t, grid, norm))
+    if args.csv:
+        _write_csv(args.csv, model.name, "contraction_norm", amp, rows)
     print(f"model {model.name}: max semigroup norm {worst:.12g} over "
           f"{grid} times in [0, {t_final:g}]"
           + (f" at k={label:g}" if args.k is not None else " (limit model)"))
-    if args.csv:
-        _write_csv(args.csv, model.name, "contraction_norm", amp, rows)
     contraction_ok = worst <= 1.0 + 1e-9
     print(f"contraction: {'PASS' if contraction_ok else 'FAIL'}")
     return 0 if contraction_ok else 1
@@ -352,11 +364,6 @@ def cmd_converge(args) -> int:
             report = truncation_study(reference, cutoffs, amp, t_final, grid)
         except ValueError as exc:
             raise ModelParseError(str(exc)) from exc
-    print(f"model {model.name}: {report.kind} study")
-    for k, val in zip(report.k_schedule, report.values):
-        print(f"  k={k:<8g} value={val:.6e}")
-    print(f"fitted log-log rate: {report.fitted_rate:.4f}")
-    print(f"verdict: {'PASS' if report.verdict else 'FAIL'}")
     if args.csv:
         _write_csv(args.csv, model.name, report.kind, amp, (
             (k, report.t_max, report.grid_points, val)
@@ -373,6 +380,11 @@ def cmd_converge(args) -> int:
             "grid_points": report.grid_points,
             "verdict": report.verdict,
         })
+    print(f"model {model.name}: {report.kind} study")
+    for k, val in zip(report.k_schedule, report.values):
+        print(f"  k={k:<8g} value={val:.6e}")
+    print(f"fitted log-log rate: {report.fitted_rate:.4f}")
+    print(f"verdict: {'PASS' if report.verdict else 'FAIL'}")
     return 0 if report.verdict else 1
 
 

@@ -8,12 +8,17 @@ pure function.
 Because an `Operator`'s entries are frozen read-only at construction, its
 spectral norm is cached on the operator: `spectral_norm` takes the SVD of
 each operator at most once, however many validators ask for it, and an
-all-zero operator costs no SVD at all.
+all-zero operator costs no SVD at all.  A validator that needs only the
+largest of several norms (a scale, a defect over blocks) asks `_max_norm`,
+which bounds each norm without an SVD (a cached norm, else
+sqrt(|X|_1 |X|_inf)) and skips every item whose bound cannot exceed the
+largest norm taken so far; the result has the bits of taking them all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -119,8 +124,52 @@ def _norm2(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _norm_bound(x) -> float:
+    """A number never below the computed spectral norm of an Operator or
+    array: the cached norm of an Operator that has one, else
+    sqrt(|X|_1 |X|_inf) >= |X|_2 widened by 1e-8 relative, far beyond the
+    rounding of the bound and of LAPACK's sigma_max (about n eps)."""
+    if isinstance(x, Operator):
+        if "_spectral_norm" in x.__dict__:
+            return x._spectral_norm
+        x = x.entries
+    a = np.abs(x)
+    return (math.sqrt(a.sum(axis=0).max(initial=0.0))
+            * math.sqrt(a.sum(axis=1).max(initial=0.0)) * (1.0 + 1e-8))
+
+
+def _max_norm(items, floor: float = 0.0) -> float:
+    """max(floor, *(spectral norm of each item)) over Operators and arrays,
+    with the same bits, taking an SVD only where that norm could set the max.
+
+    Items are visited by decreasing `_norm_bound`, and the visit stops at
+    the first bound that is at most the running max.  If a bound is not
+    finite or is subnormal, every norm is taken, in the given order.
+    """
+    items = list(items)
+    with np.errstate(over="ignore"):  # an overflowing bound is inf
+        bounds = [_norm_bound(x) for x in items]
+    order = range(len(items))
+    bounded = all(b == 0.0 or sys.float_info.min <= b < math.inf for b in bounds)
+    if bounded:
+        order = sorted(order, key=bounds.__getitem__, reverse=True)
+    best = floor
+    for k in order:
+        if bounded and bounds[k] <= best:
+            break
+        x = items[k]
+        best = max(best, spectral_norm(x) if isinstance(x, Operator) else _norm2(x))
+    return best
+
+
 def tensor_embed(x: Operator, factor_index: int, target: HilbertSpace) -> Operator:
-    """Ampliation I (x) ... (x) x (x) ... (x) I into `target` at `factor_index`."""
+    """Ampliation I (x) ... (x) x (x) ... (x) I into `target` at `factor_index`.
+
+    x's entries are placed on the diagonal blocks of a +0.0 buffer, so the
+    result equals the Kronecker product by value, the blocks carry x's
+    exact bits and every other entry is +0.0 (a Kronecker product with an
+    identity leaves -0.0 wherever a negative part meets an identity zero).
+    """
     dims = target.factor_dims
     if not 0 <= factor_index < len(dims):
         raise ValueError(f"factor index {factor_index} out of range")
@@ -131,8 +180,12 @@ def tensor_embed(x: Operator, factor_index: int, target: HilbertSpace) -> Operat
         )
     left = math.prod(dims[:factor_index])
     right = math.prod(dims[factor_index + 1:])
-    m = np.kron(np.kron(np.eye(left), x.entries), np.eye(right))
-    return Operator(target, m)
+    dx = dims[factor_index]
+    m = np.zeros((left, dx, right, left, dx, right), dtype=np.complex128)
+    i, j = np.arange(left)[:, None], np.arange(right)
+    m[i, :, j, i, :, j] = x.entries
+    d = target.total_dim
+    return Operator(target, m.reshape(d, d))
 
 
 def spectral_norm(x: Operator) -> float:
@@ -259,7 +312,7 @@ def restricted_inverse(y: Operator, sub: SubspacePair,
 def _restricted_inverse(y, sub, tol) -> tuple[Operator, float]:
     """`restricted_inverse`'s Y~ and its inverse defect; raises as it does."""
     y._check_space(sub.p0)
-    scale = max(1.0, spectral_norm(y))
+    scale = _max_norm([y], 1.0)
     if _norm2(y.entries @ sub.slow_basis) > tol * scale:
         raise StructuralViolation("y does not annihilate the slow subspace")
     q1 = sub.fast_basis
@@ -275,10 +328,7 @@ def _restricted_inverse(y, sub, tol) -> tuple[Operator, float]:
         )
     yt = Operator(y.space, q1 @ np.linalg.solve(yc, q1.conj().T))
     # Leakage p0 y p1 != 0 would silently break the two-sided identity.
-    defect = max(
-        spectral_norm(yt @ y - sub.p1),
-        spectral_norm(y @ yt - sub.p1),
-    )
+    defect = _max_norm([yt @ y - sub.p1, y @ yt - sub.p1])
     if defect > 1e-10 * scale * max(1.0, cond):
         raise StructuralViolation(
             f"restricted inverse defect {defect:.3e} exceeds tolerance; "

@@ -23,6 +23,7 @@ from .operator_core import (
     HilbertSpace,
     Operator,
     SubspacePair,
+    _max_norm,
     _norm2,
     _restricted_inverse,
     spectral_norm,
@@ -117,7 +118,9 @@ class ValidationReport:
 
 
 def _check(name: str, defect_norm: float, tol: float, scale: float) -> CheckResult:
-    threshold = tol * max(1.0, scale)
+    """Pass when the defect is at most tol * scale; every scale is a
+    `_max_norm` with floor 1.0, so the tolerance is never below tol."""
+    threshold = tol * scale
     return CheckResult(name, defect_norm, threshold, bool(defect_norm <= threshold))
 
 
@@ -165,10 +168,9 @@ def _unitarity_defect(grid) -> float:
     w = np.block([[op.entries for op in row] for row in grid])
     d, ident = w.shape[0] // n, np.eye(w.shape[0])
     blocks = [(p - ident).reshape(n, d, n, d) for p in (w @ w.conj().T, w.conj().T @ w)]
-    return float(max(
-        np.linalg.norm(b[m, :, ell, :], 2)
-        for m in range(n) for ell in range(n) for b in blocks
-    ))
+    return _max_norm(
+        b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks
+    )
 
 
 def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -177,16 +179,13 @@ def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationRepo
     k_defect = c.k_op + c.k_op.dag() + sum(
         (l @ l.dag() for l in c.l_ops), zero
     )
-    m_defect = max(
-        spectral_norm(m - forced)
+    m_defect = _max_norm(
+        m - forced
         for m, forced in zip(c.m_ops, _m_from_unitarity(c.n_ops, c.l_ops))
     )
     n_defect = _unitarity_defect(c.n_ops)
-    scale = max(
-        [spectral_norm(c.k_op)]
-        + [spectral_norm(l) for l in c.l_ops]
-        + [spectral_norm(m) for m in c.m_ops]
-        + [spectral_norm(op) for row in c.n_ops for op in row]
+    scale = _max_norm(
+        [c.k_op, *c.l_ops, *c.m_ops, *(op for row in c.n_ops for op in row)], 1.0
     )
     return ValidationReport((
         _check("hp.k", spectral_norm(k_defect), tol, scale),
@@ -207,10 +206,11 @@ def scaled_hp_validate(fam: ScaledFamily, tol: float = DEFAULT_TOL) -> Validatio
     )
     b_defect = fam.b + fam.b.dag() + sum((g @ g.dag() for g in fam.g_ops), zero)
     w_defect = _unitarity_defect(fam.w_ops)
-    norms = [spectral_norm(op) for op in (fam.y, fam.a, fam.b)]
-    norms += [spectral_norm(op) for op in fam.f_ops + fam.g_ops]
-    norms += [spectral_norm(op) for row in fam.w_ops for op in row]
-    scale = max(norms)
+    scale = _max_norm(
+        [fam.y, fam.a, fam.b, *fam.f_ops, *fam.g_ops,
+         *(op for row in fam.w_ops for op in row)],
+        1.0,
+    )
     return ValidationReport((
         _check("scaled.y", spectral_norm(y_defect), tol, scale),
         _check("scaled.a", spectral_norm(a_defect), tol, scale),
@@ -244,16 +244,12 @@ def _structural_report(
     """
     v, q = sub.slow_basis, sub.fast_basis
     vh, qh = v.conj().T, q.conj().T
-    scale = max(
-        [spectral_norm(op) for op in (fam.y, fam.a)]
-        + [spectral_norm(f) for f in fam.f_ops]
-        + [1.0]
-    )
+    scale = _max_norm([fam.y, fam.a, *fam.f_ops], 1.0)
     checks = [
         _check("structural.b", _norm2(fam.y.entries @ v), tol, scale),
         _check(
             "structural.d",
-            max(_norm2(f.entries.conj().T @ v) for f in fam.f_ops),
+            _max_norm(f.entries.conj().T @ v for f in fam.f_ops),
             tol,
             scale,
         ),
@@ -272,7 +268,7 @@ def _structural_report(
         for name in side_names:
             checks.append(CheckResult(name, float("inf"), tol, False))
     else:
-        side_scale = max(scale, max(spectral_norm(g) for g in fam.g_ops))
+        side_scale = _max_norm(fam.g_ops, scale)
         ay = fam.a.entries @ y_tilde.entries
         l_tilde = tuple(
             g.entries - ay @ f.entries for f, g in zip(fam.f_ops, fam.g_ops)
@@ -280,9 +276,9 @@ def _structural_report(
         n_sum = _n_limit_sum(fam.w_ops, fam.f_ops, y_tilde)
         terms = [term.entries for row in n_sum for term in row]
         sides = (
-            max(_norm2(vh @ x @ q) for x in l_tilde),
-            max(_norm2(vh @ x @ q) for x in terms),
-            max(_norm2(qh @ x @ v) for x in terms),
+            _max_norm(vh @ x @ q for x in l_tilde),
+            _max_norm(vh @ x @ q for x in terms),
+            _max_norm(qh @ x @ v for x in terms),
         )
         for name, value in zip(side_names, sides):
             checks.append(_check(name, value, tol, side_scale))

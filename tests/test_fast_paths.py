@@ -27,6 +27,10 @@ coordinates of the slow and fast bases.  Their old p0/p1 products are the
 references: limits and corrector equal by value for a coordinate
 projection, 1e-12 relative for a rotated one, and check values within
 1e-12 max(1, scale) with the same flags.
+
+`tensor_embed` equals the `np.kron` ampliation by value with +0.0 off its
+blocks, so random cavity models emit sparse nodes, and `_max_norm` gives
+the bits of taking every norm while skipping the SVDs that cannot set it.
 """
 
 import dataclasses
@@ -64,9 +68,11 @@ from qsdelim import (
     spectral_norm,
     structural_validate,
     subspace_basis,
+    tensor_embed,
     trivial_family_from_limit,
 )
 from qsdelim import elimination, qsde_model
+from qsdelim.operator_core import _max_norm, _norm_bound
 from qsdelim.cli import _bundled_fixture
 from qsdelim.modelfile import (
     eval_expression,
@@ -1048,3 +1054,142 @@ class TestSlowSubspaceInBasisCoordinates:
             p0 = sub.p0.entries
             assert np.array_equal(_bits(sub.p1.entries),
                                   _bits(np.eye(p0.shape[0]) - p0))
+
+
+# -- exact zeros from tensor_embed, a max of norms with few SVDs -------------
+# References: the np.kron ampliation `tensor_embed` used, and the max of
+# every norm that `_max_norm` replaced.
+
+def _reference_embed(x, factor_index, dims):
+    left = int(np.prod(dims[:factor_index]))
+    right = int(np.prod(dims[factor_index + 1:]))
+    return np.kron(np.kron(np.eye(left), x), np.eye(right))
+
+
+def _reference_max_norm(items, floor):
+    return max([floor] + [
+        float(np.linalg.norm(x.entries if isinstance(x, Operator) else x, 2))
+        for x in items
+    ])
+
+
+@st.composite
+def _embed_cases(draw):
+    """Factor dims, a position and an operator on that factor whose entries
+    have +0.0 and -0.0 real and imaginary parts among random values."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    pos = draw(st.integers(0, len(dims) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = dims[pos]
+    parts = rng.choice([0.0, -0.0, 1.0], (2, d, d)) * rng.standard_normal((2, d, d))
+    return dims, pos, Operator(HilbertSpace((d,)), parts[0] + 1j * parts[1])
+
+
+class TestTensorEmbedExactZeros:
+    @settings(max_examples=100, deadline=None)
+    @given(_embed_cases())
+    @example(((2, 3), 0, Operator(HilbertSpace((2,)),
+                                  np.array([[-1.0, 0.0], [-0.0j, -2.5]]))))
+    def test_equals_kron_with_plus_zero_off_blocks(self, case):
+        dims, pos, x = case
+        got = tensor_embed(x, pos, HilbertSpace(dims)).entries
+        assert np.array_equal(got, _reference_embed(x.entries, pos, dims))
+        left, right = int(np.prod(dims[:pos])), int(np.prod(dims[pos + 1:]))
+        blocks = _bits(got).copy().reshape(left, dims[pos], right, left, dims[pos],
+                                    right, 2)
+        for i in range(left):
+            for j in range(right):
+                assert np.array_equal(blocks[i, :, j, i, :, j], _bits(x.entries)
+                                      .reshape(dims[pos], dims[pos], 2))
+                blocks[i, :, j, i, :, j] = 0
+        assert not blocks.any()  # every off-block entry is +0.0
+
+    @pytest.mark.parametrize("hprime, n, cutoff", [(3, 1, 4), (4, 2, 6),
+                                                   (8, 2, 16)])
+    def test_random_models_load_sparse(self, hprime, n, cutoff):
+        """Every operator is a sparse node.  The ampliations B = E00 (x) I,
+        G_i (x) I, S_ij (x) I and p0 store exactly their nonzero entries
+        (at the np.kron ampliation about half their entries were -0.0).
+        Y, A and F_i are products of ampliations, where BLAS may leave a
+        signed zero, so only their node type is checked."""
+        fix = random_structured_fixture(np.random.default_rng(hprime), hprime,
+                                        n, cutoff)
+        doc = fixture_to_model_dict(fix)
+        ops = doc["operators"]
+        fam = fix.family
+        for node in [ops["Y"], ops["A"], *ops["F"]]:
+            assert isinstance(node, dict) and node["op"] == "sparse"
+        for node, op in [(ops["B"], fam.b), (doc["p0"], fix.sub.p0),
+                         *zip(ops["G"], fam.g_ops),
+                         *zip(sum(ops["W"], []), sum(fam.w_ops, ()))]:
+            assert isinstance(node, dict) and node["op"] == "sparse"
+            assert len(node["re"]) == np.count_nonzero(op.entries)
+
+
+@st.composite
+def _norm_lists(draw):
+    """Lists of arrays and Operators (some with cached norms) at one entry
+    scale in 1e-300..1e150: random, all-zero, exact copies, unitary
+    rotations (equal norms), scaled copies, Kronecker blocks, roundoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 150))
+    items = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(
+            ["random", "zero", "copy", "rotated", "scaled", "kron", "roundoff"]))
+        prev = items[-1] if items and items[-1].shape[0] == items[-1].shape[1] \
+            else None
+        d, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        if kind in ("copy", "rotated", "scaled", "kron") and prev is not None:
+            if kind == "rotated":
+                u = np.linalg.qr(rng.standard_normal(prev.shape)
+                                 + 1j * rng.standard_normal(prev.shape))[0]
+                prev = u @ prev
+            elif kind == "scaled":
+                prev = prev * draw(st.sampled_from([0.5, 1 - 1e-9, 1 + 1e-12, 2.0]))
+            elif kind == "kron":
+                prev = np.kron(np.eye(2), prev)
+            items.append(prev.copy())
+            continue
+        m = scale * (rng.standard_normal((d, c)) + 1j * rng.standard_normal((d, c)))
+        items.append({"zero": 0.0 * m, "roundoff": 1e-16 * m}.get(kind, m))
+    out = []
+    for m in items:
+        if m.shape[0] == m.shape[1] and draw(st.booleans()):
+            op = Operator(HilbertSpace((m.shape[0],)), m)
+            if draw(st.booleans()):
+                spectral_norm(op)  # cached: its bound is the norm itself
+            m = op
+        out.append(m)
+    return out
+
+
+class TestMaxNormSkipsSvds:
+    @settings(max_examples=200, deadline=None)
+    @given(_norm_lists(), st.sampled_from([0.0, 1.0]))
+    @example([np.array([[0.34558419 + 0.82161814j]])], 0.0)  # bound = norm
+    @example([np.zeros((3, 3)), np.zeros((3, 0))], 0.0)
+    def test_same_bits_as_every_norm(self, items, floor):
+        want = _reference_max_norm(items, floor)
+        got = _max_norm(items, floor)
+        assert type(got) is float and got.hex() == want.hex()
+        for x in items:
+            assert _norm_bound(x) >= _reference_max_norm([x], 0.0)
+
+    def test_svd_only_where_the_max_can_change(self):
+        space = HilbertSpace((4,))
+        big = Operator(space, np.diag([3.0, 1.0, 0.0, 0.0]))
+        small = np.full((4, 4), 0.1)
+        cached = Operator(space, 2.0 * np.eye(4))
+        spectral_norm(cached)
+        huge = [small, np.full((2, 2), 1e308)]  # |X|_1 overflows
+        want_huge = _reference_max_norm(huge, 0.0)
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            assert _max_norm([small, big, small]) == 3.0
+            assert norm.call_count == 1  # the two small ones cannot set it
+            assert _max_norm([small, small], 1.0) == 1.0
+            assert norm.call_count == 1  # bounds 0.4 < floor: no SVD
+            assert _max_norm([cached, small]) == 2.0
+            assert norm.call_count == 1  # cached norm, no SVD
+            assert _max_norm(huge).hex() == want_huge.hex()
+            assert norm.call_count == 3  # a non-finite bound takes every norm

@@ -429,6 +429,26 @@ class TestRejectedInputsExit2:
         assert "PASS" not in captured.out
         assert "bad k value" in captured.err
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "duan-kimble", "--report"],
+        ["eliminate", "duan-kimble", "--report"],
+        ["semigroup", "duan-kimble", "--grid", "8", "--csv"],
+        ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8",
+         "--csv"],
+        ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8",
+         "--report"],
+        ["example", "duan-kimble", "--report"],
+    ])
+    def test_unwritable_output_path(self, argv, where, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "out" if where == "missing directory" \
+            else tmp_path
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # in particular no PASS line
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     @pytest.mark.parametrize("argv", [
         ["validate", "broken-structural"],
