@@ -7,25 +7,28 @@ Subcommands:
   converge   run a generator / semigroup / truncation convergence study
   example    emit a bundled example model as a JSON document
 
-Exit codes: 0 success, 1 domain failure (a check or verdict fails),
-2 malformed input or usage error, including a time grid that is not
-finite T > 0 with >= 2 points, a truncation study on a model whose
-coefficients depend on k or whose space has more than one tensor factor,
-a scaling parameter k (from --k or the model's k_schedule) that is not
-finite and > 0, a truncation cutoff that is not an integer >= 0, a --tol
-that is not finite and > 0, an amplitude (--alpha, --beta or the model's)
-that is not finite or whose squared modulus overflows, finite model
-entries, amplitudes or k values whose products in a validate, eliminate,
-semigroup or converge run overflow float64, a model file with a NaN,
-Infinity or null entry or a boolean or string where a number belongs, and
-a --report or --csv path that cannot be written (a missing directory or
-a directory).
+Exit codes: 0 success; 1 domain failure: a check or verdict fails, or the
+model fails the preconditions of eliminate, semigroup or converge, which
+print the failing report lines and no verdict; 2 malformed input or usage
+error, including a time grid that is not finite T > 0 with >= 2 points, a
+truncation study that breaks a usage rule of `truncation_study` (too few
+cutoffs, a cutoff outside the space, k-dependent coefficients, more than
+one tensor factor, N != I), a scaling parameter k (from --k or the model's
+k_schedule) that is not finite and > 0, a truncation cutoff that is not an
+integer >= 0, a --tol that is not finite and > 0, an amplitude (--alpha,
+--beta or the model's) that is not finite or whose squared modulus
+overflows, finite model entries, amplitudes or k values whose products in
+a validate, eliminate, semigroup or converge run overflow float64, a model
+file with a NaN, Infinity or null entry or a boolean or string where a
+number belongs, and a --report or --csv path that cannot be written (a
+missing directory or a directory).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -161,6 +164,15 @@ def _report_lines(report) -> list[str]:
     ]
 
 
+def _precondition_failure(name: str, exc: PreconditionFailed) -> int:
+    """Print a failed precondition and its report's lines, if any; exit 1."""
+    print(f"preconditions fail for model {name}: {exc}")
+    if exc.report is not None:
+        for line in _report_lines(exc.report):
+            print(line)
+    return 1
+
+
 def _finite_study(cmd):
     """Run a model-reading command with float64 overflow and invalid
     operations raising.  Inputs are checked finite, so a non-finite
@@ -227,13 +239,7 @@ def cmd_eliminate(args) -> int:
     try:
         result = eliminate(model.family, model.sub, tol=args.tol)
     except PreconditionFailed as exc:
-        print(f"elimination preconditions fail for model {model.name}:")
-        if exc.report is not None:
-            for line in _report_lines(exc.report):
-                print(line)
-        else:
-            print(f"  {exc}")
-        return 1
+        return _precondition_failure(model.name, exc)
     limit = result.limit
     check = hp_validate(limit, tol=args.tol)
     if args.report:
@@ -299,8 +305,7 @@ def cmd_semigroup(args) -> int:
         try:
             coeffs = eliminate(model.family, model.sub, tol=args.tol).limit
         except PreconditionFailed as exc:
-            print(f"elimination preconditions fail for model {model.name}: {exc}")
-            return 1
+            return _precondition_failure(model.name, exc)
         label = 0.0
     rows = []
     worst = 0.0
@@ -331,39 +336,23 @@ def cmd_converge(args) -> int:
         args.k if args.k is not None else model.study.k_schedule,
         cutoffs=args.kind == "truncation",
     )
-    if args.kind in ("generator", "semigroup"):
-        if len(schedule) < 3:
-            raise ModelParseError("--k needs >= 3 values for a rate fit")
-        try:
+    if args.kind != "truncation" and len(schedule) < 3:
+        raise ModelParseError("--k needs >= 3 values for a rate fit")
+    try:
+        if args.kind == "truncation":
+            try:
+                report = truncation_study(model.family, sorted(set(schedule)), amp,
+                                          t_final, grid, tol=args.tol)
+            except ValueError as exc:  # the study's usage rules
+                raise ModelParseError(str(exc)) from exc
+        else:
             result = eliminate(model.family, model.sub, tol=args.tol)
             if args.kind == "generator":
                 report = generator_study(result, amp, schedule)
             else:
                 report = semigroup_study(result, amp, schedule, t_final, grid)
-        except PreconditionFailed as exc:
-            print(f"elimination preconditions fail for model {model.name}: {exc}")
-            return 1
-    else:
-        cutoffs = sorted({int(k) for k in schedule})
-        if len(cutoffs) < 2:
-            raise ModelParseError("truncation needs >= 2 distinct cutoffs")
-        fam = model.family
-        if any(np.any(op.entries) for op in (fam.y, fam.a, *fam.f_ops)):
-            raise ModelParseError(
-                f"truncation needs a fixed-coefficient model (Y = A = F = 0); "
-                f"model {model.name} depends on k"
-            )
-        if len(fam.space.factor_dims) > 1:
-            raise ModelParseError(
-                f"truncation cuts the flattened index, so it needs a space "
-                f"with one tensor factor; model {model.name} has "
-                f"{len(fam.space.factor_dims)}"
-            )
-        try:
-            reference = assemble(fam, 1.0)
-            report = truncation_study(reference, cutoffs, amp, t_final, grid)
-        except ValueError as exc:
-            raise ModelParseError(str(exc)) from exc
+    except PreconditionFailed as exc:
+        return _precondition_failure(model.name, exc)
     if args.csv:
         _write_csv(args.csv, model.name, report.kind, amp, (
             (k, report.t_max, report.grid_points, val)
@@ -414,7 +403,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; `parse_args` returns a fresh namespace."""
     parser = _Parser(
         prog="qsdelim",
         description="Singular-perturbation limits of quantum stochastic models "

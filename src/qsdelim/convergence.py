@@ -23,7 +23,9 @@ import numpy as np
 from .elimination import EliminationResult
 from .errors import PreconditionFailed
 from .operator_core import DEFAULT_TOL, Operator, spectral_norm
-from .qsde_model import QsdeCoefficients, ScaledFamily, _m_from_unitarity, assemble
+from .qsde_model import (
+    QsdeCoefficients, ScaledFamily, _m_from_unitarity, assemble, scaled_hp_validate,
+)
 from .semigroup import FieldAmplitudes, _dressing, generator, propagate_on_grid
 
 log = logging.getLogger(__name__)
@@ -158,8 +160,8 @@ def rate_fit(ks, residuals) -> float:
     residuals = [float(r) for r in residuals]
     if len(ks) != len(residuals) or len(ks) < 3:
         raise ValueError("need at least three (k, residual) pairs")
-    if any(r < 0 for r in residuals):
-        raise ValueError("residuals must be nonnegative")
+    if any(k <= 0 for k in ks) or any(r < 0 for r in residuals):
+        raise ValueError("need k > 0 and nonnegative residuals for a log-log fit")
     pairs = [(k, r) for k, r in zip(ks, residuals) if r > RESIDUAL_FLOOR]
     dropped = len(ks) - len(pairs)
     if dropped:
@@ -228,44 +230,51 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
     )
 
 
-def truncation_study(limit_family: QsdeCoefficients, cutoffs, amp: FieldAmplitudes,
-                     T: float, grid_points: int) -> ConvergenceReport:
-    """Successive gaps between truncations of a fixed coefficient set.
+def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
+                     T: float, grid_points: int,
+                     tol: float = DEFAULT_TOL) -> ConvergenceReport:
+    """Successive gaps between truncations of a fixed-coefficient model.
 
-    `limit_family` lives on the reference space; each cutoff c keeps the
-    first c+1 basis states.  Requires trivial scattering (N = I), since
-    plain compression of a nontrivial N would break unitarity.  Values are
-    the gaps between consecutive cutoffs, measured on the smallest
-    truncated subspace; the verdict asks for a Cauchy-style decrease.
+    Cutoff c keeps the first c+1 basis states: K_c and L_c are the leading
+    (c+1) x (c+1) blocks of B and G, M_c = -L_c^*, N = W.  ValueError, in
+    this order: bad cutoffs, Y, A or F nonzero, more than one tensor factor,
+    N != I (compressing it breaks unitarity); then PreconditionFailed with
+    the report if `scaled_hp_validate` fails at `tol`, as in `eliminate`.
+    Values: the gaps between consecutive cutoffs on the smallest truncated
+    subspace; verdict: a Cauchy-style decrease (or a single gap).
     """
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) < 2 or any(a >= b for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("need >= 2 strictly increasing cutoffs")
-    d = limit_family.space.total_dim
+    d = fam.space.total_dim
     if cutoffs[-1] >= d:
         raise ValueError("largest cutoff must stay inside the reference space")
-    ident = np.eye(d)
-    n_defect = max(
-        spectral_norm(
-            limit_family.n_ops[i][j]
-            - ((1.0 if i == j else 0.0) * Operator(limit_family.space, ident))
+    if any(np.any(op.entries) for op in (fam.y, fam.a, *fam.f_ops)):
+        raise ValueError("truncation needs a fixed-coefficient model (Y = A = F = 0)")
+    if len(fam.space.factor_dims) > 1:
+        raise ValueError(
+            "truncation cuts the flattened index, so it needs one tensor factor"
         )
-        for i in range(limit_family.n)
-        for j in range(limit_family.n)
+    ident = Operator.identity(fam.space)
+    n_defect = max(
+        spectral_norm(w - ident if i == j else w)
+        for i, row in enumerate(fam.w_ops)
+        for j, w in enumerate(row)
     )
     if n_defect > 1e-12:
         raise ValueError("truncation study requires trivial scattering (N = I)")
+    report = scaled_hp_validate(fam, tol)
+    if not report.overall:
+        raise PreconditionFailed("scaled unitarity relations fail", report)
 
     def truncated(cutoff: int) -> QsdeCoefficients:
-        p = np.zeros((d, d))
-        p[: cutoff + 1, : cutoff + 1] = np.eye(cutoff + 1)
-        proj = Operator(limit_family.space, p)
-        k_c = proj @ limit_family.k_op @ proj
-        l_c = tuple(proj @ l @ proj for l in limit_family.l_ops)
+        def block(op: Operator) -> Operator:  # +0.0 off the leading block
+            kept = op.entries[: cutoff + 1, : cutoff + 1]
+            return Operator(fam.space, np.pad(kept, (0, d - cutoff - 1)))
+
+        l_c = tuple(block(g) for g in fam.g_ops)
         m_c = tuple(-l.dag() for l in l_c)
-        return QsdeCoefficients(
-            limit_family.n, limit_family.space, k_c, l_c, m_c, limit_family.n_ops
-        )
+        return QsdeCoefficients(fam.n, fam.space, block(fam.b), l_c, m_c, fam.w_ops)
 
     window = np.eye(d, cutoffs[0] + 1)
     grids = [
@@ -277,11 +286,8 @@ def truncation_study(limit_family: QsdeCoefficients, cutoffs, amp: FieldAmplitud
         for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
             gaps[i] = max(gaps[i], float(np.linalg.norm(lo - hi, 2)))
     gaps = tuple(gaps)
-    verdict = (
-        _at_floor(gaps) or all(a > b for a, b in zip(gaps, gaps[1:]))
-        or len(gaps) == 1
-    )
-    rate = _safe_rate(cutoffs[:-1], gaps) if len(gaps) >= 3 else math.nan
+    verdict = _at_floor(gaps) or all(a > b for a, b in zip(gaps, gaps[1:]))
+    rate = _safe_rate(cutoffs[:-1], gaps)
     return ConvergenceReport(
         kind="truncation",
         k_schedule=tuple(float(c) for c in cutoffs[:-1]),

@@ -259,11 +259,13 @@ class SubspacePair:
 
     def __post_init__(self):
         p0 = self.p0
-        scale = max(1.0, spectral_norm(p0))
-        if spectral_norm(p0 - p0.dag()) > 1e-9 * scale:
-            raise ValueError("p0 is not Hermitian")
-        if spectral_norm(p0 @ p0 - p0) > 1e-9 * scale:
-            raise ValueError("p0 is not idempotent")
+        # A defect fails above 1e-9 max(1, |p0|) >= 1e-9, so |p0| (an SVD)
+        # is taken only for a defect above 1e-9.
+        for what, defect in (("Hermitian", lambda: p0 - p0.dag()),
+                             ("idempotent", lambda: p0 @ p0 - p0)):
+            size = spectral_norm(defect())
+            if size > 1e-9 and size > 1e-9 * max(1.0, spectral_norm(p0)):
+                raise ValueError(f"p0 is not {what}")
         if self.rank < 1:
             raise ValueError("p0 must have rank >= 1")
 

@@ -1,7 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qsdelim import builtin_fixture
+from qsdelim import (
+    Fixture,
+    HilbertSpace,
+    Operator,
+    QsdeCoefficients,
+    builtin_fixture,
+    driven_oscillator_limit,
+    tensor_embed,
+    trivial_family_from_limit,
+)
 
 
 @pytest.fixture
@@ -22,3 +33,33 @@ def cavity_fixture_default():
 @pytest.fixture(scope="session")
 def mirror_fixture_default():
     return builtin_fixture("mirror")
+
+
+@pytest.fixture(scope="session")
+def shifted_truncation_demo():
+    """truncation-demo with B replaced by B + 3I: a fixed-coefficient model
+    whose order-one unitarity relation (scaled.b) fails by 6."""
+    fix = builtin_fixture("truncation-demo")
+    fam = fix.family
+    shifted = dataclasses.replace(
+        fam, b=fam.b + 3.0 * Operator.identity(fam.space)
+    )
+    return Fixture(name="shifted", family=shifted, sub=fix.sub)
+
+
+@pytest.fixture(scope="session")
+def osc_qubit_fixture():
+    """The oscillator of truncation-demo (cutoff 5) tensored with a qubit,
+    as a fixed-coefficient model on a space with two tensor factors."""
+    osc = driven_oscillator_limit(5)
+    space = HilbertSpace((6, 2))
+
+    def up(op):
+        return tensor_embed(op, 0, space)
+
+    limit = QsdeCoefficients(
+        1, space, up(osc.k_op), (up(osc.l_ops[0]),), (up(osc.m_ops[0]),),
+        ((up(osc.n_ops[0][0]),),),
+    )
+    fam, sub = trivial_family_from_limit(limit)
+    return Fixture(name="osc-qubit", family=fam, sub=sub)

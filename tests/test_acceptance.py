@@ -37,6 +37,7 @@ from qsdelim import (
     restricted_inverse,
     semigroup_gap,
     spectral_norm,
+    trivial_family_from_limit,
     truncation_study,
     windowed_oscillator_limit,
     driven_oscillator_limit,
@@ -228,11 +229,13 @@ def test_acceptance_7_truncation_gaps():
     vac = FieldAmplitudes.vacuum(1)
     window = 5
     win = windowed_oscillator_limit(24, window=window)
-    rep_win = truncation_study(win, (window - 1, window + 1, window + 3),
+    rep_win = truncation_study(trivial_family_from_limit(win)[0],
+                               (window - 1, window + 1, window + 3),
                                vac, 2.0, 32)
     window_ok = all(v == 0.0 for v in rep_win.values)
     gen = driven_oscillator_limit(24)
-    rep_gen = truncation_study(gen, (4, 6, 8, 10, 12), vac, 2.0, 32)
+    rep_gen = truncation_study(trivial_family_from_limit(gen)[0],
+                               (4, 6, 8, 10, 12), vac, 2.0, 32)
     decreasing = all(
         a > b for a, b in zip(rep_gen.values, rep_gen.values[1:])
     )

@@ -26,6 +26,7 @@ from qsdelim import (
     random_structured_fixture,
     semigroup_gap,
     semigroup_study,
+    trivial_family_from_limit,
     truncation_study,
     windowed_oscillator_limit,
 )
@@ -126,6 +127,13 @@ class TestRateFit:
         with pytest.raises(ValueError):
             rate_fit((2.0, 4.0, 8.0), (1.0, -0.5, 0.2))
 
+    def test_rejects_k_at_or_below_zero(self):
+        # log(0) once warned and fed -inf to the fit (cutoff 0 in a
+        # truncation study).
+        for ks in ((0.0, 1.0, 2.0), (-1.0, 1.0, 2.0)):
+            with pytest.raises(ValueError, match="k > 0"):
+                rate_fit(ks, (1.0, 0.5, 0.2))
+
 
 class TestSemigroupGap:
     def test_gap_decays_with_k(self, dk):
@@ -168,20 +176,23 @@ class TestTruncationStudy:
 
     def test_gaps_strictly_decreasing_for_generic_model(self):
         limit = driven_oscillator_limit(24)
-        report = truncation_study(limit, (4, 6, 8, 10, 12), self.VAC, 2.0, 32)
+        report = truncation_study(trivial_family_from_limit(limit)[0],
+                                  (4, 6, 8, 10, 12), self.VAC, 2.0, 32)
         assert report.verdict
         assert all(a > b for a, b in zip(report.values, report.values[1:]))
 
     def test_window_model_gap_identically_zero(self):
         limit = windowed_oscillator_limit(24, window=5)
-        report = truncation_study(limit, (4, 6, 8, 10), self.VAC, 2.0, 32)
+        report = truncation_study(trivial_family_from_limit(limit)[0],
+                                  (4, 6, 8, 10), self.VAC, 2.0, 32)
         assert report.verdict
         assert all(v == 0.0 for v in report.values)
 
     def test_window_model_nonzero_below_window(self):
         # truncating inside the support must produce a nonzero gap
         limit = windowed_oscillator_limit(24, window=5)
-        report = truncation_study(limit, (2, 4, 6), self.VAC, 2.0, 32)
+        report = truncation_study(trivial_family_from_limit(limit)[0],
+                                  (2, 4, 6), self.VAC, 2.0, 32)
         assert report.values[0] > 1e-3
         assert report.values[1] == 0.0
 
@@ -195,13 +206,38 @@ class TestTruncationStudy:
             ((Operator(space, np.diag(np.exp(1j * np.arange(6)))),),),
         )
         with pytest.raises(ValueError):
-            truncation_study(bad, (2, 4), self.VAC, 1.0, 8)
+            truncation_study(trivial_family_from_limit(bad)[0], (2, 4), self.VAC,
+                             1.0, 8)
+
+    def test_failing_unitarity_raises_with_report(self, shifted_truncation_demo):
+        fam = shifted_truncation_demo.family
+        with pytest.raises(PreconditionFailed) as err:
+            truncation_study(fam, (4, 6, 8), self.VAC, 2.0, 8)
+        assert [c.name for c in err.value.report.failing()] == ["scaled.b"]
+        # The tolerance is the study's: a loose one lets the model through.
+        report = truncation_study(fam, (4, 6, 8), self.VAC, 2.0, 8, tol=1.0)
+        assert len(report.values) == 2
+
+    @pytest.mark.parametrize("which, match", [
+        ("dk_fixture", "fixed-coefficient"),
+        ("osc_qubit_fixture", "one tensor factor"),
+    ])
+    def test_usage_rules_raise_value_error(self, which, match, request):
+        fam = request.getfixturevalue(which).family
+        with pytest.raises(ValueError, match=match):
+            truncation_study(fam, (1, 2, 3), self.VAC, 1.0, 8)
+
+    def test_cutoff_zero_gives_no_rate(self):
+        fam = trivial_family_from_limit(driven_oscillator_limit(10))[0]
+        report = truncation_study(fam, (0, 2, 4, 6), self.VAC, 1.0, 8)
+        assert len(report.values) == 3
+        assert math.isnan(report.fitted_rate)
 
     def test_cutoff_validation(self):
         limit = driven_oscillator_limit(10)
         with pytest.raises(ValueError):
-            truncation_study(limit, (4,), self.VAC, 1.0, 8)
+            truncation_study(trivial_family_from_limit(limit)[0], (4,), self.VAC, 1.0, 8)
         with pytest.raises(ValueError):
-            truncation_study(limit, (4, 20), self.VAC, 1.0, 8)
+            truncation_study(trivial_family_from_limit(limit)[0], (4, 20), self.VAC, 1.0, 8)
         with pytest.raises(ValueError):
-            truncation_study(limit, (6, 4), self.VAC, 1.0, 8)
+            truncation_study(trivial_family_from_limit(limit)[0], (6, 4), self.VAC, 1.0, 8)

@@ -31,6 +31,11 @@ projection, 1e-12 relative for a rotated one, and check values within
 `tensor_embed` equals the `np.kron` ampliation by value with +0.0 off its
 blocks, so random cavity models emit sparse nodes, and `_max_norm` gives
 the bits of taking every norm while skipping the SVDs that cannot set it.
+
+`truncation_study` slices the leading block of B and G; its gaps equal
+(`==`) those of the projection products it replaced.  `SubspacePair`
+takes |p0| only for a defect above 1e-9 and decides as the rule that
+took it first.
 """
 
 import dataclasses
@@ -40,7 +45,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsdelim import (
@@ -48,18 +53,22 @@ from qsdelim import (
     HilbertSpace,
     ModelParseError,
     Operator,
+    QsdeCoefficients,
     SingularFastDynamics,
     StructuralViolation,
     SubspacePair,
     assemble,
     builtin_fixture,
     cavity_closed_form,
+    driven_oscillator_limit,
     eliminate,
     field_dressed_parts,
     generator_residual,
     generator_study,
     hp_validate,
     kurtz_corrector,
+    propagate_on_grid,
+    random_scaled_family,
     random_structured_fixture,
     restricted_inverse,
     scaled_hp_validate,
@@ -70,6 +79,8 @@ from qsdelim import (
     subspace_basis,
     tensor_embed,
     trivial_family_from_limit,
+    truncation_study,
+    windowed_oscillator_limit,
 )
 from qsdelim import elimination, qsde_model
 from qsdelim.operator_core import _max_norm, _norm_bound
@@ -1193,3 +1204,130 @@ class TestMaxNormSkipsSvds:
             assert norm.call_count == 1  # cached norm, no SVD
             assert _max_norm(huge).hex() == want_huge.hex()
             assert norm.call_count == 3  # a non-finite bound takes every norm
+
+
+# -- truncation by slicing, projection checks with few SVDs -------------------
+# References: the truncation that assembled the model at k = 1 and projected
+# K and L with d x d products, and the SubspacePair rule that took |p0| first.
+
+def _reference_projection_truncation(fam, cutoffs, amp, T, grid_points):
+    limit = assemble(fam, 1.0)
+    d = limit.space.total_dim
+
+    def truncated(cutoff):
+        p = np.zeros((d, d))
+        p[: cutoff + 1, : cutoff + 1] = np.eye(cutoff + 1)
+        proj = Operator(limit.space, p)
+        l_c = tuple(proj @ l @ proj for l in limit.l_ops)
+        return QsdeCoefficients(
+            limit.n, limit.space, proj @ limit.k_op @ proj, l_c,
+            tuple(-l.dag() for l in l_c), limit.n_ops,
+        )
+
+    window = np.eye(d, cutoffs[0] + 1)
+    grids = [propagate_on_grid(truncated(c), amp, T, grid_points, window)
+             for c in cutoffs]
+    gaps = [0.0] * (len(cutoffs) - 1)
+    for blocks in zip(*grids):
+        for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
+            gaps[i] = max(gaps[i], float(np.linalg.norm(lo - hi, 2)))
+    return tuple(gaps)
+
+
+@st.composite
+def _fixed_coefficient_cases(draw):
+    """A random fixed-coefficient family with N = I (B forced by G), random
+    amplitudes and >= 2 increasing cutoffs, often including 0 and d - 1."""
+    d, n = draw(st.integers(2, 12)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fam = random_scaled_family(rng, d, n)
+    zero, ident = Operator.zero(fam.space), Operator.identity(fam.space)
+    fam = dataclasses.replace(
+        fam, y=zero, a=zero, f_ops=(zero,) * n,
+        w_ops=tuple(tuple(ident if i == j else zero for j in range(n))
+                    for i in range(n)),
+    )
+    inner = draw(st.sets(st.integers(0, d - 1)))
+    ends = draw(st.sampled_from([(), (0,), (d - 1,), (0, d - 1)]))
+    cutoffs = sorted(inner | set(ends))
+    assume(len(cutoffs) >= 2)
+    amp = FieldAmplitudes(*(
+        tuple(complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(n))
+        for _ in range(2)
+    ))
+    return fam, tuple(cutoffs), amp
+
+
+class TestTruncationBySlicing:
+    @settings(max_examples=40, deadline=None)
+    @given(_fixed_coefficient_cases(), st.sampled_from([8, 17]))
+    def test_equals_projection_products(self, case, grid_points):
+        fam, cutoffs, amp = case
+        got = truncation_study(fam, cutoffs, amp, 1.5, grid_points).values
+        want = _reference_projection_truncation(fam, cutoffs, amp, 1.5,
+                                                grid_points)
+        assert got == want
+
+    @pytest.mark.parametrize("cutoffs", [(0, 2), (1, 119, 120), (8, 12, 20)])
+    def test_osc120_equals_projection_products(self, cutoffs):
+        amp = FieldAmplitudes((0.2 + 0.1j,), (-0.1 + 0.3j,))
+        for limit in (driven_oscillator_limit(120),
+                      windowed_oscillator_limit(120, window=9)):
+            fam = trivial_family_from_limit(limit)[0]
+            got = truncation_study(fam, cutoffs, amp, 2.0, 8).values
+            assert got == _reference_projection_truncation(fam, cutoffs, amp,
+                                                            2.0, 8)
+
+
+def _reference_projection_rule(p0: np.ndarray) -> str | None:
+    """The message SubspacePair raised for p0, None if it accepted it."""
+    op = Operator(HilbertSpace((p0.shape[0],)), p0)
+    scale = max(1.0, spectral_norm(op))
+    if spectral_norm(op - op.dag()) > 1e-9 * scale:
+        return "p0 is not Hermitian"
+    if spectral_norm(op @ op - op) > 1e-9 * scale:
+        return "p0 is not idempotent"
+    if int(round(p0.trace().real)) < 1:
+        return "p0 must have rank >= 1"
+    return None
+
+
+@st.composite
+def _near_projections(draw):
+    """c Q Q^* for a random rank-r isometry Q, plus a Hermitian or
+    non-Hermitian perturbation of size eps, around the 1e-9 boundary."""
+    d = draw(st.integers(1, 12))
+    r = draw(st.integers(0, d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    p = q[:, :r] @ q[:, :r].conj().T
+    c = draw(st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-9, 1.0 + 3e-9, 0.5,
+                              2.0, 1e3]))
+    eps = draw(st.sampled_from([0.0, 1e-11, 5e-10, 1e-9, 2e-9, 1e-6, 1e3 * 1e-9]))
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x /= np.linalg.norm(x, 2)
+    if draw(st.booleans()):
+        x = 0.5 * (x + x.conj().T)
+    return c * p + eps * x
+
+
+class TestProjectionChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(_near_projections())
+    def test_decides_as_the_reference(self, p0):
+        want = _reference_projection_rule(p0)
+        try:
+            SubspacePair(Operator(HilbertSpace((p0.shape[0],)), p0))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+
+    def test_coordinate_projection_takes_no_norm(self):
+        space = HilbertSpace((24,))
+        p0 = Operator(space, _coordinate_projection(24, [0, 3, 7, 20]))
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            SubspacePair(p0)
+            SubspacePair.from_basis_indices(space, range(0, 24, 5))
+        assert norm.call_count == 0

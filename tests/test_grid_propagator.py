@@ -24,6 +24,7 @@ from qsdelim import (
     propagate_on_grid,
     random_structured_fixture,
     semigroup_gap,
+    trivial_family_from_limit,
     truncation_study,
     windowed_oscillator_limit,
 )
@@ -150,7 +151,8 @@ class TestAgainstPerPointExpm:
         amp = FieldAmplitudes((0.2 + 0.1j,), (-0.1 + 0.3j,))
         limit = driven_oscillator_limit(16)
         cutoffs = (4, 6, 8, 10, 12)
-        report = truncation_study(limit, cutoffs, amp, 2.0, 32)
+        report = truncation_study(trivial_family_from_limit(limit)[0], cutoffs,
+                                  amp, 2.0, 32)
         want = _truncation_reference(limit, cutoffs, amp, 2.0, 32)
         assert all(_close(g, w) for g, w in zip(report.values, want)), (
             report.values, want)
@@ -158,7 +160,8 @@ class TestAgainstPerPointExpm:
     def test_windowed_truncation_gaps_exactly_zero(self):
         amp = FieldAmplitudes((0.2 + 0.1j,), (-0.1 + 0.3j,))
         limit = windowed_oscillator_limit(40, window=9)
-        report = truncation_study(limit, (8, 10, 12, 14), amp, 2.0, 32)
+        report = truncation_study(trivial_family_from_limit(limit)[0],
+                                  (8, 10, 12, 14), amp, 2.0, 32)
         assert report.values == (0.0, 0.0, 0.0)
         assert report.verdict
 

@@ -10,12 +10,9 @@ import pytest
 
 from qsdelim import (
     Fixture,
-    HilbertSpace,
     ModelParseError,
-    QsdeCoefficients,
     StudyParams,
     builtin_fixture,
-    driven_oscillator_limit,
     eliminate,
     eval_expression,
     fixture_to_model_dict,
@@ -23,10 +20,8 @@ from qsdelim import (
     parse_model,
     random_structured_fixture,
     spectral_norm,
-    tensor_embed,
-    trivial_family_from_limit,
 )
-from qsdelim.cli import main
+from qsdelim.cli import build_parser, main
 from qsdelim.modelfile import matrix_from_json, matrix_to_json
 
 
@@ -465,6 +460,10 @@ class TestRejectedInputsExit2:
     def test_zero_cutoff_accepted(self, capsys):
         assert main(["converge", "truncation-demo", "--kind", "truncation",
                      "--k", "0", "2", "--grid", "8"]) == 0
+        # With three gaps a rate is fitted, and cutoff 0 has no logarithm.
+        assert main(["converge", "truncation-demo", "--kind", "truncation",
+                     "--k", "0", "2", "4", "6", "--grid", "8"]) == 0
+        assert "fitted log-log rate: nan" in capsys.readouterr().out
 
     @staticmethod
     def _indexed_model():
@@ -718,21 +717,11 @@ class TestRejectedInputsExit2:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
-    def test_truncation_of_a_tensor_product(self, tmp_path, capsys):
+    def test_truncation_of_a_tensor_product(self, tmp_path, capsys,
+                                            osc_qubit_fixture):
         """The oscillator of truncation-demo tensored with a qubit: the
         study would cut the flattened index, not the oscillator."""
-        osc = driven_oscillator_limit(5)
-        space = HilbertSpace((6, 2))
-
-        def up(op):
-            return tensor_embed(op, 0, space)
-
-        limit = QsdeCoefficients(
-            1, space, up(osc.k_op), (up(osc.l_ops[0]),), (up(osc.m_ops[0]),),
-            ((up(osc.n_ops[0][0]),),),
-        )
-        fam, sub = trivial_family_from_limit(limit)
-        doc = fixture_to_model_dict(Fixture(name="osc-qubit", family=fam, sub=sub))
+        doc = fixture_to_model_dict(osc_qubit_fixture)
         path = tmp_path / "osc-qubit.json"
         path.write_text(json.dumps(doc))
         assert main(["converge", str(path), "--kind", "truncation",
@@ -752,3 +741,92 @@ class TestRejectedInputsExit2:
         # A finite flag value replaces the file's NaN.
         assert main(["converge", str(path), "--kind", "generator",
                      "--alpha=0.1"]) == 0
+
+
+class TestTruncationPreconditions:
+    """The truncation study validates its model and honours --tol."""
+
+    @pytest.fixture
+    def shifted_path(self, tmp_path, shifted_truncation_demo):
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(fixture_to_model_dict(shifted_truncation_demo)))
+        return str(path)
+
+    TRUNCATION = ["--kind", "truncation", "--k", "4", "6", "8", "10"]
+
+    def test_failing_model_prints_its_report_and_no_verdict(self, shifted_path,
+                                                             capsys):
+        # This model once printed gaps and "verdict: PASS" with exit 0.
+        assert main(["converge", shifted_path, *self.TRUNCATION]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("preconditions fail for model shifted: "
+                            "scaled unitarity relations fail")
+        assert any(line.startswith("  FAIL  scaled.b ") for line in lines)
+        assert not any(line.startswith("verdict:") for line in lines)
+
+    def test_validate_still_reports_the_same_failure(self, shifted_path, capsys):
+        assert main(["validate", shifted_path]) == 1
+        out = capsys.readouterr().out
+        assert "  FAIL  scaled.b " in out
+        assert "overall: FAIL" in out
+
+    def test_tol_reaches_the_study(self, shifted_path, capsys):
+        code = main(["converge", shifted_path, *self.TRUNCATION, "--tol", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code in (0, 1)
+        assert lines[0] == "model shifted: truncation study"
+        assert any(line.startswith("verdict: ") for line in lines)
+
+
+class TestOnePreconditionPrinter:
+    """eliminate, semigroup and converge report a failed precondition alike."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eliminate", "broken-structural"],
+        ["semigroup", "broken-structural", "--grid", "8"],
+        ["converge", "broken-structural", "--kind", "semigroup",
+         "--k", "2", "4", "8", "--grid", "8"],
+        ["converge", "broken-structural", "--kind", "generator",
+         "--k", "2", "4", "8"],
+    ])
+    def test_header_then_report_lines(self, argv, capsys):
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("preconditions fail for model broken-structural: "
+                            "structural requirements fail")
+        assert [line.split()[:2] for line in lines[1:]] == [
+            ["PASS", "structural.b"], ["PASS", "structural.c"],
+            ["PASS", "structural.d"], ["FAIL", "structural.e"],
+            ["PASS", "limit.l_side"], ["PASS", "limit.n_side_right"],
+            ["PASS", "limit.n_side_left"],
+        ]
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_carry_over(self, tmp_path, capsys):
+        argv = ["converge", "duan-kimble", "--kind", "generator",
+                "--k", "2", "4", "8"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([*argv, "--csv", str(out / "a.csv"),
+                     "--report", str(out / "a.json"), "--alpha=0.3-0.2j"]) == 0
+        with_flags = capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "a.json"]
+        for path in out.iterdir():
+            path.unlink()
+        assert main(argv) == 0
+        assert list(out.iterdir()) == []  # no --csv or --report left over
+        again = capsys.readouterr().out
+        assert again == plain  # the model's (vacuum) amplitudes again
+        assert with_flags != plain
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["converge", "duan-kimble", "--kind", "bogus"]) == 2
+        assert main(["converge", "duan-kimble", "--kind", "generator",
+                     "--k", "2", "4", "8"]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
