@@ -44,8 +44,6 @@ from .models import (
     builtin_fixture,
     cavity_fixture,
     driven_oscillator_limit,
-    duan_kimble_fast_blocks,
-    duan_kimble_block_indices,
     duan_kimble_fixture,
     fock_toolbox,
     mirror_fixture,
@@ -72,11 +70,7 @@ from .qsde_model import (
     scaled_hp_validate,
     structural_validate,
 )
-from .random_models import (
-    random_hp_coefficients,
-    random_scaled_family,
-    random_structured_fixture,
-)
+from .random_models import random_structured_fixture
 from .semigroup import (
     FieldAmplitudes,
     SimpleFunction,
@@ -118,8 +112,6 @@ __all__ = [
     "cavity_fixture",
     "dissipativity_check",
     "driven_oscillator_limit",
-    "duan_kimble_block_indices",
-    "duan_kimble_fast_blocks",
     "duan_kimble_fixture",
     "eliminate",
     "eval_expression",
@@ -139,8 +131,6 @@ __all__ = [
     "mirror_fixture",
     "parse_model",
     "propagate_on_grid",
-    "random_hp_coefficients",
-    "random_scaled_family",
     "random_structured_fixture",
     "rate_fit",
     "restricted_inverse",

@@ -9,19 +9,20 @@ Subcommands:
 
 Exit codes: 0 success; 1 domain failure: a check or verdict fails, or the
 model fails the preconditions of eliminate, semigroup or converge, which
-print the failing report lines and no verdict; 2 malformed input or usage
-error, including a time grid that is not finite T > 0 with >= 2 points, a
+print the failing report lines and no verdict (semigroup --k needs only
+the scaled unitarity relations); 2 malformed input or usage error,
+including a time grid that is not finite T > 0 with >= 2 points, a
 truncation study that breaks a usage rule of `truncation_study` (too few
 cutoffs, a cutoff outside the space, k-dependent coefficients, more than
-one tensor factor, N != I), a scaling parameter k (from --k or the model's
-k_schedule) that is not finite and > 0, a truncation cutoff that is not an
-integer >= 0, a --tol that is not finite and > 0, an amplitude (--alpha,
---beta or the model's) that is not finite or whose squared modulus
-overflows, finite model entries, amplitudes or k values whose products in
-a validate, eliminate, semigroup or converge run overflow float64, a model
-file with a NaN, Infinity or null entry or a boolean or string where a
-number belongs, and a --report or --csv path that cannot be written (a
-missing directory or a directory).
+one tensor factor, N not exactly I), a scaling parameter k (from --k or
+the model's k_schedule) that is not finite and > 0, a truncation cutoff
+that is not an integer >= 0, a --tol that is not finite and > 0, an
+amplitude (--alpha, --beta or the model's) that is not finite or whose
+squared modulus overflows, finite model entries, amplitudes or k values
+whose products in a validate, eliminate, semigroup or converge run
+overflow float64, a model file with a NaN, Infinity or null entry or a
+boolean or string where a number belongs, and a --report or --csv path
+that cannot be written (a missing directory or a directory).
 """
 
 from __future__ import annotations
@@ -299,6 +300,10 @@ def cmd_semigroup(args) -> int:
         if len(args.k) != 1:
             raise ModelParseError("semigroup takes a single --k value")
         (k,) = _k_values(args.k)
+        report = scaled_hp_validate(model.family, args.tol)
+        if not report.overall:
+            return _precondition_failure(model.name, PreconditionFailed(
+                "scaled unitarity relations fail", report))
         coeffs = assemble(model.family, k)
         label = k
     else:

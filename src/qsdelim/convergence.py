@@ -8,8 +8,11 @@ slow subspace; both read one `EliminationResult` and take its limit side
 once per study.  Grid studies (semigroup gaps and truncation gaps) take one
 expm of the grid step per model and step the uniform grid by repeated
 products (`semigroup.propagate_on_grid`); `semigroup.evolve` remains the
-per-time API.  All studies are deterministic: loops run in a fixed order
-and reports are bit-reproducible for fixed inputs.
+per-time API.  A truncation study needs N = I exactly, so each cutoff c
+is propagated in block form, on its own (c+1)-dim space, and a cutoff
+whose block adds nothing reuses the previous grid; each gap is one batched
+SVD over the grid.  All studies are deterministic: loops run in a fixed
+order and reports are bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .elimination import EliminationResult
 from .errors import PreconditionFailed
-from .operator_core import DEFAULT_TOL, Operator, spectral_norm
+from .operator_core import DEFAULT_TOL, HilbertSpace, Operator
 from .qsde_model import (
     QsdeCoefficients, ScaledFamily, _m_from_unitarity, assemble, scaled_hp_validate,
 )
@@ -230,18 +233,33 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
     )
 
 
+def _gap(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Largest singular value over a stack of matrices, from one batched
+    SVD; an all-zero difference is 0.0 with no LAPACK call."""
+    diff = lo - hi
+    if not diff.any():
+        return 0.0
+    return float(np.linalg.svd(diff, compute_uv=False).max())
+
+
 def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
                      T: float, grid_points: int,
                      tol: float = DEFAULT_TOL) -> ConvergenceReport:
     """Successive gaps between truncations of a fixed-coefficient model.
 
-    Cutoff c keeps the first c+1 basis states: K_c and L_c are the leading
-    (c+1) x (c+1) blocks of B and G, M_c = -L_c^*, N = W.  ValueError, in
-    this order: bad cutoffs, Y, A or F nonzero, more than one tensor factor,
-    N != I (compressing it breaks unitarity); then PreconditionFailed with
-    the report if `scaled_hp_validate` fails at `tol`, as in `eliminate`.
-    Values: the gaps between consecutive cutoffs on the smallest truncated
-    subspace; verdict: a Cauchy-style decrease (or a single gap).
+    Cutoff c keeps the first c+1 basis states: K_c, L_c and N_c are the
+    leading (c+1) x (c+1) blocks of B, G and W on a space of their own, and
+    M_c = -L_c^*.  ValueError, in this order: bad cutoffs, Y, A or F
+    nonzero, more than one tensor factor, W not exactly I (compressing any
+    other W breaks unitarity); then PreconditionFailed with the report if
+    `scaled_hp_validate` fails at `tol`, as in `eliminate`.  With W = I the
+    truncation on the whole space is this block plus a multiple of I on the
+    dropped states, which the propagated states never reach, so only the
+    block is propagated.  A cutoff whose kept B and G are zero outside the
+    previous cutoff's block reuses that grid: its gap is exactly 0.0.
+    Values: per consecutive pair, the max over the grid of the spectral
+    distance of the propagated first cutoffs[0]+1 states (one batched SVD
+    per gap); verdict: a Cauchy-style decrease (or a single gap).
     """
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) < 2 or any(a >= b for a, b in zip(cutoffs, cutoffs[1:])):
@@ -255,37 +273,43 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
         raise ValueError(
             "truncation cuts the flattened index, so it needs one tensor factor"
         )
-    ident = Operator.identity(fam.space)
-    n_defect = max(
-        spectral_norm(w - ident if i == j else w)
-        for i, row in enumerate(fam.w_ops)
-        for j, w in enumerate(row)
-    )
-    if n_defect > 1e-12:
+    eye = np.eye(d)
+    if any(np.any(w.entries != eye * (i == j))
+           for i, row in enumerate(fam.w_ops) for j, w in enumerate(row)):
         raise ValueError("truncation study requires trivial scattering (N = I)")
     report = scaled_hp_validate(fam, tol)
     if not report.overall:
         raise PreconditionFailed("scaled unitarity relations fail", report)
 
-    def truncated(cutoff: int) -> QsdeCoefficients:
-        def block(op: Operator) -> Operator:  # +0.0 off the leading block
-            kept = op.entries[: cutoff + 1, : cutoff + 1]
-            return Operator(fam.space, np.pad(kept, (0, d - cutoff - 1)))
+    rows, width = cutoffs[-1] + 1, cutoffs[0] + 1
+
+    def propagated(cutoff: int) -> np.ndarray:
+        space = HilbertSpace((cutoff + 1,))
+
+        def block(op: Operator) -> Operator:
+            return Operator(space, op.entries[: cutoff + 1, : cutoff + 1])
 
         l_c = tuple(block(g) for g in fam.g_ops)
-        m_c = tuple(-l.dag() for l in l_c)
-        return QsdeCoefficients(fam.n, fam.space, block(fam.b), l_c, m_c, fam.w_ops)
+        coeffs = QsdeCoefficients(
+            fam.n, space, block(fam.b), l_c, tuple(-l.dag() for l in l_c),
+            tuple(tuple(block(w) for w in row) for row in fam.w_ops),
+        )
+        blocks = propagate_on_grid(coeffs, amp, T, grid_points,
+                                   np.eye(cutoff + 1, width))
+        grid = np.zeros((int(grid_points), rows, width), dtype=np.complex128)
+        grid[:, : cutoff + 1] = list(blocks)  # zero below row cutoff + 1
+        return grid
 
-    window = np.eye(d, cutoffs[0] + 1)
-    grids = [
-        propagate_on_grid(truncated(c), amp, T, grid_points, window)
-        for c in cutoffs
-    ]
-    gaps = [0.0] * (len(cutoffs) - 1)
-    for blocks in zip(*grids):
-        for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
-            gaps[i] = max(gaps[i], float(np.linalg.norm(lo - hi, 2)))
-    gaps = tuple(gaps)
+    grids = []
+    for prev, c in zip((None, *cutoffs), cutoffs):
+        kept = [op.entries[: c + 1, : c + 1] for op in (fam.b, *fam.g_ops)]
+        if prev is not None and not any(
+            np.any(m[prev + 1:]) or np.any(m[:, prev + 1:]) for m in kept
+        ):
+            grids.append(grids[-1])
+        else:
+            grids.append(propagated(c))
+    gaps = tuple(_gap(lo, hi) for lo, hi in zip(grids, grids[1:]))
     verdict = _at_floor(gaps) or all(a > b for a, b in zip(gaps, gaps[1:]))
     rate = _safe_rate(cutoffs[:-1], gaps)
     return ConvergenceReport(

@@ -175,36 +175,6 @@ def duan_kimble_fixture(gamma: float, g: float, drive_alpha: complex,
     )
 
 
-def duan_kimble_fast_blocks(gamma: float, g: float, cutoff: int):
-    """Closed-form 3x3 blocks of the fast generator and its partial inverse.
-
-    For each excitation sector j = 1..cutoff, in the block basis
-    (|+> phi_j, |-> phi_j, |e> phi_{j-1}), returns (Y_j, Ytilde_j).
-    """
-    blocks = []
-    for j in range(1, cutoff + 1):
-        sj = math.sqrt(j)
-        yj = np.array([
-            [-gamma * j / 2, 0.0, g * sj],
-            [0.0, -gamma * j / 2, 0.0],
-            [-g * sj, 0.0, -gamma * (j - 1) / 2],
-        ])
-        dj = gamma ** 2 * j * (j - 1) / 4 + g ** 2 * j
-        ytj = (-1.0 / dj) * np.array([
-            [gamma * (j - 1) / 2, 0.0, g * sj],
-            [0.0, 2 * dj / (gamma * j), 0.0],
-            [-g * sj, 0.0, gamma * j / 2],
-        ])
-        blocks.append((yj, ytj))
-    return blocks
-
-
-def duan_kimble_block_indices(cutoff: int, j: int):
-    """Full-space indices of the sector-j block basis vectors."""
-    d = cutoff + 1
-    return (1 * d + j, 2 * d + j, 0 * d + (j - 1))
-
-
 def mirror_fixture(gamma: float, theta: float, omega: float,
                    mirror_cutoff: int, cavity_cutoff: int) -> Fixture:
     """Cavity with an oscillating mirror, in the strong damping limit.

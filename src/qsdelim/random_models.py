@@ -1,10 +1,9 @@
-"""Randomized model generators for property tests and regression sweeps.
+"""Randomized structured fixtures for regression sweeps.
 
-The closed-form parametrizations guarantee the unitarity relations by
-construction: Hermitian parts of Y, A, B are forced by F and G, and the
-scattering grid is cut from a unitary.  Structured fixtures are built
-through the bounded cavity construction, which additionally guarantees the
-subspace requirements.
+The closed-form parametrization guarantees the unitarity relations by
+construction: Hermitian parts are forced by F and G, and the scattering
+grid is cut from a unitary.  Fixtures are built through the bounded cavity
+construction, which additionally guarantees the subspace requirements.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 
 from .models import Fixture, cavity_fixture
 from .operator_core import HilbertSpace, Operator
-from .qsde_model import QsdeCoefficients, ScaledFamily, _m_from_unitarity
 
 
 def _ginibre(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
@@ -36,37 +34,6 @@ def _unitary_grid(rng: np.random.Generator, space: HilbertSpace, n: int):
             for j in range(n)
         )
         for i in range(n)
-    )
-
-
-def random_scaled_family(rng: np.random.Generator, dim: int, n: int = 1) -> ScaledFamily:
-    """Scaled family satisfying the order-by-order unitarity relations."""
-    space = HilbertSpace((dim,))
-    f = [Operator(space, _ginibre(rng, dim, 0.7)) for _ in range(n)]
-    g = [Operator(space, _ginibre(rng, dim, 0.7)) for _ in range(n)]
-    zero = Operator.zero(space)
-    y = (-0.5) * sum((fi @ fi.dag() for fi in f), zero) \
-        + Operator(space, 1j * _hermitian(rng, dim))
-    a = (-0.5) * sum((fi @ gi.dag() + gi @ fi.dag() for fi, gi in zip(f, g)), zero) \
-        + Operator(space, 1j * _hermitian(rng, dim))
-    b = (-0.5) * sum((gi @ gi.dag() for gi in g), zero) \
-        + Operator(space, 1j * _hermitian(rng, dim))
-    return ScaledFamily(
-        n=n, space=space, y=y, a=a, b=b,
-        f_ops=tuple(f), g_ops=tuple(g), w_ops=_unitary_grid(rng, space, n),
-    )
-
-
-def random_hp_coefficients(rng: np.random.Generator, dim: int, n: int = 1) -> QsdeCoefficients:
-    """Assembled coefficient set satisfying the unitarity relations."""
-    space = HilbertSpace((dim,))
-    l_ops = tuple(Operator(space, _ginibre(rng, dim, 0.7)) for _ in range(n))
-    n_ops = _unitary_grid(rng, space, n)
-    zero = Operator.zero(space)
-    k = Operator(space, 1j * _hermitian(rng, dim)) \
-        + (-0.5) * sum((l @ l.dag() for l in l_ops), zero)
-    return QsdeCoefficients(
-        n, space, k, l_ops, _m_from_unitarity(n_ops, l_ops), n_ops
     )
 
 

@@ -35,16 +35,27 @@ def mirror_fixture_default():
     return builtin_fixture("mirror")
 
 
+def _shifted_truncation_demo(shift: float, name: str) -> Fixture:
+    fix = builtin_fixture("truncation-demo")
+    fam = fix.family
+    shifted = dataclasses.replace(
+        fam, b=fam.b + shift * Operator.identity(fam.space)
+    )
+    return Fixture(name=name, family=shifted, sub=fix.sub)
+
+
 @pytest.fixture(scope="session")
 def shifted_truncation_demo():
     """truncation-demo with B replaced by B + 3I: a fixed-coefficient model
     whose order-one unitarity relation (scaled.b) fails by 6."""
-    fix = builtin_fixture("truncation-demo")
-    fam = fix.family
-    shifted = dataclasses.replace(
-        fam, b=fam.b + 3.0 * Operator.identity(fam.space)
-    )
-    return Fixture(name="shifted", family=shifted, sub=fix.sub)
+    return _shifted_truncation_demo(3.0, "shifted")
+
+
+@pytest.fixture(scope="session")
+def lowered_truncation_demo():
+    """truncation-demo with B replaced by B - 3I: scaled.b fails by 6, yet
+    its semigroup contracts, so a contraction check alone would pass it."""
+    return _shifted_truncation_demo(-3.0, "lowered")
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,77 @@
+"""Model generators that only the tests use.
+
+`random_scaled_family` and `random_hp_coefficients` draw dense models that
+satisfy the unitarity relations by construction (Hermitian parts forced by
+F and G, scattering cut from a unitary); `duan_kimble_fast_blocks` and
+`duan_kimble_block_indices` give the closed-form 3x3 sector blocks of the
+duan-kimble fast generator and where they sit in the full space.
+"""
+
+import math
+
+import numpy as np
+
+from qsdelim import HilbertSpace, Operator, QsdeCoefficients, ScaledFamily
+from qsdelim.qsde_model import _m_from_unitarity
+from qsdelim.random_models import _ginibre, _hermitian, _unitary_grid
+
+
+def random_scaled_family(rng: np.random.Generator, dim: int, n: int = 1) -> ScaledFamily:
+    """Scaled family satisfying the order-by-order unitarity relations."""
+    space = HilbertSpace((dim,))
+    f = [Operator(space, _ginibre(rng, dim, 0.7)) for _ in range(n)]
+    g = [Operator(space, _ginibre(rng, dim, 0.7)) for _ in range(n)]
+    zero = Operator.zero(space)
+    y = (-0.5) * sum((fi @ fi.dag() for fi in f), zero) \
+        + Operator(space, 1j * _hermitian(rng, dim))
+    a = (-0.5) * sum((fi @ gi.dag() + gi @ fi.dag() for fi, gi in zip(f, g)), zero) \
+        + Operator(space, 1j * _hermitian(rng, dim))
+    b = (-0.5) * sum((gi @ gi.dag() for gi in g), zero) \
+        + Operator(space, 1j * _hermitian(rng, dim))
+    return ScaledFamily(
+        n=n, space=space, y=y, a=a, b=b,
+        f_ops=tuple(f), g_ops=tuple(g), w_ops=_unitary_grid(rng, space, n),
+    )
+
+
+def random_hp_coefficients(rng: np.random.Generator, dim: int, n: int = 1) -> QsdeCoefficients:
+    """Assembled coefficient set satisfying the unitarity relations."""
+    space = HilbertSpace((dim,))
+    l_ops = tuple(Operator(space, _ginibre(rng, dim, 0.7)) for _ in range(n))
+    n_ops = _unitary_grid(rng, space, n)
+    zero = Operator.zero(space)
+    k = Operator(space, 1j * _hermitian(rng, dim)) \
+        + (-0.5) * sum((l @ l.dag() for l in l_ops), zero)
+    return QsdeCoefficients(
+        n, space, k, l_ops, _m_from_unitarity(n_ops, l_ops), n_ops
+    )
+
+
+def duan_kimble_fast_blocks(gamma: float, g: float, cutoff: int):
+    """Closed-form 3x3 blocks of the fast generator and its partial inverse.
+
+    For each excitation sector j = 1..cutoff, in the block basis
+    (|+> phi_j, |-> phi_j, |e> phi_{j-1}), returns (Y_j, Ytilde_j).
+    """
+    blocks = []
+    for j in range(1, cutoff + 1):
+        sj = math.sqrt(j)
+        yj = np.array([
+            [-gamma * j / 2, 0.0, g * sj],
+            [0.0, -gamma * j / 2, 0.0],
+            [-g * sj, 0.0, -gamma * (j - 1) / 2],
+        ])
+        dj = gamma ** 2 * j * (j - 1) / 4 + g ** 2 * j
+        ytj = (-1.0 / dj) * np.array([
+            [gamma * (j - 1) / 2, 0.0, g * sj],
+            [0.0, 2 * dj / (gamma * j), 0.0],
+            [-g * sj, 0.0, gamma * j / 2],
+        ])
+        blocks.append((yj, ytj))
+    return blocks
+
+
+def duan_kimble_block_indices(cutoff: int, j: int):
+    """Full-space indices of the sector-j block basis vectors."""
+    d = cutoff + 1
+    return (1 * d + j, 2 * d + j, 0 * d + (j - 1))

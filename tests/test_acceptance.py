@@ -20,8 +20,6 @@ from qsdelim import (
     builtin_fixture,
     cavity_closed_form,
     dissipativity_check,
-    duan_kimble_block_indices,
-    duan_kimble_fast_blocks,
     duan_kimble_fixture,
     eliminate,
     evolve,
@@ -32,7 +30,6 @@ from qsdelim import (
     kurtz_corrector,
     matrix_element_U,
     matrix_exponential,
-    random_hp_coefficients,
     random_structured_fixture,
     restricted_inverse,
     semigroup_gap,
@@ -41,6 +38,12 @@ from qsdelim import (
     truncation_study,
     windowed_oscillator_limit,
     driven_oscillator_limit,
+)
+
+from model_helpers import (
+    duan_kimble_block_indices,
+    duan_kimble_fast_blocks,
+    random_hp_coefficients,
 )
 
 

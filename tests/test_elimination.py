@@ -17,8 +17,6 @@ from qsdelim import (
     ScaledFamily,
     SingularFastDynamics,
     cavity_closed_form,
-    duan_kimble_block_indices,
-    duan_kimble_fast_blocks,
     duan_kimble_fixture,
     eliminate,
     hp_validate,
@@ -26,6 +24,8 @@ from qsdelim import (
     restricted_inverse,
     spectral_norm,
 )
+
+from model_helpers import duan_kimble_block_indices, duan_kimble_fast_blocks
 
 
 def _limit_defect(a, b):

@@ -32,19 +32,23 @@ projection, 1e-12 relative for a rotated one, and check values within
 blocks, so random cavity models emit sparse nodes, and `_max_norm` gives
 the bits of taking every norm while skipping the SVDs that cannot set it.
 
-`truncation_study` slices the leading block of B and G; its gaps equal
-(`==`) those of the projection products it replaced.  `SubspacePair`
-takes |p0| only for a defect above 1e-9 and decides as the rule that
-took it first.
+`truncation_study` propagates each cutoff's leading block on its own
+(c+1)-dim space and reuses the grid of a block that adds nothing.  Its gaps
+match the d-dim projection products and the d-dim slicing it replaced to
+max(1e-12 |ref|, 1e-14), with exactly 0.0 wherever the reference is 0.0;
+it takes one expm per distinct block.  `SubspacePair` takes |p0| only for
+a defect above 1e-9 and decides as the rule that took it first.
 """
 
 import dataclasses
+import functools
 import gc
 import json
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +72,6 @@ from qsdelim import (
     hp_validate,
     kurtz_corrector,
     propagate_on_grid,
-    random_scaled_family,
     random_structured_fixture,
     restricted_inverse,
     scaled_hp_validate,
@@ -94,6 +97,8 @@ from qsdelim.modelfile import (
     operator_to_json,
     parse_model,
 )
+
+from model_helpers import random_scaled_family
 
 
 def _reference_real(x) -> float:
@@ -1206,9 +1211,11 @@ class TestMaxNormSkipsSvds:
             assert norm.call_count == 3  # a non-finite bound takes every norm
 
 
-# -- truncation by slicing, projection checks with few SVDs -------------------
+# -- truncation in block form, projection checks with few SVDs ----------------
 # References: the truncation that assembled the model at k = 1 and projected
-# K and L with d x d products, and the SubspacePair rule that took |p0| first.
+# K and L with d x d products, the one that sliced them into d x d +0.0
+# buffers and propagated the whole space, and the SubspacePair rule that
+# took |p0| first.
 
 def _reference_projection_truncation(fam, cutoffs, amp, T, grid_points):
     limit = assemble(fam, 1.0)
@@ -1232,6 +1239,64 @@ def _reference_projection_truncation(fam, cutoffs, amp, T, grid_points):
         for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
             gaps[i] = max(gaps[i], float(np.linalg.norm(lo - hi, 2)))
     return tuple(gaps)
+
+
+def _reference_slicing_truncation(fam, cutoffs, amp, T, grid_points):
+    d = fam.space.total_dim
+
+    def truncated(cutoff):
+        def block(op):
+            kept = op.entries[: cutoff + 1, : cutoff + 1]
+            return Operator(fam.space, np.pad(kept, (0, d - cutoff - 1)))
+
+        l_c = tuple(block(g) for g in fam.g_ops)
+        return QsdeCoefficients(fam.n, fam.space, block(fam.b), l_c,
+                                tuple(-l.dag() for l in l_c), fam.w_ops)
+
+    window = np.eye(d, cutoffs[0] + 1)
+    grids = [propagate_on_grid(truncated(c), amp, T, grid_points, window)
+             for c in cutoffs]
+    gaps = [0.0] * (len(cutoffs) - 1)
+    for blocks in zip(*grids):
+        for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
+            gaps[i] = max(gaps[i], float(np.linalg.norm(lo - hi, 2)))
+    return tuple(gaps)
+
+
+def _assert_matches(got, want):
+    """max(1e-12 |ref|, 1e-14) per gap, and exactly 0.0 where ref is 0.0."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w == 0.0:
+            assert g == 0.0
+        else:
+            assert abs(g - w) <= max(1e-12 * abs(w), 1e-14), (g, w)
+
+
+@functools.cache
+def _osc120_family(windowed: bool):
+    limit = (windowed_oscillator_limit(120, window=9) if windowed
+             else driven_oscillator_limit(120))
+    return trivial_family_from_limit(limit)[0]
+
+
+BENCH_CUTOFFS = (8, 10, 12, 14, 16, 18, 20)
+
+
+@st.composite
+def _osc120_cases(draw):
+    """Either osc120 model with 2..4 increasing cutoffs in 0..120 (often
+    the benchmark's), random amplitudes of modulus <= 0.5."""
+    fam = _osc120_family(draw(st.booleans()))
+    cutoffs = draw(st.one_of(
+        st.just(BENCH_CUTOFFS),
+        st.sets(st.integers(0, 120), min_size=2, max_size=4).map(sorted),
+    ))
+    amp = FieldAmplitudes(*(
+        (complex(*draw(st.tuples(*[st.floats(-0.35, 0.35)] * 2))),)
+        for _ in range(2)
+    ))
+    return fam, tuple(cutoffs), amp
 
 
 @st.composite
@@ -1266,7 +1331,7 @@ class TestTruncationBySlicing:
         got = truncation_study(fam, cutoffs, amp, 1.5, grid_points).values
         want = _reference_projection_truncation(fam, cutoffs, amp, 1.5,
                                                 grid_points)
-        assert got == want
+        _assert_matches(got, want)
 
     @pytest.mark.parametrize("cutoffs", [(0, 2), (1, 119, 120), (8, 12, 20)])
     def test_osc120_equals_projection_products(self, cutoffs):
@@ -1275,8 +1340,89 @@ class TestTruncationBySlicing:
                       windowed_oscillator_limit(120, window=9)):
             fam = trivial_family_from_limit(limit)[0]
             got = truncation_study(fam, cutoffs, amp, 2.0, 8).values
-            assert got == _reference_projection_truncation(fam, cutoffs, amp,
-                                                            2.0, 8)
+            _assert_matches(got, _reference_projection_truncation(
+                fam, cutoffs, amp, 2.0, 8))
+
+
+class TestTruncationBlockForm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(_fixed_coefficient_cases(), _osc120_cases()),
+           st.sampled_from([8, 17]))
+    def test_matches_full_space_slicing(self, case, grid_points):
+        fam, cutoffs, amp = case
+        got = truncation_study(fam, cutoffs, amp, 1.5, grid_points).values
+        _assert_matches(got, _reference_slicing_truncation(
+            fam, cutoffs, amp, 1.5, grid_points))
+
+    @pytest.mark.parametrize("windowed, blocks", [
+        (False, BENCH_CUTOFFS), (True, (8,)),
+    ])
+    def test_one_small_expm_per_distinct_block(self, windowed, blocks):
+        amp = FieldAmplitudes((0.2 + 0.1j,), (-0.1 + 0.3j,))
+        with mock.patch.object(scipy.linalg, "expm",
+                               wraps=scipy.linalg.expm) as expm:
+            report = truncation_study(_osc120_family(windowed), BENCH_CUTOFFS,
+                                      amp, 2.0, 32)
+        shapes = [call.args[0].shape for call in expm.call_args_list]
+        assert shapes == [(c + 1, c + 1) for c in blocks]
+        assert max(n for n, _ in shapes) <= BENCH_CUTOFFS[-1] + 1
+        if windowed:
+            assert report.values == (0.0,) * (len(BENCH_CUTOFFS) - 1)
+
+    @pytest.mark.parametrize("row, col", [(0, 3), (3, 0)])
+    def test_block_growing_by_one_entry(self, row, col):
+        """G = |row><col| on C^4 with B = -G G^*/2: cutoff 2 adds nothing to
+        cutoff 0 (gap exactly 0.0), cutoff 3 adds one row or one column."""
+        space = HilbertSpace((4,))
+        g = np.zeros((4, 4))
+        g[row, col] = 0.8
+        limit = QsdeCoefficients(
+            1, space, Operator(space, -0.5 * g @ g.T), (Operator(space, g),),
+            (Operator(space, -g.T),), ((Operator.identity(space),),),
+        )
+        fam = trivial_family_from_limit(limit)[0]
+        amp = FieldAmplitudes((0.3 - 0.2j,), (0.4 + 0.1j,))
+        got = truncation_study(fam, (0, 2, 3), amp, 1.5, 8).values
+        _assert_matches(got, _reference_slicing_truncation(fam, (0, 2, 3), amp,
+                                                           1.5, 8))
+        assert got[0] == 0.0 and got[1] > 1e-3
+
+    def test_one_svd_per_nonzero_gap(self):
+        amp = FieldAmplitudes((0.2 + 0.1j,), (-0.1 + 0.3j,))
+        for windowed, calls in ((False, 6), (True, 0)):
+            with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                    mock.patch.object(np.linalg, "norm",
+                                      wraps=np.linalg.norm) as norm:
+                truncation_study(_osc120_family(windowed), BENCH_CUTOFFS, amp,
+                                 2.0, 32)
+            assert (svd.call_count, norm.call_count) == (calls, 0)
+
+    @pytest.fixture
+    def phase_scattering(self):
+        """truncation-demo with W a diagonal phase within 1e-12 of I."""
+        fix = builtin_fixture("truncation-demo")
+        d = fix.family.space.total_dim
+        phases = np.exp(1j * np.linspace(0.0, 5e-13, d))
+        w = Operator(fix.family.space, np.diag(phases))
+        assert 0.0 < spectral_norm(w - Operator.identity(w.space)) < 1e-12
+        return dataclasses.replace(
+            fix, name="phase", family=dataclasses.replace(fix.family,
+                                                          w_ops=((w,),)))
+
+    def test_scattering_near_identity_is_rejected(self, phase_scattering,
+                                                  tmp_path, capsys):
+        from qsdelim.cli import main
+
+        amp = FieldAmplitudes((0.0,), (0.0,))
+        with pytest.raises(ValueError, match=r"trivial scattering \(N = I\)"):
+            truncation_study(phase_scattering.family, (2, 4), amp, 1.0, 8)
+        path = tmp_path / "phase.json"
+        path.write_text(json.dumps(fixture_to_model_dict(phase_scattering)))
+        assert main(["converge", str(path), "--kind", "truncation",
+                     "--k", "2", "4", "--grid", "8"]) == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert "trivial scattering (N = I)" in captured.err
 
 
 def _reference_projection_rule(p0: np.ndarray) -> str | None:

@@ -778,6 +778,27 @@ class TestTruncationPreconditions:
         assert any(line.startswith("verdict: ") for line in lines)
 
 
+class TestSemigroupAtFixedK:
+    """semigroup --k validates the scaled unitarity relations first."""
+
+    def test_failing_model_prints_its_report_and_no_verdict(
+            self, tmp_path, capsys, lowered_truncation_demo):
+        # This model once printed "contraction: PASS" with exit 0.
+        path = tmp_path / "lowered.json"
+        path.write_text(json.dumps(fixture_to_model_dict(lowered_truncation_demo)))
+        assert main(["semigroup", str(path), "--k", "4", "--grid", "8"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("preconditions fail for model lowered: "
+                            "scaled unitarity relations fail")
+        assert any(line.startswith("  FAIL  scaled.b ") for line in lines)
+        assert not any(line.startswith("contraction:") for line in lines)
+
+    def test_structural_checks_do_not_apply(self, capsys):
+        assert main(["semigroup", "broken-structural", "--k", "4",
+                     "--grid", "8"]) == 0
+        assert "contraction: PASS" in capsys.readouterr().out
+
+
 class TestOnePreconditionPrinter:
     """eliminate, semigroup and converge report a failed precondition alike."""
 

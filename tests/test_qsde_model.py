@@ -19,13 +19,13 @@ from qsdelim import (
     SubspacePair,
     assemble,
     hp_validate,
-    random_hp_coefficients,
-    random_scaled_family,
     random_structured_fixture,
     scaled_hp_validate,
     spectral_norm,
     structural_validate,
 )
+
+from model_helpers import random_hp_coefficients, random_scaled_family
 
 
 class TestDataclasses:

@@ -19,9 +19,10 @@ from qsdelim import (
     evolve,
     generator,
     matrix_element_U,
-    random_hp_coefficients,
     spectral_norm,
 )
+
+from model_helpers import random_hp_coefficients
 
 amps = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=4.0, allow_nan=False, allow_infinity=False
