@@ -51,6 +51,7 @@ from .modelfile import (
 from .models import BUILTIN_FIXTURES, Fixture, builtin_fixture, duan_kimble_fixture
 from .operator_core import Operator
 from .qsde_model import (
+    _require_scaled_hp,
     assemble,
     hp_validate,
     scaled_hp_validate,
@@ -195,13 +196,19 @@ def cmd_validate(args) -> int:
     model = _resolve_model(args.model)
     tol = args.tol
     ks = _k_values(args.k) if args.k is not None else ()
-    reports = {"scaled": scaled_hp_validate(model.family, tol=tol)}
-    reports["structural"] = structural_validate(model.family, model.sub, tol=tol)
-    for k in ks:
-        reports[f"assembled(k={_fmt_float(k)})"] = hp_validate(
-            assemble(model.family, k), tol=tol
-        )
-    overall = all(report.overall for report in reports.values())
+
+    def validations():
+        yield "scaled", scaled_hp_validate(model.family, tol=tol)
+        yield "structural", structural_validate(model.family, model.sub, tol=tol)
+        for k in ks:
+            yield (f"assembled(k={_fmt_float(k)})",
+                   hp_validate(assemble(model.family, k), tol=tol))
+
+    # Each report's lines read its exact values, which frees its defect
+    # arrays, before the next report is made.
+    reports = {label: (report, _report_lines(report))
+               for label, report in validations()}
+    overall = all(report.overall for report, _ in reports.values())
     if args.report:
         _write_report(args.report, {
             "model": model.name,
@@ -216,13 +223,13 @@ def cmd_validate(args) -> int:
                     }
                     for c in report.checks
                 ]
-                for label, report in reports.items()
+                for label, (report, _) in reports.items()
             },
         })
     print(f"model {model.name}")
-    for label, report in reports.items():
+    for label, (_, lines) in reports.items():
         print(f"{label}:")
-        for line in _report_lines(report):
+        for line in lines:
             print(line)
     print(f"overall: {'PASS' if overall else 'FAIL'}")
     return 0 if overall else 1
@@ -296,22 +303,18 @@ def cmd_semigroup(args) -> int:
     model = _resolve_model(args.model)
     amp = _amplitudes(args, model)
     t_final, grid = _time_grid(args, model)
-    if args.k is not None:
-        if len(args.k) != 1:
-            raise ModelParseError("semigroup takes a single --k value")
-        (k,) = _k_values(args.k)
-        report = scaled_hp_validate(model.family, args.tol)
-        if not report.overall:
-            return _precondition_failure(model.name, PreconditionFailed(
-                "scaled unitarity relations fail", report))
-        coeffs = assemble(model.family, k)
-        label = k
-    else:
-        try:
+    if args.k is not None and len(args.k) != 1:
+        raise ModelParseError("semigroup takes a single --k value")
+    try:
+        if args.k is not None:
+            (label,) = _k_values(args.k)
+            _require_scaled_hp(model.family, args.tol)
+            coeffs = assemble(model.family, label)
+        else:
             coeffs = eliminate(model.family, model.sub, tol=args.tol).limit
-        except PreconditionFailed as exc:
-            return _precondition_failure(model.name, exc)
-        label = 0.0
+            label = 0.0
+    except PreconditionFailed as exc:
+        return _precondition_failure(model.name, exc)
     rows = []
     worst = 0.0
     # The adjoint propagator has the same spectral norm as the propagator.

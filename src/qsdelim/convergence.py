@@ -27,7 +27,7 @@ from .elimination import EliminationResult
 from .errors import PreconditionFailed
 from .operator_core import DEFAULT_TOL, HilbertSpace, Operator
 from .qsde_model import (
-    QsdeCoefficients, ScaledFamily, _m_from_unitarity, assemble, scaled_hp_validate,
+    QsdeCoefficients, ScaledFamily, _m_from_unitarity, assemble, _require_scaled_hp,
 )
 from .semigroup import FieldAmplitudes, _dressing, generator, propagate_on_grid
 
@@ -277,9 +277,7 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
     if any(np.any(w.entries != eye * (i == j))
            for i, row in enumerate(fam.w_ops) for j, w in enumerate(row)):
         raise ValueError("truncation study requires trivial scattering (N = I)")
-    report = scaled_hp_validate(fam, tol)
-    if not report.overall:
-        raise PreconditionFailed("scaled unitarity relations fail", report)
+    _require_scaled_hp(fam, tol)
 
     rows, width = cutoffs[-1] + 1, cutoffs[0] + 1
 

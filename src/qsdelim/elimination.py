@@ -34,7 +34,7 @@ from .qsde_model import (
     _m_from_unitarity,
     _n_limit_sum,
     _structural_report,
-    scaled_hp_validate,
+    _require_scaled_hp,
 )
 
 
@@ -66,9 +66,7 @@ def eliminate(fam: ScaledFamily, sub: SubspacePair,
     the structural check's L~_i and N~_ij, and M~ from unitarity)
     compressed to V^* X~ V on the slow basis V.
     """
-    report = scaled_hp_validate(fam, tol)
-    if not report.overall:
-        raise PreconditionFailed("scaled unitarity relations fail", report)
+    _require_scaled_hp(fam, tol)
     report, limit_parts = _structural_report(fam, sub, tol)
     if not report.overall:
         raise PreconditionFailed("structural requirements fail", report)

@@ -8,11 +8,15 @@ pure function.
 Because an `Operator`'s entries are frozen read-only at construction, its
 spectral norm is cached on the operator: `spectral_norm` takes the SVD of
 each operator at most once, however many validators ask for it, and an
-all-zero operator costs no SVD at all.  A validator that needs only the
-largest of several norms (a scale, a defect over blocks) asks `_max_norm`,
-which bounds each norm without an SVD (a cached norm, else
-sqrt(|X|_1 |X|_inf)) and skips every item whose bound cannot exceed the
-largest norm taken so far; the result has the bits of taking them all.
+all-zero operator costs no SVD at all.  A largest of several norms (a
+scale, a defect over blocks) is a `_Norms`: its bounds take no SVD (above,
+a cached norm or sqrt(|X|_1 |X|_inf); below, a cached norm or the largest
+column 2-norm), and its exact value, taken on first read, skips every item
+whose bound cannot exceed the largest norm taken so far, with the bits of
+taking them all.  `_at_most` compares a defect with a threshold on a scale
+by those bounds and takes the exact values only when they do not decide;
+the restricted inverse's gates, the projection checks of `SubspacePair`
+and every validator check decide this way.
 """
 
 from __future__ import annotations
@@ -138,28 +142,90 @@ def _norm_bound(x) -> float:
             * math.sqrt(a.sum(axis=1).max(initial=0.0)) * (1.0 + 1e-8))
 
 
-def _max_norm(items, floor: float = 0.0) -> float:
-    """max(floor, *(spectral norm of each item)) over Operators and arrays,
-    with the same bits, taking an SVD only where that norm could set the max.
+def _norm_floor(x) -> float:
+    """A number never above the computed spectral norm of an Operator or
+    array: the cached norm of an Operator that has one, else the largest
+    column 2-norm (|X e_j| <= |X|_2) shrunk by 1e-8 relative."""
+    if isinstance(x, Operator):
+        if "_spectral_norm" in x.__dict__:
+            return x._spectral_norm
+        x = x.entries
+    cols = (x.real * x.real + x.imag * x.imag).sum(axis=0).max(initial=0.0)
+    return math.sqrt(cols) * (1.0 - 1e-8)
 
-    Items are visited by decreasing `_norm_bound`, and the visit stops at
-    the first bound that is at most the running max.  If a bound is not
-    finite or is subnormal, every norm is taken, in the given order.
+
+def _decisive(bound: float) -> bool:
+    """Zero, or normal and finite: a bound whose rounding `_norm_bound`'s
+    and `_norm_floor`'s 1e-8 margins cover."""
+    return bound == 0.0 or sys.float_info.min <= bound < math.inf
+
+
+class _Norms:
+    """max(floor, spectral norm of each item) over Operators and arrays.
+
+    `upper` and `lower` bound it without an SVD.  `value` is the exact max,
+    taken on first read: items are visited by decreasing `_norm_bound`, and
+    the visit stops at the first bound that is at most the running max, so
+    an SVD is taken only where a norm could set the max, and the result has
+    the bits of taking them all.  If a bound is not decisive, every norm is
+    taken, in the given order.  An item with a NaN or infinite entry raises
+    NonFiniteEntries when the bounds are first taken.
     """
-    items = list(items)
-    with np.errstate(over="ignore"):  # an overflowing bound is inf
-        bounds = [_norm_bound(x) for x in items]
-    order = range(len(items))
-    bounded = all(b == 0.0 or sys.float_info.min <= b < math.inf for b in bounds)
-    if bounded:
-        order = sorted(order, key=bounds.__getitem__, reverse=True)
-    best = floor
-    for k in order:
-        if bounded and bounds[k] <= best:
-            break
-        x = items[k]
-        best = max(best, spectral_norm(x) if isinstance(x, Operator) else _norm2(x))
-    return best
+
+    def __init__(self, items=(), floor: float = 0.0):
+        self._items = list(items)
+        self.floor = floor
+
+    @cached_property
+    def _bounds(self) -> list[float]:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is inf
+            bounds = [_norm_bound(x) for x in self._items]
+        for x, b in zip(self._items, bounds):
+            if not b < math.inf and not np.isfinite(
+                    x.entries if isinstance(x, Operator) else x).all():
+                raise NonFiniteEntries("entries must be finite")
+        return bounds
+
+    @cached_property
+    def upper(self) -> float:
+        return max([self.floor, *self._bounds])
+
+    @cached_property
+    def lower(self) -> float:
+        if "value" in self.__dict__:
+            return self.value
+        with np.errstate(over="ignore", invalid="ignore"):
+            return max([self.floor, *map(_norm_floor, self._items)])
+
+    @cached_property
+    def value(self) -> float:
+        items, bounds = self._items, self._bounds
+        order = range(len(items))
+        bounded = all(map(_decisive, bounds))
+        if bounded:
+            order = sorted(order, key=bounds.__getitem__, reverse=True)
+        best = self.floor
+        for k in order:
+            if bounded and bounds[k] <= best:
+                break
+            x = items[k]
+            best = max(best, spectral_norm(x) if isinstance(x, Operator) else _norm2(x))
+        self._items = ()  # the value is all a reader needs from now on
+        return best
+
+
+def _at_most(defect: _Norms, scale: _Norms, threshold) -> bool:
+    """Whether defect.value <= threshold(scale.value), for a nondecreasing
+    threshold.  Decided without an SVD when both bounds are decisive and
+    defect.upper <= threshold(scale.lower), which implies it (the floor is
+    tried before the lower bound is taken); else by the exact values."""
+    upper = defect.upper
+    if _decisive(upper) and (
+        upper <= threshold(scale.floor)
+        or _decisive(scale.lower) and upper <= threshold(scale.lower)
+    ):
+        return True
+    return defect.value <= threshold(scale.value)
 
 
 def tensor_embed(x: Operator, factor_index: int, target: HilbertSpace) -> Operator:
@@ -258,13 +324,11 @@ class SubspacePair:
     p0: Operator
 
     def __post_init__(self):
-        p0 = self.p0
-        # A defect fails above 1e-9 max(1, |p0|) >= 1e-9, so |p0| (an SVD)
-        # is taken only for a defect above 1e-9.
-        for what, defect in (("Hermitian", lambda: p0 - p0.dag()),
+        p0 = self.p0.entries
+        scale = _Norms([self.p0], 1.0)
+        for what, defect in (("Hermitian", lambda: p0 - p0.conj().T),
                              ("idempotent", lambda: p0 @ p0 - p0)):
-            size = spectral_norm(defect())
-            if size > 1e-9 and size > 1e-9 * max(1.0, spectral_norm(p0)):
+            if not _at_most(_Norms([defect()]), scale, lambda s: 1e-9 * s):
                 raise ValueError(f"p0 is not {what}")
         if self.rank < 1:
             raise ValueError("p0 must have rank >= 1")
@@ -305,21 +369,22 @@ def restricted_inverse(y: Operator, sub: SubspacePair,
 
     Returns Y~ with Y~ p0 = 0 and Y~ Y = Y Y~ = p1.  Requires y V = 0 on
     the slow basis V and an invertible compression of y to range(p1) with
-    condition number at most DEFAULT_COND_LIMIT.  `_restricted_inverse` also returns the inverse
-    defect max(|Y~ Y - p1|, |Y Y~ - p1|) measured here, for check c.
+    condition number at most DEFAULT_COND_LIMIT.  `_restricted_inverse` also
+    returns the inverse defect max(|Y~ Y - p1|, |Y Y~ - p1|) as `_Norms`, for
+    check c.  Both gates decide through `_at_most`.
     """
     return _restricted_inverse(y, sub, tol)[0]
 
 
-def _restricted_inverse(y, sub, tol) -> tuple[Operator, float]:
+def _restricted_inverse(y, sub, tol) -> tuple[Operator, _Norms]:
     """`restricted_inverse`'s Y~ and its inverse defect; raises as it does."""
     y._check_space(sub.p0)
-    scale = _max_norm([y], 1.0)
-    if _norm2(y.entries @ sub.slow_basis) > tol * scale:
+    scale = _Norms([y], 1.0)
+    if not _at_most(_Norms([y.entries @ sub.slow_basis]), scale, lambda s: tol * s):
         raise StructuralViolation("y does not annihilate the slow subspace")
     q1 = sub.fast_basis
     if q1.shape[1] == 0:  # Y~ = 0, so both defects are |0 - p1|
-        return Operator.zero(y.space), spectral_norm(-sub.p1)
+        return Operator.zero(y.space), _Norms([-sub.p1])
     yc = q1.conj().T @ y.entries @ q1
     sv = np.linalg.svd(yc, compute_uv=False)
     cond = math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
@@ -330,10 +395,11 @@ def _restricted_inverse(y, sub, tol) -> tuple[Operator, float]:
         )
     yt = Operator(y.space, q1 @ np.linalg.solve(yc, q1.conj().T))
     # Leakage p0 y p1 != 0 would silently break the two-sided identity.
-    defect = _max_norm([yt @ y - sub.p1, y @ yt - sub.p1])
-    if defect > 1e-10 * scale * max(1.0, cond):
+    p1, ytm, ym = sub.p1.entries, yt.entries, y.entries
+    defect = _Norms([ytm @ ym - p1, ym @ ytm - p1])
+    if not _at_most(defect, scale, lambda s: 1e-10 * s * max(1.0, cond)):
         raise StructuralViolation(
-            f"restricted inverse defect {defect:.3e} exceeds tolerance; "
+            f"restricted inverse defect {defect.value:.3e} exceeds tolerance; "
             "y likely couples the subspaces"
         )
     return yt, defect

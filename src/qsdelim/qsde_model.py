@@ -8,25 +8,32 @@ relations determine it completely.
 
 Validators never raise on a failed relation; they return a report with one
 entry per relation group, where the violation is the spectral norm of the
-defect operator.
+defect operator.  A check computes its defect arrays and decides `passed`
+when it is made, by a bound where one settles it (`_check`); it takes the
+exact violation and tolerance, spectral norms, only when they are first
+read, so a caller that reads only verdicts takes no SVD for a passing
+check.  Defects are formed on entries arrays with the bits of the Operator
+expressions they stand for, and a product with an all-zero factor is left
+out of its sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularFastDynamics, StructuralViolation
+from .errors import PreconditionFailed, SingularFastDynamics, StructuralViolation
 from .operator_core import (
     DEFAULT_TOL,
     HilbertSpace,
     Operator,
     SubspacePair,
-    _max_norm,
-    _norm2,
+    _at_most,
+    _Norms,
     _restricted_inverse,
-    spectral_norm,
 )
 
 
@@ -88,12 +95,44 @@ class ScaledFamily:
         _check_family(self.space, self.n, flat)
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    max_violation: float
-    tolerance: float
-    passed: bool
+    """One relation group: its largest violation, the tolerance it is held
+    to, and whether it passed.
+
+    `CheckResult(name, max_violation, tolerance, passed)` holds the given
+    values.  A validator's checks (`_check`) decide `passed` when they are
+    made, by a bound where one settles it, and take the exact
+    `max_violation` and `tolerance` (spectral norms) when first read.
+    """
+
+    def __init__(self, name: str, max_violation: float, tolerance: float,
+                 passed: bool):
+        self.name, self.passed = name, passed
+        # Given values fill the cached properties, which then never compute.
+        vars(self).update(max_violation=max_violation, tolerance=tolerance)
+
+    @cached_property
+    def max_violation(self) -> float:
+        return self._defect.value
+
+    @cached_property
+    def tolerance(self) -> float:
+        return self._tol * self._scale.value
+
+    def _fields(self) -> tuple:
+        return self.name, self.max_violation, self.tolerance, self.passed
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("CheckResult(name=%r, max_violation=%r, tolerance=%r, passed=%r)"
+                % self._fields())
 
 
 @dataclass(frozen=True)
@@ -117,11 +156,36 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _check(name: str, defect_norm: float, tol: float, scale: float) -> CheckResult:
-    """Pass when the defect is at most tol * scale; every scale is a
-    `_max_norm` with floor 1.0, so the tolerance is never below tol."""
-    threshold = tol * scale
-    return CheckResult(name, defect_norm, threshold, bool(defect_norm <= threshold))
+def _check(name: str, defect, tol: float, scale: _Norms,
+           passed: bool | None = None) -> CheckResult:
+    """The check defect <= tol * scale; every scale has floor 1.0, so the
+    tolerance is never below tol.  `defect` is a `_Norms` or a number.
+    `passed` is decided now by `_at_most` (unless given); the exact
+    violation and tolerance are taken when first read."""
+    if not isinstance(defect, _Norms):
+        defect = _Norms((), defect)
+    check = CheckResult.__new__(CheckResult)
+    check.name, check._defect, check._tol, check._scale = name, defect, tol, scale
+    check.passed = (_at_most(defect, scale, lambda s: tol * s)
+                    if passed is None else passed)
+    return check
+
+
+def _dagger(x: np.ndarray) -> np.ndarray:
+    """x^* laid out as `Operator.dag` lays it out, so products with it take
+    the BLAS path, and so the bits, of the Operator products they replace."""
+    return np.ascontiguousarray(x.conj().T)
+
+
+def _relation(x: np.ndarray, terms) -> np.ndarray:
+    """x + x^* + (0 + each term in turn): the defect of a relation of the
+    form K + K^* + sum_i L_i L_i^* = 0, summed as `sum(terms, zero)` adds.
+    Callers leave out a product with an all-zero factor: adding its +-0.0
+    entries to a sum that starts at +0.0 changes no bit."""
+    acc = np.zeros_like(x)
+    for t in terms:
+        acc = acc + t
+    return x + x.conj().T + acc
 
 
 def assemble(fam: ScaledFamily, k: float) -> QsdeCoefficients:
@@ -161,36 +225,31 @@ def _n_limit_sum(w_ops, f_ops, x: Operator):
     )
 
 
-def _unitarity_defect(grid) -> float:
+def _unitarity_defect(grid) -> _Norms:
     """Largest block norm of W W^* - I and W^* W - I for the n x n grid W,
     stacked into one nd x nd matrix so that each product is formed once."""
     n = len(grid)
     w = np.block([[op.entries for op in row] for row in grid])
     d, ident = w.shape[0] // n, np.eye(w.shape[0])
     blocks = [(p - ident).reshape(n, d, n, d) for p in (w @ w.conj().T, w.conj().T @ w)]
-    return _max_norm(
+    return _Norms(
         b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks
     )
 
 
 def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the Hudson-Parthasarathy relations of an assembled quadruple."""
-    zero = Operator.zero(c.space)
-    k_defect = c.k_op + c.k_op.dag() + sum(
-        (l @ l.dag() for l in c.l_ops), zero
-    )
-    m_defect = _max_norm(
-        m - forced
-        for m, forced in zip(c.m_ops, _m_from_unitarity(c.n_ops, c.l_ops))
-    )
-    n_defect = _unitarity_defect(c.n_ops)
-    scale = _max_norm(
+    ls = [l.entries for l in c.l_ops]
+    k_defect = _relation(c.k_op.entries, (l @ _dagger(l) for l in ls if l.any()))
+    m_defects = [m.entries - forced.entries
+                 for m, forced in zip(c.m_ops, _m_from_unitarity(c.n_ops, c.l_ops))]
+    scale = _Norms(
         [c.k_op, *c.l_ops, *c.m_ops, *(op for row in c.n_ops for op in row)], 1.0
     )
     return ValidationReport((
-        _check("hp.k", spectral_norm(k_defect), tol, scale),
-        _check("hp.m", m_defect, tol, scale),
-        _check("hp.n", n_defect, tol, scale),
+        _check("hp.k", _Norms([k_defect]), tol, scale),
+        _check("hp.m", _Norms(m_defects), tol, scale),
+        _check("hp.n", _unitarity_defect(c.n_ops), tol, scale),
     ))
 
 
@@ -199,24 +258,35 @@ def scaled_hp_validate(fam: ScaledFamily, tol: float = DEFAULT_TOL) -> Validatio
 
     Passing implies hp_validate(assemble(fam, k)) passes for every k.
     """
-    zero = Operator.zero(fam.space)
-    y_defect = fam.y + fam.y.dag() + sum((f @ f.dag() for f in fam.f_ops), zero)
-    a_defect = fam.a + fam.a.dag() + sum(
-        (f @ g.dag() + g @ f.dag() for f, g in zip(fam.f_ops, fam.g_ops)), zero
+    fs = [f.entries for f in fam.f_ops]
+    gs = [g.entries for g in fam.g_ops]
+    defects = (
+        _relation(fam.y.entries, (f @ _dagger(f) for f in fs if f.any())),
+        _relation(fam.a.entries, (
+            f @ _dagger(g) + g @ _dagger(f)
+            for f, g in zip(fs, gs) if f.any() and g.any()
+        )),
+        _relation(fam.b.entries, (g @ _dagger(g) for g in gs if g.any())),
     )
-    b_defect = fam.b + fam.b.dag() + sum((g @ g.dag() for g in fam.g_ops), zero)
-    w_defect = _unitarity_defect(fam.w_ops)
-    scale = _max_norm(
+    scale = _Norms(
         [fam.y, fam.a, fam.b, *fam.f_ops, *fam.g_ops,
          *(op for row in fam.w_ops for op in row)],
         1.0,
     )
     return ValidationReport((
-        _check("scaled.y", spectral_norm(y_defect), tol, scale),
-        _check("scaled.a", spectral_norm(a_defect), tol, scale),
-        _check("scaled.b", spectral_norm(b_defect), tol, scale),
-        _check("scaled.w", w_defect, tol, scale),
+        *(_check(name, _Norms([x]), tol, scale)
+          for name, x in zip(("scaled.y", "scaled.a", "scaled.b"), defects)),
+        _check("scaled.w", _unitarity_defect(fam.w_ops), tol, scale),
     ))
+
+
+def _require_scaled_hp(fam: ScaledFamily, tol: float = DEFAULT_TOL) -> None:
+    """Raise PreconditionFailed with the report if `scaled_hp_validate`
+    fails.  A passing report, with the defect arrays it holds, is dropped
+    on return."""
+    report = scaled_hp_validate(fam, tol)
+    if not report.overall:
+        raise PreconditionFailed("scaled unitarity relations fail", report)
 
 
 def structural_validate(fam: ScaledFamily, sub: SubspacePair,
@@ -240,47 +310,41 @@ def _structural_report(
     Checks b, d, e and the side checks are measured in the coordinates of
     the slow and fast bases V and Q, as |Y V|, |F_i^* V|, |V^* A V|,
     |V^* L~_i Q|, |V^* N~_ij Q| and |Q^* N~_ij V|.  Check c is the inverse
-    defect that `_restricted_inverse` measured for Y~.
+    defect that `_restricted_inverse` measured for Y~, held to 1e-10 scale.
+    When Y~ does not exist, check c and the side checks fail with violation
+    inf and the tolerance each would have been held to.
     """
     v, q = sub.slow_basis, sub.fast_basis
     vh, qh = v.conj().T, q.conj().T
-    scale = _max_norm([fam.y, fam.a, *fam.f_ops], 1.0)
+    scale_ops = [fam.y, fam.a, *fam.f_ops]
+    scale = _Norms(scale_ops, 1.0)
     checks = [
-        _check("structural.b", _norm2(fam.y.entries @ v), tol, scale),
-        _check(
-            "structural.d",
-            _max_norm(f.entries.conj().T @ v for f in fam.f_ops),
-            tol,
-            scale,
-        ),
-        _check("structural.e", _norm2(vh @ fam.a.entries @ v), tol, scale),
+        _check("structural.b", _Norms([fam.y.entries @ v]), tol, scale),
+        _check("structural.d", _Norms(f.entries.conj().T @ v for f in fam.f_ops),
+               tol, scale),
+        _check("structural.e", _Norms([vh @ fam.a.entries @ v]), tol, scale),
     ]
-    y_tilde = None
-    limit_parts = None
+    side_names = ("limit.l_side", "limit.n_side_right", "limit.n_side_left")
+    side_scale = _Norms([*scale_ops, *fam.g_ops], 1.0)
     try:
         y_tilde, inv_defect = _restricted_inverse(fam.y, sub, tol)
-        checks.insert(1, _check("structural.c", inv_defect, 1e-10, scale))
     except (SingularFastDynamics, StructuralViolation):
-        checks.insert(1, CheckResult("structural.c", float("inf"), tol, False))
-
-    side_names = ("limit.l_side", "limit.n_side_right", "limit.n_side_left")
-    if y_tilde is None:
-        for name in side_names:
-            checks.append(CheckResult(name, float("inf"), tol, False))
-    else:
-        side_scale = _max_norm(fam.g_ops, scale)
-        ay = fam.a.entries @ y_tilde.entries
-        l_tilde = tuple(
-            g.entries - ay @ f.entries for f, g in zip(fam.f_ops, fam.g_ops)
-        )
-        n_sum = _n_limit_sum(fam.w_ops, fam.f_ops, y_tilde)
-        terms = [term.entries for row in n_sum for term in row]
-        sides = (
-            _max_norm(vh @ x @ q for x in l_tilde),
-            _max_norm(vh @ x @ q for x in terms),
-            _max_norm(qh @ x @ v for x in terms),
-        )
-        for name, value in zip(side_names, sides):
-            checks.append(_check(name, value, tol, side_scale))
-        limit_parts = (y_tilde, l_tilde, n_sum)
-    return ValidationReport(tuple(checks)), limit_parts
+        checks.insert(1, _check("structural.c", math.inf, 1e-10, scale, False))
+        checks += [_check(name, math.inf, tol, side_scale, False)
+                   for name in side_names]
+        return ValidationReport(tuple(checks)), None
+    checks.insert(1, _check("structural.c", inv_defect, 1e-10, scale))
+    ay = fam.a.entries @ y_tilde.entries
+    l_tilde = tuple(
+        g.entries - ay @ f.entries for f, g in zip(fam.f_ops, fam.g_ops)
+    )
+    n_sum = _n_limit_sum(fam.w_ops, fam.f_ops, y_tilde)
+    terms = [term.entries for row in n_sum for term in row]
+    sides = (
+        _Norms(vh @ x @ q for x in l_tilde),
+        _Norms(vh @ x @ q for x in terms),
+        _Norms(qh @ x @ v for x in terms),
+    )
+    checks += [_check(name, value, tol, side_scale)
+               for name, value in zip(side_names, sides)]
+    return ValidationReport(tuple(checks)), (y_tilde, l_tilde, n_sum)

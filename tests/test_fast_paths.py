@@ -29,7 +29,7 @@ projection, 1e-12 relative for a rotated one, and check values within
 1e-12 max(1, scale) with the same flags.
 
 `tensor_embed` equals the `np.kron` ampliation by value with +0.0 off its
-blocks, so random cavity models emit sparse nodes, and `_max_norm` gives
+blocks, so random cavity models emit sparse nodes, and `_Norms` gives
 the bits of taking every norm while skipping the SVDs that cannot set it.
 
 `truncation_study` propagates each cutoff's leading block on its own
@@ -38,6 +38,12 @@ match the d-dim projection products and the d-dim slicing it replaced to
 max(1e-12 |ref|, 1e-14), with exactly 0.0 wherever the reference is 0.0;
 it takes one expm per distinct block.  `SubspacePair` takes |p0| only for
 a defect above 1e-9 and decides as the rule that took it first.
+
+Every validator check decides `passed` by a bound where one settles it and
+takes its exact values on first read.  Against the eager validators, over
+random models, checks pushed to tol scale (1 +- 1e-6) and extreme k, the
+verdicts, violations and tolerances are the same bits; passing commands
+take no full-size norm to validate, and a failing one prints exact values.
 """
 
 import dataclasses
@@ -53,6 +59,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsdelim import (
+    CheckResult,
     FieldAmplitudes,
     HilbertSpace,
     ModelParseError,
@@ -65,6 +72,7 @@ from qsdelim import (
     builtin_fixture,
     cavity_closed_form,
     driven_oscillator_limit,
+    duan_kimble_fixture,
     eliminate,
     field_dressed_parts,
     generator_residual,
@@ -86,7 +94,8 @@ from qsdelim import (
     windowed_oscillator_limit,
 )
 from qsdelim import elimination, qsde_model
-from qsdelim.operator_core import _max_norm, _norm_bound
+from qsdelim.errors import NonFiniteEntries
+from qsdelim.operator_core import _Norms, _norm_bound
 from qsdelim.cli import _bundled_fixture
 from qsdelim.modelfile import (
     eval_expression,
@@ -98,7 +107,7 @@ from qsdelim.modelfile import (
     parse_model,
 )
 
-from model_helpers import random_scaled_family
+from model_helpers import random_hp_coefficients, random_scaled_family
 
 
 def _reference_real(x) -> float:
@@ -854,7 +863,8 @@ class TestValidationFactsMeasuredOnce:
 
     def test_public_inverse_is_the_workers(self, dk_fixture):
         y, sub = dk_fixture.family.y, dk_fixture.sub
-        yt, defect = qsde_model._restricted_inverse(y, sub, 1e-9)
+        yt, lazy_defect = qsde_model._restricted_inverse(y, sub, 1e-9)
+        defect = lazy_defect.value
         assert np.array_equal(_bits(yt.entries),
                               _bits(restricted_inverse(y, sub).entries))
         assert defect == _reference_inverse_and_defect(y, sub, 1e-9)[1]
@@ -895,7 +905,7 @@ class TestValidationFactsMeasuredOnce:
             for i in range(n)
         )
         want = _reference_unitarity_defect(grid, space, n)
-        got = qsde_model._unitarity_defect(grid)
+        got = qsde_model._unitarity_defect(grid).value
         assert type(got) is float
         assert abs(got - want) <= 1e-12 * max(1.0, want)
 
@@ -1074,7 +1084,7 @@ class TestSlowSubspaceInBasisCoordinates:
 
 # -- exact zeros from tensor_embed, a max of norms with few SVDs -------------
 # References: the np.kron ampliation `tensor_embed` used, and the max of
-# every norm that `_max_norm` replaced.
+# every norm that `_Norms` replaced.
 
 def _reference_embed(x, factor_index, dims):
     left = int(np.prod(dims[:factor_index]))
@@ -1187,7 +1197,7 @@ class TestMaxNormSkipsSvds:
     @example([np.zeros((3, 3)), np.zeros((3, 0))], 0.0)
     def test_same_bits_as_every_norm(self, items, floor):
         want = _reference_max_norm(items, floor)
-        got = _max_norm(items, floor)
+        got = _Norms(items, floor).value
         assert type(got) is float and got.hex() == want.hex()
         for x in items:
             assert _norm_bound(x) >= _reference_max_norm([x], 0.0)
@@ -1201,13 +1211,13 @@ class TestMaxNormSkipsSvds:
         huge = [small, np.full((2, 2), 1e308)]  # |X|_1 overflows
         want_huge = _reference_max_norm(huge, 0.0)
         with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
-            assert _max_norm([small, big, small]) == 3.0
+            assert _Norms([small, big, small]).value == 3.0
             assert norm.call_count == 1  # the two small ones cannot set it
-            assert _max_norm([small, small], 1.0) == 1.0
+            assert _Norms([small, small], 1.0).value == 1.0
             assert norm.call_count == 1  # bounds 0.4 < floor: no SVD
-            assert _max_norm([cached, small]) == 2.0
+            assert _Norms([cached, small]).value == 2.0
             assert norm.call_count == 1  # cached norm, no SVD
-            assert _max_norm(huge).hex() == want_huge.hex()
+            assert _Norms(huge).value.hex() == want_huge.hex()
             assert norm.call_count == 3  # a non-finite bound takes every norm
 
 
@@ -1477,3 +1487,389 @@ class TestProjectionChecks:
             SubspacePair(p0)
             SubspacePair.from_basis_indices(space, range(0, 24, 5))
         assert norm.call_count == 0
+
+
+# -- checks decided by bounds, exact values on read ---------------------------
+# References: the eager validators, which took every defect norm and every
+# scale when a check was made (through `_reference_max_norm`, which takes
+# every norm).  They are the code the lazy checks replaced, except that a
+# check c or side check failing because Y~ does not exist is reported with
+# the tolerance it would have been held to (1e-10 scale and tol side scale)
+# where the eager code reported tol.
+
+def _reference_check(name, defect_norm, tol, scale):
+    threshold = tol * scale
+    return CheckResult(name, defect_norm, threshold, bool(defect_norm <= threshold))
+
+
+def _reference_stacked_unitarity_defect(grid):
+    n = len(grid)
+    w = np.block([[op.entries for op in row] for row in grid])
+    d, ident = w.shape[0] // n, np.eye(w.shape[0])
+    blocks = [(p - ident).reshape(n, d, n, d)
+              for p in (w @ w.conj().T, w.conj().T @ w)]
+    return _reference_max_norm(
+        [b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks], 0.0)
+
+
+def _reference_hp_validate(c, tol=1e-9):
+    zero = Operator.zero(c.space)
+    k_defect = c.k_op + c.k_op.dag() + sum((l @ l.dag() for l in c.l_ops), zero)
+    forced = [-sum((w @ l.dag() for w, l in zip(row, c.l_ops)), zero)
+              for row in c.n_ops]
+    m_defect = _reference_max_norm([m - f for m, f in zip(c.m_ops, forced)], 0.0)
+    scale = _reference_max_norm(
+        [c.k_op, *c.l_ops, *c.m_ops, *(op for row in c.n_ops for op in row)], 1.0)
+    return qsde_model.ValidationReport((
+        _reference_check("hp.k", _reference_max_norm([k_defect], 0.0), tol, scale),
+        _reference_check("hp.m", m_defect, tol, scale),
+        _reference_check("hp.n", _reference_stacked_unitarity_defect(c.n_ops),
+                         tol, scale),
+    ))
+
+
+def _reference_scaled_hp_validate(fam, tol=1e-9):
+    zero = Operator.zero(fam.space)
+    y_defect = fam.y + fam.y.dag() + sum((f @ f.dag() for f in fam.f_ops), zero)
+    a_defect = fam.a + fam.a.dag() + sum(
+        (f @ g.dag() + g @ f.dag() for f, g in zip(fam.f_ops, fam.g_ops)), zero)
+    b_defect = fam.b + fam.b.dag() + sum((g @ g.dag() for g in fam.g_ops), zero)
+    scale = _reference_max_norm(
+        [fam.y, fam.a, fam.b, *fam.f_ops, *fam.g_ops,
+         *(op for row in fam.w_ops for op in row)], 1.0)
+    return qsde_model.ValidationReport((
+        *(_reference_check(name, _reference_max_norm([x], 0.0), tol, scale)
+          for name, x in (("scaled.y", y_defect), ("scaled.a", a_defect),
+                          ("scaled.b", b_defect))),
+        _reference_check("scaled.w", _reference_stacked_unitarity_defect(fam.w_ops),
+                         tol, scale),
+    ))
+
+
+def _reference_restricted_inverse(y, sub, tol):
+    scale = _reference_max_norm([y], 1.0)
+    if _reference_max_norm([y.entries @ sub.slow_basis], 0.0) > tol * scale:
+        raise StructuralViolation("y does not annihilate the slow subspace")
+    q1 = sub.fast_basis
+    if q1.shape[1] == 0:
+        return Operator.zero(y.space), _reference_max_norm([-sub.p1], 0.0)
+    yc = q1.conj().T @ y.entries @ q1
+    sv = np.linalg.svd(yc, compute_uv=False)
+    cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    if cond > 1e12:
+        raise SingularFastDynamics(
+            f"compressed fast generator has condition number {cond:.3e} "
+            f"(limit {1e12:.3e})")
+    yt = Operator(y.space, q1 @ np.linalg.solve(yc, q1.conj().T))
+    defect = _reference_max_norm([yt @ y - sub.p1, y @ yt - sub.p1], 0.0)
+    if defect > 1e-10 * scale * max(1.0, cond):
+        raise StructuralViolation(
+            f"restricted inverse defect {defect:.3e} exceeds tolerance; "
+            "y likely couples the subspaces")
+    return yt, defect
+
+
+def _reference_structural_report(fam, sub, tol=1e-9):
+    v, q = sub.slow_basis, sub.fast_basis
+    vh, qh = v.conj().T, q.conj().T
+    scale = _reference_max_norm([fam.y, fam.a, *fam.f_ops], 1.0)
+    side_scale = _reference_max_norm(fam.g_ops, scale)
+    checks = [
+        _reference_check("structural.b",
+                         _reference_max_norm([fam.y.entries @ v], 0.0), tol, scale),
+        _reference_check("structural.d", _reference_max_norm(
+            [f.entries.conj().T @ v for f in fam.f_ops], 0.0), tol, scale),
+        _reference_check("structural.e",
+                         _reference_max_norm([vh @ fam.a.entries @ v], 0.0), tol, scale),
+    ]
+    try:
+        y_tilde, inv_defect = _reference_restricted_inverse(fam.y, sub, tol)
+    except (SingularFastDynamics, StructuralViolation):
+        checks.insert(1, CheckResult("structural.c", np.inf, 1e-10 * scale, False))
+        checks += [CheckResult(name, np.inf, tol * side_scale, False)
+                   for name in SIDE_CHECKS]
+        return qsde_model.ValidationReport(tuple(checks))
+    checks.insert(1, _reference_check("structural.c", inv_defect, 1e-10, scale))
+    ay = fam.a.entries @ y_tilde.entries
+    l_tilde = [g.entries - ay @ f.entries for f, g in zip(fam.f_ops, fam.g_ops)]
+    terms = [t.entries for row in qsde_model._n_limit_sum(fam.w_ops, fam.f_ops, y_tilde)
+             for t in row]
+    sides = (
+        _reference_max_norm([vh @ x @ q for x in l_tilde], 0.0),
+        _reference_max_norm([vh @ x @ q for x in terms], 0.0),
+        _reference_max_norm([qh @ x @ v for x in terms], 0.0),
+    )
+    checks += [_reference_check(name, value, tol, side_scale)
+               for name, value in zip(SIDE_CHECKS, sides)]
+    return qsde_model.ValidationReport(tuple(checks))
+
+
+def _same_lazy_report(got, want):
+    """Verdicts first (as a caller that reads only `passed` sees them), then
+    the exact values, bit for bit, and `passed` against them."""
+    assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
+    _same_report(got, want)
+    for c in got.checks:
+        assert c.passed is (c.max_violation <= c.tolerance), c.name
+
+
+def _unit_hermitian(rng, d):
+    u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    return np.outer(u, u.conj())
+
+
+@st.composite
+def _near_threshold_cases(draw):
+    """A random structured family with one relation pushed to
+    1e-9 scale (1 +- 1e-6), where no bound settles the check, or none."""
+    fix, _ = draw(_structured_cases())
+    fam, sub = fix.family, fix.sub
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["none", "y", "a", "b", "w", "e", "yv"]))
+    delta = 1e-9 * draw(st.sampled_from([1 - 1e-6, 1 + 1e-6]))
+    space, d = fam.space, fam.space.total_dim
+    if kind in ("e", "yv"):
+        delta *= _reference_max_norm([fam.y, fam.a, *fam.f_ops], 1.0)
+    else:
+        delta *= _reference_max_norm(
+            [fam.y, fam.a, fam.b, *fam.f_ops, *fam.g_ops,
+             *(op for row in fam.w_ops for op in row)], 1.0)
+    if kind in ("y", "a", "b"):  # x + x^* gains delta H, |H| = 1
+        shift = Operator(space, 0.5 * delta * _unit_hermitian(rng, d))
+        fam = dataclasses.replace(fam, **{kind: getattr(fam, kind) + shift})
+    elif kind == "w":  # (1 + eps)^2 - 1 = delta (1 + delta / 4)
+        fam = dataclasses.replace(fam, w_ops=tuple(
+            tuple((1 + 0.5 * delta) * w for w in row) for row in fam.w_ops))
+    elif kind == "e":  # V^* A V gains delta I
+        fam = dataclasses.replace(fam, a=fam.a + delta * sub.p0)
+    elif kind == "yv":  # Y V gains delta x e_1^T, |x| = 1
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        kick = np.outer(x / np.linalg.norm(x), sub.slow_basis[:, 0].conj())
+        fam = dataclasses.replace(fam, y=fam.y + Operator(space, delta * kick))
+    return fam, sub
+
+
+class TestChecksDecidedByBounds:
+    """A check passes by upper bound <= tol * lower bound of its scale, else
+    by the exact rule; its exact values are taken when first read.  The
+    verdicts, values and tolerances are the eager validators', bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_near_threshold_cases())
+    def test_family_checks_equal_the_eager_ones(self, case):
+        fam, sub = case
+        _same_lazy_report(scaled_hp_validate(fam), _reference_scaled_hp_validate(fam))
+        _same_lazy_report(structural_validate(fam, sub),
+                          _reference_structural_report(fam, sub))
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_STRUCTURAL))
+    def test_named_family_checks(self, name):
+        fam, sub = _NAMED_STRUCTURAL[name][0]()
+        _same_lazy_report(scaled_hp_validate(fam), _reference_scaled_hp_validate(fam))
+        _same_lazy_report(structural_validate(fam, sub),
+                          _reference_structural_report(fam, sub))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 2),
+           st.sampled_from(["none", "k", "m", "n"]),
+           st.sampled_from([1 - 1e-6, 1 + 1e-6]))
+    def test_random_quadruples(self, seed, d, n, kind, side):
+        rng = np.random.default_rng(seed)
+        c = random_hp_coefficients(rng, d, n)
+        delta = 1e-9 * side * _reference_max_norm(
+            [c.k_op, *c.l_ops, *c.m_ops, *(op for row in c.n_ops for op in row)],
+            1.0)
+        if kind == "k":
+            c = dataclasses.replace(c, k_op=c.k_op + Operator(
+                c.space, 0.5 * delta * _unit_hermitian(rng, d)))
+        elif kind == "m":
+            c = dataclasses.replace(c, m_ops=(
+                c.m_ops[0] + Operator(c.space, delta * _unit_hermitian(rng, d)),
+                *c.m_ops[1:]))
+        elif kind == "n":
+            c = dataclasses.replace(c, n_ops=tuple(
+                tuple((1 + 0.5 * delta) * w for w in row) for row in c.n_ops))
+        _same_lazy_report(hp_validate(c), _reference_hp_validate(c))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_structured_cases(),
+           st.sampled_from([0.5, 1.0, 7.0, 1e4, 1e20, 1e75, 1e120, 1e150]))
+    def test_assembled_at_extreme_k(self, case, k):
+        c = assemble(case[0].family, k)
+        _same_lazy_report(hp_validate(c), _reference_hp_validate(c))
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_STRUCTURAL))
+    def test_restricted_inverse_gates(self, name):
+        fam, sub = _NAMED_STRUCTURAL[name][0]()
+        try:
+            want = _reference_restricted_inverse(fam.y, sub, 1e-9)
+        except (SingularFastDynamics, StructuralViolation) as exc:
+            with pytest.raises(type(exc)) as got:
+                qsde_model._restricted_inverse(fam.y, sub, 1e-9)
+            assert str(got.value) == str(exc)
+            return
+        yt, defect = qsde_model._restricted_inverse(fam.y, sub, 1e-9)
+        assert np.array_equal(_bits(yt.entries), _bits(want[0].entries))
+        assert defect.value.hex() == want[1].hex()
+
+    def test_failing_inverse_reports_each_threshold(self):
+        fam, sub = _singular_fast_block(builtin_fixture("duan-kimble"))
+        report = structural_validate(fam, sub, tol=1e-7)
+        scale = _reference_max_norm([fam.y, fam.a, *fam.f_ops], 1.0)
+        assert report["structural.c"].tolerance == 1e-10 * scale
+        for name in SIDE_CHECKS:
+            check = report[name]
+            assert (check.max_violation, check.passed) == (np.inf, False)
+            assert check.tolerance == 1e-7 * _reference_max_norm(fam.g_ops, scale)
+            assert check.tolerance > 1e-7
+
+    def test_passing_checks_take_no_svd(self):
+        fix = random_structured_fixture(np.random.default_rng(5), 4, 2)
+        fam, sub = fix.family, fix.sub
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            reports = [scaled_hp_validate(fam), structural_validate(fam, sub)]
+            assert all(r.overall for r in reports)
+            assert norm.call_count == 0
+            assert reports[0]["scaled.b"].max_violation > 0.0
+            assert norm.call_count == 1
+            reports[0]["scaled.y"].tolerance
+            scale_svds = norm.call_count - 1
+            assert scale_svds >= 1
+            reports[0]["scaled.b"].tolerance  # the same scale, read once
+            assert norm.call_count == 1 + scale_svds
+
+    def test_non_finite_defect_raises(self):
+        with pytest.raises(NonFiniteEntries):
+            _Norms([np.ones((2, 2)), np.array([[np.inf, 0.0], [0.0, 1.0]])]).upper
+        fam = builtin_fixture("duan-kimble").family
+        big = dataclasses.replace(fam, f_ops=tuple(1e160 * f for f in fam.f_ops))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteEntries):
+            scaled_hp_validate(big)
+
+
+class TestCheckResultContract:
+    def test_plain_values(self):
+        check = CheckResult("hp.k", 0.25, 1e-9, False)
+        assert (check.name, check.max_violation, check.tolerance, check.passed) \
+            == ("hp.k", 0.25, 1e-9, False)
+        assert check == CheckResult("hp.k", 0.25, 1e-9, False)
+        assert check != CheckResult("hp.k", 0.25, 1e-9, True)
+        assert hash(check) == hash(CheckResult("hp.k", 0.25, 1e-9, False))
+        assert repr(check) == ("CheckResult(name='hp.k', max_violation=0.25, "
+                               "tolerance=1e-09, passed=False)")
+        report = qsde_model.ValidationReport([check, CheckResult("hp.m", 0, 1, True)])
+        assert report.failing() == (check,)
+        assert report["hp.m"].max_violation == 0
+        assert not report.overall
+
+    def test_lazy_check_equals_its_values(self, dk_fixture):
+        report = scaled_hp_validate(dk_fixture.family)
+        for c in report.checks:
+            assert c == CheckResult(c.name, c.max_violation, c.tolerance, c.passed)
+            assert repr(c).startswith(f"CheckResult(name={c.name!r}, max_violation=")
+
+
+def _count_full_size_svds(monkeypatch, d):
+    """Patch np.linalg.norm and np.linalg.svd to count calls on a d x d array."""
+    counts = {"full": 0}
+
+    def spy(real):
+        def wrapped(x, *args, **kwargs):
+            if np.shape(x) == (d, d):
+                counts["full"] += 1
+            return real(x, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "norm", spy(np.linalg.norm))
+    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
+    return counts
+
+
+@pytest.fixture(scope="module")
+def full_size_models(tmp_path_factory):
+    """dk40 (dim 123) and a dim-136 random structured model as files."""
+    out = tmp_path_factory.mktemp("full-size")
+    fixes = {
+        "dk40": duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j,
+                                    cutoff=40),
+        "random136": random_structured_fixture(np.random.default_rng(11),
+                                               hprime_dim=8, n=2, cutoff=16),
+    }
+    paths = {}
+    for name, fix in fixes.items():
+        paths[name] = out / f"{name}.json"
+        paths[name].write_text(json.dumps(fixture_to_model_dict(fix)))
+    return {name: (str(path), fixes[name].family.space.total_dim)
+            for name, path in paths.items()}
+
+
+class TestValidationTakesNoFullSizeNorm:
+    """Passing commands decide their checks by bounds: no full-size norm or
+    SVD during validation (the semigroup table's own norms aside)."""
+
+    @pytest.mark.parametrize("model", ["dk40", "random136"])
+    @pytest.mark.parametrize("argv, table", [
+        (["eliminate"], 0),
+        (["converge", "--kind", "generator", "--k", "2", "4", "8"], 0),
+        (["semigroup", "--k", "4", "--grid", "8", "--T", "1"], 8),
+    ])
+    def test_passing_command(self, full_size_models, model, argv, table,
+                             monkeypatch, capsys):
+        from qsdelim.cli import main
+
+        path, d = full_size_models[model]
+        counts = _count_full_size_svds(monkeypatch, d)
+        assert main([argv[0], path, *argv[1:]]) == 0
+        assert counts["full"] == table
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_validate_reads_every_check_once(self, full_size_models, tmp_path,
+                                             monkeypatch, capsys):
+        from qsdelim.cli import main
+
+        path, _ = full_size_models["random136"]
+        reads = []
+        for attr in ("max_violation", "tolerance"):
+            real = vars(CheckResult)[attr]
+
+            def counted(check, real=real, attr=attr):
+                reads.append((id(check), attr))
+                return real.func(check)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(CheckResult, attr)
+            monkeypatch.setattr(CheckResult, attr, prop)
+        report_path = tmp_path / "report.json"
+        assert main(["validate", path, "--report", str(report_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        doc = json.loads(report_path.read_text())
+        model = load_model(path)
+        want = {"scaled": _reference_scaled_hp_validate(model.family),
+                "structural": _reference_structural_report(model.family, model.sub)}
+        n_checks = sum(len(r.checks) for r in want.values())
+        assert len(reads) == len(set(reads)) == 2 * n_checks
+        for label, report in want.items():
+            for got, c in zip(doc["checks"][label], report.checks):
+                assert got["max_violation"] == c.max_violation
+                assert got["tolerance"] == c.tolerance
+                assert (f"  PASS  {c.name:<22} max violation {c.max_violation:.3e}"
+                        f"  (tol {c.tolerance:.1e})") in lines
+
+    def test_failing_eliminate_prints_the_exact_values(self, lowered_truncation_demo,
+                                                       tmp_path, capsys):
+        from qsdelim.cli import main
+
+        path = tmp_path / "lowered.json"
+        path.write_text(json.dumps(fixture_to_model_dict(lowered_truncation_demo)))
+        assert main(["eliminate", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        want = _reference_scaled_hp_validate(load_model(str(path)).family)
+        assert out[1:] == [
+            f"  {'PASS' if c.passed else 'FAIL'}  {c.name:<22} "
+            f"max violation {c.max_violation:.3e}  (tol {c.tolerance:.1e})"
+            for c in want.checks
+        ]
+        assert any(line.startswith("  FAIL  scaled.b               "
+                                   "max violation 6.000e+00") for line in out)
