@@ -49,7 +49,7 @@ from .modelfile import (
     load_model,
 )
 from .models import BUILTIN_FIXTURES, Fixture, builtin_fixture, duan_kimble_fixture
-from .operator_core import Operator
+from .operator_core import Operator, _propagator_norms
 from .qsde_model import (
     _require_scaled_hp,
     assemble,
@@ -318,11 +318,10 @@ def cmd_semigroup(args) -> int:
     rows = []
     worst = 0.0
     # The adjoint propagator has the same spectral norm as the propagator.
-    propagators = propagate_on_grid(
+    norms = _propagator_norms(propagate_on_grid(
         coeffs, amp, t_final, grid, np.eye(coeffs.space.total_dim)
-    )
-    for t, prop in zip(np.linspace(0.0, t_final, grid), propagators):
-        norm = float(np.linalg.norm(prop, 2))
+    ))
+    for t, norm in zip(np.linspace(0.0, t_final, grid), norms):
         worst = max(worst, norm)
         rows.append((label, t, grid, norm))
     if args.csv:
@@ -453,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("semigroup", help="tabulate dressed-semigroup norms")
     add_common(p)
     add_study(p, "assemble the prelimit model at this k (default: limit)",
-              "write per-time norms to this CSV path")
+              "write per-time norms to this CSV path (certified Ritz "
+              "values within 1e-12 relative of LAPACK's sigma_max, not "
+              "bit-equal; a time the certificate cannot decide takes the SVD)")
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("converge", help="run a convergence study")

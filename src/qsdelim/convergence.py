@@ -10,9 +10,10 @@ expm of the grid step per model and step the uniform grid by repeated
 products (`semigroup.propagate_on_grid`); `semigroup.evolve` remains the
 per-time API.  A truncation study needs N = I exactly, so each cutoff c
 is propagated in block form, on its own (c+1)-dim space, and a cutoff
-whose block adds nothing reuses the previous grid; each gap is one batched
-SVD over the grid.  All studies are deterministic: loops run in a fixed
-order and reports are bit-reproducible for fixed inputs.
+whose block adds nothing reuses the previous grid.  Every semigroup and
+truncation gap is one batched SVD over the grid (`_gap`).  All studies
+are deterministic: loops run in a fixed order and reports are
+bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .elimination import EliminationResult
 from .errors import PreconditionFailed
 from .operator_core import DEFAULT_TOL, HilbertSpace, Operator
 from .qsde_model import (
-    QsdeCoefficients, ScaledFamily, _m_from_unitarity, assemble, _require_scaled_hp,
+    QsdeCoefficients, ScaledFamily, _m_from_unitarity, _require_scaled_hp,
+    _trivial_scattering, assemble,
 )
 from .semigroup import FieldAmplitudes, _dressing, generator, propagate_on_grid
 
@@ -126,24 +128,21 @@ def generator_residual(result: EliminationResult, amp: FieldAmplitudes,
 
 def _gaps(result: EliminationResult, amp: FieldAmplitudes, T: float,
           grid_points: int, ks) -> tuple[float, ...]:
-    """Semigroup gaps for each k; the limit side is propagated once."""
+    """Semigroup gaps for each k; the limit side is propagated once, and
+    each k's gap is one batched SVD over its grid (`_gap`)."""
     v = result.compression
-    limit_side = [
+    limit_side = np.stack([
         v @ small
         for small in propagate_on_grid(
             result.limit, amp, T, grid_points, np.eye(v.shape[1])
         )
-    ]
-    gaps = []
-    for k in ks:
-        gap = 0.0
-        pre = assemble(result.family, k)
-        for big, embedded in zip(
-            propagate_on_grid(pre, amp, T, grid_points, v), limit_side
-        ):
-            gap = max(gap, float(np.linalg.norm(big - embedded, 2)))
-        gaps.append(gap)
-    return tuple(gaps)
+    ])
+    return tuple(
+        _gap(np.stack(list(propagate_on_grid(
+            assemble(result.family, k), amp, T, grid_points, v
+        ))), limit_side)
+        for k in ks
+    )
 
 
 def semigroup_gap(result: EliminationResult, amp: FieldAmplitudes,
@@ -273,9 +272,7 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
         raise ValueError(
             "truncation cuts the flattened index, so it needs one tensor factor"
         )
-    eye = np.eye(d)
-    if any(np.any(w.entries != eye * (i == j))
-           for i, row in enumerate(fam.w_ops) for j, w in enumerate(row)):
+    if not _trivial_scattering(fam.w_ops):
         raise ValueError("truncation study requires trivial scattering (N = I)")
     _require_scaled_hp(fam, tol)
 

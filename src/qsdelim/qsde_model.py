@@ -225,9 +225,19 @@ def _n_limit_sum(w_ops, f_ops, x: Operator):
     )
 
 
+def _trivial_scattering(grid) -> bool:
+    """Whether every W_ij of the n x n grid is exactly delta_ij I."""
+    eye = np.eye(grid[0][0].space.total_dim)
+    return not any(np.any(w.entries != eye * (i == j))
+                   for i, row in enumerate(grid) for j, w in enumerate(row))
+
+
 def _unitarity_defect(grid) -> _Norms:
     """Largest block norm of W W^* - I and W^* W - I for the n x n grid W,
-    stacked into one nd x nd matrix so that each product is formed once."""
+    stacked into one nd x nd matrix so that each product is formed once.
+    A trivial grid (W = I) has the exact defect 0.0 and forms no product."""
+    if _trivial_scattering(grid):
+        return _Norms()
     n = len(grid)
     w = np.block([[op.entries for op in row] for row in grid])
     d, ident = w.shape[0] // n, np.eye(w.shape[0])

@@ -1,10 +1,12 @@
-"""Model generators that only the tests use.
+"""Model generators, and an SVD spy, that only the tests use.
 
 `random_scaled_family` and `random_hp_coefficients` draw dense models that
 satisfy the unitarity relations by construction (Hermitian parts forced by
 F and G, scattering cut from a unitary); `duan_kimble_fast_blocks` and
 `duan_kimble_block_indices` give the closed-form 3x3 sector blocks of the
 duan-kimble fast generator and where they sit in the full space.
+`count_full_size_svds` counts the spectral norms and SVDs taken of
+full-size matrices.
 """
 
 import math
@@ -75,3 +77,19 @@ def duan_kimble_block_indices(cutoff: int, j: int):
     """Full-space indices of the sector-j block basis vectors."""
     d = cutoff + 1
     return (1 * d + j, 2 * d + j, 0 * d + (j - 1))
+
+
+def count_full_size_svds(monkeypatch, d: int) -> dict:
+    """Patch np.linalg.norm and np.linalg.svd to count calls on a d x d array."""
+    counts = {"full": 0}
+
+    def spy(real):
+        def wrapped(x, *args, **kwargs):
+            if np.shape(x) == (d, d):
+                counts["full"] += 1
+            return real(x, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "norm", spy(np.linalg.norm))
+    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
+    return counts

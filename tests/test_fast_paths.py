@@ -107,7 +107,9 @@ from qsdelim.modelfile import (
     parse_model,
 )
 
-from model_helpers import random_hp_coefficients, random_scaled_family
+from model_helpers import (
+    count_full_size_svds, random_hp_coefficients, random_scaled_family,
+)
 
 
 def _reference_real(x) -> float:
@@ -1771,22 +1773,6 @@ class TestCheckResultContract:
             assert repr(c).startswith(f"CheckResult(name={c.name!r}, max_violation=")
 
 
-def _count_full_size_svds(monkeypatch, d):
-    """Patch np.linalg.norm and np.linalg.svd to count calls on a d x d array."""
-    counts = {"full": 0}
-
-    def spy(real):
-        def wrapped(x, *args, **kwargs):
-            if np.shape(x) == (d, d):
-                counts["full"] += 1
-            return real(x, *args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "norm", spy(np.linalg.norm))
-    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
-    return counts
-
-
 @pytest.fixture(scope="module")
 def full_size_models(tmp_path_factory):
     """dk40 (dim 123) and a dim-136 random structured model as files."""
@@ -1807,7 +1793,10 @@ def full_size_models(tmp_path_factory):
 
 class TestValidationTakesNoFullSizeNorm:
     """Passing commands decide their checks by bounds: no full-size norm or
-    SVD during validation (the semigroup table's own norms aside)."""
+    SVD during validation.  The semigroup table (`table` rows) takes one
+    SVD per grid time its Ritz certificate does not decide: on dk40 only
+    t = 0, where P = I; on random136, whose slow block is not of rank <= 4
+    by t = 1, every time."""
 
     @pytest.mark.parametrize("model", ["dk40", "random136"])
     @pytest.mark.parametrize("argv, table", [
@@ -1820,9 +1809,9 @@ class TestValidationTakesNoFullSizeNorm:
         from qsdelim.cli import main
 
         path, d = full_size_models[model]
-        counts = _count_full_size_svds(monkeypatch, d)
+        counts = count_full_size_svds(monkeypatch, d)
         assert main([argv[0], path, *argv[1:]]) == 0
-        assert counts["full"] == table
+        assert counts["full"] == (min(table, 1) if model == "dk40" else table)
         assert "FAIL" not in capsys.readouterr().out
 
     def test_validate_reads_every_check_once(self, full_size_models, tmp_path,
