@@ -82,66 +82,3 @@ from .semigroup import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_FIXTURES",
-    "CheckResult",
-    "ConvergenceReport",
-    "EliminationResult",
-    "FieldAmplitudes",
-    "Fixture",
-    "FockToolbox",
-    "HilbertSpace",
-    "KurtzCorrector",
-    "ModelFile",
-    "ModelParseError",
-    "Operator",
-    "PreconditionFailed",
-    "QsdeCoefficients",
-    "QsdelimError",
-    "ScaledFamily",
-    "SimpleFunction",
-    "SingularFastDynamics",
-    "StructuralViolation",
-    "StudyParams",
-    "SubspacePair",
-    "ValidationReport",
-    "assemble",
-    "builtin_fixture",
-    "cavity_closed_form",
-    "cavity_fixture",
-    "dissipativity_check",
-    "driven_oscillator_limit",
-    "duan_kimble_fixture",
-    "eliminate",
-    "eval_expression",
-    "evolve",
-    "field_dressed_parts",
-    "fixture_to_model_dict",
-    "fock_toolbox",
-    "generator",
-    "generator_residual",
-    "generator_study",
-    "hp_validate",
-    "kurtz_corrector",
-    "limit_to_json",
-    "load_model",
-    "matrix_element_U",
-    "matrix_exponential",
-    "mirror_fixture",
-    "parse_model",
-    "propagate_on_grid",
-    "random_structured_fixture",
-    "rate_fit",
-    "restricted_inverse",
-    "scaled_hp_validate",
-    "semigroup_gap",
-    "semigroup_study",
-    "spectral_norm",
-    "structural_validate",
-    "subspace_basis",
-    "tensor_embed",
-    "trivial_family_from_limit",
-    "truncation_study",
-    "windowed_oscillator_limit",
-]

@@ -102,7 +102,14 @@ def _write_csv(path: str, name: str, kind: str, amp: FieldAmplitudes,
 
 
 def _write_report(path: str, doc: dict) -> None:
-    _write_output(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write `doc` as strict JSON (RFC 8259): a non-finite number raises."""
+    _write_output(path, json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
+
+
+def _json_float(x: float) -> float | None:
+    """x, or None (JSON null) where x is NaN or infinite."""
+    return x if math.isfinite(x) else None
 
 
 def _parse_amplitude_list(text: str, n: int, flag: str):
@@ -217,8 +224,8 @@ def cmd_validate(args) -> int:
                 label: [
                     {
                         "name": c.name,
-                        "max_violation": c.max_violation,
-                        "tolerance": c.tolerance,
+                        "max_violation": _json_float(c.max_violation),
+                        "tolerance": _json_float(c.tolerance),
                         "passed": c.passed,
                     }
                     for c in report.checks
@@ -371,7 +378,7 @@ def cmd_converge(args) -> int:
             "kind": report.kind,
             "k_schedule": list(report.k_schedule),
             "values": list(report.values),
-            "fitted_rate": report.fitted_rate,
+            "fitted_rate": _json_float(report.fitted_rate),
             "t_max": report.t_max,
             "grid_points": report.grid_points,
             "verdict": report.verdict,

@@ -33,7 +33,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ModelParseError
-from .models import Fixture, fock_toolbox
+from .models import Fixture, damped_funcalc, fock_toolbox
 from .operator_core import HilbertSpace, Operator, SubspacePair
 from .qsde_model import ScaledFamily
 from .semigroup import FieldAmplitudes
@@ -175,16 +175,11 @@ def _funcalc(name: str, params: dict, x: np.ndarray) -> np.ndarray:
     herm_defect = np.linalg.norm(x - x.conj().T, 2)
     if herm_defect > 1e-10 * max(1.0, np.linalg.norm(x, 2)):
         raise ModelParseError("funcalc operand must be Hermitian")
-    evals, q = np.linalg.eigh(x)
     theta = _real(params.get("theta", 1.0), "funcalc theta")
     gamma = _real(params.get("gamma", 1.0), "funcalc gamma")
-    if name == "damped_cayley":
-        vals = (1j * theta * evals + gamma / 2) / (1j * theta * evals - gamma / 2)
-    elif name == "damped_resolvent":
-        vals = 1.0 / (1j * theta * evals - gamma / 2)
-    else:
+    if name not in ("damped_cayley", "damped_resolvent"):
         raise ModelParseError(f"unknown funcalc function {name!r}")
-    return q @ np.diag(vals) @ q.conj().T
+    return damped_funcalc(x, theta, gamma, resolvent=name == "damped_resolvent")
 
 
 def eval_expression(node) -> np.ndarray:

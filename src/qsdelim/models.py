@@ -175,6 +175,17 @@ def duan_kimble_fixture(gamma: float, g: float, drive_alpha: complex,
     )
 
 
+def damped_funcalc(x: np.ndarray, theta: float, gamma: float,
+                   resolvent: bool = False) -> np.ndarray:
+    """The damped Cayley transform (i theta x + gamma/2) / (i theta x - gamma/2)
+    of the Hermitian array x, or with `resolvent` its damped resolvent
+    1 / (i theta x - gamma/2), by spectral calculus on x's `eigh`."""
+    evals, q = np.linalg.eigh(x)
+    pole = 1j * theta * evals - gamma / 2
+    vals = 1.0 / pole if resolvent else (1j * theta * evals + gamma / 2) / pole
+    return q @ np.diag(vals) @ q.conj().T
+
+
 def mirror_fixture(gamma: float, theta: float, omega: float,
                    mirror_cutoff: int, cavity_cutoff: int) -> Fixture:
     """Cavity with an oscillating mirror, in the strong damping limit.
@@ -209,14 +220,9 @@ def mirror_fixture(gamma: float, theta: float, omega: float,
         space, range(0, space.total_dim, cavity_cutoff + 1)
     )
 
-    # Limit scattering (i theta x + gamma/2) / (i theta x - gamma/2) by
-    # spectral calculus on the truncated Hermitian displacement.
-    evals, q = np.linalg.eigh(x_small.entries)
-    scatter = q @ np.diag(
-        (1j * theta * evals + gamma / 2) / (1j * theta * evals - gamma / 2)
-    ) @ q.conj().T
+    # Limit scattering: the damped Cayley transform of the displacement.
     small = mirror.space
-    n_lim = Operator(small, scatter)
+    n_lim = Operator(small, damped_funcalc(x_small.entries, theta, gamma))
     expected = QsdeCoefficients(
         1,
         small,

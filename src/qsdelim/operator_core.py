@@ -9,14 +9,14 @@ Because an `Operator`'s entries are frozen read-only at construction, its
 spectral norm is cached on the operator: `spectral_norm` takes the SVD of
 each operator at most once, however many validators ask for it, and an
 all-zero operator costs no SVD at all.  A largest of several norms (a
-scale, a defect over blocks) is a `_Norms`: its bounds take no SVD (above,
-a cached norm or sqrt(|X|_1 |X|_inf); below, a cached norm or the largest
-column 2-norm), and its exact value, taken on first read, skips every item
-whose bound cannot exceed the largest norm taken so far, with the bits of
-taking them all.  `_at_most` compares a defect with a threshold on a scale
-by those bounds and takes the exact values only when they do not decide;
-the restricted inverse's gates, the projection checks of `SubspacePair`
-and every validator check decide this way.
+scale, a defect over blocks) is a `_Norms`: its upper bound takes no SVD
+(a cached norm or sqrt(|X|_1 |X|_inf) per item), and its exact value,
+taken on first read, skips every item whose bound cannot exceed the
+largest norm taken so far, with the bits of taking them all.  `_at_most`
+passes a defect whose upper bound is at most the threshold on the scale's
+floor and otherwise compares the exact values; the restricted inverse's
+gates, the projection checks of `SubspacePair` and every validator check
+decide this way.
 
 The per-time norms of a propagator grid (`_propagator_norms`) are
 certified Rayleigh-Ritz values: one subspace step on a small block,
@@ -151,34 +151,22 @@ def _norm_bound(x) -> float:
             * math.sqrt(a.sum(axis=1).max(initial=0.0)) * (1.0 + 1e-8))
 
 
-def _norm_floor(x) -> float:
-    """A number never above the computed spectral norm of an Operator or
-    array: the cached norm of an Operator that has one, else the largest
-    column 2-norm (|X e_j| <= |X|_2) shrunk by 1e-8 relative."""
-    if isinstance(x, Operator):
-        if "_spectral_norm" in x.__dict__:
-            return x._spectral_norm
-        x = x.entries
-    cols = (x.real * x.real + x.imag * x.imag).sum(axis=0).max(initial=0.0)
-    return math.sqrt(cols) * (1.0 - 1e-8)
-
-
 def _decisive(bound: float) -> bool:
     """Zero, or normal and finite: a bound whose rounding `_norm_bound`'s
-    and `_norm_floor`'s 1e-8 margins cover."""
+    1e-8 margin covers."""
     return bound == 0.0 or sys.float_info.min <= bound < math.inf
 
 
 class _Norms:
     """max(floor, spectral norm of each item) over Operators and arrays.
 
-    `upper` and `lower` bound it without an SVD.  `value` is the exact max,
-    taken on first read: items are visited by decreasing `_norm_bound`, and
-    the visit stops at the first bound that is at most the running max, so
-    an SVD is taken only where a norm could set the max, and the result has
-    the bits of taking them all.  If a bound is not decisive, every norm is
-    taken, in the given order.  An item with a NaN or infinite entry raises
-    NonFiniteEntries when the bounds are first taken.
+    `upper` bounds it without an SVD.  `value` is the exact max, taken on
+    first read: items are visited by decreasing `_norm_bound`, and when
+    every bound is decisive the visit stops at the first bound that is at
+    most the running max, so an SVD is taken only where a norm could set
+    the max, and the result has the bits of taking them all.  An item with
+    a NaN or infinite entry raises NonFiniteEntries when the bounds are
+    first taken.
     """
 
     def __init__(self, items=(), floor: float = 0.0):
@@ -200,22 +188,12 @@ class _Norms:
         return max([self.floor, *self._bounds])
 
     @cached_property
-    def lower(self) -> float:
-        if "value" in self.__dict__:
-            return self.value
-        with np.errstate(over="ignore", invalid="ignore"):
-            return max([self.floor, *map(_norm_floor, self._items)])
-
-    @cached_property
     def value(self) -> float:
         items, bounds = self._items, self._bounds
-        order = range(len(items))
-        bounded = all(map(_decisive, bounds))
-        if bounded:
-            order = sorted(order, key=bounds.__getitem__, reverse=True)
+        stops = all(map(_decisive, bounds))
         best = self.floor
-        for k in order:
-            if bounded and bounds[k] <= best:
+        for k in sorted(range(len(items)), key=bounds.__getitem__, reverse=True):
+            if stops and bounds[k] <= best:
                 break
             x = items[k]
             best = max(best, spectral_norm(x) if isinstance(x, Operator) else _norm2(x))
@@ -294,14 +272,11 @@ def _propagator_norms(blocks):
 
 def _at_most(defect: _Norms, scale: _Norms, threshold) -> bool:
     """Whether defect.value <= threshold(scale.value), for a nondecreasing
-    threshold.  Decided without an SVD when both bounds are decisive and
-    defect.upper <= threshold(scale.lower), which implies it (the floor is
-    tried before the lower bound is taken); else by the exact values."""
+    threshold.  Decided without an SVD when defect.upper is decisive and at
+    most threshold(scale.floor), which implies it; else by the exact
+    values."""
     upper = defect.upper
-    if _decisive(upper) and (
-        upper <= threshold(scale.floor)
-        or _decisive(scale.lower) and upper <= threshold(scale.lower)
-    ):
+    if _decisive(upper) and upper <= threshold(scale.floor):
         return True
     return defect.value <= threshold(scale.value)
 
@@ -419,10 +394,6 @@ class SubspacePair:
         return cls(Operator(space, m))
 
     @property
-    def space(self) -> HilbertSpace:
-        return self.p0.space
-
-    @property
     def rank(self) -> int:
         return int(round(self.p0.entries.trace().real))
 
@@ -442,20 +413,15 @@ class SubspacePair:
 
 
 def restricted_inverse(y: Operator, sub: SubspacePair,
-                       tol: float = DEFAULT_TOL) -> Operator:
+                       tol: float = DEFAULT_TOL) -> tuple[Operator, _Norms]:
     """Partial inverse of the fast generator on the complement subspace.
 
-    Returns Y~ with Y~ p0 = 0 and Y~ Y = Y Y~ = p1.  Requires y V = 0 on
-    the slow basis V and an invertible compression of y to range(p1) with
-    condition number at most DEFAULT_COND_LIMIT.  `_restricted_inverse` also
-    returns the inverse defect max(|Y~ Y - p1|, |Y Y~ - p1|) as `_Norms`, for
-    check c.  Both gates decide through `_at_most`.
+    Returns Y~ with Y~ p0 = 0 and Y~ Y = Y Y~ = p1, and its inverse defect
+    max(|Y~ Y - p1|, |Y Y~ - p1|) as `_Norms`, which structural check c
+    reads.  Requires y V = 0 on the slow basis V and an invertible
+    compression of y to range(p1) with condition number at most
+    DEFAULT_COND_LIMIT.  Both gates decide through `_at_most`.
     """
-    return _restricted_inverse(y, sub, tol)[0]
-
-
-def _restricted_inverse(y, sub, tol) -> tuple[Operator, _Norms]:
-    """`restricted_inverse`'s Y~ and its inverse defect; raises as it does."""
     y._check_space(sub.p0)
     scale = _Norms([y], 1.0)
     if not _at_most(_Norms([y.entries @ sub.slow_basis]), scale, lambda s: tol * s):

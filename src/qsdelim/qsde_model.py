@@ -33,7 +33,7 @@ from .operator_core import (
     SubspacePair,
     _at_most,
     _Norms,
-    _restricted_inverse,
+    restricted_inverse,
 )
 
 
@@ -320,7 +320,7 @@ def _structural_report(
     Checks b, d, e and the side checks are measured in the coordinates of
     the slow and fast bases V and Q, as |Y V|, |F_i^* V|, |V^* A V|,
     |V^* L~_i Q|, |V^* N~_ij Q| and |Q^* N~_ij V|.  Check c is the inverse
-    defect that `_restricted_inverse` measured for Y~, held to 1e-10 scale.
+    defect that `restricted_inverse` measured for Y~, held to 1e-10 scale.
     When Y~ does not exist, check c and the side checks fail with violation
     inf and the tolerance each would have been held to.
     """
@@ -337,7 +337,7 @@ def _structural_report(
     side_names = ("limit.l_side", "limit.n_side_right", "limit.n_side_left")
     side_scale = _Norms([*scale_ops, *fam.g_ops], 1.0)
     try:
-        y_tilde, inv_defect = _restricted_inverse(fam.y, sub, tol)
+        y_tilde, inv_defect = restricted_inverse(fam.y, sub, tol)
     except (SingularFastDynamics, StructuralViolation):
         checks.insert(1, _check("structural.c", math.inf, 1e-10, scale, False))
         checks += [_check(name, math.inf, tol, side_scale, False)

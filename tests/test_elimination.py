@@ -57,7 +57,7 @@ class TestLambdaAtomFixture:
         gamma = dk_fixture.params["gamma"]
         g = dk_fixture.params["g"]
         cutoff = dk_fixture.params["cutoff"]
-        yt = restricted_inverse(dk_fixture.family.y, dk_fixture.sub)
+        yt, _ = restricted_inverse(dk_fixture.family.y, dk_fixture.sub)
         blocks = duan_kimble_fast_blocks(gamma, g, cutoff)
         for j, (yj, ytj) in enumerate(blocks, start=1):
             idx = duan_kimble_block_indices(cutoff, j)

@@ -96,7 +96,7 @@ from qsdelim import (
 from qsdelim import elimination, qsde_model
 from qsdelim.errors import NonFiniteEntries
 from qsdelim.operator_core import _Norms, _norm_bound
-from qsdelim.cli import _bundled_fixture
+from qsdelim.cli import _bundled_fixture, main
 from qsdelim.modelfile import (
     eval_expression,
     fixture_to_model_dict,
@@ -429,8 +429,34 @@ class TestBasesBuiltOnce:
 def test_eliminate_reuses_the_structural_inverse(dk_fixture):
     """The Y~ that `eliminate` returns is bit-identical to a fresh one."""
     result = eliminate(dk_fixture.family, dk_fixture.sub)
-    fresh = restricted_inverse(dk_fixture.family.y, dk_fixture.sub)
+    fresh, _ = restricted_inverse(dk_fixture.family.y, dk_fixture.sub)
     assert np.array_equal(_bits(result.y_tilde.entries), _bits(fresh.entries))
+
+
+@pytest.mark.parametrize("name", ["duan-kimble", "cavity", "mirror"])
+def test_each_caller_takes_one_inverse(name, monkeypatch, capsys):
+    """`eliminate`, `structural_validate` and `converge --kind generator`
+    reach Y~ through the `qsde_model.restricted_inverse` binding, which the
+    benchmark tracer times, exactly once per model."""
+    calls = []
+    real = qsde_model.restricted_inverse
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qsde_model, "restricted_inverse", counted)
+    fix = builtin_fixture(name)
+    runs = {
+        "eliminate": lambda: eliminate(fix.family, fix.sub),
+        "structural_validate": lambda: structural_validate(fix.family, fix.sub),
+        "converge": lambda: main(["converge", name, "--kind", "generator",
+                                  "--k", "2", "4", "8"]),
+    }
+    for caller, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, caller
 
 
 def test_eliminate_evaluates_the_n_limit_sum_once(dk_fixture, monkeypatch):
@@ -712,7 +738,7 @@ class TestStudiesReuseTheLimitSide:
         def recomputed(*args, **kwargs):
             raise AssertionError("kurtz_corrector recomputed the inverse")
 
-        monkeypatch.setattr(qsde_model, "_restricted_inverse", recomputed)
+        monkeypatch.setattr(qsde_model, "restricted_inverse", recomputed)
         monkeypatch.setattr(qsde_model, "_structural_report", recomputed)
         v = result.compression
         u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
@@ -744,14 +770,14 @@ class TestStudiesReuseTheLimitSide:
 
 def _reference_inverse_and_defect(y, sub, tol):
     """Y~ and check c as the structural check recomputed it."""
-    yt = restricted_inverse(y, sub, tol=tol)
+    yt, _ = restricted_inverse(y, sub, tol=tol)
     return yt, max(
         spectral_norm(yt @ y - sub.p1), spectral_norm(y @ yt - sub.p1)
     )
 
 
 def _reference_structural(fam, sub):
-    with mock.patch.object(qsde_model, "_restricted_inverse",
+    with mock.patch.object(qsde_model, "restricted_inverse",
                            _reference_inverse_and_defect):
         return structural_validate(fam, sub)
 
@@ -852,23 +878,23 @@ class TestValidationFactsMeasuredOnce:
 
     def test_check_c_reads_the_inverse_defect(self, dk_fixture):
         """Check c is the worker's defect, not a value measured again."""
-        real = qsde_model._restricted_inverse
+        real = qsde_model.restricted_inverse
         sentinel = 0.123456789
 
         def marked(*args):
             return real(*args)[0], sentinel
 
-        with mock.patch.object(qsde_model, "_restricted_inverse", marked):
+        with mock.patch.object(qsde_model, "restricted_inverse", marked):
             report = structural_validate(dk_fixture.family, dk_fixture.sub)
         assert report["structural.c"].max_violation == sentinel
         assert not report["structural.c"].passed
 
     def test_public_inverse_is_the_workers(self, dk_fixture):
         y, sub = dk_fixture.family.y, dk_fixture.sub
-        yt, lazy_defect = qsde_model._restricted_inverse(y, sub, 1e-9)
+        yt, lazy_defect = qsde_model.restricted_inverse(y, sub, 1e-9)
         defect = lazy_defect.value
         assert np.array_equal(_bits(yt.entries),
-                              _bits(restricted_inverse(y, sub).entries))
+                              _bits(restricted_inverse(y, sub)[0].entries))
         assert defect == _reference_inverse_and_defect(y, sub, 1e-9)[1]
 
     @staticmethod
@@ -944,7 +970,7 @@ def _reference_projection_checks(fam, sub):
         "structural.e": spectral_norm(p0 @ fam.a @ p0),
     }
     try:
-        yt = restricted_inverse(fam.y, sub)
+        yt, _ = restricted_inverse(fam.y, sub)
     except (SingularFastDynamics, StructuralViolation):
         return want
     terms = [t for row in qsde_model._n_limit_sum(fam.w_ops, fam.f_ops, yt)
@@ -1653,7 +1679,7 @@ def _near_threshold_cases(draw):
 
 
 class TestChecksDecidedByBounds:
-    """A check passes by upper bound <= tol * lower bound of its scale, else
+    """A check passes by upper bound <= tol * the floor of its scale, else
     by the exact rule; its exact values are taken when first read.  The
     verdicts, values and tolerances are the eager validators', bit for bit."""
 
@@ -1708,10 +1734,10 @@ class TestChecksDecidedByBounds:
             want = _reference_restricted_inverse(fam.y, sub, 1e-9)
         except (SingularFastDynamics, StructuralViolation) as exc:
             with pytest.raises(type(exc)) as got:
-                qsde_model._restricted_inverse(fam.y, sub, 1e-9)
+                qsde_model.restricted_inverse(fam.y, sub, 1e-9)
             assert str(got.value) == str(exc)
             return
-        yt, defect = qsde_model._restricted_inverse(fam.y, sub, 1e-9)
+        yt, defect = qsde_model.restricted_inverse(fam.y, sub, 1e-9)
         assert np.array_equal(_bits(yt.entries), _bits(want[0].entries))
         assert defect.value.hex() == want[1].hex()
 

@@ -406,6 +406,46 @@ class TestCli:
         assert main(["example", "no-such-example"]) == 2
 
 
+def _strict_json(text: str):
+    """Parse RFC 8259 JSON: NaN, Infinity and -Infinity raise."""
+    def reject(token):
+        raise ValueError(f"not a JSON number: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJsonReports:
+    """A --report file holds a non-finite number as null."""
+
+    def test_undefined_rate_is_null(self, tmp_path, capsys):
+        # Two gaps: too few for a log-log fit.
+        report = tmp_path / "r.json"
+        assert main(["converge", "truncation-demo", "--kind", "truncation",
+                     "--k", "10", "12", "14", "--T", "2", "--grid", "8",
+                     "--report", str(report)]) == 0
+        doc = _strict_json(report.read_text())
+        assert doc["fitted_rate"] is None
+        assert len(doc["values"]) == 2
+
+    def test_missing_inverse_is_null(self, tmp_path, capsys):
+        # Y = 0: no restricted inverse, so check c and the side checks
+        # have no finite violation.
+        fix = builtin_fixture("duan-kimble")
+        fam = fix.family
+        fam = dataclasses.replace(fam, y=0.0 * fam.y)
+        path = tmp_path / "y0.json"
+        path.write_text(json.dumps(fixture_to_model_dict(
+            dataclasses.replace(fix, family=fam))))
+        report = tmp_path / "v.json"
+        assert main(["validate", str(path), "--report", str(report)]) == 1
+        checks = {c["name"]: c
+                  for c in _strict_json(report.read_text())["checks"]["structural"]}
+        for name in ("structural.c", "limit.l_side", "limit.n_side_right",
+                     "limit.n_side_left"):
+            assert checks[name]["max_violation"] is None, name
+            assert checks[name]["passed"] is False, name
+            assert math.isfinite(checks[name]["tolerance"]), name
+
+
 class TestRejectedInputsExit2:
     @pytest.mark.parametrize("argv", [
         ["validate", "duan-kimble", "--k", "0"],

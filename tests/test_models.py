@@ -21,6 +21,7 @@ from qsdelim import (
     trivial_family_from_limit,
     windowed_oscillator_limit,
 )
+from qsdelim.modelfile import eval_expression, matrix_to_json
 
 
 class TestFockToolbox:
@@ -109,6 +110,23 @@ class TestMirrorDetails:
                              mirror_cutoff=8, cavity_cutoff=3)
         n = fix.expected_limit.n_ops[0][0].entries
         assert np.allclose(n.conj().T @ n, np.eye(9), atol=1e-12)
+
+    def test_limit_scattering_is_the_damped_cayley_transform(self):
+        """The expected N has the bits of the fixture's former inline
+        spectral calculus, and a model file's `damped_cayley` node gives
+        the same bits."""
+        fix = mirror_fixture(gamma=1.0, theta=0.5, omega=1.0,
+                             mirror_cutoff=8, cavity_cutoff=3)
+        fock = fock_toolbox(8)
+        x = fock.b.entries + fock.b_dag.entries
+        evals, q = np.linalg.eigh(x)
+        want = q @ np.diag(
+            (1j * 0.5 * evals + 1.0 / 2) / (1j * 0.5 * evals - 1.0 / 2)
+        ) @ q.conj().T
+        assert np.array_equal(fix.expected_limit.n_ops[0][0].entries, want)
+        node = {"op": "funcalc", "name": "damped_cayley",
+                "params": {"theta": 0.5, "gamma": 1.0}, "arg": matrix_to_json(x)}
+        assert np.array_equal(eval_expression(node), want)
 
     def test_elimination_exact_at_small_cavity_cutoff(self):
         for cavity_cutoff in (2, 4):
