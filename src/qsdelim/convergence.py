@@ -90,17 +90,18 @@ def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
     """Corrector cancelling the k^2 and k^1 generator orders, from the result's Y~.
 
     u must equal V V^* u on the slow basis V.  With a and b the dressed
-    parts, u1 = -Y~ a u and u2 = -Y~ (b - a Y~ a) u: Y~ p1 = Y~ (exactly for
-    a coordinate projection, to round-off otherwise), so no p1 is applied.
+    parts, u1 = -Y~ a u and u2 = -Y~ (b - a Y~ a) u = -Y~ (b u + a u1),
+    applied as matrix-vector products: Y~ p1 = Y~ (exactly for a
+    coordinate projection, to round-off otherwise), so no p1 is applied.
     """
-    v, yt = result.compression, result.y_tilde.entries
+    v, yt = result.sub.slow_basis, result.y_tilde.entries
     u = np.asarray(u, dtype=np.complex128)
     bound = DEFAULT_TOL * max(1.0, np.linalg.norm(u))
     if np.linalg.norm(v @ (v.conj().T @ u) - u) > bound:
         raise PreconditionFailed("u must be supported on the slow subspace")
     a_op, b_op = field_dressed_parts(result.family, amp)
     u1 = -yt @ (a_op.entries @ u)
-    u2 = -yt @ ((b_op.entries - a_op.entries @ yt @ a_op.entries) @ u)
+    u2 = -yt @ (b_op.entries @ u + a_op.entries @ u1)
     return KurtzCorrector(u=u, u1=u1, u2=u2)
 
 
@@ -108,7 +109,7 @@ def _residuals(result: EliminationResult, amp: FieldAmplitudes, u,
                ks) -> tuple[float, ...]:
     """Generator residuals for each k; the limit side is applied once."""
     corrector = kurtz_corrector(result, amp, u)
-    v = result.compression
+    v = result.sub.slow_basis
     small = generator(result.limit, amp).entries @ (v.conj().T @ np.asarray(u))
     limit_side = v @ small
     return tuple(
@@ -130,7 +131,7 @@ def _gaps(result: EliminationResult, amp: FieldAmplitudes, T: float,
           grid_points: int, ks) -> tuple[float, ...]:
     """Semigroup gaps for each k; the limit side is propagated once, and
     each k's gap is one batched SVD over its grid (`_gap`)."""
-    v = result.compression
+    v = result.sub.slow_basis
     limit_side = np.stack([
         v @ small
         for small in propagate_on_grid(
@@ -197,7 +198,7 @@ def generator_study(result: EliminationResult, amp: FieldAmplitudes,
     ks = tuple(float(k) for k in k_schedule)
     if len(ks) < 3:
         raise ValueError("need a schedule of >= 3 k-values for rate fitting")
-    v = result.compression
+    v = result.sub.slow_basis
     if u is None:
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
     values = _residuals(result, amp, u, ks)

@@ -9,9 +9,11 @@
 
 in the slow-subspace coordinates of a deterministic isometry V (the
 pair's `slow_basis`, see `operator_core.subspace_basis`), and returns them
-in the prepared model that the convergence studies take.  The structural
-preconditions are enforced as hard errors: running these formulas on a
-family without the required block structure produces meaningless output.
+in the prepared model that the convergence studies take; the structural
+check evaluates them with no full-size product after Y~
+(`qsde_model._slow_limit`).  The structural preconditions are enforced as
+hard errors: running these formulas on a family without the required
+block structure produces meaningless output.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .qsde_model import (
     QsdeCoefficients,
     ScaledFamily,
     _m_from_unitarity,
-    _n_limit_sum,
     _structural_report,
     _require_scaled_hp,
 )
@@ -52,47 +53,23 @@ class EliminationResult:
     limit: QsdeCoefficients
     y_tilde: Operator
 
-    @property
-    def compression(self) -> np.ndarray:
-        """Full-dim x rank isometry onto the slow subspace."""
-        return self.sub.slow_basis
-
 
 def eliminate(fam: ScaledFamily, sub: SubspacePair,
               tol: float = DEFAULT_TOL) -> EliminationResult:
-    """Compute the elimination limit of a validated scaled family.
-
-    Each limit coefficient is its full-space formula X~ (K~ = B - A Y~ A,
-    the structural check's L~_i and N~_ij, and M~ from unitarity)
-    compressed to V^* X~ V on the slow basis V.
-    """
+    """Compute the elimination limit of a validated scaled family: the
+    blocks that its structural check formed, as slow-coordinate operators."""
     _require_scaled_hp(fam, tol)
     report, limit_parts = _structural_report(fam, sub, tol)
     if not report.overall:
         raise PreconditionFailed("structural requirements fail", report)
-    yt, l_tilde, n_sum = limit_parts
+    yt, (k, l_blocks, m_blocks, n_blocks) = limit_parts
+    small = HilbertSpace((k.shape[0],))
 
-    v = sub.slow_basis
-    vh = v.conj().T
-    small = HilbertSpace((v.shape[1],))
-    a = fam.a.entries
-    k_tilde = fam.b.entries - a @ yt.entries @ a
-    # M_i = -sum_j W_ij X_j^* with X_j = G_j - A^* Y~^* F_j.
-    ay = fam.a.dag() @ yt.dag()
-    x_ops = [g - ay @ f for f, g in zip(fam.f_ops, fam.g_ops)]
-    m_tilde = _m_from_unitarity(fam.w_ops, x_ops)
+    def wrap(blocks):
+        return tuple(Operator(small, x) for x in blocks)
 
-    limit = QsdeCoefficients(
-        n=fam.n,
-        space=small,
-        k_op=Operator(small, vh @ k_tilde @ v),
-        l_ops=tuple(Operator(small, vh @ x @ v) for x in l_tilde),
-        m_ops=tuple(Operator(small, vh @ m.entries @ v) for m in m_tilde),
-        n_ops=tuple(
-            tuple(Operator(small, vh @ op.entries @ v) for op in row)
-            for row in n_sum
-        ),
-    )
+    limit = QsdeCoefficients(fam.n, small, Operator(small, k), wrap(l_blocks),
+                             wrap(m_blocks), tuple(map(wrap, n_blocks)))
     return EliminationResult(family=fam, sub=sub, limit=limit, y_tilde=yt)
 
 
@@ -130,7 +107,12 @@ def cavity_closed_form(
         )
     k_op = e00 - e01 @ e11_inv @ e10
     l_ops = tuple(g - e01 @ e11_inv @ f for f, g in zip(f_ops, g_ops))
-    n_ops = _n_limit_sum(s_ops, f_ops, e11_inv)
+    # N_ij = S_ij + sum_l S_il F_l^* E11^-1 F_j, the delta_lj term summed.
+    n_ops = tuple(
+        tuple(sum((s @ fl.dag() @ e11_inv @ fj for s, fl in zip(row, f_ops)), row[j])
+              for j, fj in enumerate(f_ops))
+        for row in s_ops
+    )
     return QsdeCoefficients(
         len(f_ops), space, k_op, l_ops, _m_from_unitarity(n_ops, l_ops), n_ops
     )

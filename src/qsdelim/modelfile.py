@@ -423,8 +423,8 @@ def fixture_to_model_dict(fix: Fixture, study: dict | None = None) -> dict:
 
 
 def limit_to_json(result) -> dict:
-    """Serialize elimination output (limit quadruple plus compression),
-    every matrix dense."""
+    """Serialize elimination output (the limit quadruple, and the slow basis
+    under "compression"), every matrix dense."""
     limit = result.limit
     return {
         "channels": limit.n,
@@ -435,5 +435,5 @@ def limit_to_json(result) -> dict:
         "N": [
             [matrix_to_json(op.entries) for op in row] for row in limit.n_ops
         ],
-        "compression": matrix_to_json(result.compression),
+        "compression": matrix_to_json(result.sub.slow_basis),
     }

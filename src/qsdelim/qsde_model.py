@@ -209,22 +209,6 @@ def _m_from_unitarity(w_ops, l_ops) -> tuple[Operator, ...]:
     )
 
 
-def _n_limit_sum(w_ops, f_ops, x: Operator):
-    """Grid of sum_l W_il (F_l^* X F_j + delta_lj); the limit N for X = Y~."""
-    ident = Operator.identity(x.space)
-    inner = [[fl.dag() @ x @ fj for fj in f_ops] for fl in f_ops]
-    for ell, row in enumerate(inner):
-        row[ell] = row[ell] + ident
-    zero = Operator.zero(x.space)
-    return tuple(
-        tuple(
-            sum((w @ inner[ell][j] for ell, w in enumerate(row)), zero)
-            for j in range(len(f_ops))
-        )
-        for row in w_ops
-    )
-
-
 def _trivial_scattering(grid) -> bool:
     """Whether every W_ij of the n x n grid is exactly delta_ij I."""
     eye = np.eye(grid[0][0].space.total_dim)
@@ -312,10 +296,9 @@ def structural_validate(fam: ScaledFamily, sub: SubspacePair,
 def _structural_report(
     fam: ScaledFamily, sub: SubspacePair, tol: float,
 ) -> tuple[ValidationReport, tuple | None]:
-    """`structural_validate`'s report and the limit ingredients it computed:
-    the restricted inverse Y~, the arrays L~_i = G_i - A Y~ F_i and the
-    N-limit sum (None when Y~ does not exist), so callers that need them
-    after a passing report do not compute them again.
+    """`structural_validate`'s report and the limit it computed, Y~ and the
+    limit blocks of `_slow_limit` (None when Y~ does not exist), so callers
+    that need them after a passing report do not compute them again.
 
     Checks b, d, e and the side checks are measured in the coordinates of
     the slow and fast bases V and Q, as |Y V|, |F_i^* V|, |V^* A V|,
@@ -324,15 +307,14 @@ def _structural_report(
     When Y~ does not exist, check c and the side checks fail with violation
     inf and the tolerance each would have been held to.
     """
-    v, q = sub.slow_basis, sub.fast_basis
-    vh, qh = v.conj().T, q.conj().T
+    v = sub.slow_basis
     scale_ops = [fam.y, fam.a, *fam.f_ops]
     scale = _Norms(scale_ops, 1.0)
     checks = [
         _check("structural.b", _Norms([fam.y.entries @ v]), tol, scale),
         _check("structural.d", _Norms(f.entries.conj().T @ v for f in fam.f_ops),
                tol, scale),
-        _check("structural.e", _Norms([vh @ fam.a.entries @ v]), tol, scale),
+        _check("structural.e", _Norms([v.conj().T @ fam.a.entries @ v]), tol, scale),
     ]
     side_names = ("limit.l_side", "limit.n_side_right", "limit.n_side_left")
     side_scale = _Norms([*scale_ops, *fam.g_ops], 1.0)
@@ -344,17 +326,51 @@ def _structural_report(
                    for name in side_names]
         return ValidationReport(tuple(checks)), None
     checks.insert(1, _check("structural.c", inv_defect, 1e-10, scale))
-    ay = fam.a.entries @ y_tilde.entries
-    l_tilde = tuple(
-        g.entries - ay @ f.entries for f, g in zip(fam.f_ops, fam.g_ops)
+    blocks, sides = _slow_limit(fam, sub, y_tilde.entries)
+    checks += [_check(name, _Norms(side), tol, side_scale)
+               for name, side in zip(side_names, sides)]
+    return ValidationReport(tuple(checks)), (y_tilde, blocks)
+
+
+def _slow_limit(fam: ScaledFamily, sub: SubspacePair, yt: np.ndarray):
+    """The limit formulas of `elimination` and the side-check blocks, each
+    chain evaluated from V^* on the left or from V on the right, so every
+    product taken after Y~ has r rows or r columns (r the slow rank):
+
+        R_i        = (sum_l V^* W_il F_l^*) Y~
+        V^* L~_i   = V^* G_i - (V^* A Y~) F_i        L_i  = (V^* L~_i) V
+        V^* N~_ij  = R_i F_j + V^* W_ij              N_ij = (V^* N~_ij) V
+        N~_ij V    = sum_l W_il F_l^* (Y~ F_j V) + W_ij V
+        K          = V^* B V - (V^* A Y~) (A V)
+        M_i        = R_i (A V) - sum_j V^* W_ij G_j^* V
+
+    Returns (K, (L_i), (M_i), ((N_ij))) and the side-check blocks, on the
+    fast basis Q: (V^* L~_i Q), (V^* N~_ij Q) and (Q^* N~_ij V).
+    """
+    v, q = sub.slow_basis, sub.fast_basis
+    vh, a = v.conj().T, fam.a.entries
+    fs = [f.entries for f in fam.f_ops]
+    fhs = [f.conj().T for f in fs]
+    ws = [[w.entries for w in row] for row in fam.w_ops]
+    vws = [[vh @ w for w in row] for row in ws]
+    vay, av = vh @ a @ yt, a @ v
+    rs = [sum(vw @ fh for vw, fh in zip(row, fhs)) @ yt for row in vws]
+    l_rows = [vh @ g.entries - vay @ f for f, g in zip(fs, fam.g_ops)]
+    n_rows = [[r @ f + vw for f, vw in zip(fs, row)] for r, row in zip(rs, vws)]
+    yfvs = [yt @ (f @ v) for f in fs]
+    n_cols = [[sum(w @ (fh @ yfv) for w, fh in zip(row, fhs)) + row[j] @ v
+               for j, yfv in enumerate(yfvs)] for row in ws]
+    ghvs = [g.entries.conj().T @ v for g in fam.g_ops]
+    blocks = (
+        vh @ fam.b.entries @ v - vay @ av,
+        tuple(x @ v for x in l_rows),
+        tuple(r @ av - sum(vw @ ghv for vw, ghv in zip(row, ghvs))
+              for r, row in zip(rs, vws)),
+        tuple(tuple(x @ v for x in row) for row in n_rows),
     )
-    n_sum = _n_limit_sum(fam.w_ops, fam.f_ops, y_tilde)
-    terms = [term.entries for row in n_sum for term in row]
     sides = (
-        _Norms(vh @ x @ q for x in l_tilde),
-        _Norms(vh @ x @ q for x in terms),
-        _Norms(qh @ x @ v for x in terms),
+        [x @ q for x in l_rows],
+        [x @ q for row in n_rows for x in row],
+        [q.conj().T @ x for row in n_cols for x in row],
     )
-    checks += [_check(name, value, tol, side_scale)
-               for name, value in zip(side_names, sides)]
-    return ValidationReport(tuple(checks)), (y_tilde, l_tilde, n_sum)
+    return blocks, sides

@@ -156,7 +156,7 @@ class TestPreconditionsAndEmbedding:
 
     def test_embed_returns_to_big_space(self, dk_fixture):
         result = eliminate(dk_fixture.family, dk_fixture.sub)
-        v = result.compression
+        v = result.sub.slow_basis
         big = Operator(dk_fixture.family.space,
                        v @ result.limit.k_op.entries @ v.conj().T)
         assert big.space == dk_fixture.family.space
@@ -165,6 +165,6 @@ class TestPreconditionsAndEmbedding:
         assert np.linalg.norm(p1 @ big.entries) < 1e-12
         assert np.linalg.norm(big.entries @ p1) < 1e-12
         # compressing back recovers the limit coefficient
-        v = result.compression
+        v = result.sub.slow_basis
         back = v.conj().T @ big.entries @ v
         assert np.allclose(back, result.limit.k_op.entries, atol=1e-12)

@@ -205,7 +205,7 @@ def test_semigroup_gaps_have_the_bits_of_per_point_norms():
     fix = builtin_fixture("duan-kimble")
     result = eliminate(fix.family, fix.sub)
     amp = FieldAmplitudes((0.3 - 0.2j,), (0.1 + 0.4j,))
-    v = result.compression
+    v = result.sub.slow_basis
     limit_side = [v @ small for small in propagate_on_grid(
         result.limit, amp, 2.0, 16, np.eye(v.shape[1]))]
     for k in (2.0, 8.0):
@@ -225,7 +225,7 @@ def test_semigroup_gap_is_one_batched_svd_per_k(monkeypatch):
                         lambda lo, hi: calls.append(lo.shape) or real(lo, hi))
     convergence.semigroup_study(result, FieldAmplitudes((0.2j,), (0j,)),
                                 (2, 4, 8), 1.0, 9)
-    assert calls == [(9, *result.compression.shape)] * 3
+    assert calls == [(9, *result.sub.slow_basis.shape)] * 3
 
 
 class TestTrivialScatteringDefect:
