@@ -376,6 +376,7 @@ def cmd_converge(args) -> int:
         _write_report(args.report, {
             "model": model.name,
             "kind": report.kind,
+            "diagnostics": {name: _json_float(x) for name, x in report.diagnostics},
             "k_schedule": list(report.k_schedule),
             "values": list(report.values),
             "fitted_rate": _json_float(report.fitted_rate),

@@ -1,19 +1,19 @@
 """Numerical witnesses for both directions of the semigroup limit theorem.
 
 Generator residuals use the corrector expansion u + u1/k + u2/k^2 that
-cancels the divergent orders of the prelimit generator; semigroup gaps take
-the max over a uniform time grid of the distance between the adjoint
-prelimit propagator and the embedded limit propagator, restricted to the
-slow subspace; both read one `EliminationResult` and take its limit side
-once per study.  Grid studies (semigroup gaps and truncation gaps) take one
-expm of the grid step per model and step the uniform grid by repeated
-products (`semigroup.propagate_on_grid`); `semigroup.evolve` remains the
-per-time API.  A truncation study needs N = I exactly, so each cutoff c
-is propagated in block form, on its own (c+1)-dim space, and a cutoff
-whose block adds nothing reuses the previous grid.  Every semigroup and
-truncation gap is one batched SVD over the grid (`_gap`).  All studies
-are deterministic: loops run in a fixed order and reports are
-bit-reproducible for fixed inputs.
+cancels the k^2 and k^1 orders of the prelimit generator: the residual is
+a Laurent polynomial in k whose five coefficients are matrix-vector
+products, formed once per study, with a floor that grows like k^2 |Y|.
+Semigroup gaps take the max over a uniform time grid of the distance
+between the adjoint prelimit propagator and the embedded limit propagator
+on the slow subspace.  Both read one `EliminationResult` and take its
+limit side once per study.  Grid studies (semigroup and truncation gaps)
+take one expm of the grid step per model and step the grid by repeated
+products (`semigroup.propagate_on_grid`), each gap one batched SVD over
+the grid (`_gap`).  A truncation study needs N = I exactly, so each cutoff
+c is propagated in block form on its own (c+1)-dim space, and a cutoff
+whose block adds nothing reuses the previous grid.  All studies are
+deterministic: reports are bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import EliminationResult
-from .errors import PreconditionFailed
-from .operator_core import DEFAULT_TOL, HilbertSpace, Operator
+from .errors import NonFiniteEntries, PreconditionFailed
+from .operator_core import DEFAULT_TOL, HilbertSpace, Operator, _norm_bound
 from .qsde_model import (
-    QsdeCoefficients, ScaledFamily, _m_from_unitarity, _require_scaled_hp,
-    _trivial_scattering, assemble,
+    QsdeCoefficients, ScaledFamily, _require_scaled_hp, _trivial_scattering,
+    assemble,
 )
-from .semigroup import FieldAmplitudes, _dressing, generator, propagate_on_grid
+from .semigroup import FieldAmplitudes, generator, propagate_on_grid
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +52,7 @@ class KurtzCorrector:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Per-k study values with a fitted log-log rate and a verdict."""
+    """Per-k study values, a fitted log-log rate, a verdict, `diagnostics`."""
 
     kind: str
     k_schedule: tuple[float, ...]
@@ -61,28 +61,43 @@ class ConvergenceReport:
     t_max: float
     grid_points: int
     verdict: bool
+    diagnostics: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         if len(self.values) != len(self.k_schedule):
             raise ValueError("need one value per schedule entry")
 
 
+def _dressed_products(fam: ScaledFamily, amp: FieldAmplitudes, x: np.ndarray):
+    """(a x, b x) for the dressed parts a and b of `field_dressed_parts` and
+    x a vector or a block of columns, forming neither part: each M_i =
+    -sum_j W_ij L_j^* from unitarity is applied as W_ij (L_j^* x), and
+    L_j^* x is taken as (x^* L_j)^*, with no conjugated copy of L_j."""
+    if amp.n != fam.n:
+        raise ValueError(f"amplitude channel count {amp.n} != model {fam.n}")
+    alpha, beta = np.conj(amp.alpha), np.asarray(amp.beta)
+    xh = x.conj().T
+    fhx = [(xh @ f.entries).conj().T for f in fam.f_ops]
+    ghx = [bj * x - (xh @ g.entries).conj().T for bj, g in zip(beta, fam.g_ops)]
+    shift = 0.5 * (np.vdot(alpha, alpha).real + np.vdot(beta, beta).real)
+    ax, bx = fam.a.entries @ x, fam.b.entries @ x - shift * x
+    for i, row in enumerate(fam.w_ops):
+        ax += beta[i] * (fam.f_ops[i].entries @ x)
+        bx += beta[i] * (fam.g_ops[i].entries @ x)
+        for w, fh, gh in zip(row, fhx, ghx):
+            ax -= alpha[i] * (w.entries @ fh)
+            bx += alpha[i] * (w.entries @ gh)
+    return ax, bx
+
+
 def field_dressed_parts(fam: ScaledFamily, amp: FieldAmplitudes):
-    """Linear and constant parts of the dressed prelimit generator.
-
-    Returns (a_op, b_op) such that the dressed generator at parameter k
-    equals k^2 Y + k a_op + b_op: the dressing of the order-k coefficients
+    """(a_op, b_op), with the dressed prelimit generator at parameter k
+    equal to k^2 Y + k a_op + b_op: the dressing of the order-k coefficients
     (A, F, M from F, N = 0) without the vacuum shift, and the dressed
-    generator of the order-one coefficients (B, G, M from G, W).
-    """
-    def coeffs(k_op, l_ops, n_ops):
-        m_ops = _m_from_unitarity(fam.w_ops, l_ops)
-        return QsdeCoefficients(fam.n, fam.space, k_op, l_ops, m_ops, n_ops)
-
-    zeros = ((Operator.zero(fam.space),) * fam.n,) * fam.n
-    a_op = _dressing(coeffs(fam.a, fam.f_ops, zeros), amp)[0]
-    b_op = generator(coeffs(fam.b, fam.g_ops, fam.w_ops), amp)
-    return Operator(fam.space, a_op), b_op
+    generator of the order-one coefficients (B, G, M from G, W), as
+    `_dressed_products` of the identity."""
+    parts = _dressed_products(fam, amp, np.eye(fam.space.total_dim))
+    return tuple(Operator(fam.space, x) for x in parts)
 
 
 def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
@@ -90,41 +105,48 @@ def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
     """Corrector cancelling the k^2 and k^1 generator orders, from the result's Y~.
 
     u must equal V V^* u on the slow basis V.  With a and b the dressed
-    parts, u1 = -Y~ a u and u2 = -Y~ (b - a Y~ a) u = -Y~ (b u + a u1),
-    applied as matrix-vector products: Y~ p1 = Y~ (exactly for a
-    coordinate projection, to round-off otherwise), so no p1 is applied.
+    parts, u1 = -Y~ a u and u2 = -Y~ (b - a Y~ a) u = -Y~ (b u + a u1), as
+    matrix-vector products (`_dressed_products`): Y~ p1 = Y~ (exactly for
+    a coordinate projection, to round-off otherwise), so no p1 is applied.
     """
     v, yt = result.sub.slow_basis, result.y_tilde.entries
     u = np.asarray(u, dtype=np.complex128)
     bound = DEFAULT_TOL * max(1.0, np.linalg.norm(u))
     if np.linalg.norm(v @ (v.conj().T @ u) - u) > bound:
         raise PreconditionFailed("u must be supported on the slow subspace")
-    a_op, b_op = field_dressed_parts(result.family, amp)
-    u1 = -yt @ (a_op.entries @ u)
-    u2 = -yt @ (b_op.entries @ u + a_op.entries @ u1)
+    au, bu = _dressed_products(result.family, amp, u)
+    u1 = -yt @ au
+    u2 = -yt @ (bu + _dressed_products(result.family, amp, u1)[0])
     return KurtzCorrector(u=u, u1=u1, u2=u2)
 
 
-def _residuals(result: EliminationResult, amp: FieldAmplitudes, u,
-               ks) -> tuple[float, ...]:
-    """Generator residuals for each k; the limit side is applied once."""
-    corrector = kurtz_corrector(result, amp, u)
-    v = result.sub.slow_basis
-    small = generator(result.limit, amp).entries @ (v.conj().T @ np.asarray(u))
-    limit_side = v @ small
-    return tuple(
-        float(np.linalg.norm(
-            generator(assemble(result.family, k), amp).entries @ corrector.at_k(k)
-            - limit_side
-        ))
-        for k in ks
-    )
+def _residuals(result: EliminationResult, amp: FieldAmplitudes, u, ks):
+    """Generator residuals for each k, and the norms of their k^2, k^1 and
+    k^0 coefficients: with G the limit's dressed generator, the residual is
+    |k^2 t2 + k t1 + t0 + t_1/k + t_2/k^2|, t2 = Y u, t1 = Y u1 + a u,
+    t0 = Y u2 + a u1 + b u - V G V^* u, t_1 = a u2 + b u1, t_2 = b u2."""
+    if not all(k > 0 for k in ks):
+        raise ValueError("scaling parameter k must be positive")
+    cor = kurtz_corrector(result, amp, u)
+    v, block = result.sub.slow_basis, np.stack((cor.u, cor.u1, cor.u2), axis=1)
+    (au, au1, au2), (bu, bu1, bu2) = (
+        x.T for x in _dressed_products(result.family, amp, block))
+    yu, yu1, yu2 = (result.family.y.entries @ block).T
+    limit_side = v @ (generator(result.limit, amp).entries @ (v.conj().T @ cor.u))
+    t2, t1, t0, t_1, t_2 = orders = (
+        yu, yu1 + au, yu2 + au1 + bu - limit_side, au2 + bu1, bu2)
+    values = tuple(
+        float(np.linalg.norm(k * k * t2 + k * t1 + t0 + t_1 / k + t_2 / (k * k)))
+        for k in map(np.float64, ks))
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteEntries("generator residuals must be finite")
+    return values, tuple(float(np.linalg.norm(t)) for t in orders[:3])
 
 
 def generator_residual(result: EliminationResult, amp: FieldAmplitudes,
                        u, k: float) -> float:
     """Norm distance between the corrected prelimit action and the limit action."""
-    return _residuals(result, amp, u, (k,))[0]
+    return _residuals(result, amp, u, (k,))[0][0]
 
 
 def _gaps(result: EliminationResult, amp: FieldAmplitudes, T: float,
@@ -176,8 +198,10 @@ def rate_fit(ks, residuals) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _at_floor(values) -> bool:
-    return all(val <= RESIDUAL_FLOOR * 10 for val in values)
+def _at_floor(ks, values, y_norm: float = 0.0) -> bool:
+    """Every value within 10 times its floor RESIDUAL_FLOOR max(1, k^2 |Y|)."""
+    return all(val <= RESIDUAL_FLOOR * 10 * max(1.0, k * k * y_norm)
+               for k, val in zip(ks, values))
 
 
 def _safe_rate(ks, values) -> float:
@@ -189,27 +213,29 @@ def _safe_rate(ks, values) -> float:
 
 def generator_study(result: EliminationResult, amp: FieldAmplitudes,
                     k_schedule, u=None) -> ConvergenceReport:
-    """Corrected generator residuals over a k-schedule.
-
-    The corrector and the limit generator's action are computed once.
-    Verdict: residuals all at the numerical floor, or nonincreasing with a
-    clearly negative fitted decay exponent.
-    """
+    """Corrected generator residuals over a k-schedule, from the five
+    Laurent coefficients of `_residuals`; its diagnostics are the norms of
+    the k^2, k^1 and k^0 ones, which the corrector and the limit cancel.
+    Verdict: residuals all at the floor, RESIDUAL_FLOOR max(1, k^2 |Y|) at
+    k since k^2 Y u rounds like k^2 (|Y| from `_norm_bound`, no SVD), or
+    nonincreasing with a clearly negative fitted decay exponent."""
     ks = tuple(float(k) for k in k_schedule)
     if len(ks) < 3:
         raise ValueError("need a schedule of >= 3 k-values for rate fitting")
     v = result.sub.slow_basis
     if u is None:
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
-    values = _residuals(result, amp, u, ks)
+    values, orders = _residuals(result, amp, u, ks)
     rate = _safe_rate(ks, values)
     monotone = all(a >= b - RESIDUAL_FLOOR for a, b in zip(values, values[1:]))
-    verdict = _at_floor(values) or (
+    verdict = _at_floor(ks, values, _norm_bound(result.family.y.entries)) or (
         monotone and not math.isnan(rate) and rate <= -0.5
     )
     return ConvergenceReport(
         kind="generator", k_schedule=ks, values=values, fitted_rate=rate,
         t_max=0.0, grid_points=0, verdict=verdict,
+        diagnostics=tuple(zip(("order_k2_norm", "order_k1_norm", "order_k0_norm"),
+                              orders)),
     )
 
 
@@ -226,7 +252,7 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
         raise ValueError("need a schedule of >= 3 k-values for rate fitting")
     values = _gaps(result, amp, T, grid_points, ks)
     rate = _safe_rate(ks, values)
-    verdict = _at_floor(values) or values[-1] <= values[0] / 5.0
+    verdict = _at_floor(ks, values) or values[-1] <= values[0] / 5.0
     return ConvergenceReport(
         kind="semigroup", k_schedule=ks, values=values, fitted_rate=rate,
         t_max=float(T), grid_points=int(grid_points), verdict=verdict,
@@ -306,7 +332,7 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
         else:
             grids.append(propagated(c))
     gaps = tuple(_gap(lo, hi) for lo, hi in zip(grids, grids[1:]))
-    verdict = _at_floor(gaps) or all(a > b for a, b in zip(gaps, gaps[1:]))
+    verdict = _at_floor(cutoffs, gaps) or all(a > b for a, b in zip(gaps, gaps[1:]))
     rate = _safe_rate(cutoffs[:-1], gaps)
     return ConvergenceReport(
         kind="truncation",

@@ -86,12 +86,15 @@ class SimpleFunction:
         return total
 
 
-def _dressing(c, amp: FieldAmplitudes):
-    """`generator` split into its linear part (a fresh array) and shift."""
+def generator(c, amp: FieldAmplitudes) -> Operator:
+    """Semigroup generator dressed with coherent amplitudes.
+
+    sum_ij a_i^* N_ij b_j + sum_i a_i^* M_i + sum_i L_i b_i + K
+    - (|a|^2 + |b|^2)/2.
+    """
     if amp.n != c.n:
         raise ValueError(f"amplitude channel count {amp.n} != model {c.n}")
-    alpha = np.asarray(amp.alpha)
-    beta = np.asarray(amp.beta)
+    alpha, beta = np.asarray(amp.alpha), np.asarray(amp.beta)
     m = c.k_op.entries.astype(np.complex128, copy=True)
     for i in range(c.n):
         ai = alpha[i].conjugate()
@@ -100,16 +103,6 @@ def _dressing(c, amp: FieldAmplitudes):
         for j in range(c.n):
             m += ai * beta[j] * c.n_ops[i][j].entries
     shift = 0.5 * (np.vdot(alpha, alpha).real + np.vdot(beta, beta).real)
-    return m, shift
-
-
-def generator(c, amp: FieldAmplitudes) -> Operator:
-    """Semigroup generator dressed with coherent amplitudes.
-
-    sum_ij a_i^* N_ij b_j + sum_i a_i^* M_i + sum_i L_i b_i + K
-    - (|a|^2 + |b|^2)/2.
-    """
-    m, shift = _dressing(c, amp)
     m -= shift * np.eye(c.space.total_dim)
     return Operator(c.space, m)
 

@@ -6,14 +6,18 @@ F and G, scattering cut from a unitary); `duan_kimble_fast_blocks` and
 `duan_kimble_block_indices` give the closed-form 3x3 sector blocks of the
 duan-kimble fast generator and where they sit in the full space.
 `count_full_size_svds` counts the spectral norms and SVDs taken of
-full-size matrices.
+full-size matrices.  `rotated_family` conjugates a fixture by a random
+unitary.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from qsdelim import HilbertSpace, Operator, QsdeCoefficients, ScaledFamily
+from qsdelim import (
+    HilbertSpace, Operator, QsdeCoefficients, ScaledFamily, SubspacePair,
+)
 from qsdelim.qsde_model import _m_from_unitarity
 from qsdelim.random_models import _ginibre, _hermitian, _unitary_grid
 
@@ -93,3 +97,24 @@ def count_full_size_svds(monkeypatch, d: int) -> dict:
     monkeypatch.setattr(np.linalg, "norm", spy(np.linalg.norm))
     monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
     return counts
+
+
+def rotated_family(fix, seed):
+    """The fixture's family and pair conjugated by the Q factor of a
+    `default_rng(seed)` complex Gaussian, so that p0 is no coordinate
+    projection and its bases come from Gram-Schmidt."""
+    fam = fix.family
+    d = fam.space.total_dim
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((d, d))
+                     + 1j * rng.standard_normal((d, d)))[0]
+
+    def rot(op):
+        return Operator(fam.space, u @ op.entries @ u.conj().T)
+
+    rotated = dataclasses.replace(
+        fam, y=rot(fam.y), a=rot(fam.a), b=rot(fam.b),
+        f_ops=tuple(map(rot, fam.f_ops)), g_ops=tuple(map(rot, fam.g_ops)),
+        w_ops=tuple(tuple(map(rot, row)) for row in fam.w_ops),
+    )
+    return rotated, SubspacePair(rot(fix.sub.p0))

@@ -2,10 +2,12 @@
 
 Oracles: the exact cancellation identities satisfied by the corrector, a
 corrected-vs-uncorrected comparison, known decay rates on fixtures with
-closed-form limits, and window fixtures whose truncation gap must vanish
-identically.
+closed-form limits, a per-k generator floor that holds round-off of an
+exact model and not a Y off its slow subspace, and window fixtures whose
+truncation gap must vanish identically.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 from qsdelim import (
     FieldAmplitudes,
+    Operator,
     PreconditionFailed,
     assemble,
     driven_oscillator_limit,
@@ -24,12 +27,18 @@ from qsdelim import (
     kurtz_corrector,
     rate_fit,
     random_structured_fixture,
+    scaled_hp_validate,
     semigroup_gap,
     semigroup_study,
+    structural_validate,
     trivial_family_from_limit,
     truncation_study,
     windowed_oscillator_limit,
 )
+from qsdelim.convergence import RESIDUAL_FLOOR
+from qsdelim.operator_core import _norm_bound
+
+from model_helpers import rotated_family
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +112,43 @@ class TestKurtzCorrector:
         report = generator_study(result, amp, (2, 4, 8, 16, 32, 64))
         assert report.verdict
         assert report.fitted_rate == pytest.approx(-1.0, abs=0.2)
+
+
+class TestGeneratorFloorPerK:
+    """The generator study's floor at k is RESIDUAL_FLOOR max(1, k^2 |Y|),
+    with |Y| the bound `_norm_bound`: round-off of k^2 Y u grows like k^2."""
+
+    KS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    VACUUM = FieldAmplitudes.vacuum(1)
+
+    def _floors(self, fam):
+        y_norm = _norm_bound(fam.y.entries)
+        return [RESIDUAL_FLOOR * max(1.0, k * k * y_norm) for k in self.KS]
+
+    def test_rotated_exact_model_at_vacuum_passes(self, dk_fixture):
+        # duan-kimble conjugated by a random unitary: its residuals are
+        # round-off of k^2 Y u alone, above the absolute floor.
+        fam, sub = rotated_family(dk_fixture, 0)
+        report = generator_study(eliminate(fam, sub), self.VACUUM, self.KS)
+        assert report.verdict
+        assert max(report.values) > 10 * RESIDUAL_FLOOR
+        assert all(v <= f for v, f in zip(report.values, self._floors(fam)))
+
+    def test_y_off_its_slow_subspace_fails(self, dk_fixture):
+        # Y + i eps H with H Hermitian and |H| = 1 keeps Y + Y^* and passes
+        # both validators at eps = 1e-10, yet Y u is not round-off.
+        fam, sub = dk_fixture.family, dk_fixture.sub
+        d = fam.space.total_dim
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = x + x.conj().T
+        h /= np.linalg.norm(h, 2)
+        fam = dataclasses.replace(fam, y=fam.y + Operator(fam.space, 1e-10j * h))
+        assert scaled_hp_validate(fam).overall
+        assert structural_validate(fam, sub).overall
+        report = generator_study(eliminate(fam, sub), self.VACUUM, self.KS)
+        assert not report.verdict
+        assert all(v > 10 * f for v, f in zip(report.values, self._floors(fam)))
 
 
 class TestRateFit:

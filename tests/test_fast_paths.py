@@ -29,7 +29,10 @@ max(1e-12 |ref|, 1e-14) per entry for a coordinate projection, 1e-12
 relative for a rotated one, and check values within 1e-12 max(1, scale)
 with the same flags.  After the restricted inverse, no product of two
 d x d arrays is taken: the limit and side checks take r-row or r-column
-products, and the corrector matrix-vector ones.
+products, and the corrector matrix-vector ones.  The generator residual,
+formed from its five Laurent coefficients in k, matches the per-k loop of
+`assemble` and `generator` it replaced under the oracle's rule with the
+study's per-k floor, and the study assembles no family.
 
 `tensor_embed` equals the `np.kron` ampliation by value with +0.0 off its
 blocks, so random cavity models emit sparse nodes, and `_Norms` gives
@@ -80,6 +83,7 @@ from qsdelim import (
     duan_kimble_fixture,
     eliminate,
     field_dressed_parts,
+    generator,
     generator_residual,
     generator_study,
     hp_validate,
@@ -114,6 +118,7 @@ from qsdelim.modelfile import (
 
 from model_helpers import (
     count_full_size_svds, random_hp_coefficients, random_scaled_family,
+    rotated_family,
 )
 
 
@@ -592,14 +597,15 @@ def _rel_close(got, want) -> bool:
     return np.linalg.norm(got - want) <= REL_TOL * np.linalg.norm(want)
 
 
-def _oracle_close(got, want) -> bool:
+def _oracle_close(got, want, floor=1e-14) -> bool:
     """The benchmark oracle's rule, entry by entry: |got - want| <=
-    max(1e-12 |want|, 1e-14), and equal where want is not finite."""
+    max(1e-12 |want|, floor), floor 1e-14 unless given, and equal where
+    want is not finite."""
     got, want = np.asarray(got), np.asarray(want)
     finite = np.isfinite(want)
     return bool(np.array_equal(got[~finite], want[~finite]) and np.all(
         np.abs(got[finite] - want[finite])
-        <= np.maximum(REL_TOL * np.abs(want[finite]), 1e-14)))
+        <= np.maximum(REL_TOL * np.abs(want[finite]), floor)))
 
 
 def _reference_dressed_parts(fam, amp):
@@ -776,6 +782,52 @@ class TestStudiesReuseTheLimitSide:
         base[0, 0] = 5.0
         assert x.entries[0, 0] == 0.0
         assert spectral_norm(x) == float(np.linalg.norm(x.entries, 2)) == 0.0
+
+
+# -- the generator residual as a Laurent polynomial in k -------------------
+
+def _reference_residuals(result, amp, u, ks):
+    """The per-k loop the Laurent form replaced: assemble the family at k,
+    dress it, and apply it to the corrected vector."""
+    cor = kurtz_corrector(result, amp, u)
+    v = result.sub.slow_basis
+    limit_side = v @ (generator(result.limit, amp).entries @ (v.conj().T @ u))
+    return [
+        float(np.linalg.norm(generator(assemble(result.family, k), amp).entries
+                             @ cor.at_k(k) - limit_side))
+        for k in ks
+    ]
+
+
+class TestGeneratorResidualLaurentForm:
+    """The residual from its five Laurent coefficients against the per-k
+    loop, under the oracle's rule with its 1e-14 raised to the study's
+    floor at k, RESIDUAL_FLOOR max(1, k^2 |Y|): the loop's own round-off
+    grows with k (it cancels k-sized terms to leave an O(1/k) residual),
+    so at k = 4096 it sits about 1e-8 relative from the Laurent form.  u1
+    and u2 match the old dressed matrices under the oracle's rule."""
+
+    KS = (0.5, 2.0, 64.0, 4096.0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_structured_cases())
+    def test_residuals_and_corrector(self, case):
+        fix, amp = case
+        result = eliminate(fix.family, fix.sub)
+        v = result.sub.slow_basis
+        u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
+        got, _ = convergence._residuals(result, amp, u, self.KS)
+        want = _reference_residuals(result, amp, u, self.KS)
+        y_norm = _norm_bound(fix.family.y.entries)
+        for k, g, w in zip(self.KS, got, want):
+            floor = convergence.RESIDUAL_FLOOR * max(1.0, k * k * y_norm)
+            assert _oracle_close(g, w, floor), (k, g, w)
+        cor = kurtz_corrector(result, amp, u)
+        a_op, b_op = _reference_dressed_parts(fix.family, amp)
+        yt = result.y_tilde.entries
+        u1 = -yt @ (a_op.entries @ u)
+        assert _oracle_close(cor.u1, u1)
+        assert _oracle_close(cor.u2, -yt @ (b_op.entries @ u + a_op.entries @ u1))
 
 
 # -- each validation fact measured once ------------------------------------
@@ -1041,26 +1093,6 @@ def _reference_corrector(result, amp, u):
     return -yt @ (a_op.entries @ u), -yt @ (result.sub.p1.entries @ slow_part)
 
 
-def _rotated(fix, seed):
-    """The fixture conjugated by a random unitary, so that p0 is no
-    coordinate projection and its bases come from Gram-Schmidt."""
-    fam = fix.family
-    d = fam.space.total_dim
-    rng = np.random.default_rng(seed)
-    u = np.linalg.qr(rng.standard_normal((d, d))
-                     + 1j * rng.standard_normal((d, d)))[0]
-
-    def rot(op):
-        return Operator(fam.space, u @ op.entries @ u.conj().T)
-
-    rotated = dataclasses.replace(
-        fam, y=rot(fam.y), a=rot(fam.a), b=rot(fam.b),
-        f_ops=tuple(map(rot, fam.f_ops)), g_ops=tuple(map(rot, fam.g_ops)),
-        w_ops=tuple(tuple(map(rot, row)) for row in fam.w_ops),
-    )
-    return rotated, SubspacePair(rot(fix.sub.p0))
-
-
 SIDE_CHECKS = ("limit.l_side", "limit.n_side_right", "limit.n_side_left")
 
 
@@ -1104,7 +1136,7 @@ class TestSlowSubspaceInBasisCoordinates:
     @given(_structured_cases(), st.integers(0, 2**32 - 1))
     def test_rotated_projection(self, case, seed):
         fix, amp = case
-        fam, sub = _rotated(fix, seed)
+        fam, sub = rotated_family(fix, seed)
         assert not np.array_equal(sub.slow_basis, subspace_basis(fix.sub.p0))
         self._compare(fam, sub, amp, _rel_close)
 
@@ -1127,7 +1159,7 @@ class TestSlowSubspaceInBasisCoordinates:
     @given(_structured_cases(), st.integers(0, 2**32 - 1))
     def test_p1_is_identity_minus_p0(self, case, seed):
         fix, _ = case
-        for sub in (fix.sub, _rotated(fix, seed)[1]):
+        for sub in (fix.sub, rotated_family(fix, seed)[1]):
             p0 = sub.p0.entries
             assert np.array_equal(_bits(sub.p1.entries),
                                   _bits(np.eye(p0.shape[0]) - p0))
@@ -1946,13 +1978,13 @@ class TestNoFullSizeProductAfterTheInverse:
     """Once `restricted_inverse` has returned, the limit formulas, the
     side checks and the corrector take no product of two d x d arrays:
     every product from the family's entries, the pair's bases or Y~ has
-    r rows or r columns (r the slow rank), or is a matrix-vector product.
-    The corrector's field dressing (`field_dressed_parts`), which does not
-    read Y~, is not watched; its results are."""
+    r rows or r columns (r the slow rank), or a vector operand.  After
+    `eliminate` returns, the generator study assembles no family and
+    takes no d x d product either: its products have a vector operand,
+    r rows or columns, or 3, from the block [u u1 u2] or its adjoint."""
 
-    @pytest.mark.parametrize("model", ["dk40", "random136"])
-    def test_eliminate_validate_and_corrector(self, full_size_models, model,
-                                              monkeypatch):
+    @staticmethod
+    def _spied(full_size_models, model):
         path, d = full_size_models[model]
         loaded = load_model(path)
         fam, sub = loaded.family, loaded.sub
@@ -1960,11 +1992,16 @@ class TestNoFullSizeProductAfterTheInverse:
                 *(w for row in fam.w_ops for w in row))
         for name in ("slow_basis", "fast_basis"):
             vars(sub)[name] = getattr(sub, name).view(_MatmulSpy)
-        r = sub.slow_basis.shape[1]
+        amp = FieldAmplitudes((0.2 - 0.1j,) * fam.n, (0.3 + 0.2j,) * fam.n)
+        return fam, sub, d, sub.slow_basis.shape[1], amp
+
+    @pytest.mark.parametrize("model", ["dk40", "random136"])
+    def test_eliminate_validate_and_corrector(self, full_size_models, model,
+                                              monkeypatch):
+        fam, sub, d, r, amp = self._spied(full_size_models, model)
         log = []
         monkeypatch.setattr(_MatmulSpy, "log", None)
         real_inverse = qsde_model.restricted_inverse
-        real_dressing = convergence.field_dressed_parts
 
         def inverse(*args, **kwargs):
             yt, defect = real_inverse(*args, **kwargs)
@@ -1972,16 +2009,7 @@ class TestNoFullSizeProductAfterTheInverse:
             _MatmulSpy.log = log
             return yt, defect
 
-        def dressing(*args, **kwargs):
-            watched, _MatmulSpy.log = _MatmulSpy.log, None
-            parts = real_dressing(*args, **kwargs)
-            _spy_on(*parts)
-            _MatmulSpy.log = watched
-            return parts
-
         monkeypatch.setattr(qsde_model, "restricted_inverse", inverse)
-        monkeypatch.setattr(convergence, "field_dressed_parts", dressing)
-        amp = FieldAmplitudes((0.2 - 0.1j,) * fam.n, (0.3 + 0.2j,) * fam.n)
         products = {}
         for name, run in (
             ("structural_validate", lambda: structural_validate(fam, sub)),
@@ -1998,5 +2026,24 @@ class TestNoFullSizeProductAfterTheInverse:
             assert shapes, name
             assert ((d, d), (d, d)) not in shapes, name
             for x, y in shapes:
-                assert len(y) == 1 or r in (x[0], y[1]), (name, x, y)
+                assert 1 in (len(x), len(y)) or r in (x[0], y[1]), (name, x, y)
 
+    @pytest.mark.parametrize("model", ["dk40", "random136"])
+    def test_generator_study(self, full_size_models, model, monkeypatch):
+        fam, sub, d, r, amp = self._spied(full_size_models, model)
+        monkeypatch.setattr(_MatmulSpy, "log", None)
+        result = eliminate(fam, sub)
+        _spy_on(result.y_tilde)
+        assembled = []
+        for module in (qsde_model, convergence):
+            monkeypatch.setattr(module, "assemble",
+                                lambda *args: assembled.append(args))
+        log = []
+        _MatmulSpy.log = log
+        report = generator_study(result, amp, (2.0, 4.0, 8.0, 16.0))
+        _MatmulSpy.log = None
+        assert report.verdict and not assembled
+        assert log and r < d
+        assert ((d, d), (d, d)) not in log
+        for x, y in log:
+            assert 1 in (len(x), len(y)) or {3, r} & {x[0], y[1]}, (x, y)

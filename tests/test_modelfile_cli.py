@@ -446,6 +446,26 @@ class TestStrictJsonReports:
             assert math.isfinite(checks[name]["tolerance"]), name
 
 
+class TestGeneratorDiagnostics:
+    """`converge --kind generator --report` writes the norms of the
+    residual's k^2, k^1 and k^0 coefficients under "diagnostics": the
+    orders that the corrector and the limit formulas cancel."""
+
+    def test_orders_cancel_and_reports_repeat(self, tmp_path, capsys):
+        argv = ["converge", "duan-kimble", "--kind", "generator",
+                "--k", "2", "4", "8", "16", "32", "64",
+                "--alpha=0.2-0.1j", "--beta=0.3+0.2j"]
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            assert main([*argv, "--report", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        diagnostics = _strict_json(paths[0].read_text())["diagnostics"]
+        assert sorted(diagnostics) == ["order_k0_norm", "order_k1_norm",
+                                       "order_k2_norm"]
+        # Acceptance test 4 holds the k^2 and k^1 cancellations to 1e-10.
+        assert all(0.0 <= x < 1e-10 for x in diagnostics.values())
+
+
 class TestRejectedInputsExit2:
     @pytest.mark.parametrize("argv", [
         ["validate", "duan-kimble", "--k", "0"],
