@@ -9,10 +9,11 @@ between the adjoint prelimit propagator and the embedded limit propagator
 on the slow subspace.  Both read one `EliminationResult` and take its
 limit side once per study.  Grid studies (semigroup and truncation gaps)
 take one expm of the grid step per model and step the grid by repeated
-products (`semigroup.propagate_on_grid`), each gap one batched SVD over
-the grid (`_gap`).  A truncation study needs N = I exactly, so each cutoff
-c is propagated in block form on its own (c+1)-dim space, and a cutoff
-whose block adds nothing reuses the previous grid.  All studies are
+products (`semigroup.propagate_on_grid`); each gap is an SVD of only the
+grid times whose Gram eigenvalues can hold the max (`_gap`).  A
+truncation study needs N = I exactly, so each cutoff c is propagated in
+block form on its own (c+1)-dim space, and a cutoff whose block adds
+nothing reuses the previous grid.  All studies are
 deterministic: reports are bit-reproducible for fixed inputs.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .semigroup import FieldAmplitudes, generator, propagate_on_grid
 log = logging.getLogger(__name__)
 
 RESIDUAL_FLOOR = 1e-14
+_GAP_MARGIN = 1e-8  # relative margin of `_gap`'s Gram preselection
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class KurtzCorrector:
     u: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
+    # (a u, b u, a u1, b u1) as `kurtz_corrector` formed them, for `_residuals`.
+    _dressed: tuple = field(default=(), repr=False, compare=False)
 
     def at_k(self, k: float) -> np.ndarray:
         return self.u + self.u1 / k + self.u2 / (k * k)
@@ -72,21 +76,27 @@ def _dressed_products(fam: ScaledFamily, amp: FieldAmplitudes, x: np.ndarray):
     """(a x, b x) for the dressed parts a and b of `field_dressed_parts` and
     x a vector or a block of columns, forming neither part: each M_i =
     -sum_j W_ij L_j^* from unitarity is applied as W_ij (L_j^* x), and
-    L_j^* x is taken as (x^* L_j)^*, with no conjugated copy of L_j."""
+    L_j^* x is taken as (x^* L_j)^*, with no conjugated copy of L_j.  A
+    term whose amplitude coefficient is exactly 0 is left out (the F_i, G_i
+    terms for beta_i = 0, the W_ij terms for alpha_i = 0): it adds only
+    signed zeros.  At vacuum amplitudes a x = A x and b x = B x."""
     if amp.n != fam.n:
         raise ValueError(f"amplitude channel count {amp.n} != model {fam.n}")
     alpha, beta = np.conj(amp.alpha), np.asarray(amp.beta)
-    xh = x.conj().T
-    fhx = [(xh @ f.entries).conj().T for f in fam.f_ops]
-    ghx = [bj * x - (xh @ g.entries).conj().T for bj, g in zip(beta, fam.g_ops)]
     shift = 0.5 * (np.vdot(alpha, alpha).real + np.vdot(beta, beta).real)
     ax, bx = fam.a.entries @ x, fam.b.entries @ x - shift * x
+    if alpha.any():
+        xh = x.conj().T
+        fhx = [(xh @ f.entries).conj().T for f in fam.f_ops]
+        ghx = [bj * x - (xh @ g.entries).conj().T for bj, g in zip(beta, fam.g_ops)]
     for i, row in enumerate(fam.w_ops):
-        ax += beta[i] * (fam.f_ops[i].entries @ x)
-        bx += beta[i] * (fam.g_ops[i].entries @ x)
-        for w, fh, gh in zip(row, fhx, ghx):
-            ax -= alpha[i] * (w.entries @ fh)
-            bx += alpha[i] * (w.entries @ gh)
+        if beta[i]:
+            ax += beta[i] * (fam.f_ops[i].entries @ x)
+            bx += beta[i] * (fam.g_ops[i].entries @ x)
+        if alpha[i]:
+            for w, fh, gh in zip(row, fhx, ghx):
+                ax -= alpha[i] * (w.entries @ fh)
+                bx += alpha[i] * (w.entries @ gh)
     return ax, bx
 
 
@@ -116,21 +126,24 @@ def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
         raise PreconditionFailed("u must be supported on the slow subspace")
     au, bu = _dressed_products(result.family, amp, u)
     u1 = -yt @ au
-    u2 = -yt @ (bu + _dressed_products(result.family, amp, u1)[0])
-    return KurtzCorrector(u=u, u1=u1, u2=u2)
+    au1, bu1 = _dressed_products(result.family, amp, u1)
+    u2 = -yt @ (bu + au1)
+    return KurtzCorrector(u=u, u1=u1, u2=u2, _dressed=(au, bu, au1, bu1))
 
 
 def _residuals(result: EliminationResult, amp: FieldAmplitudes, u, ks):
     """Generator residuals for each k, and the norms of their k^2, k^1 and
     k^0 coefficients: with G the limit's dressed generator, the residual is
     |k^2 t2 + k t1 + t0 + t_1/k + t_2/k^2|, t2 = Y u, t1 = Y u1 + a u,
-    t0 = Y u2 + a u1 + b u - V G V^* u, t_1 = a u2 + b u1, t_2 = b u2."""
+    t0 = Y u2 + a u1 + b u - V G V^* u, t_1 = a u2 + b u1, t_2 = b u2.
+    a u, b u, a u1 and b u1 are the ones `kurtz_corrector` formed, so the
+    dressing is applied once more, to u2 only."""
     if not all(k > 0 for k in ks):
         raise ValueError("scaling parameter k must be positive")
     cor = kurtz_corrector(result, amp, u)
+    au, bu, au1, bu1 = cor._dressed
+    au2, bu2 = _dressed_products(result.family, amp, cor.u2)
     v, block = result.sub.slow_basis, np.stack((cor.u, cor.u1, cor.u2), axis=1)
-    (au, au1, au2), (bu, bu1, bu2) = (
-        x.T for x in _dressed_products(result.family, amp, block))
     yu, yu1, yu2 = (result.family.y.entries @ block).T
     limit_side = v @ (generator(result.limit, amp).entries @ (v.conj().T @ cor.u))
     t2, t1, t0, t_1, t_2 = orders = (
@@ -152,7 +165,7 @@ def generator_residual(result: EliminationResult, amp: FieldAmplitudes,
 def _gaps(result: EliminationResult, amp: FieldAmplitudes, T: float,
           grid_points: int, ks) -> tuple[float, ...]:
     """Semigroup gaps for each k; the limit side is propagated once, and
-    each k's gap is one batched SVD over its grid (`_gap`)."""
+    each k's gap is taken over its whole grid by `_gap`."""
     v = result.sub.slow_basis
     limit_side = np.stack([
         v @ small
@@ -260,12 +273,32 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
 
 
 def _gap(lo: np.ndarray, hi: np.ndarray) -> float:
-    """Largest singular value over a stack of matrices, from one batched
-    SVD; an all-zero difference is 0.0 with no LAPACK call."""
+    """Largest singular value over a stack of m x n matrices lo - hi, with
+    the bits of `np.linalg.svd(lo - hi, compute_uv=False).max()` (0.0 with
+    no LAPACK call when all zero or empty), from an SVD of only the slices
+    that can hold it.  Scaled by its largest |entry|, so that its Gram
+    products can neither overflow nor lose the top to underflow, each
+    slice's largest Gram eigenvalue from one batched `eigvalsh` is its
+    sigma_max^2 to about m n eps relative; the slices within _GAP_MARGIN =
+    1e-8 relative of the largest go to one batched SVD.  The margin covers
+    that rounding and LAPACK's own (about n eps), and LAPACK takes each
+    slice on its own, so the max keeps its bits.  Every slice goes when
+    100 m n eps > 1e-8 or a value is not finite.
+    """
     diff = lo - hi
     if not diff.any():
         return 0.0
-    return float(np.linalg.svd(diff, compute_uv=False).max())
+    m, n = diff.shape[-2:]
+    take = slice(None)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is inf
+        scale = float(np.abs(diff).max())
+    if math.isfinite(scale) and 100 * m * n * np.finfo(float).eps <= _GAP_MARGIN:
+        x = diff / scale
+        xh = x.conj().swapaxes(-1, -2)
+        top = np.linalg.eigvalsh(xh @ x if m >= n else x @ xh)[..., -1]
+        if np.isfinite(top).all():
+            take = top >= top.max() * (1.0 - _GAP_MARGIN)
+    return float(np.linalg.svd(diff[take], compute_uv=False).max())
 
 
 def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
@@ -284,8 +317,8 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
     block is propagated.  A cutoff whose kept B and G are zero outside the
     previous cutoff's block reuses that grid: its gap is exactly 0.0.
     Values: per consecutive pair, the max over the grid of the spectral
-    distance of the propagated first cutoffs[0]+1 states (one batched SVD
-    per gap); verdict: a Cauchy-style decrease (or a single gap).
+    distance of the propagated first cutoffs[0]+1 states (`_gap`);
+    verdict: a Cauchy-style decrease (or a single gap).
     """
     cutoffs = tuple(int(c) for c in cutoffs)
     if len(cutoffs) < 2 or any(a >= b for a, b in zip(cutoffs, cutoffs[1:])):

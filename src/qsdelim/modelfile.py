@@ -131,8 +131,10 @@ def _sparse_from_json(node: dict) -> np.ndarray:
     """Decode a sparse node into a dense complex array.
 
     Each list is type-checked and converted once; the indices are checked
-    on arrays; the values are scattered into a +0.0 buffer, so every entry
-    has the bits the dense form of the same values gives.
+    on arrays; the real and imaginary parts are scattered into a +0.0
+    complex128 buffer, so every entry has the bits the dense form of the
+    same values gives.  The result is that C-contiguous buffer itself,
+    which owns its data, so an `Operator` freezes it without a copy.
     """
     d = _integer(node["dim"], "sparse dim")
     if d < 1:
@@ -146,10 +148,11 @@ def _sparse_from_json(node: dict) -> np.ndarray:
     flat = row * d + col
     if np.unique(flat).size != flat.size:
         raise ModelParseError("sparse (row, col) pairs must be distinct")
-    buf = np.zeros((d * d, 2))
-    buf[flat, 0] = re
-    buf[flat, 1] = im
-    return buf.view(np.complex128).reshape(d, d)
+    buf = np.zeros((d, d), dtype=np.complex128)
+    entries = buf.reshape(-1)  # a view: writing it fills buf
+    entries.real[flat] = re
+    entries.imag[flat] = im
+    return buf
 
 
 def operator_to_json(m: np.ndarray):
@@ -378,7 +381,8 @@ def load_model(path: str) -> ModelFile:
     over the half-built document and everything else alive.  None of it
     can form a cycle, so the collector is switched off for the load and the
     caller's state restored.  A sparse node builds four flat lists instead,
-    so the pause pays off for dense files.
+    so the pause pays off for dense files; its decoded buffer is the array
+    its `Operator` keeps, with no copy.
     """
     was_enabled = gc.isenabled()
     gc.disable()

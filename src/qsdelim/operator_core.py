@@ -15,8 +15,8 @@ taken on first read, skips every item whose bound cannot exceed the
 largest norm taken so far, with the bits of taking them all.  `_at_most`
 passes a defect whose upper bound is at most the threshold on the scale's
 floor and otherwise compares the exact values; the restricted inverse's
-gates, the projection checks of `SubspacePair` and every validator check
-decide this way.
+gates, the projection checks of `SubspacePair` (but for a coordinate
+projection, which needs none) and every validator check decide this way.
 
 The per-time norms of a propagator grid (`_propagator_norms`) are
 certified Rayleigh-Ritz values: one subspace step on a small block,
@@ -24,7 +24,8 @@ warm-started from the previous time's Ritz vectors, gives a lower bound
 on sigma_max, and a two-by-two bound from the residual and the Frobenius
 mass outside the block certifies it from above.  A certified value
 agrees with LAPACK's sigma_max within 1e-12 relative but is not bit-equal
-to it; a block the certificate cannot decide takes the SVD.
+to it; a nearly certified block takes more steps, a block the
+certificate cannot decide takes the SVD, and the t = 0 block I neither.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_COND_LIMIT = 1e12
 RANK_TOL = 1e-8
 _RITZ_BLOCK = 4  # columns of the warm-started block in `_propagator_norms`
+_RITZ_NEAR = 1e-6  # a bound this close to theta earns `_propagator_norms` more steps
 
 
 @dataclass(frozen=True)
@@ -201,11 +203,12 @@ class _Norms:
         return best
 
 
-def _ritz_step(p: np.ndarray, q: np.ndarray) -> tuple[float, bool, np.ndarray]:
+def _ritz_step(p: np.ndarray, q: np.ndarray) -> tuple[float, bool, np.ndarray, float]:
     """One subspace step of P*P from the orthonormal d x b block q.
     Returns the largest Ritz value theta (a lower bound on sigma_max(p)^2),
-    whether it is certified, and the Ritz vectors (q itself if the step
-    left float64).
+    whether it is certified, the Ritz vectors (q itself if the step left
+    float64) and the bound's relative excess over theta (inf where it does
+    not hold).
 
     In the basis [Q, Q_perp], P*P = [[diag(w), E*], [E, C]] with C >= 0,
     so its largest eigenvalue is at most that of [[theta, e], [e, c]] for
@@ -219,12 +222,12 @@ def _ritz_step(p: np.ndarray, q: np.ndarray) -> tuple[float, bool, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z = (p @ q).conj().T @ p  # (P* P q)*, without forming P*
         if not np.isfinite(z).all():
-            return -math.inf, False, q
+            return -math.inf, False, q, math.inf
         q = np.linalg.qr(z.conj().T)[0]
         y = p @ q
         h = y.conj().T @ y
         if not np.isfinite(h).all():
-            return -math.inf, False, q
+            return -math.inf, False, q, math.inf
         w, v = np.linalg.eigh(h)
         q, y = q @ v, y @ v
         theta = float(w[-1])
@@ -235,9 +238,9 @@ def _ritz_step(p: np.ndarray, q: np.ndarray) -> tuple[float, bool, np.ndarray]:
         r = ((y.conj().T @ p).conj().T - q * w) / fro2
         e = fro2 * math.sqrt(np.vdot(r, r).real) + margin
         upper = (theta + c) / 2 + math.hypot((theta - c) / 2, e)
-    certified = theta > 0 and sys.float_info.min <= margin < math.inf and (
-        upper <= theta * (1.0 + 1e-13))
-    return theta, certified, q
+    if not (theta > 0 and sys.float_info.min <= margin < math.inf):
+        return theta, False, q, math.inf
+    return theta, upper <= theta * (1.0 + 1e-13), q, upper / theta - 1.0
 
 
 def _propagator_norms(blocks):
@@ -246,25 +249,40 @@ def _propagator_norms(blocks):
     singular vectors drift slowly (the time grid of a propagator).
 
     Each P takes one subspace step (`_ritz_step`) from the previous P's
-    Ritz vectors and yields sqrt(theta) if it is certified.  Otherwise, if
-    some column of P is longer than sqrt(theta) (always for the first P),
-    the warm block misses a direction at least that large, and a step
-    from the columns of I at P's _RITZ_BLOCK longest columns is tried;
-    its Ritz vectors carry on if it certifies (or for the first P).  A P
-    that neither step certifies yields its SVD norm.
+    Ritz vectors and yields sqrt(theta) if it is certified.  A step whose
+    bound is within _RITZ_NEAR (1e-6) relative of theta but not certified
+    is repeated on the same P while each repeat cuts that excess tenfold:
+    a few more steps cost far less than an SVD.  Otherwise, if some column
+    of P is longer than sqrt(theta) (always for the first P), the warm
+    block misses a direction at least that large, and a step from the
+    columns of I at P's _RITZ_BLOCK longest columns is tried; its Ritz
+    vectors carry on if it certifies (or for the first P).  A P that
+    neither certifies yields its SVD norm.  A P that is exactly I (t = 0)
+    yields 1.0, its LAPACK norm, with no step; as the first P it leaves
+    the block where a step from I would: at the columns of I at indices
+    0 .. _RITZ_BLOCK - 1.
     """
     q = None
     for p in blocks:
+        ones = p[0, 0] == 1 and np.all(p.diagonal() == 1)
+        if ones and np.count_nonzero(p) == len(p):
+            if q is None:
+                q = np.eye(len(p), min(len(p), _RITZ_BLOCK), dtype=np.complex128)
+            yield 1.0
+            continue
         theta, certified = -math.inf, False
         if q is not None:
-            theta, certified, q = _ritz_step(p, q)
+            theta, certified, q, excess = _ritz_step(p, q)
+            while not certified and excess <= _RITZ_NEAR:
+                theta, certified, q, shrunk = _ritz_step(p, q)
+                excess = shrunk if shrunk < excess / 10 else math.inf
         if not certified:
             with np.errstate(over="ignore", invalid="ignore"):
                 cols = (p.real * p.real + p.imag * p.imag).sum(axis=0)
             if cols.max() > theta:
                 top = np.sort(np.argsort(-cols, kind="stable")[:_RITZ_BLOCK])
                 start = np.eye(len(cols), dtype=np.complex128)[:, top]
-                theta_c, certified, q_c = _ritz_step(p, start)
+                theta_c, certified, q_c, _ = _ritz_step(p, start)
                 if certified or q is None:
                     theta, q = theta_c, q_c
         yield math.sqrt(theta) if certified else _norm2(p)
@@ -324,6 +342,21 @@ def matrix_exponential(x: Operator, t: float) -> Operator:
     return Operator(x.space, scipy.linalg.expm(t * x.entries))
 
 
+def _coordinate_indices(p0: np.ndarray) -> np.ndarray | None:
+    """The indices of the ones of a coordinate projection: a square array
+    whose nonzero entries all lie on its diagonal, each exactly 0 or 1.
+    None for any other array.  Such a p0 is an orthogonal projection with
+    exact arithmetic: p0 - p0^* and p0 p0 - p0 are exactly zero."""
+    diag = p0.diagonal()
+    if (
+        p0.shape != (len(p0), len(p0))
+        or np.count_nonzero(p0) != np.count_nonzero(diag)
+        or not np.all((diag == 0) | (diag == 1))
+    ):
+        return None
+    return np.flatnonzero(diag)
+
+
 def subspace_basis(p0: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the range of the projection `p0`.
 
@@ -333,23 +366,19 @@ def subspace_basis(p0: np.ndarray) -> np.ndarray:
     slow subspace derives them through this routine so bases agree.  A
     column whose residual norm is at most RANK_TOL is dropped.
 
-    A coordinate projection (square, every nonzero entry on the diagonal,
-    every diagonal entry exactly 0 or 1) skips the Gram-Schmidt loop and
-    returns the columns of the identity at the indices of its ones.  The
-    result is exactly equal (`np.array_equal`) to the Gram-Schmidt output
-    for the same input; any other input goes through Gram-Schmidt.
+    A coordinate projection (`_coordinate_indices`) skips the Gram-Schmidt
+    loop and returns the columns of the identity at the indices of its
+    ones.  The result is exactly equal (`np.array_equal`) to the
+    Gram-Schmidt output for the same input; any other input goes through
+    Gram-Schmidt.
     """
     if isinstance(p0, Operator):
         p0 = p0.entries
     p0 = np.asarray(p0, dtype=np.complex128)
     d = p0.shape[0]
-    diag = p0.diagonal()
-    if (
-        p0.shape == (d, d)
-        and np.count_nonzero(p0) == np.count_nonzero(diag)
-        and np.all((diag == 0) | (diag == 1))
-    ):
-        return np.eye(d, dtype=np.complex128)[:, np.flatnonzero(diag)]
+    ones = _coordinate_indices(p0)
+    if ones is not None:
+        return np.eye(d, dtype=np.complex128)[:, ones]
     cols = []
     for j in range(d):
         v = p0[:, j].astype(np.complex128, copy=True)
@@ -368,6 +397,11 @@ def subspace_basis(p0: np.ndarray) -> np.ndarray:
 class SubspacePair:
     """Orthogonal projection p0 onto the slow subspace.
 
+    p0 must be Hermitian and idempotent, each defect at most 1e-9
+    max(1, |p0|) (decided by `_at_most`), and of rank >= 1.  A coordinate
+    projection (`_coordinate_indices`) has both defects exactly zero, so
+    it is accepted without forming them.
+
     The complement `p1 = I - p0` and the read-only isometries `slow_basis`
     (V) and `fast_basis` (Q), built by `subspace_basis`, are derived on
     first use and shared by every caller.  The structural checks,
@@ -378,11 +412,12 @@ class SubspacePair:
 
     def __post_init__(self):
         p0 = self.p0.entries
-        scale = _Norms([self.p0], 1.0)
-        for what, defect in (("Hermitian", lambda: p0 - p0.conj().T),
-                             ("idempotent", lambda: p0 @ p0 - p0)):
-            if not _at_most(_Norms([defect()]), scale, lambda s: 1e-9 * s):
-                raise ValueError(f"p0 is not {what}")
+        if _coordinate_indices(p0) is None:
+            scale = _Norms([self.p0], 1.0)
+            for what, defect in (("Hermitian", lambda: p0 - p0.conj().T),
+                                 ("idempotent", lambda: p0 @ p0 - p0)):
+                if not _at_most(_Norms([defect()]), scale, lambda s: 1e-9 * s):
+                    raise ValueError(f"p0 is not {what}")
         if self.rank < 1:
             raise ValueError("p0 must have rank >= 1")
 

@@ -14,7 +14,8 @@ exact violation and tolerance, spectral norms, only when they are first
 read, so a caller that reads only verdicts takes no SVD for a passing
 check.  Defects are formed on entries arrays with the bits of the Operator
 expressions they stand for, and a product with an all-zero factor is left
-out of its sum.
+out of its sum; a relation left with an all-zero coefficient and no term
+has the exact defect 0.0 and forms no array.
 """
 
 from __future__ import annotations
@@ -177,15 +178,20 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.conj().T)
 
 
-def _relation(x: np.ndarray, terms) -> np.ndarray:
-    """x + x^* + (0 + each term in turn): the defect of a relation of the
-    form K + K^* + sum_i L_i L_i^* = 0, summed as `sum(terms, zero)` adds.
-    Callers leave out a product with an all-zero factor: adding its +-0.0
-    entries to a sum that starts at +0.0 changes no bit."""
+def _relation(x: np.ndarray, terms) -> _Norms:
+    """The defect x + x^* + (0 + each term in turn) of a relation of the
+    form K + K^* + sum_i L_i L_i^* = 0, summed as `sum(terms, zero)` adds,
+    as a `_Norms`.  Callers leave out a product with an all-zero factor:
+    adding its +-0.0 entries to a sum that starts at +0.0 changes no bit.
+    An all-zero x with no term left has the exact defect 0.0, so it forms
+    no array."""
+    terms = list(terms)
+    if not terms and not x.any():
+        return _Norms()
     acc = np.zeros_like(x)
     for t in terms:
         acc = acc + t
-    return x + x.conj().T + acc
+    return _Norms([x + x.conj().T + acc])
 
 
 def assemble(fam: ScaledFamily, k: float) -> QsdeCoefficients:
@@ -241,7 +247,7 @@ def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationRepo
         [c.k_op, *c.l_ops, *c.m_ops, *(op for row in c.n_ops for op in row)], 1.0
     )
     return ValidationReport((
-        _check("hp.k", _Norms([k_defect]), tol, scale),
+        _check("hp.k", k_defect, tol, scale),
         _check("hp.m", _Norms(m_defects), tol, scale),
         _check("hp.n", _unitarity_defect(c.n_ops), tol, scale),
     ))
@@ -268,8 +274,8 @@ def scaled_hp_validate(fam: ScaledFamily, tol: float = DEFAULT_TOL) -> Validatio
         1.0,
     )
     return ValidationReport((
-        *(_check(name, _Norms([x]), tol, scale)
-          for name, x in zip(("scaled.y", "scaled.a", "scaled.b"), defects)),
+        *(_check(name, defect, tol, scale)
+          for name, defect in zip(("scaled.y", "scaled.a", "scaled.b"), defects)),
         _check("scaled.w", _unitarity_defect(fam.w_ops), tol, scale),
     ))
 

@@ -7,16 +7,21 @@ certificate does not decide.  The reference is `np.linalg.norm(P, 2)`;
 every value must lie within max(1e-12 |ref|, 1e-14) of it, over grids of
 random dissipative generators and hand-made sequences that defeat the
 warm start (equal singular values, a dominant direction outside the
-block, near-degenerate tops, entries from 1e-150 to 1e150).  Semigroup
-gaps go through the truncation study's batched `_gap` with the bits of the
-per-point norms, and a unitarity defect of W = I is 0.0 with no product.
+block, near-degenerate tops, entries from 1e-150 to 1e150).  The t = 0
+block I takes neither a step nor an SVD, and a nearly certified step is
+repeated while it converges, so random136's table takes at most half its
+old SVDs while dk40's keeps its bits.  `_gap` equals the batched SVD's
+max bit for bit over stacks of every shape, near-ties and entry scales,
+while passing only the slices its Gram eigenvalues single out; semigroup
+gaps have the bits of the per-point norms, and a unitarity defect of
+W = I is 0.0 with no product.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdelim import (
@@ -26,9 +31,10 @@ from qsdelim import (
     eliminate,
     fixture_to_model_dict,
     propagate_on_grid,
+    random_structured_fixture,
     semigroup_gap,
 )
-from qsdelim import convergence, qsde_model
+from qsdelim import convergence, operator_core, qsde_model
 from qsdelim.cli import main
 from qsdelim.operator_core import Operator, _propagator_norms
 from qsdelim.qsde_model import assemble
@@ -177,6 +183,63 @@ class TestAgainstTheSvdNorm:
             assert abs(value - np.linalg.norm(p, 2)) <= REL_TOL * np.linalg.norm(p, 2)
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call appends its first argument."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kw: calls.append(args[0]) or real(*args, **kw))
+    return calls
+
+
+class TestStepsAndSvdsSkipped:
+    """The t = 0 block I takes neither a step nor an SVD, and a step whose
+    bound is nearly certified is repeated while it converges."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 9, 123])
+    def test_identity_block_is_what_a_step_from_it_returns(self, d):
+        """The block left after I is the one a step from I's first columns
+        returned (before the shortcut, the first P always took that step),
+        bit for bit, so the times after it keep their bits."""
+        eye = np.eye(d, dtype=np.complex128)
+        b = min(d, operator_core._RITZ_BLOCK)
+        stepped = operator_core._ritz_step(eye, eye[:, list(range(b))])[2]
+        left = np.eye(d, b, dtype=np.complex128)
+        assert stepped.flags.c_contiguous and left.flags.c_contiguous
+        assert np.array_equal(stepped.view(np.uint64), left.view(np.uint64))
+
+    def test_identity_takes_no_step_and_no_svd(self, monkeypatch):
+        steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
+        counts = count_full_size_svds(monkeypatch, 30)
+        assert list(_propagator_norms([np.eye(30, dtype=complex)] * 3)) == [1.0] * 3
+        assert (len(steps), counts["full"]) == (0, 0)
+
+    def test_unitaries_take_one_step_per_time(self, monkeypatch):
+        """All singular values equal: every bound is far from theta, so no
+        time repeats its step, and each takes the SVD."""
+        rng = np.random.default_rng(1)
+        blocks = [_rotated(rng, np.ones(12)) for _ in range(6)]
+        steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
+        got = list(_propagator_norms(blocks))
+        monkeypatch.undo()
+        assert len(steps) == len(blocks)
+        assert got == [np.linalg.norm(p, 2) for p in blocks]
+
+    def test_repeats_stop_when_a_step_stalls(self, monkeypatch):
+        """The hidden direction's sigma exceeds the block's by 4e-14, so a
+        repeated step leaves the bound's excess (1.4e-13) where it was:
+        one repeat, then the SVD."""
+        d = 10
+        first = np.diag([1.0, 1.0, 1.0, 1.0, *np.zeros(d - 4)]).astype(complex)
+        u = np.zeros(d, complex)
+        u[4:] = 1 / np.sqrt(d - 4)
+        hidden = first + (1 + 4e-14) * np.outer(u, u)
+        steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
+        got = list(_propagator_norms([first, first, hidden]))
+        monkeypatch.undo()
+        assert [p is hidden for p in steps] == [False, False, True, True]
+        assert got[2] == np.linalg.norm(hidden, 2)
+
+
 @pytest.fixture(scope="module")
 def dk40_path(tmp_path_factory):
     fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=40)
@@ -199,6 +262,69 @@ def test_dk40_table_takes_few_full_svds(dk40_path, amps, tmp_path, monkeypatch, 
     assert capsys.readouterr().out.splitlines()[-1] == "contraction: PASS"
     rows = csv_path.read_text().splitlines()[1:]
     assert len(rows) == 64 and rows[0].endswith(",1")
+
+
+def test_dk40_table_takes_one_full_svd(dk40_path, tmp_path, monkeypatch):
+    """At the benchmark's amplitudes only t = dt falls back (t = 0 is I)."""
+    counts = count_full_size_svds(monkeypatch, 123)
+    argv = ["semigroup", dk40_path, "--k", "16", "--T", "2", "--grid", "64",
+            "--alpha=0.38-0.23j", "--beta=-0.05-0.39j",
+            "--csv", str(tmp_path / "sg.csv")]
+    assert main(argv) == 0
+    assert counts["full"] == 1
+
+
+def _reference_norms(blocks):
+    """The per-time rule before the t = 0 and repeated-step shortcuts: a
+    warm step, else a step from the longest columns, else the SVD."""
+    q = None
+    for p in blocks:
+        theta, certified = -np.inf, False
+        if q is not None:
+            theta, certified, q, _ = operator_core._ritz_step(p, q)
+        if not certified:
+            cols = (p.real * p.real + p.imag * p.imag).sum(axis=0)
+            if cols.max() > theta:
+                top = np.sort(np.argsort(-cols, kind="stable")[:4])
+                start = np.eye(len(cols), dtype=np.complex128)[:, top]
+                theta_c, certified, q_c, _ = operator_core._ritz_step(p, start)
+                if certified or q is None:
+                    theta, q = theta_c, q_c
+        yield float(np.sqrt(theta)) if certified else float(np.linalg.norm(p, 2))
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (0j, 0j), (0.38483966940501357 - 0.2349808261375978j,
+               -0.050030937646668078 - 0.38620700306958461j),
+    (-0.1400586304654301 + 0.06257587867739367j,
+     0.18591140473819195 + 0.29189000346616989j),
+])
+def test_dk40_table_keeps_its_bits(alpha, beta):
+    """At k = 16 no step is repeated, and the block that t = 0 leaves is
+    the one its step left, so every value has the bits of the old rule
+    (the benchmark's amplitudes at seeds 0 and 3, and vacuum)."""
+    fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=40)
+    blocks = list(propagate_on_grid(
+        assemble(fix.family, 16), FieldAmplitudes((alpha,), (beta,)), 2.0, 64,
+        np.eye(123)))
+    assert list(_propagator_norms(blocks)) == list(_reference_norms(blocks))
+
+
+def test_random136_table_takes_few_svds(monkeypatch):
+    """On this 8-point grid one step per time does not certify (the bound
+    stays 1e-8 to 1e-3 above theta), but from t = 5 the warm block is
+    within 1e-6 and a few repeated steps on the same P certify it: at most
+    4 SVDs (there were 8) and 20 steps, each at most a tenth of an SVD."""
+    fix = random_structured_fixture(np.random.default_rng(11), 8, n=2, cutoff=16)
+    amp = FieldAmplitudes((0j, 0j), (0j, 0j))
+    blocks = list(propagate_on_grid(assemble(fix.family, 4), amp, 1.0, 8,
+                                    np.eye(136)))
+    steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
+    counts = count_full_size_svds(monkeypatch, 136)
+    list(_propagator_norms(blocks))
+    monkeypatch.undo()
+    assert counts["full"] <= 4 and len(steps) <= 20
+    assert _check_sequence(blocks)[0] == 1.0
 
 
 def test_semigroup_gaps_have_the_bits_of_per_point_norms():
@@ -226,6 +352,79 @@ def test_semigroup_gap_is_one_batched_svd_per_k(monkeypatch):
     convergence.semigroup_study(result, FieldAmplitudes((0.2j,), (0j,)),
                                 (2, 4, 8), 1.0, 9)
     assert calls == [(9, *result.sub.slow_basis.shape)] * 3
+
+
+def _reference_gap(lo, hi) -> float:
+    return float(np.linalg.svd(lo - hi, compute_uv=False).max(initial=0.0))
+
+
+def _unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def _tied_slices(rng, s, m, n, tie=0.0, scale=1.0):
+    """s m x n slices U_j diag(sv) V_j^* with one drawn set of singular
+    values, the largest moved by the factor 1 + j tie in slice j, under
+    random rotations: for tie = 0 the slices tie exactly and LAPACK's
+    values differ only by rounding."""
+    sv = np.sort(rng.uniform(0.1, 1.0, min(m, n)))[::-1]
+    out = np.empty((s, m, n), dtype=complex)
+    for j in range(s):
+        moved = sv.copy()
+        moved[0] *= 1.0 + j * tie
+        u, v = _unitary(rng, m)[:, : len(sv)], _unitary(rng, n)[:, : len(sv)]
+        out[j] = scale * (u * moved) @ v.conj().T
+    return out
+
+
+@st.composite
+def _gap_stacks(draw):
+    """(lo, hi) stacks of s m x n matrices, m > n or m < n, with entries
+    near 10^e for e in -150..150; differences either random or exact ties
+    or near-ties 1e-10 apart (`_tied_slices`)."""
+    s, m, n = (draw(st.integers(0, 6)), draw(st.integers(1, 12)),
+               draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    hi = scale * (rng.normal(size=(s, m, n)) + 1j * rng.normal(size=(s, m, n)))
+    if draw(st.booleans()):
+        tie = draw(st.sampled_from([0.0, 1e-10, -1e-10]))
+        lo = hi + _tied_slices(rng, s, m, n, tie, scale)
+    else:
+        lo = hi + scale * (rng.normal(size=(s, m, n))
+                           + 1j * rng.normal(size=(s, m, n)))
+    if s and draw(st.booleans()):
+        lo[draw(st.integers(0, s - 1))] = hi[0]  # an exactly zero slice
+    return lo, hi
+
+
+class TestGapFromTheTiedSlices:
+    """`_gap` passes only the slices whose Gram eigenvalue can hold the
+    max to LAPACK, with the bits of the SVD of the whole stack."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gap_stacks())
+    @example((np.zeros((0, 3, 2), complex), np.zeros((0, 3, 2), complex)))
+    @example((np.ones((1, 2, 5), complex), np.zeros((1, 2, 5), complex)))
+    @example((np.zeros((4, 5, 3), complex), np.zeros((4, 5, 3), complex)))
+    @example((_tied_slices(np.random.default_rng(4), 4, 7, 3),
+              np.zeros((4, 7, 3), complex)))
+    @example((_tied_slices(np.random.default_rng(8), 4, 3, 7, scale=1e-150),
+              np.zeros((4, 3, 7), complex)))
+    def test_bits_of_the_batched_svd(self, stacks):
+        lo, hi = stacks
+        with np.errstate(over="raise", invalid="raise"):
+            assert convergence._gap(lo, hi) == _reference_gap(lo, hi)
+
+    def test_every_slice_when_the_margin_cannot_cover(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        lo = rng.normal(size=(5, 6, 4)) + 1j * rng.normal(size=(5, 6, 4))
+        hi, want = np.zeros_like(lo), _reference_gap(lo, np.zeros_like(lo))
+        monkeypatch.setattr(convergence, "_GAP_MARGIN", 0.0)
+        shapes = _count_calls(monkeypatch, np.linalg, "svd")
+        assert convergence._gap(lo, hi) == want
+        monkeypatch.undo()
+        assert [x.shape for x in shapes] == [(5, 6, 4)]
 
 
 class TestTrivialScatteringDefect:
