@@ -11,7 +11,6 @@ studies).
 from .convergence import (
     ConvergenceReport,
     KurtzCorrector,
-    field_dressed_parts,
     generator_residual,
     generator_study,
     kurtz_corrector,
@@ -76,6 +75,7 @@ from .semigroup import (
     SimpleFunction,
     dissipativity_check,
     evolve,
+    field_dressed_parts,
     generator,
     matrix_element_U,
     propagate_on_grid,

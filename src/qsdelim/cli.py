@@ -15,14 +15,16 @@ including a time grid that is not finite T > 0 with >= 2 points, a
 truncation study that breaks a usage rule of `truncation_study` (too few
 cutoffs, a cutoff outside the space, k-dependent coefficients, more than
 one tensor factor, N not exactly I), a scaling parameter k (from --k or
-the model's k_schedule) that is not finite and > 0, a truncation cutoff
-that is not an integer >= 0, a --tol that is not finite and > 0, an
-amplitude (--alpha, --beta or the model's) that is not finite or whose
-squared modulus overflows, finite model entries, amplitudes or k values
-whose products in a validate, eliminate, semigroup or converge run
-overflow float64, a model file with a NaN, Infinity or null entry or a
-boolean or string where a number belongs, and a --report or --csv path
-that cannot be written (a missing directory or a directory).
+the model's k_schedule, which converge sorts and de-duplicates) that is
+not finite and > 0, fewer than 3 distinct k for a generator or semigroup
+study, a truncation cutoff that is not an integer >= 0, a --tol that is
+not finite and > 0, an amplitude (--alpha, --beta or the model's) that
+is not finite or whose squared modulus overflows, finite model entries,
+amplitudes or k values whose products in a validate, eliminate,
+semigroup or converge run overflow float64, a model file with a NaN,
+Infinity or null entry or a boolean or string where a number belongs,
+and a --report or --csv path that cannot be written (a missing directory
+or a directory).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .qsde_model import (
     scaled_hp_validate,
     structural_validate,
 )
-from .semigroup import FieldAmplitudes, propagate_on_grid
+from .semigroup import FieldAmplitudes, generator, propagate_on_grid
 
 CSV_HEADER = ("fixture", "kind", "k", "t_max", "grid_points", "alpha", "beta", "value")
 
@@ -155,14 +157,12 @@ def _amplitudes(args, model: ModelFile) -> FieldAmplitudes:
         alpha = _parse_amplitude_list(args.alpha, n, "--alpha")
     if args.beta is not None:
         beta = _parse_amplitude_list(args.beta, n, "--beta")
-    # The dressing shift is (|alpha|^2 + |beta|^2) / 2 in float64; a NaN,
-    # an infinity or a square past float64 makes it non-finite.
-    power = sum(z.real * z.real + z.imag * z.imag for z in alpha + beta)
-    if not math.isfinite(power):
+    amp = FieldAmplitudes(alpha, beta)
+    if not math.isfinite(amp.shift):  # a NaN, an inf or a square past float64
         raise ModelParseError(
             "amplitudes must be finite with finite |alpha|^2 + |beta|^2"
         )
-    return FieldAmplitudes(alpha, beta)
+    return amp
 
 
 def _report_lines(report) -> list[str]:
@@ -324,10 +324,10 @@ def cmd_semigroup(args) -> int:
         return _precondition_failure(model.name, exc)
     rows = []
     worst = 0.0
+    gen = generator(coeffs, amp)
     # The adjoint propagator has the same spectral norm as the propagator.
     norms = _propagator_norms(propagate_on_grid(
-        coeffs, amp, t_final, grid, np.eye(coeffs.space.total_dim)
-    ))
+        gen, t_final, grid, np.eye(gen.space.total_dim)))
     for t, norm in zip(np.linspace(0.0, t_final, grid), norms):
         worst = max(worst, norm)
         rows.append((label, t, grid, norm))
@@ -346,16 +346,16 @@ def cmd_converge(args) -> int:
     model = _resolve_model(args.model)
     amp = _amplitudes(args, model)
     t_final, grid = _time_grid(args, model)
-    schedule = _k_values(
+    schedule = sorted(set(_k_values(
         args.k if args.k is not None else model.study.k_schedule,
         cutoffs=args.kind == "truncation",
-    )
+    )))
     if args.kind != "truncation" and len(schedule) < 3:
-        raise ModelParseError("--k needs >= 3 values for a rate fit")
+        raise ModelParseError("--k needs >= 3 distinct values for a rate fit")
     try:
         if args.kind == "truncation":
             try:
-                report = truncation_study(model.family, sorted(set(schedule)), amp,
+                report = truncation_study(model.family, schedule, amp,
                                           t_final, grid, tol=args.tol)
             except ValueError as exc:  # the study's usage rules
                 raise ModelParseError(str(exc)) from exc

@@ -7,14 +7,13 @@ products, formed once per study, with a floor that grows like k^2 |Y|.
 Semigroup gaps take the max over a uniform time grid of the distance
 between the adjoint prelimit propagator and the embedded limit propagator
 on the slow subspace.  Both read one `EliminationResult` and take its
-limit side once per study.  Grid studies (semigroup and truncation gaps)
-take one expm of the grid step per model and step the grid by repeated
-products (`semigroup.propagate_on_grid`); each gap is an SVD of only the
-grid times whose Gram eigenvalues can hold the max (`_gap`).  A
-truncation study needs N = I exactly, so each cutoff c is propagated in
-block form on its own (c+1)-dim space, and a cutoff whose block adds
-nothing reuses the previous grid.  All studies are
-deterministic: reports are bit-reproducible for fixed inputs.
+limit side once per study.  Grid studies form each dressed generator once
+and hand it to `semigroup.propagate_on_grid`; each gap is an SVD of only
+the grid times whose Gram eigenvalues can hold the max (`_gap`).  A
+truncation study needs N = I exactly, so each cutoff c is propagated from
+the leading (c+1) x (c+1) block of one generator, and a cutoff whose block
+adds nothing reuses the previous grid.  Schedules strictly increase, and
+reports are bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -29,10 +28,12 @@ from .elimination import EliminationResult
 from .errors import NonFiniteEntries, PreconditionFailed
 from .operator_core import DEFAULT_TOL, HilbertSpace, Operator, _norm_bound
 from .qsde_model import (
-    QsdeCoefficients, ScaledFamily, _require_scaled_hp, _trivial_scattering,
-    assemble,
+    QsdeCoefficients, ScaledFamily, _m_from_unitarity, _require_scaled_hp,
+    _trivial_scattering, assemble,
 )
-from .semigroup import FieldAmplitudes, generator, propagate_on_grid
+from .semigroup import (
+    FieldAmplitudes, _dressed_products, generator, propagate_on_grid,
+)
 
 log = logging.getLogger(__name__)
 
@@ -70,44 +71,6 @@ class ConvergenceReport:
     def __post_init__(self):
         if len(self.values) != len(self.k_schedule):
             raise ValueError("need one value per schedule entry")
-
-
-def _dressed_products(fam: ScaledFamily, amp: FieldAmplitudes, x: np.ndarray):
-    """(a x, b x) for the dressed parts a and b of `field_dressed_parts` and
-    x a vector or a block of columns, forming neither part: each M_i =
-    -sum_j W_ij L_j^* from unitarity is applied as W_ij (L_j^* x), and
-    L_j^* x is taken as (x^* L_j)^*, with no conjugated copy of L_j.  A
-    term whose amplitude coefficient is exactly 0 is left out (the F_i, G_i
-    terms for beta_i = 0, the W_ij terms for alpha_i = 0): it adds only
-    signed zeros.  At vacuum amplitudes a x = A x and b x = B x."""
-    if amp.n != fam.n:
-        raise ValueError(f"amplitude channel count {amp.n} != model {fam.n}")
-    alpha, beta = np.conj(amp.alpha), np.asarray(amp.beta)
-    shift = 0.5 * (np.vdot(alpha, alpha).real + np.vdot(beta, beta).real)
-    ax, bx = fam.a.entries @ x, fam.b.entries @ x - shift * x
-    if alpha.any():
-        xh = x.conj().T
-        fhx = [(xh @ f.entries).conj().T for f in fam.f_ops]
-        ghx = [bj * x - (xh @ g.entries).conj().T for bj, g in zip(beta, fam.g_ops)]
-    for i, row in enumerate(fam.w_ops):
-        if beta[i]:
-            ax += beta[i] * (fam.f_ops[i].entries @ x)
-            bx += beta[i] * (fam.g_ops[i].entries @ x)
-        if alpha[i]:
-            for w, fh, gh in zip(row, fhx, ghx):
-                ax -= alpha[i] * (w.entries @ fh)
-                bx += alpha[i] * (w.entries @ gh)
-    return ax, bx
-
-
-def field_dressed_parts(fam: ScaledFamily, amp: FieldAmplitudes):
-    """(a_op, b_op), with the dressed prelimit generator at parameter k
-    equal to k^2 Y + k a_op + b_op: the dressing of the order-k coefficients
-    (A, F, M from F, N = 0) without the vacuum shift, and the dressed
-    generator of the order-one coefficients (B, G, M from G, W), as
-    `_dressed_products` of the identity."""
-    parts = _dressed_products(fam, amp, np.eye(fam.space.total_dim))
-    return tuple(Operator(fam.space, x) for x in parts)
 
 
 def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
@@ -167,15 +130,11 @@ def _gaps(result: EliminationResult, amp: FieldAmplitudes, T: float,
     """Semigroup gaps for each k; the limit side is propagated once, and
     each k's gap is taken over its whole grid by `_gap`."""
     v = result.sub.slow_basis
-    limit_side = np.stack([
-        v @ small
-        for small in propagate_on_grid(
-            result.limit, amp, T, grid_points, np.eye(v.shape[1])
-        )
-    ])
+    limit_side = np.stack([v @ small for small in propagate_on_grid(
+        generator(result.limit, amp), T, grid_points, np.eye(v.shape[1]))])
     return tuple(
         _gap(np.stack(list(propagate_on_grid(
-            assemble(result.family, k), amp, T, grid_points, v
+            generator(assemble(result.family, k), amp), T, grid_points, v
         ))), limit_side)
         for k in ks
     )
@@ -193,7 +152,8 @@ def semigroup_gap(result: EliminationResult, amp: FieldAmplitudes,
 
 
 def rate_fit(ks, residuals) -> float:
-    """Ordinary least-squares slope of log(residual) against log(k)."""
+    """Ordinary least-squares slope of log(residual) against log(k) over
+    the pairs above RESIDUAL_FLOOR, of which >= 2 distinct k must remain."""
     ks = [float(x) for x in ks]
     residuals = [float(r) for r in residuals]
     if len(ks) != len(residuals) or len(ks) < 3:
@@ -204,8 +164,8 @@ def rate_fit(ks, residuals) -> float:
     dropped = len(ks) - len(pairs)
     if dropped:
         log.info("rate_fit: excluded %d residuals at the numerical floor", dropped)
-    if len(pairs) < 2:
-        raise ValueError("too few residuals above the numerical floor to fit")
+    if len({k for k, _ in pairs}) < 2:
+        raise ValueError("too few distinct k above the numerical floor to fit")
     xs = np.log([p[0] for p in pairs])
     ys = np.log([p[1] for p in pairs])
     return float(np.polyfit(xs, ys, 1)[0])
@@ -224,6 +184,15 @@ def _safe_rate(ks, values) -> float:
         return math.nan
 
 
+def _increasing(values: tuple, least: int, what: str) -> tuple:
+    """`values` if it holds >= `least` strictly increasing entries, the rule
+    of every study's schedule, so that its rate fit and verdict read the
+    schedule in one order; ValueError otherwise."""
+    if len(values) < least or any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"need >= {least} strictly increasing {what}")
+    return values
+
+
 def generator_study(result: EliminationResult, amp: FieldAmplitudes,
                     k_schedule, u=None) -> ConvergenceReport:
     """Corrected generator residuals over a k-schedule, from the five
@@ -232,9 +201,7 @@ def generator_study(result: EliminationResult, amp: FieldAmplitudes,
     Verdict: residuals all at the floor, RESIDUAL_FLOOR max(1, k^2 |Y|) at
     k since k^2 Y u rounds like k^2 (|Y| from `_norm_bound`, no SVD), or
     nonincreasing with a clearly negative fitted decay exponent."""
-    ks = tuple(float(k) for k in k_schedule)
-    if len(ks) < 3:
-        raise ValueError("need a schedule of >= 3 k-values for rate fitting")
+    ks = _increasing(tuple(map(float, k_schedule)), 3, "k-values")
     v = result.sub.slow_basis
     if u is None:
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
@@ -260,9 +227,7 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
     Verdict: the largest-k gap improves on the smallest-k gap by at least a
     factor of five (or everything sits at the numerical floor).
     """
-    ks = tuple(float(k) for k in k_schedule)
-    if len(ks) < 3:
-        raise ValueError("need a schedule of >= 3 k-values for rate fitting")
+    ks = _increasing(tuple(map(float, k_schedule)), 3, "k-values")
     values = _gaps(result, amp, T, grid_points, ks)
     rate = _safe_rate(ks, values)
     verdict = _at_floor(ks, values) or values[-1] <= values[0] / 5.0
@@ -306,25 +271,22 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
                      tol: float = DEFAULT_TOL) -> ConvergenceReport:
     """Successive gaps between truncations of a fixed-coefficient model.
 
-    Cutoff c keeps the first c+1 basis states: K_c, L_c and N_c are the
-    leading (c+1) x (c+1) blocks of B, G and W on a space of their own, and
-    M_c = -L_c^*.  ValueError, in this order: bad cutoffs, Y, A or F
-    nonzero, more than one tensor factor, W not exactly I (compressing any
-    other W breaks unitarity); then PreconditionFailed with the report if
-    `scaled_hp_validate` fails at `tol`, as in `eliminate`.  With W = I the
-    truncation on the whole space is this block plus a multiple of I on the
-    dropped states, which the propagated states never reach, so only the
-    block is propagated.  A cutoff whose kept B and G are zero outside the
+    Cutoff c keeps the first c+1 basis states.  ValueError, in this order:
+    bad cutoffs, Y, A or F nonzero, more than one tensor factor, W not
+    exactly I (compressing any other W breaks unitarity); then
+    PreconditionFailed with the report if `scaled_hp_validate` fails at
+    `tol`, as in `eliminate`.  With W = delta_ij I every dressing term acts
+    entry by entry, so the leading (c+1) x (c+1) block of the model's one
+    dressed generator is, bit for bit, cutoff c's; on the whole space the
+    truncation adds a multiple of I on the dropped states, which the
+    propagated states never reach, so only the block is propagated.  A cutoff whose kept B and G are zero outside the
     previous cutoff's block reuses that grid: its gap is exactly 0.0.
     Values: per consecutive pair, the max over the grid of the spectral
     distance of the propagated first cutoffs[0]+1 states (`_gap`);
     verdict: a Cauchy-style decrease (or a single gap).
     """
-    cutoffs = tuple(int(c) for c in cutoffs)
-    if len(cutoffs) < 2 or any(a >= b for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("need >= 2 strictly increasing cutoffs")
-    d = fam.space.total_dim
-    if cutoffs[-1] >= d:
+    cutoffs = _increasing(tuple(int(c) for c in cutoffs), 2, "cutoffs")
+    if cutoffs[-1] >= fam.space.total_dim:
         raise ValueError("largest cutoff must stay inside the reference space")
     if any(np.any(op.entries) for op in (fam.y, fam.a, *fam.f_ops)):
         raise ValueError("truncation needs a fixed-coefficient model (Y = A = F = 0)")
@@ -336,25 +298,11 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
         raise ValueError("truncation study requires trivial scattering (N = I)")
     _require_scaled_hp(fam, tol)
 
+    gen = generator(QsdeCoefficients(
+        fam.n, fam.space, fam.b, fam.g_ops,
+        _m_from_unitarity(fam.w_ops, fam.g_ops), fam.w_ops,
+    ), amp).entries
     rows, width = cutoffs[-1] + 1, cutoffs[0] + 1
-
-    def propagated(cutoff: int) -> np.ndarray:
-        space = HilbertSpace((cutoff + 1,))
-
-        def block(op: Operator) -> Operator:
-            return Operator(space, op.entries[: cutoff + 1, : cutoff + 1])
-
-        l_c = tuple(block(g) for g in fam.g_ops)
-        coeffs = QsdeCoefficients(
-            fam.n, space, block(fam.b), l_c, tuple(-l.dag() for l in l_c),
-            tuple(tuple(block(w) for w in row) for row in fam.w_ops),
-        )
-        blocks = propagate_on_grid(coeffs, amp, T, grid_points,
-                                   np.eye(cutoff + 1, width))
-        grid = np.zeros((int(grid_points), rows, width), dtype=np.complex128)
-        grid[:, : cutoff + 1] = list(blocks)  # zero below row cutoff + 1
-        return grid
-
     grids = []
     for prev, c in zip((None, *cutoffs), cutoffs):
         kept = [op.entries[: c + 1, : c + 1] for op in (fam.b, *fam.g_ops)]
@@ -362,17 +310,16 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
             np.any(m[prev + 1:]) or np.any(m[:, prev + 1:]) for m in kept
         ):
             grids.append(grids[-1])
-        else:
-            grids.append(propagated(c))
+            continue
+        cut = Operator(HilbertSpace((c + 1,)), gen[: c + 1, : c + 1])
+        grid = np.zeros((int(grid_points), rows, width), dtype=np.complex128)
+        grid[:, : c + 1] = list(  # zero below row c + 1
+            propagate_on_grid(cut, T, grid_points, np.eye(c + 1, width)))
+        grids.append(grid)
     gaps = tuple(_gap(lo, hi) for lo, hi in zip(grids, grids[1:]))
     verdict = _at_floor(cutoffs, gaps) or all(a > b for a, b in zip(gaps, gaps[1:]))
-    rate = _safe_rate(cutoffs[:-1], gaps)
     return ConvergenceReport(
-        kind="truncation",
-        k_schedule=tuple(float(c) for c in cutoffs[:-1]),
-        values=gaps,
-        fitted_rate=rate,
-        t_max=float(T),
-        grid_points=int(grid_points),
-        verdict=verdict,
+        kind="truncation", k_schedule=tuple(float(c) for c in cutoffs[:-1]),
+        values=gaps, fitted_rate=_safe_rate(cutoffs[:-1], gaps), t_max=float(T),
+        grid_points=int(grid_points), verdict=verdict,
     )

@@ -4,6 +4,9 @@ The unitary solution of the stochastic equation is never materialized (it
 lives on an infinite-dimensional field space); only its matrix elements
 between exponential vectors of simple functions are computed, and those
 reduce to ordered products of finite-dimensional semigroups.
+The whole field dressing lives here (`FieldAmplitudes.shift`,
+`generator`, and `_dressed_products` for a scaled family), and a time grid
+propagates a formed generator (`propagate_on_grid`).
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ class FieldAmplitudes:
     @property
     def n(self) -> int:
         return len(self.alpha)
+
+    @property
+    def shift(self) -> float:
+        """The dressing's vacuum shift (|alpha|^2 + |beta|^2) / 2: inf, not
+        an overflow error, past float64."""
+        a, b = np.asarray(self.alpha), np.asarray(self.beta)
+        with np.errstate(over="ignore"):
+            return float(0.5 * (np.vdot(a, a).real + np.vdot(b, b).real))
 
 
 @dataclass(frozen=True)
@@ -102,9 +113,45 @@ def generator(c, amp: FieldAmplitudes) -> Operator:
         m += beta[i] * c.l_ops[i].entries
         for j in range(c.n):
             m += ai * beta[j] * c.n_ops[i][j].entries
-    shift = 0.5 * (np.vdot(alpha, alpha).real + np.vdot(beta, beta).real)
-    m -= shift * np.eye(c.space.total_dim)
+    m -= amp.shift * np.eye(c.space.total_dim)
     return Operator(c.space, m)
+
+
+def _dressed_products(fam, amp: FieldAmplitudes, x: np.ndarray):
+    """(a x, b x) for the dressed parts a and b of `field_dressed_parts` and
+    x a vector or a block of columns, forming neither part: each M_i =
+    -sum_j W_ij L_j^* from unitarity is applied as W_ij (L_j^* x), and
+    L_j^* x is taken as (x^* L_j)^*, with no conjugated copy of L_j.  A
+    term whose amplitude coefficient is exactly 0 is left out (the F_i, G_i
+    terms for beta_i = 0, the W_ij terms for alpha_i = 0): it adds only
+    signed zeros.  At vacuum amplitudes a x = A x and b x = B x."""
+    if amp.n != fam.n:
+        raise ValueError(f"amplitude channel count {amp.n} != model {fam.n}")
+    alpha, beta = np.conj(amp.alpha), np.asarray(amp.beta)
+    ax, bx = fam.a.entries @ x, fam.b.entries @ x - amp.shift * x
+    if alpha.any():
+        xh = x.conj().T
+        fhx = [(xh @ f.entries).conj().T for f in fam.f_ops]
+        ghx = [bj * x - (xh @ g.entries).conj().T for bj, g in zip(beta, fam.g_ops)]
+    for i, row in enumerate(fam.w_ops):
+        if beta[i]:
+            ax += beta[i] * (fam.f_ops[i].entries @ x)
+            bx += beta[i] * (fam.g_ops[i].entries @ x)
+        if alpha[i]:
+            for w, fh, gh in zip(row, fhx, ghx):
+                ax -= alpha[i] * (w.entries @ fh)
+                bx += alpha[i] * (w.entries @ gh)
+    return ax, bx
+
+
+def field_dressed_parts(fam, amp: FieldAmplitudes):
+    """(a_op, b_op), with the dressed prelimit generator at parameter k
+    equal to k^2 Y + k a_op + b_op: the dressing of the order-k coefficients
+    (A, F, M from F, N = 0) without the vacuum shift, and the dressed
+    generator of the order-one coefficients (B, G, M from G, W), as
+    `_dressed_products` of the identity."""
+    parts = _dressed_products(fam, amp, np.eye(fam.space.total_dim))
+    return tuple(Operator(fam.space, x) for x in parts)
 
 
 def evolve(c, amp: FieldAmplitudes, t: float) -> Operator:
@@ -112,11 +159,10 @@ def evolve(c, amp: FieldAmplitudes, t: float) -> Operator:
     return matrix_exponential(generator(c, amp), t)
 
 
-def propagate_on_grid(c, amp: FieldAmplitudes, T: float, grid_points: int,
-                      block):
-    """Adjoint propagators applied to `block` on a uniform time grid.
+def propagate_on_grid(gen: Operator, T: float, grid_points: int, block):
+    """Adjoint propagators of `gen` applied to `block` on a uniform time grid.
 
-    Yields exp(t * generator)^dagger @ block for t in
+    Yields exp(t * gen)^dagger @ block for t in
     np.linspace(0, T, grid_points).  One scaling-and-squaring expm of the
     grid step dt = T / (grid_points - 1) is taken; later grid points follow
     by repeated products, since exp(m dt G) = exp(dt G)^m.  Only the current
@@ -129,7 +175,7 @@ def propagate_on_grid(c, amp: FieldAmplitudes, T: float, grid_points: int,
         raise ValueError("T must be positive and finite")
     if grid_points < 2:
         raise ValueError("need at least two grid points")
-    step = evolve(c, amp, T / (grid_points - 1)).entries.conj().T
+    step = matrix_exponential(gen, T / (grid_points - 1)).entries.conj().T
 
     def blocks(current):
         yield current

@@ -169,6 +169,13 @@ class TestRateFit:
         with pytest.raises(ValueError):
             rate_fit((2.0, 4.0, 8.0), (1e-16, 1e-16, 1e-16))
 
+    def test_needs_two_distinct_k_above_the_floor(self):
+        """Repeated k once gave a rank-deficient fit and a finite 'rate'."""
+        with pytest.raises(ValueError, match="distinct k"):
+            rate_fit((2.0, 2.0, 2.0), (0.1187, 0.1187, 0.1187))
+        with pytest.raises(ValueError, match="distinct k"):
+            rate_fit((2.0, 2.0, 4.0), (0.5, 0.4, 1e-16))
+
     def test_rejects_negative_residuals(self):
         with pytest.raises(ValueError):
             rate_fit((2.0, 4.0, 8.0), (1.0, -0.5, 0.2))
@@ -179,6 +186,25 @@ class TestRateFit:
         for ks in ((0.0, 1.0, 2.0), (-1.0, 1.0, 2.0)):
             with pytest.raises(ValueError, match="k > 0"):
                 rate_fit(ks, (1.0, 0.5, 0.2))
+
+
+class TestScheduleStrictlyIncreases:
+    """A repeated k once passed on a fit from one k, and a reversed schedule
+    failed where the sorted one passed: the verdicts read the schedule in
+    the order given."""
+
+    SCHEDULES = [(2.0, 2.0, 2.0), (16.0, 8.0, 4.0, 2.0), (2.0, 8.0, 4.0),
+                 (2.0, 4.0, 4.0, 8.0)]
+
+    @pytest.mark.parametrize("ks", SCHEDULES)
+    def test_generator_study_rejects(self, dk, ks):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            generator_study(dk[1], AMP, ks)
+
+    @pytest.mark.parametrize("ks", SCHEDULES)
+    def test_semigroup_study_rejects(self, dk, ks):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            semigroup_study(dk[1], AMP, ks, 2.0, 8)
 
 
 class TestSemigroupGap:

@@ -41,9 +41,13 @@ the bits of taking every norm while skipping the SVDs that cannot set it.
 `truncation_study` propagates each cutoff's leading block on its own
 (c+1)-dim space and reuses the grid of a block that adds nothing.  Its gaps
 match the d-dim projection products and the d-dim slicing it replaced to
-max(1e-12 |ref|, 1e-14), with exactly 0.0 wherever the reference is 0.0;
+max(1e-12 |ref|, 1e-14), with exactly 0.0 wherever the reference is 0.0,
+and the per-cutoff coefficient quadruples it replaced bit for bit (it cuts
+one dressed generator, also for two channels with nonzero amplitudes);
 it takes one expm per distinct block, and each nonzero gap passes one
-time slice to the SVD.  `SubspacePair` takes |p0| only for a defect above
+time slice to the SVD.  `_m_from_unitarity` gives -L_i^* with no product
+for an exactly delta_ij I grid and the products for any other unitary
+grid, e^{0.3i} I among them.  `SubspacePair` takes |p0| only for a defect above
 1e-9 and decides as the rule that took it first; a coordinate projection
 forms no product, and other diagonal p0 keep their messages.  A sparse
 node decodes into a buffer its Operator keeps without a copy.  At zero
@@ -79,6 +83,7 @@ from qsdelim import (
     ModelParseError,
     Operator,
     QsdeCoefficients,
+    ScaledFamily,
     SingularFastDynamics,
     StructuralViolation,
     SubspacePair,
@@ -1399,7 +1404,8 @@ def _reference_projection_truncation(fam, cutoffs, amp, T, grid_points):
         )
 
     window = np.eye(d, cutoffs[0] + 1)
-    grids = [propagate_on_grid(truncated(c), amp, T, grid_points, window)
+    grids = [propagate_on_grid(generator(truncated(c), amp), T, grid_points,
+                               window)
              for c in cutoffs]
     gaps = [0.0] * (len(cutoffs) - 1)
     for blocks in zip(*grids):
@@ -1421,13 +1427,74 @@ def _reference_slicing_truncation(fam, cutoffs, amp, T, grid_points):
                                 tuple(-l.dag() for l in l_c), fam.w_ops)
 
     window = np.eye(d, cutoffs[0] + 1)
-    grids = [propagate_on_grid(truncated(c), amp, T, grid_points, window)
+    grids = [propagate_on_grid(generator(truncated(c), amp), T, grid_points,
+                               window)
              for c in cutoffs]
     gaps = [0.0] * (len(cutoffs) - 1)
     for blocks in zip(*grids):
         for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])):
             gaps[i] = max(gaps[i], float(np.linalg.norm(lo - hi, 2)))
     return tuple(gaps)
+
+
+def _reference_quadruple_truncation(fam, cutoffs, amp, T, grid_points):
+    """The per-cutoff build the study replaced: a coefficient quadruple of
+    the leading blocks of B, G and W on a space of its own, with M_c =
+    -L_c^*, dressed and propagated per cutoff, the same reuse rule, and
+    each gap the max of one batched SVD of the grid."""
+    rows, width = cutoffs[-1] + 1, cutoffs[0] + 1
+
+    def propagated(cutoff):
+        space = HilbertSpace((cutoff + 1,))
+
+        def block(op):
+            return Operator(space, op.entries[: cutoff + 1, : cutoff + 1])
+
+        l_c = tuple(block(g) for g in fam.g_ops)
+        coeffs = QsdeCoefficients(
+            fam.n, space, block(fam.b), l_c, tuple(-l.dag() for l in l_c),
+            tuple(tuple(block(w) for w in row) for row in fam.w_ops),
+        )
+        grid = np.zeros((grid_points, rows, width), dtype=np.complex128)
+        grid[:, : cutoff + 1] = list(propagate_on_grid(
+            generator(coeffs, amp), T, grid_points, np.eye(cutoff + 1, width)))
+        return grid
+
+    grids = []
+    for prev, c in zip((None, *cutoffs), cutoffs):
+        kept = [op.entries[: c + 1, : c + 1] for op in (fam.b, *fam.g_ops)]
+        if prev is not None and not any(
+            np.any(m[prev + 1:]) or np.any(m[:, prev + 1:]) for m in kept
+        ):
+            grids.append(grids[-1])
+        else:
+            grids.append(propagated(c))
+    return tuple(float(np.linalg.svd(lo - hi, compute_uv=False).max())
+                 for lo, hi in zip(grids, grids[1:]))
+
+
+def _two_channel_padded_family():
+    """Two channels with W = delta_ij I on C^6, B and G_i supported on the
+    leading 3 x 3 block: cutoffs 3, 4 and 5 add nothing to cutoff 2."""
+    small = random_scaled_family(np.random.default_rng(19), 3, 2)
+    space = HilbertSpace((6,))
+
+    def padded(op):
+        return Operator(space, np.pad(op.entries, (0, 3)))
+
+    zero, ident = Operator.zero(space), Operator.identity(space)
+    return ScaledFamily(
+        2, space, zero, zero, padded(small.b), (zero, zero),
+        tuple(map(padded, small.g_ops)),
+        ((ident, zero), (zero, ident)),
+    )
+
+
+TWO_CHANNEL_CUTOFFS = (0, 1, 2, 4, 5)
+TWO_CHANNEL_AMPS = [
+    FieldAmplitudes((0.3 - 0.2j, -0.1 + 0.4j), (0.2 + 0.1j, 0.5 - 0.3j)),
+    FieldAmplitudes((0.0, 0.7j), (-0.4, 0.0)),
+]
 
 
 def _assert_matches(got, want):
@@ -1511,7 +1578,45 @@ class TestTruncationBySlicing:
                 fam, cutoffs, amp, 2.0, 8))
 
 
+    @pytest.mark.parametrize("amp", TWO_CHANNEL_AMPS)
+    def test_two_channel_equals_projection_products(self, amp):
+        fam = _two_channel_padded_family()
+        got = truncation_study(fam, TWO_CHANNEL_CUTOFFS, amp, 1.5, 17).values
+        for reference in (_reference_projection_truncation,
+                          _reference_slicing_truncation):
+            _assert_matches(got, reference(fam, TWO_CHANNEL_CUTOFFS, amp, 1.5, 17))
+
+
 class TestTruncationBlockForm:
+    @pytest.mark.parametrize("amp", TWO_CHANNEL_AMPS)
+    def test_two_channel_gaps_are_the_quadruple_build(self, amp):
+        """The leading block of the model's one dressed generator is each
+        cutoff's dressed quadruple bit for bit, so the gaps are too; the
+        cutoffs past 2 reuse its grid."""
+        fam = _two_channel_padded_family()
+        got = truncation_study(fam, TWO_CHANNEL_CUTOFFS, amp, 1.5, 17).values
+        assert got == _reference_quadruple_truncation(
+            fam, TWO_CHANNEL_CUTOFFS, amp, 1.5, 17)
+        assert got[2:] == (0.0, 0.0) and min(got[:2]) > 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(_fixed_coefficient_cases(), _osc120_cases()),
+           st.sampled_from([8, 17]))
+    def test_gaps_are_the_quadruple_build_bit_for_bit(self, case, grid_points):
+        fam, cutoffs, amp = case
+        got = truncation_study(fam, cutoffs, amp, 1.5, grid_points).values
+        assert got == _reference_quadruple_truncation(fam, cutoffs, amp, 1.5,
+                                                      grid_points)
+
+    def test_one_dressed_generator_per_study(self):
+        amp = TWO_CHANNEL_AMPS[0]
+        with mock.patch.object(convergence, "generator",
+                               wraps=convergence.generator) as gen:
+            truncation_study(_two_channel_padded_family(), TWO_CHANNEL_CUTOFFS,
+                             amp, 1.5, 8)
+        assert gen.call_count == 1
+        assert gen.call_args.args[0].space.total_dim == 6
+
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(_fixed_coefficient_cases(), _osc120_cases()),
            st.sampled_from([8, 17]))
@@ -1604,6 +1709,54 @@ class TestTruncationBlockForm:
         captured = capsys.readouterr()
         assert "verdict" not in captured.out
         assert "trivial scattering (N = I)" in captured.err
+
+
+class TestMFromUnitarity:
+    """M_i = -sum_j W_ij L_j^*: -L_i^* with no product for a grid that is
+    exactly delta_ij I, the products for every other unitary grid."""
+
+    @staticmethod
+    def _products(grid, l_ops):
+        zero = Operator.zero(l_ops[0].space)
+        return [-sum((w @ l.dag() for w, l in zip(row, l_ops)), zero)
+                for row in grid]
+
+    @staticmethod
+    def _l_ops(n):
+        return random_hp_coefficients(np.random.default_rng(7), 5, n).l_ops
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_identity_grid_gives_minus_l_dagger(self, n, monkeypatch):
+        l_ops = self._l_ops(n)
+        ident, zero = Operator.identity(l_ops[0].space), Operator.zero(l_ops[0].space)
+        grid = tuple(tuple(ident if i == j else zero for j in range(n))
+                     for i in range(n))
+        want = self._products(grid, l_ops)
+        products, real = [], Operator.__matmul__
+        monkeypatch.setattr(Operator, "__matmul__",
+                            lambda x, y: products.append(1) or real(x, y))
+        got = qsde_model._m_from_unitarity(grid, l_ops)
+        monkeypatch.undo()
+        assert products == []
+        for m, l, w in zip(got, l_ops, want):
+            assert np.array_equal(m.entries, -l.entries.conj().T)
+            assert np.array_equal(m.entries, w.entries)  # by value
+
+    @pytest.mark.parametrize("kind", ["phase", "phase-grid", "swap"])
+    def test_other_unitary_grid_takes_the_products(self, kind):
+        """e^{0.3i} I is unitary and commutes with everything, but it is not
+        delta_ij I: M_i = -e^{0.3i} L_i^*, not -L_i^*."""
+        n = 1 if kind == "phase" else 2
+        l_ops = self._l_ops(n)
+        space = l_ops[0].space
+        phase = np.exp(0.3j) * Operator.identity(space)
+        zero, ident = Operator.zero(space), Operator.identity(space)
+        grid = {"phase": ((phase,),), "phase-grid": ((phase, zero), (zero, phase)),
+                "swap": ((zero, ident), (ident, zero))}[kind]
+        got = qsde_model._m_from_unitarity(grid, l_ops)
+        for m, l, w in zip(got, l_ops, self._products(grid, l_ops)):
+            assert np.array_equal(m.entries, w.entries)
+            assert not np.allclose(m.entries, -l.entries.conj().T)
 
 
 def _reference_projection_rule(p0: np.ndarray) -> str | None:

@@ -21,6 +21,7 @@ from qsdelim import (
     driven_oscillator_limit,
     eliminate,
     evolve,
+    generator,
     propagate_on_grid,
     random_structured_fixture,
     semigroup_gap,
@@ -92,7 +93,7 @@ class TestPropagateOnGrid:
         d = coeffs.space.total_dim
         block = np.eye(d, 3)
         times = np.linspace(0.0, 2.0, 17)
-        got = list(propagate_on_grid(coeffs, amp, 2.0, 17, block))
+        got = list(propagate_on_grid(generator(coeffs, amp), 2.0, 17, block))
         assert len(got) == len(times)
         assert np.array_equal(got[0], block)
         for t, prop in zip(times, got):
@@ -102,7 +103,7 @@ class TestPropagateOnGrid:
     def test_is_lazy(self, dk_fixture):
         coeffs = assemble(dk_fixture.family, 2.0)
         vac = FieldAmplitudes.vacuum(1)
-        grid = propagate_on_grid(coeffs, vac, 1.0, 10**9, np.eye(15, 2))
+        grid = propagate_on_grid(generator(coeffs, vac), 1.0, 10**9, np.eye(15, 2))
         assert next(grid).shape == (15, 2)
         assert next(grid).shape == (15, 2)
 
@@ -113,8 +114,8 @@ class TestPropagateOnGrid:
     def test_rejects_bad_grid_when_called(self, dk_fixture, T, grid_points):
         coeffs = assemble(dk_fixture.family, 2.0)
         with pytest.raises(ValueError):
-            propagate_on_grid(coeffs, FieldAmplitudes.vacuum(1), T, grid_points,
-                              np.eye(15))
+            propagate_on_grid(generator(coeffs, FieldAmplitudes.vacuum(1)), T,
+                              grid_points, np.eye(15))
 
 
 class TestAgainstPerPointExpm:

@@ -803,6 +803,31 @@ class TestRejectedInputsExit2:
                      "--alpha=0.1"]) == 0
 
 
+class TestScheduleSortedAndDistinct:
+    """converge sorts its k-schedule and drops repeats before the >= 3
+    check, as it did for truncation cutoffs."""
+
+    def test_repeated_k_exits_2_without_a_verdict(self, capsys):
+        code = main(["converge", "duan-kimble", "--kind", "generator",
+                     "--k", "2", "2", "2", "--alpha=0.2-0.1j", "--beta=0.3+0.2j"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert ">= 3 distinct values" in captured.err
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("semigroup", ["--grid", "16"]), ("generator", []),
+    ])
+    def test_order_of_the_schedule_does_not_matter(self, kind, extra, capsys):
+        runs = []
+        for ks in (["2", "4", "8", "16"], ["16", "8", "4", "2"],
+                   ["8", "2", "16", "4", "8"]):
+            code = main(["converge", "duan-kimble", "--kind", kind, "--k", *ks,
+                         *extra])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == 0 and "verdict: PASS" in runs[0][1]
+
+
 class TestTruncationPreconditions:
     """The truncation study validates its model and honours --tol."""
 

@@ -30,6 +30,7 @@ from qsdelim import (
     duan_kimble_fixture,
     eliminate,
     fixture_to_model_dict,
+    generator,
     propagate_on_grid,
     random_structured_fixture,
     semigroup_gap,
@@ -67,7 +68,8 @@ def _grid(rng, dim, n, T, grid_points):
         tuple(complex(*rng.normal(size=2)) * 0.5 for _ in range(n)),
         tuple(complex(*rng.normal(size=2)) * 0.5 for _ in range(n)),
     )
-    return list(propagate_on_grid(coeffs, amp, T, grid_points, np.eye(dim)))
+    return list(propagate_on_grid(generator(coeffs, amp), T, grid_points,
+                                  np.eye(dim)))
 
 
 def _rotated(rng, sv):
@@ -305,8 +307,8 @@ def test_dk40_table_keeps_its_bits(alpha, beta):
     (the benchmark's amplitudes at seeds 0 and 3, and vacuum)."""
     fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=40)
     blocks = list(propagate_on_grid(
-        assemble(fix.family, 16), FieldAmplitudes((alpha,), (beta,)), 2.0, 64,
-        np.eye(123)))
+        generator(assemble(fix.family, 16), FieldAmplitudes((alpha,), (beta,))),
+        2.0, 64, np.eye(123)))
     assert list(_propagator_norms(blocks)) == list(_reference_norms(blocks))
 
 
@@ -317,8 +319,8 @@ def test_random136_table_takes_few_svds(monkeypatch):
     4 SVDs (there were 8) and 20 steps, each at most a tenth of an SVD."""
     fix = random_structured_fixture(np.random.default_rng(11), 8, n=2, cutoff=16)
     amp = FieldAmplitudes((0j, 0j), (0j, 0j))
-    blocks = list(propagate_on_grid(assemble(fix.family, 4), amp, 1.0, 8,
-                                    np.eye(136)))
+    blocks = list(propagate_on_grid(generator(assemble(fix.family, 4), amp),
+                                    1.0, 8, np.eye(136)))
     steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
     counts = count_full_size_svds(monkeypatch, 136)
     list(_propagator_norms(blocks))
@@ -333,11 +335,12 @@ def test_semigroup_gaps_have_the_bits_of_per_point_norms():
     amp = FieldAmplitudes((0.3 - 0.2j,), (0.1 + 0.4j,))
     v = result.sub.slow_basis
     limit_side = [v @ small for small in propagate_on_grid(
-        result.limit, amp, 2.0, 16, np.eye(v.shape[1]))]
+        generator(result.limit, amp), 2.0, 16, np.eye(v.shape[1]))]
     for k in (2.0, 8.0):
         want = 0.0
         for big, embedded in zip(propagate_on_grid(
-                assemble(result.family, k), amp, 2.0, 16, v), limit_side):
+                generator(assemble(result.family, k), amp), 2.0, 16, v),
+                limit_side):
             want = max(want, float(np.linalg.norm(big - embedded, 2)))
         assert semigroup_gap(result, amp, 2.0, 16, k) == want
 
