@@ -202,7 +202,8 @@ def _finite_study(cmd):
 def cmd_validate(args) -> int:
     model = _resolve_model(args.model)
     tol = args.tol
-    ks = _k_values(args.k) if args.k is not None else ()
+    # A repeated k is one report: each distinct k runs once, first seen first.
+    ks = tuple(dict.fromkeys(_k_values(args.k))) if args.k is not None else ()
 
     def validations():
         yield "scaled", scaled_hp_validate(model.family, tol=tol)

@@ -9,7 +9,7 @@ between the adjoint prelimit propagator and the embedded limit propagator
 on the slow subspace.  Both read one `EliminationResult` and take its
 limit side once per study.  Grid studies form each dressed generator once
 and hand it to `semigroup.propagate_on_grid`; each gap is an SVD of only
-the grid times whose Gram eigenvalues can hold the max (`_gap`).  A
+the grid times whose Gram bounds can hold the max (`_gap`).  A
 truncation study needs N = I exactly, so each cutoff c is propagated from
 the leading (c+1) x (c+1) block of one generator, and a cutoff whose block
 adds nothing reuses the previous grid.  Schedules strictly increase, and
@@ -243,12 +243,15 @@ def _gap(lo: np.ndarray, hi: np.ndarray) -> float:
     no LAPACK call when all zero or empty), from an SVD of only the slices
     that can hold it.  Scaled by its largest |entry|, so that its Gram
     products can neither overflow nor lose the top to underflow, each
-    slice's largest Gram eigenvalue from one batched `eigvalsh` is its
-    sigma_max^2 to about m n eps relative; the slices within _GAP_MARGIN =
-    1e-8 relative of the largest go to one batched SVD.  The margin covers
-    that rounding and LAPACK's own (about n eps), and LAPACK takes each
+    slice's Gram matrix G bounds its sigma_max^2 = lambda_max(G) with no
+    factorization: above by |G|_F, below by the larger of its largest
+    diagonal entry and |G|_F^2 / tr G.  The slices whose upper bound is
+    within _GAP_MARGIN = 1e-8 relative of the largest lower bound go to
+    one batched SVD.  The margin covers the rounding of G and its sums
+    (about m n eps) and LAPACK's own (about n eps), and LAPACK takes each
     slice on its own, so the max keeps its bits.  Every slice goes when
-    100 m n eps > 1e-8 or a value is not finite.
+    100 m n eps > 1e-8 or a value is not finite (with |entry| <= 1 after
+    scaling, no Gram sum can overflow).
     """
     diff = lo - hi
     if not diff.any():
@@ -260,9 +263,14 @@ def _gap(lo: np.ndarray, hi: np.ndarray) -> float:
     if math.isfinite(scale) and 100 * m * n * np.finfo(float).eps <= _GAP_MARGIN:
         x = diff / scale
         xh = x.conj().swapaxes(-1, -2)
-        top = np.linalg.eigvalsh(xh @ x if m >= n else x @ xh)[..., -1]
-        if np.isfinite(top).all():
-            take = top >= top.max() * (1.0 - _GAP_MARGIN)
+        gram = xh @ x if m >= n else x @ xh
+        diag = gram.diagonal(axis1=-2, axis2=-1).real
+        trace = diag.sum(axis=-1)
+        fro2 = (gram.real ** 2 + gram.imag ** 2).sum(axis=(-2, -1))
+        ratio = np.divide(fro2, trace, out=np.zeros_like(trace),
+                          where=trace > 0)  # a zero slice has tr G = 0
+        low = np.maximum(diag.max(axis=-1), ratio).max()
+        take = np.sqrt(fro2) * (1.0 + _GAP_MARGIN) >= low * (1.0 - _GAP_MARGIN)
     return float(np.linalg.svd(diff[take], compute_uv=False).max())
 
 

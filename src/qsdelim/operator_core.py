@@ -3,7 +3,9 @@
 Everything is desk-scale (total dimensions up to a few hundred), so all
 storage is dense complex128 and all factorizations are direct LAPACK
 calls.  Values are immutable after construction and every operation is a
-pure function.
+pure function.  numpy is the only library loaded with the package:
+`matrix_exponential` imports scipy on the first exponential, which is
+most of a command's start-up when it is taken.
 
 Because an `Operator`'s entries are frozen read-only at construction, its
 spectral norm is cached on the operator: `spectral_norm` takes the SVD of
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFiniteEntries, SingularFastDynamics, StructuralViolation
 
@@ -331,7 +332,13 @@ def spectral_norm(x: Operator) -> float:
 
 
 def matrix_exponential(x: Operator, t: float) -> Operator:
-    """exp(t*x) for t >= 0 via scaling-and-squaring Pade (scipy.linalg.expm)."""
+    """exp(t*x) for t >= 0 via scaling-and-squaring Pade (scipy.linalg.expm).
+
+    The package's one use of scipy, imported on the first exponential: a
+    command that takes none (validate, eliminate, example, converge
+    --kind generator) never loads it.  `expm` is looked up on
+    `scipy.linalg` at each call, so a rebinding of that attribute sees
+    every exponential."""
     t = float(t)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
@@ -339,6 +346,8 @@ def matrix_exponential(x: Operator, t: float) -> Operator:
         raise ValueError("semigroup evaluation requires t >= 0")
     if t == 0.0:
         return Operator.identity(x.space)
+    import scipy.linalg
+
     return Operator(x.space, scipy.linalg.expm(t * x.entries))
 
 

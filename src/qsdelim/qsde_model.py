@@ -219,10 +219,14 @@ def _m_from_unitarity(w_ops, l_ops) -> tuple[Operator, ...]:
 
 
 def _trivial_scattering(grid) -> bool:
-    """Whether every W_ij of the n x n grid is exactly delta_ij I."""
-    eye = np.eye(grid[0][0].space.total_dim)
-    return not any(np.any(w.entries != eye * (i == j))
-                   for i, row in enumerate(grid) for j, w in enumerate(row))
+    """Whether every W_ij of the n x n grid is exactly delta_ij I: each
+    diagonal block has d nonzero entries, all of them a diagonal 1, and
+    each off-diagonal block none."""
+    d = grid[0][0].space.total_dim
+    return all(
+        np.count_nonzero(w.entries) == d and (w.entries.diagonal() == 1).all()
+        if i == j else not w.entries.any()
+        for i, row in enumerate(grid) for j, w in enumerate(row))
 
 
 def _unitarity_defect(grid) -> _Norms:

@@ -1670,9 +1670,9 @@ class TestTruncationBlockForm:
             assert (svd.call_count, norm.call_count) == (calls, 0)
 
     def test_each_gap_passes_only_its_tied_slices(self):
-        """Each nonzero gap's grid of 32 times takes one batched `eigvalsh`
-        of the Gram matrices, and only the slice whose value ties the max
-        (one here) goes to the SVD."""
+        """Each nonzero gap's grid of 32 times is screened by bounds on its
+        Gram matrices, with no `eigvalsh` call, and only the slice whose
+        value ties the max (one here) goes to the SVD."""
         amp = FieldAmplitudes((0.2 + 0.1j,), (-0.1 + 0.3j,))
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
                 mock.patch.object(np.linalg, "eigvalsh",
@@ -1680,8 +1680,7 @@ class TestTruncationBlockForm:
             truncation_study(_osc120_family(False), BENCH_CUTOFFS, amp, 2.0, 32)
         rows, width = BENCH_CUTOFFS[-1] + 1, BENCH_CUTOFFS[0] + 1
         assert [c.args[0].shape for c in svd.call_args_list] == [(1, rows, width)] * 6
-        assert [c.args[0].shape for c in eigvalsh.call_args_list] == [
-            (32, width, width)] * 6
+        assert eigvalsh.call_count == 0
 
     @pytest.fixture
     def phase_scattering(self):
@@ -1757,6 +1756,56 @@ class TestMFromUnitarity:
         for m, l, w in zip(got, l_ops, self._products(grid, l_ops)):
             assert np.array_equal(m.entries, w.entries)
             assert not np.allclose(m.entries, -l.entries.conj().T)
+
+
+def _reference_trivial_scattering(grid) -> bool:
+    """The comparison `_trivial_scattering` made with a formed identity."""
+    eye = np.eye(grid[0][0].space.total_dim)
+    return not any(np.any(w.entries != eye * (i == j))
+                   for i, row in enumerate(grid) for j, w in enumerate(row))
+
+
+class TestTrivialScatteringVerdict:
+    """`_trivial_scattering` counts nonzeros and reads the diagonal instead
+    of comparing each block with a formed identity, with the same verdict."""
+
+    @staticmethod
+    def _grid(kind):
+        d = 4
+        space = HilbertSpace((d,))
+        ident, zero = np.eye(d, dtype=complex), np.zeros((d, d), complex)
+        signed = ident.copy()
+        signed[0, 1] = signed[2, 0] = -0.0  # equal to 0.0, so still I
+        cases = {
+            "identity": [[ident, zero], [zero, ident]],
+            "signed-zeros": [[signed, -zero], [-zero, signed]],
+            "phase": [[np.exp(0.3j) * ident]],
+            "phase-grid": [[np.diag(np.exp(1j * np.linspace(0.0, 5e-13, d)))]],
+            "swap": [[zero, ident], [ident, zero]],
+            "permutation": [[ident[::-1]]],
+            "tiny-off-diagonal": [[ident + 1e-300 * np.eye(d, k=1)]],
+            "tiny-off-block": [[ident, 1e-300 * ident], [zero, ident]],
+            # d nonzero entries, but one of the ones off the diagonal
+            "moved-one": [[np.diag([1.0, 1.0, 0.0, 1.0]) + np.outer(ident[2], ident[0])]],
+            "imaginary-diagonal": [[ident + 1e-300j * np.eye(d)]],
+        }
+        return tuple(tuple(Operator(space, w) for w in row) for row in cases[kind])
+
+    @pytest.mark.parametrize("kind, want", [
+        ("identity", True), ("signed-zeros", True), ("phase", False),
+        ("phase-grid", False), ("swap", False), ("permutation", False),
+        ("tiny-off-diagonal", False), ("tiny-off-block", False),
+        ("moved-one", False), ("imaginary-diagonal", False),
+    ])
+    def test_same_verdict_as_the_formed_identity(self, kind, want):
+        grid = self._grid(kind)
+        assert qsde_model._trivial_scattering(grid) is want
+        assert _reference_trivial_scattering(grid) is want
+
+    def test_forms_no_identity(self, monkeypatch):
+        grid = builtin_fixture("truncation-demo").family.w_ops
+        monkeypatch.setattr(qsde_model.np, "eye", None)
+        assert qsde_model._trivial_scattering(grid)
 
 
 def _reference_projection_rule(p0: np.ndarray) -> str | None:

@@ -8,9 +8,11 @@ and scaling parameters up to k = 4096.
 """
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,7 @@ from qsdelim import (
     truncation_study,
     windowed_oscillator_limit,
 )
+from qsdelim import semigroup
 from qsdelim.cli import main
 from qsdelim.operator_core import Operator
 
@@ -106,6 +109,25 @@ class TestPropagateOnGrid:
         grid = propagate_on_grid(generator(coeffs, vac), 1.0, 10**9, np.eye(15, 2))
         assert next(grid).shape == (15, 2)
         assert next(grid).shape == (15, 2)
+
+    def test_expm_patch_sees_every_grid_step(self, dk_fixture):
+        """scipy is imported inside `matrix_exponential`, which looks `expm`
+        up on `scipy.linalg` at each call: a patch of that attribute sees
+        the one grid-step exponential of every grid."""
+        gen = generator(assemble(dk_fixture.family, 4.0),
+                        FieldAmplitudes((0.1 + 0.2j,), (0.3 - 0.1j,)))
+        grids = ((2.0, 17), (1.0, 2), (0.5, 9))
+        with mock.patch.object(scipy.linalg, "expm",
+                               wraps=scipy.linalg.expm) as expm, \
+                mock.patch.object(semigroup, "matrix_exponential",
+                                  wraps=semigroup.matrix_exponential) as mexp:
+            for T, grid_points in grids:
+                assert len(list(propagate_on_grid(gen, T, grid_points,
+                                                  np.eye(15, 2)))) == grid_points
+        assert expm.call_count == mexp.call_count == len(grids)
+        for call, (T, grid_points) in zip(expm.call_args_list, grids):
+            assert np.array_equal(call.args[0],
+                                  T / (grid_points - 1) * gen.entries)
 
     @pytest.mark.parametrize("T, grid_points", [
         (1.0, 1), (1.0, 0), (0.0, 8), (-1.0, 8), (float("nan"), 8),

@@ -4,6 +4,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from qsdelim import (
     random_structured_fixture,
     spectral_norm,
 )
+from qsdelim import cli
 from qsdelim.cli import build_parser, main
 from qsdelim.modelfile import matrix_from_json, matrix_to_json
 
@@ -826,6 +832,52 @@ class TestScheduleSortedAndDistinct:
             runs.append((code, capsys.readouterr().out))
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][0] == 0 and "verdict: PASS" in runs[0][1]
+
+
+    def test_validate_runs_each_distinct_k_once(self, tmp_path, capsys):
+        runs = []
+        for i, ks in enumerate((["2", "4"], ["2", "2", "4", "2"])):
+            report = tmp_path / f"{i}.json"
+            with mock.patch.object(cli, "assemble", wraps=cli.assemble) as asm, \
+                    mock.patch.object(cli, "hp_validate",
+                                      wraps=cli.hp_validate) as hp:
+                code = main(["validate", "duan-kimble", "--k", *ks,
+                             "--report", str(report)])
+            runs.append((code, capsys.readouterr().out, report.read_text(),
+                         [c.args[1] for c in asm.call_args_list],
+                         hp.call_count))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][3:] == ([2.0, 4.0], 2)
+
+
+_STARTUP = """
+import contextlib, io, sys
+import qsdelim, qsdelim.cli
+runs = (["validate", "duan-kimble"], ["eliminate", "duan-kimble"],
+        ["converge", "duan-kimble", "--kind", "generator"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qsdelim.cli.main(argv) for argv in runs]
+loaded = ["scipy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(qsdelim.cli.main(["semigroup", "duan-kimble", "--k", "16",
+                                   "--grid", "8"]))
+loaded.append("scipy.linalg" in sys.modules)
+print(codes, loaded)
+"""
+
+
+class TestStartupImports:
+    """scipy is imported on the first matrix exponential, not with the
+    package.  Checked in a fresh interpreter, since these test modules
+    import scipy themselves."""
+
+    def test_only_an_exponential_loads_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0] [False, True]"
 
 
 class TestTruncationPreconditions:
