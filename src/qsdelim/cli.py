@@ -7,6 +7,10 @@ Subcommands:
   converge   run a generator / semigroup / truncation convergence study
   example    emit a bundled example model as a JSON document
 
+`qsdelim --verbose COMMAND ...` logs the package's INFO messages to
+stderr for that call (the semigroup table's switch to a thin block, the
+rate fit's excluded residuals); no other output changes.
+
 Exit codes: 0 success; 1 domain failure: a check or verdict fails, or the
 model fails the preconditions of eliminate, semigroup or converge, which
 print the failing report lines and no verdict (semigroup --k needs only
@@ -34,6 +38,7 @@ import csv
 import functools
 import io
 import json
+import logging
 import math
 import sys
 from dataclasses import replace
@@ -60,6 +65,8 @@ from .qsde_model import (
     structural_validate,
 )
 from .semigroup import FieldAmplitudes, generator, propagate_on_grid
+
+log = logging.getLogger("qsdelim.cli")  # __main__ under python -m
 
 CSV_HEADER = ("fixture", "kind", "k", "t_max", "grid_points", "alpha", "beta", "value")
 
@@ -323,21 +330,36 @@ def cmd_semigroup(args) -> int:
             label = 0.0
     except PreconditionFailed as exc:
         return _precondition_failure(model.name, exc)
-    rows = []
-    worst = 0.0
     gen = generator(coeffs, amp)
     # The adjoint propagator has the same spectral norm as the propagator.
-    norms = _propagator_norms(propagate_on_grid(
-        gen, t_final, grid, np.eye(gen.space.total_dim)))
-    for t, norm in zip(np.linspace(0.0, t_final, grid), norms):
-        worst = max(worst, norm)
-        rows.append((label, t, grid, norm))
+    switch = {}
+    values = list(_propagator_norms(propagate_on_grid(
+        gen, t_final, grid, np.eye(gen.space.total_dim)), switch))
+    worst = max(values)
+    if switch["tail_bound"] is None:
+        log.info("semigroup table: ends on full propagators (%d grid times)", grid)
+    else:
+        log.info("semigroup table: thin block from grid time J=%d, tail bound "
+                 "t_J=%.3e", switch["dense_steps"], switch["tail_bound"])
+    contraction_ok = worst <= 1.0 + 1e-9
     if args.csv:
-        _write_csv(args.csv, model.name, "contraction_norm", amp, rows)
+        _write_csv(args.csv, model.name, "contraction_norm", amp, (
+            (label, t, grid, norm)
+            for t, norm in zip(np.linspace(0.0, t_final, grid), values)))
+    if args.report:
+        _write_report(args.report, {
+            "model": model.name,
+            "k": label if args.k is not None else None,
+            "diagnostics": switch,
+            "t_max": t_final,
+            "grid_points": grid,
+            "values": values,
+            "max_norm": worst,
+            "verdict": contraction_ok,
+        })
     print(f"model {model.name}: max semigroup norm {worst:.12g} over "
           f"{grid} times in [0, {t_final:g}]"
           + (f" at k={label:g}" if args.k is not None else " (limit model)"))
-    contraction_ok = worst <= 1.0 + 1e-9
     print(f"contraction: {'PASS' if contraction_ok else 'FAIL'}")
     return 0 if contraction_ok else 1
 
@@ -427,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Singular-perturbation limits of quantum stochastic models "
         "on truncated spaces.",
     )
+    parser.add_argument("--verbose", action="store_true",
+                        help="log the package's INFO messages to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_model=True):
@@ -463,7 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_study(p, "assemble the prelimit model at this k (default: limit)",
               "write per-time norms to this CSV path (certified Ritz "
               "values within 1e-12 relative of LAPACK's sigma_max, not "
-              "bit-equal; a time the certificate cannot decide takes the SVD)")
+              "bit-equal; a time the certificate cannot decide takes the SVD; "
+              "once a certified 4-column block Q carries the norm, later times "
+              "report sigma_max(P Q) from d x 4 products, certified against "
+              "the tail outside Q and Q's orthonormality)")
     p.set_defaults(func=cmd_semigroup)
 
     p = sub.add_parser("converge", help="run a convergence study")
@@ -488,6 +515,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The handler lives for this call only: one process may call main often.
+    package = logging.getLogger("qsdelim")
+    handler, level = logging.StreamHandler(sys.stderr), package.level
+    if args.verbose:
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        package.addHandler(handler)
+        package.setLevel(logging.INFO)
     try:
         return args.func(args)
     except ModelParseError as exc:
@@ -496,6 +530,9 @@ def main(argv=None) -> int:
     except QsdelimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

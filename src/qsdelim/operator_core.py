@@ -28,10 +28,12 @@ mass outside the block certifies it from above.  A certified value
 agrees with LAPACK's sigma_max within 1e-12 relative but is not bit-equal
 to it; a nearly certified block takes more steps, a block the
 certificate cannot decide takes the SVD, and the t = 0 block I neither.
+A propagator grid steps on in d x 4 products once such a block carries the norm.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -244,7 +246,7 @@ def _ritz_step(p: np.ndarray, q: np.ndarray) -> tuple[float, bool, np.ndarray, f
     return theta, upper <= theta * (1.0 + 1e-13), q, upper / theta - 1.0
 
 
-def _propagator_norms(blocks):
+def _propagator_norms(blocks, diagnostics=None):
     """Spectral norm of each square array of one size, within 1e-12
     relative of `np.linalg.norm(P, 2)`, for a sequence whose leading
     singular vectors drift slowly (the time grid of a propagator).
@@ -262,13 +264,41 @@ def _propagator_norms(blocks):
     yields 1.0, its LAPACK norm, with no step; as the first P it leaves
     the block where a step from I would: at the columns of I at indices
     0 .. _RITZ_BLOCK - 1.
+
+    On a `propagate_on_grid` iteration from I (one with `send`), P_1 is the
+    step S.  After a certified step at a time J >= 1 with Ritz block Q, the
+    tail t = |P_J - (P_J Q) Q*|_F + 4 d eps |P_J|_F and g = |P_1| (1 + 1e-13)
+    bound each P_m = S^(m-J) P_J through B = P_m Q and E = Q*Q - I:
+        |B|^2 (1 - |E|) <= |P_m|^2 <= |B|^2 (1 + |E|) + (g^(m-J) t)^2.
+    While these hold |B| within 1e-13 (`fits`), the grid steps on from P_J Q
+    in d x 4 products, yielding sigma_max(B); else P_m = S^(m-J) P_J steps
+    on.  They certify the tail and Q's orthonormality, not the rounding of
+    products, thin or full.  `diagnostics` gets `dense_steps` (J, or the
+    count of P if the table ends on full ones) and `tail_bound` (t or None).
     """
-    q = None
-    for p in blocks:
+    def fits(norm, tail):  # |B|^2 (1 + |E|) + tail^2 <= |B|^2 (1 + 1e-13)
+        return norm > 0 and e + (tail / norm) * (tail / norm) <= 1e-13
+    blocks = iter(blocks)
+    advance = getattr(blocks, "send", None) or (lambda _: next(blocks))
+    q = step = j = sent = from_eye = None
+    for m in itertools.count():
+        try:
+            p, sent = advance(sent), None
+        except StopIteration:
+            break
+        if j is not None:
+            norm, bound = _norm2(p), bound * g
+            if fits(norm, bound):
+                yield norm
+                continue
+            for _ in range(m - j):
+                p_j = step @ p_j
+            p, sent, j = p_j, p_j, None
         ones = p[0, 0] == 1 and np.all(p.diagonal() == 1)
         if ones and np.count_nonzero(p) == len(p):
             if q is None:
                 q = np.eye(len(p), min(len(p), _RITZ_BLOCK), dtype=np.complex128)
+                from_eye = hasattr(blocks, "send")  # q is None only for the first P
             yield 1.0
             continue
         theta, certified = -math.inf, False
@@ -286,7 +316,21 @@ def _propagator_norms(blocks):
                 theta_c, certified, q_c, _ = _ritz_step(p, start)
                 if certified or q is None:
                     theta, q = theta_c, q_c
-        yield math.sqrt(theta) if certified else _norm2(p)
+        value = math.sqrt(theta) if certified else _norm2(p)
+        if from_eye and m == 1:
+            step, g, margin = p, value * (1.0 + 1e-13), 4 * len(p) * math.ulp(1.0)
+        if certified and step is not None:  # |P|_F^2 is normal: nothing overflows
+            b, s = p @ q, math.sqrt(np.vdot(p, p).real)
+            if s * s * (1 - margin) - np.vdot(b, b).real <= 1e-13 * theta:  # t can fit
+                r = (p - b @ q.conj().T) / s  # scaled, so its square stays normal
+                t = s * (math.sqrt(np.vdot(r, r).real) + margin)
+                e = float(np.abs(q.conj().T @ q - np.eye(q.shape[1])).sum())  # >= |E|
+                if fits(value, t):
+                    j, p_j, bound, sent = m, p, t, b
+        yield value
+    if diagnostics is not None:
+        diagnostics.update(dense_steps=m if j is None else j,
+                           tail_bound=None if j is None else t)
 
 
 def _at_most(defect: _Norms, scale: _Norms, threshold) -> bool:

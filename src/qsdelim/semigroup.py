@@ -166,8 +166,9 @@ def propagate_on_grid(gen: Operator, T: float, grid_points: int, block):
     np.linspace(0, T, grid_points).  One scaling-and-squaring expm of the
     grid step dt = T / (grid_points - 1) is taken; later grid points follow
     by repeated products, since exp(m dt G) = exp(dt G)^m.  Only the current
-    block is kept, so memory does not grow with the grid.  Arguments are
-    checked when the function is called, not when iteration starts.
+    block is kept, so memory does not grow with the grid.  A block sent in
+    (`send`: a thin P Q) is stepped on instead of the one yielded.  Arguments
+    are checked when the function is called, not when iteration starts.
     """
     T = float(T)
     grid_points = int(grid_points)
@@ -178,10 +179,10 @@ def propagate_on_grid(gen: Operator, T: float, grid_points: int, block):
     step = matrix_exponential(gen, T / (grid_points - 1)).entries.conj().T
 
     def blocks(current):
-        yield current
         for _ in range(grid_points - 1):
-            current = step @ current
-            yield current
+            sent = yield current
+            current = step @ (current if sent is None else sent)
+        yield current
 
     return blocks(np.asarray(block, dtype=np.complex128))
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -495,6 +496,7 @@ class TestRejectedInputsExit2:
         ["validate", "duan-kimble", "--report"],
         ["eliminate", "duan-kimble", "--report"],
         ["semigroup", "duan-kimble", "--grid", "8", "--csv"],
+        ["semigroup", "duan-kimble", "--k", "16", "--grid", "8", "--report"],
         ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8",
          "--csv"],
         ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8",
@@ -934,6 +936,73 @@ class TestSemigroupAtFixedK:
         assert main(["semigroup", "broken-structural", "--k", "4",
                      "--grid", "8"]) == 0
         assert "contraction: PASS" in capsys.readouterr().out
+
+
+class TestSemigroupReport:
+    """semigroup --report writes the table as strict JSON: the CSV's values,
+    the printed max and the table's thin-phase diagnostics."""
+
+    @pytest.mark.parametrize("k", [["--k", "16"], []])
+    def test_report_matches_csv_and_stdout(self, k, tmp_path, capsys):
+        csv_path, report = tmp_path / "sg.csv", tmp_path / "sg.json"
+        assert main(["semigroup", "duan-kimble", *k, "--T", "2", "--grid", "64",
+                     "--alpha=0.2-0.1j", "--csv", str(csv_path),
+                     "--report", str(report)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(report.read_text(), parse_constant=pytest.fail)
+        with csv_path.open() as fh:
+            values = [float(row["value"]) for row in csv.DictReader(fh)]
+        assert doc["values"] == values and len(values) == 64
+        assert doc["values"][0] == 1.0
+        assert f"max semigroup norm {doc['max_norm']:.12g} over" in out
+        assert doc["max_norm"] == max(values)
+        assert (doc["model"], doc["k"], doc["t_max"], doc["grid_points"],
+                doc["verdict"]) == ("duan-kimble", 16.0 if k else None, 2.0, 64, True)
+        diagnostics = doc["diagnostics"]
+        assert sorted(diagnostics) == ["dense_steps", "tail_bound"]
+        if diagnostics["tail_bound"] is None:
+            assert diagnostics["dense_steps"] == 64
+        else:
+            assert 1 <= diagnostics["dense_steps"] < 64
+            assert 0 < diagnostics["tail_bound"] < 1e-6
+
+
+class TestVerbose:
+    """--verbose logs the package's INFO lines to stderr for one call and
+    changes no output."""
+
+    ARGV = ["semigroup", "duan-kimble", "--k", "16", "--T", "2", "--grid", "64"]
+
+    def _run(self, tmp_path, capsys, name, *flags):
+        csv_path, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert main([*flags, *self.ARGV, "--csv", str(csv_path),
+                     "--report", str(report)]) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err, csv_path.read_bytes(), report.read_bytes()
+
+    def test_outputs_identical_and_one_switch_line(self, tmp_path, capsys):
+        quiet = self._run(tmp_path, capsys, "quiet")
+        loud = self._run(tmp_path, capsys, "loud", "--verbose")
+        assert loud[0] == quiet[0] and loud[2:] == quiet[2:]
+        assert quiet[1] == ""
+        lines = loud[1].splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "INFO qsdelim.cli: semigroup table: thin block from grid time J=")
+        assert " tail bound t_J=" in lines[0]
+
+    def test_handler_lasts_one_call(self, tmp_path, capsys):
+        package = logging.getLogger("qsdelim")
+        handlers, level = list(package.handlers), package.level
+        self._run(tmp_path, capsys, "loud", "--verbose")
+        assert (package.handlers, package.level) == (handlers, level)
+        assert self._run(tmp_path, capsys, "quiet")[1] == ""
+
+    def test_rate_fit_logs(self, capsys):
+        argv = ["converge", "duan-kimble", "--kind", "generator",
+                "--k", "2", "4", "8", "16", "32", "64"]
+        assert main(["--verbose", *argv]) == 0
+        assert "INFO qsdelim.convergence: rate_fit: excluded" in capsys.readouterr().err
 
 
 class TestOnePreconditionPrinter:

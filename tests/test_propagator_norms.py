@@ -14,10 +14,15 @@ old SVDs while dk40's keeps its bits.  `_gap` equals the batched SVD's
 max bit for bit over stacks of every shape, near-ties and entry scales,
 while passing only the slices its Gram eigenvalues single out; semigroup
 gaps have the bits of the per-point norms, and a unitarity defect of
-W = I is 0.0 with no product.
+W = I is 0.0 with no product.  Over a `propagate_on_grid` iteration the
+table goes thin once a certified 4-column block carries the norm: the
+thin values keep the same tolerance over random and k^2-scaled models,
+a bound that stops certifying returns to full products, and dk40's
+64-row table forms at most 6 full-size products.
 """
 
 import json
+import types
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 
 from qsdelim import (
     FieldAmplitudes,
+    HilbertSpace,
     builtin_fixture,
     duan_kimble_fixture,
     eliminate,
@@ -35,7 +41,7 @@ from qsdelim import (
     random_structured_fixture,
     semigroup_gap,
 )
-from qsdelim import convergence, operator_core, qsde_model
+from qsdelim import convergence, operator_core, qsde_model, semigroup
 from qsdelim.cli import main
 from qsdelim.operator_core import Operator, _propagator_norms
 from qsdelim.qsde_model import assemble
@@ -274,6 +280,163 @@ def test_dk40_table_takes_one_full_svd(dk40_path, tmp_path, monkeypatch):
             "--csv", str(tmp_path / "sg.csv")]
     assert main(argv) == 0
     assert counts["full"] == 1
+
+
+class _Sends:
+    """A grid iteration that records what is sent into it: None for a
+    plain step, else the shape of the block the grid steps on from."""
+
+    def __init__(self, grid):
+        self.grid, self.sent = grid, []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.send(None)
+
+    def send(self, block):
+        self.sent.append(None if block is None else block.shape)
+        return self.grid.send(block)
+
+
+def _thin_table(gen, T, grid_points):
+    """(sends, diagnostics) of the table taken over a generator's live
+    grid, each value checked against the SVD norm of the full product and
+    the tail bound against its rounding margin 4 d eps |P_J|_F."""
+    d = gen.space.total_dim
+    blocks = list(propagate_on_grid(gen, T, grid_points, np.eye(d)))
+    sends, diagnostics = _Sends(propagate_on_grid(gen, T, grid_points, np.eye(d))), {}
+    with np.errstate(over="raise", invalid="raise"):
+        got = list(_propagator_norms(sends, diagnostics))
+    assert len(got) == len(blocks) and got[0] == 1.0
+    for value, p in zip(got, blocks):
+        want = np.linalg.norm(p, 2)
+        assert isinstance(value, float) and _within(value, want), (value, want)
+    if diagnostics["tail_bound"] is not None:
+        p_j = blocks[diagnostics["dense_steps"]]
+        assert diagnostics["tail_bound"] >= 4 * d * np.finfo(float).eps * np.linalg.norm(p_j)
+    return sends.sent, diagnostics
+
+
+@st.composite
+def _thin_generators(draw):
+    """A dressed generator of dim 3 to 136: a random dissipative one, or a
+    random structured family assembled at k up to 64 (k^2-scaled)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        coeffs = random_hp_coefficients(rng, draw(st.integers(3, 136)), n)
+    else:
+        hprime = draw(st.integers(3, 8))
+        fix = random_structured_fixture(
+            rng, hprime, n=n, cutoff=draw(st.integers(1, 136 // hprime - 1)))
+        coeffs = assemble(fix.family, draw(st.sampled_from([1.0, 4.0, 16.0, 37.5, 64.0])))
+    amp = FieldAmplitudes.vacuum(n) if draw(st.booleans()) else FieldAmplitudes(
+        tuple(complex(*rng.normal(size=2)) * 0.5 for _ in range(n)),
+        tuple(complex(*rng.normal(size=2)) * 0.5 for _ in range(n)))
+    return generator(coeffs, amp)
+
+
+def _jordan_generator(slow, rate, coupling, fast):
+    """diag(slow) (+) [[-rate, coupling], [0, -rate]] (+) diag(fast).  A
+    large coupling makes the step's norm exceed its decay, so the tail
+    bound g^(m-J) t outgrows the norm after the table has gone thin."""
+    d = len(slow) + 2 + len(fast)
+    g = np.diag(np.array([*slow, -rate, -rate, *fast], dtype=complex))
+    g[len(slow), len(slow) + 1] = coupling
+    return Operator(HilbertSpace((d,)), g)
+
+
+class TestThinTail:
+    """Once a certified block carries the norm, the table steps on with
+    d x 4 products and reports sigma_max(P Q); the values keep the dense
+    table's tolerance."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(gen=_thin_generators(), T=st.sampled_from([0.3, 2.0, 8.0]),
+           grid_points=st.integers(2, 64))
+    def test_random_and_scaled_models(self, gen, T, grid_points):
+        sent, diagnostics = _thin_table(gen, T, grid_points)
+        assert sent[0] is None and len(sent) == grid_points + 1
+        if diagnostics["tail_bound"] is None:
+            assert diagnostics["dense_steps"] == grid_points
+        else:
+            assert 1 <= diagnostics["dense_steps"] < grid_points
+
+    @pytest.mark.parametrize("slow, rate, coupling, fast", [
+        ((0.0, -0.1), 40.0, 400.0, (-30.0, -35.0)),  # |step| = 3.6 > 1
+        ((-20.0, -21.0), 40.0, 108.0, (-60.0, -70.0)),  # norm decays past g^m t
+    ])
+    def test_bound_that_stops_certifying_returns_to_full_products(
+            self, slow, rate, coupling, fast):
+        """The table goes thin, the bound fails, P_m is formed from the
+        kept P_J and the table goes on from it: the last thin phase starts
+        later than the first, and every value keeps the tolerance."""
+        sent, diagnostics = _thin_table(
+            _jordan_generator(slow, rate, coupling, fast), 2.0, 64)
+        # The block sent in call m steps on from the one yielded at m - 1.
+        first_j = sent.index((6, 4)) - 1
+        assert diagnostics["dense_steps"] > first_j
+
+    def test_lasting_fallback_steps_on_from_the_full_propagator(self):
+        """Four transient modes of norm about 1e8 t e^-t carry the norm over
+        a steady mode of norm 1 outside the block.  Once they have decayed
+        the tail no longer fits, so after the fallback the table stays on
+        full products, stepping on from the P_m it formed and sent."""
+        d = 9
+        g = np.zeros((d, d), dtype=complex)
+        for i, rate in enumerate((1.0, 1.1, 1.2, 1.3)):
+            g[2 * i, 2 * i] = g[2 * i + 1, 2 * i + 1] = -rate
+            g[2 * i, 2 * i + 1] = 1e8
+        sent, diagnostics = _thin_table(Operator(HilbertSpace((d,)), g), 10.0, 64)
+        assert sent.index((d, d)) > sent.index((d, 4))
+        assert sent[sent.index((d, d)) + 1:] == [None] * (64 - sent.index((d, d)))
+        assert diagnostics == {"dense_steps": 64, "tail_bound": None}
+
+    def test_lists_take_no_thin_phase(self):
+        """A sequence without `send` keeps the full products and the bits
+        of the table before the thin phase."""
+        fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=40)
+        gen = generator(assemble(fix.family, 16), FieldAmplitudes.vacuum(1))
+        blocks, diagnostics = list(propagate_on_grid(gen, 2.0, 64, np.eye(123))), {}
+        assert list(_propagator_norms(blocks, diagnostics)) == list(
+            _reference_norms(blocks))
+        assert diagnostics == {"dense_steps": 64, "tail_bound": None}
+
+
+def _count_full_products(monkeypatch, d) -> list:
+    """Count (d, d) @ (d, d) products taken on the grid's step or on any
+    array formed from it: the step comes out of the exponential as an
+    array subclass whose matrix products are recorded."""
+    products = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [np.asarray(x) for x in inputs]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+            if ufunc is np.matmul and all(x.shape == (d, d) for x in inputs):
+                products.append(ufunc)
+            out = getattr(ufunc, method)(*inputs, **kwargs)
+            return out.view(Spy) if isinstance(out, np.ndarray) else out
+
+    real = semigroup.matrix_exponential
+    monkeypatch.setattr(semigroup, "matrix_exponential", lambda x, t: types.SimpleNamespace(
+        entries=real(x, t).entries.view(Spy)))
+    return products
+
+
+def test_dk40_table_forms_few_full_products(dk40_path, tmp_path, monkeypatch, capsys):
+    """At the benchmark's amplitudes the table goes thin at J = 4: the
+    products P_1 .. P_4 are the only full-size ones (there were 63)."""
+    products = _count_full_products(monkeypatch, 123)
+    argv = ["semigroup", dk40_path, "--k", "16", "--T", "2", "--grid", "64",
+            "--alpha=0.38-0.23j", "--beta=-0.05-0.39j",
+            "--csv", str(tmp_path / "sg.csv")]
+    assert main(argv) == 0
+    assert 1 <= len(products) <= 6
+    assert capsys.readouterr().out.splitlines()[-1] == "contraction: PASS"
 
 
 def _reference_norms(blocks):
