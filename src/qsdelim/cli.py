@@ -7,6 +7,9 @@ Subcommands:
   converge   run a generator / semigroup / truncation convergence study
   example    emit a bundled example model as a JSON document
 
+All but `example` run through one runner, `_model_command`, which loads the
+model, guards float64 and prints a failed precondition's report.
+
 `qsdelim --verbose COMMAND ...` logs the package's INFO messages to
 stderr for that call (the semigroup table's switch to a thin block, the
 rate fit's excluded residuals); no other output changes.
@@ -180,34 +183,31 @@ def _report_lines(report) -> list[str]:
     ]
 
 
-def _precondition_failure(name: str, exc: PreconditionFailed) -> int:
-    """Print a failed precondition and its report's lines, if any; exit 1."""
-    print(f"preconditions fail for model {name}: {exc}")
-    if exc.report is not None:
-        for line in _report_lines(exc.report):
-            print(line)
-    return 1
-
-
-def _finite_study(cmd):
-    """Run a model-reading command with float64 overflow and invalid
-    operations raising.  Inputs are checked finite, so a non-finite
-    intermediate means their products left float64: ModelParseError
-    (exit 2), before any verdict is printed.  scipy's expm returns inf
-    without raising, which the operator built from it reports as
-    NonFiniteEntries."""
+def _model_command(cmd):
+    """Run `cmd(args, model)` on the model `args.model` names, with float64
+    overflow and invalid operations raising.  Inputs are checked finite, so
+    a non-finite intermediate (scipy's expm returns inf, which its operator
+    reports as NonFiniteEntries) means their products left float64:
+    ModelParseError (exit 2), before any verdict.  A failed precondition
+    prints its message and its report's lines, and no verdict: exit 1."""
     def run(args) -> int:
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return cmd(args)
+                model = _resolve_model(args.model)
+                try:
+                    return cmd(args, model)
+                except PreconditionFailed as exc:
+                    print(f"preconditions fail for model {model.name}: {exc}")
+                    for line in _report_lines(exc.report) if exc.report else ():
+                        print(line)
+                    return 1
         except (FloatingPointError, NonFiniteEntries) as exc:
             raise ModelParseError(f"{exc}: inputs too large for float64") from exc
     return run
 
 
-@_finite_study
-def cmd_validate(args) -> int:
-    model = _resolve_model(args.model)
+@_model_command
+def cmd_validate(args, model: ModelFile) -> int:
     tol = args.tol
     # A repeated k is one report: each distinct k runs once, first seen first.
     ks = tuple(dict.fromkeys(_k_values(args.k))) if args.k is not None else ()
@@ -256,13 +256,9 @@ def _print_operator(label: str, op: Operator) -> None:
         print(np.array2string(op.entries))
 
 
-@_finite_study
-def cmd_eliminate(args) -> int:
-    model = _resolve_model(args.model)
-    try:
-        result = eliminate(model.family, model.sub, tol=args.tol)
-    except PreconditionFailed as exc:
-        return _precondition_failure(model.name, exc)
+@_model_command
+def cmd_eliminate(args, model: ModelFile) -> int:
+    result = eliminate(model.family, model.sub, tol=args.tol)
     limit = result.limit
     check = hp_validate(limit, tol=args.tol)
     if args.report:
@@ -313,23 +309,19 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-@_finite_study
-def cmd_semigroup(args) -> int:
-    model = _resolve_model(args.model)
+@_model_command
+def cmd_semigroup(args, model: ModelFile) -> int:
     amp = _amplitudes(args, model)
     t_final, grid = _time_grid(args, model)
     if args.k is not None and len(args.k) != 1:
         raise ModelParseError("semigroup takes a single --k value")
-    try:
-        if args.k is not None:
-            (label,) = _k_values(args.k)
-            _require_scaled_hp(model.family, args.tol)
-            coeffs = assemble(model.family, label)
-        else:
-            coeffs = eliminate(model.family, model.sub, tol=args.tol).limit
-            label = 0.0
-    except PreconditionFailed as exc:
-        return _precondition_failure(model.name, exc)
+    if args.k is not None:
+        (label,) = _k_values(args.k)
+        _require_scaled_hp(model.family, args.tol)
+        coeffs = assemble(model.family, label)
+    else:
+        coeffs = eliminate(model.family, model.sub, tol=args.tol).limit
+        label = 0.0
     gen = generator(coeffs, amp)
     # The adjoint propagator has the same spectral norm as the propagator.
     switch = {}
@@ -364,9 +356,8 @@ def cmd_semigroup(args) -> int:
     return 0 if contraction_ok else 1
 
 
-@_finite_study
-def cmd_converge(args) -> int:
-    model = _resolve_model(args.model)
+@_model_command
+def cmd_converge(args, model: ModelFile) -> int:
     amp = _amplitudes(args, model)
     t_final, grid = _time_grid(args, model)
     schedule = sorted(set(_k_values(
@@ -375,21 +366,18 @@ def cmd_converge(args) -> int:
     )))
     if args.kind != "truncation" and len(schedule) < 3:
         raise ModelParseError("--k needs >= 3 distinct values for a rate fit")
-    try:
-        if args.kind == "truncation":
-            try:
-                report = truncation_study(model.family, schedule, amp,
-                                          t_final, grid, tol=args.tol)
-            except ValueError as exc:  # the study's usage rules
-                raise ModelParseError(str(exc)) from exc
+    if args.kind == "truncation":
+        try:
+            report = truncation_study(model.family, schedule, amp,
+                                      t_final, grid, tol=args.tol)
+        except ValueError as exc:  # the study's usage rules
+            raise ModelParseError(str(exc)) from exc
+    else:
+        result = eliminate(model.family, model.sub, tol=args.tol)
+        if args.kind == "generator":
+            report = generator_study(result, amp, schedule)
         else:
-            result = eliminate(model.family, model.sub, tol=args.tol)
-            if args.kind == "generator":
-                report = generator_study(result, amp, schedule)
-            else:
-                report = semigroup_study(result, amp, schedule, t_final, grid)
-    except PreconditionFailed as exc:
-        return _precondition_failure(model.name, exc)
+            report = semigroup_study(result, amp, schedule, t_final, grid)
     if args.csv:
         _write_csv(args.csv, model.name, report.kind, amp, (
             (k, report.t_max, report.grid_points, val)
@@ -453,13 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log the package's INFO messages to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_model=True):
-        if with_model:
-            p.add_argument(
-                "model",
-                help="path to a JSON model file or a bundled fixture name "
-                f"({', '.join(sorted(BUILTIN_FIXTURES))})",
-            )
+    def add_common(p):
+        p.add_argument(
+            "model",
+            help="path to a JSON model file or a bundled fixture name "
+            f"({', '.join(sorted(BUILTIN_FIXTURES))})",
+        )
         p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="validation tolerance (default 1e-9)")
         p.add_argument("--report", help="write a JSON report to this path")
@@ -524,12 +511,9 @@ def main(argv=None) -> int:
         package.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except ModelParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except QsdelimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ModelParseError) else 1
     finally:
         package.removeHandler(handler)
         package.setLevel(level)

@@ -171,8 +171,11 @@ def rate_fit(ks, residuals) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _at_floor(ks, values, y_norm: float = 0.0) -> bool:
-    """Every value within 10 times its floor RESIDUAL_FLOOR max(1, k^2 |Y|)."""
+def _at_floor(ks, values, y_norm: float) -> bool:
+    """Every value within 10 times its floor RESIDUAL_FLOOR max(1, k^2 |Y|),
+    every study's rule: k^2 Y carries the prelimit generator's norm, so
+    rounding in its action and in a stepped propagator grows like k^2 |Y|
+    (the mirror model, exact at vacuum, gaps about 3e-17 k^2 |Y|)."""
     return all(val <= RESIDUAL_FLOOR * 10 * max(1.0, k * k * y_norm)
                for k, val in zip(ks, values))
 
@@ -225,12 +228,14 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
 
     The limit side of the gaps is propagated once for the whole schedule.
     Verdict: the largest-k gap improves on the smallest-k gap by at least a
-    factor of five (or everything sits at the numerical floor).
+    factor of five, or all sit at `_at_floor`'s RESIDUAL_FLOOR max(1, k^2 |Y|)
+    (|Y| from `_norm_bound`): each step's exponential rounds like k^2 |Y|.
     """
     ks = _increasing(tuple(map(float, k_schedule)), 3, "k-values")
     values = _gaps(result, amp, T, grid_points, ks)
     rate = _safe_rate(ks, values)
-    verdict = _at_floor(ks, values) or values[-1] <= values[0] / 5.0
+    verdict = (_at_floor(ks, values, _norm_bound(result.family.y.entries))
+               or values[-1] <= values[0] / 5.0)
     return ConvergenceReport(
         kind="semigroup", k_schedule=ks, values=values, fitted_rate=rate,
         t_max=float(T), grid_points=int(grid_points), verdict=verdict,
@@ -280,20 +285,25 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
     """Successive gaps between truncations of a fixed-coefficient model.
 
     Cutoff c keeps the first c+1 basis states.  ValueError, in this order:
-    bad cutoffs, Y, A or F nonzero, more than one tensor factor, W not
-    exactly I (compressing any other W breaks unitarity); then
-    PreconditionFailed with the report if `scaled_hp_validate` fails at
-    `tol`, as in `eliminate`.  With W = delta_ij I every dressing term acts
-    entry by entry, so the leading (c+1) x (c+1) block of the model's one
-    dressed generator is, bit for bit, cutoff c's; on the whole space the
-    truncation adds a multiple of I on the dropped states, which the
-    propagated states never reach, so only the block is propagated.  A cutoff whose kept B and G are zero outside the
-    previous cutoff's block reuses that grid: its gap is exactly 0.0.
-    Values: per consecutive pair, the max over the grid of the spectral
-    distance of the propagated first cutoffs[0]+1 states (`_gap`);
-    verdict: a Cauchy-style decrease (or a single gap).
+    bad cutoffs (not finite integers >= 0, fewer than 2, not increasing,
+    one outside the space), Y, A or F nonzero, more than one tensor
+    factor, W not exactly I (compressing any other W breaks unitarity);
+    then PreconditionFailed with the report if `scaled_hp_validate` fails
+    at `tol`, as in `eliminate`.  With W = delta_ij I every dressing term
+    acts entry by entry, so the leading (c+1) x (c+1) block of the model's
+    one dressed generator is, bit for bit, cutoff c's; on the whole space
+    the truncation adds a multiple of I on the dropped states, which the
+    propagated states never reach, so only the block is propagated.  A
+    cutoff whose kept B and G are zero outside the previous cutoff's block
+    reuses that grid: its gap is exactly 0.0.  Values: per consecutive
+    pair, the max over the grid of the spectral distance of the propagated
+    first cutoffs[0]+1 states (`_gap`); verdict: a Cauchy-style decrease
+    (or a single gap).
     """
-    cutoffs = _increasing(tuple(int(c) for c in cutoffs), 2, "cutoffs")
+    cutoffs = tuple(map(float, cutoffs))
+    if not all(c >= 0 and c.is_integer() for c in cutoffs):  # NaN, inf fail
+        raise ValueError("cutoffs must be finite integers >= 0")
+    cutoffs = _increasing(tuple(map(int, cutoffs)), 2, "cutoffs")
     if cutoffs[-1] >= fam.space.total_dim:
         raise ValueError("largest cutoff must stay inside the reference space")
     if any(np.any(op.entries) for op in (fam.y, fam.a, *fam.f_ops)):
@@ -325,7 +335,8 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
             propagate_on_grid(cut, T, grid_points, np.eye(c + 1, width)))
         grids.append(grid)
     gaps = tuple(_gap(lo, hi) for lo, hi in zip(grids, grids[1:]))
-    verdict = _at_floor(cutoffs, gaps) or all(a > b for a, b in zip(gaps, gaps[1:]))
+    verdict = (_at_floor(cutoffs, gaps, 0.0)  # Y = 0
+               or all(a > b for a, b in zip(gaps, gaps[1:])))
     return ConvergenceReport(
         kind="truncation", k_schedule=tuple(float(c) for c in cutoffs[:-1]),
         values=gaps, fitted_rate=_safe_rate(cutoffs[:-1], gaps), t_max=float(T),

@@ -243,6 +243,28 @@ class TestSemigroupGap:
             semigroup_gap(result, vac, 2.0, 1, 2.0)
 
 
+class TestSemigroupFloorPerK:
+    """The semigroup study judges "at the floor" by the generator study's
+    rule, RESIDUAL_FLOOR max(1, k^2 |Y|) at k."""
+
+    def test_exact_model_at_vacuum_passes(self):
+        # The mirror model is exact at vacuum (Y annihilates the cavity
+        # vacuum and B acts on the mirror only), so its gaps are round-off
+        # of k^2 Y: above the absolute floor at large k, within k^2 |Y|'s.
+        from qsdelim import builtin_fixture
+
+        fix = builtin_fixture("mirror")
+        ks = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+        report = semigroup_study(eliminate(fix.family, fix.sub),
+                                 FieldAmplitudes.vacuum(fix.family.n), ks, 2.0, 64)
+        y_norm = _norm_bound(fix.family.y.entries)
+        assert max(report.values) > 10 * RESIDUAL_FLOOR
+        assert report.values[-1] > report.values[0] / 5.0
+        assert all(v <= 10 * RESIDUAL_FLOOR * k * k * y_norm
+                   for k, v in zip(ks, report.values))
+        assert report.verdict
+
+
 class TestTruncationStudy:
     VAC = FieldAmplitudes.vacuum(1)
 
@@ -304,6 +326,23 @@ class TestTruncationStudy:
         report = truncation_study(fam, (0, 2, 4, 6), self.VAC, 1.0, 8)
         assert len(report.values) == 3
         assert math.isnan(report.fitted_rate)
+
+    @pytest.mark.parametrize("cutoffs", [
+        (4.5, 6.7, 8.9), (-1, 4, 6), (4, 6, math.nan), (4, 6, math.inf),
+    ], ids=str)
+    def test_cutoffs_it_cannot_interpret_rejected(self, cutoffs):
+        # (4.5, 6.7, 8.9) once ran as (4, 6, 8) and passed; (-1, 4, 6)
+        # failed inside HilbertSpace.
+        from qsdelim import builtin_fixture
+
+        fam = builtin_fixture("truncation-demo").family
+        with pytest.raises(ValueError, match="finite integers >= 0"):
+            truncation_study(fam, cutoffs, self.VAC, 2.0, 8)
+
+    def test_integral_float_cutoffs_accepted(self):
+        fam = trivial_family_from_limit(driven_oscillator_limit(10))[0]
+        assert (truncation_study(fam, (4.0, 6.0, 8.0), self.VAC, 1.0, 8)
+                == truncation_study(fam, (4, 6, 8), self.VAC, 1.0, 8))
 
     def test_cutoff_validation(self):
         limit = driven_oscillator_limit(10)

@@ -1029,6 +1029,53 @@ class TestOnePreconditionPrinter:
         ]
 
 
+class TestModelCommandRunner:
+    """validate, eliminate, semigroup and converge run through one runner:
+    it loads the model once, raises on float64 overflow and prints a failed
+    precondition's report."""
+
+    COMMANDS = (
+        ["validate"],
+        ["eliminate"],
+        ["semigroup", "--grid", "8"],
+        ["converge", "--kind", "generator", "--k", "2", "4", "8"],
+    )
+
+    @staticmethod
+    def _write(fix, path, scale=1.0):
+        fam = dataclasses.replace(
+            fix.family, f_ops=tuple(scale * f for f in fix.family.f_ops))
+        path.write_text(json.dumps(fixture_to_model_dict(
+            dataclasses.replace(fix, family=fam))))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_model_file_overflow_exits_2(self, argv, tmp_path, capsys):
+        # duan-kimble with F scaled by 1e200: F F^* leaves float64.
+        path = self._write(builtin_fixture("duan-kimble"),
+                           tmp_path / "huge-f.json", scale=1e200)
+        assert main([argv[0], path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "inputs too large for float64" in captured.err
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("model, scale, code", [
+        ("duan-kimble", 1.0, None),
+        ("duan-kimble", 1e200, 2),
+        ("broken-structural", 1.0, None),
+    ])
+    def test_one_load_per_call(self, argv, model, scale, code, tmp_path, capsys):
+        fix = cli._bundled_fixture(model)
+        path = self._write(fix, tmp_path / f"{model}.json", scale=scale)
+        with mock.patch.object(cli, "load_model", wraps=cli.load_model) as load:
+            rc = main([argv[0], path, *argv[1:]])
+        capsys.readouterr()
+        assert load.call_count == 1
+        if code is not None:
+            assert rc == code
+
+
 class TestParserBuiltOnce:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()
