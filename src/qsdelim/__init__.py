@@ -75,7 +75,6 @@ from .semigroup import (
     SimpleFunction,
     dissipativity_check,
     evolve,
-    field_dressed_parts,
     generator,
     matrix_element_U,
     propagate_on_grid,

@@ -7,8 +7,8 @@ Subcommands:
   converge   run a generator / semigroup / truncation convergence study
   example    emit a bundled example model as a JSON document
 
-All but `example` run through one runner, `_model_command`, which loads the
-model, guards float64 and prints a failed precondition's report.
+All but `example` run through `_model_command`, which loads the model,
+guards float64, prints failed preconditions and maps a ValueError to exit 2.
 
 `qsdelim --verbose COMMAND ...` logs the package's INFO messages to
 stderr for that call (the semigroup table's switch to a thin block, the
@@ -17,21 +17,20 @@ rate fit's excluded residuals); no other output changes.
 Exit codes: 0 success; 1 domain failure: a check or verdict fails, or the
 model fails the preconditions of eliminate, semigroup or converge, which
 print the failing report lines and no verdict (semigroup --k needs only
-the scaled unitarity relations); 2 malformed input or usage error,
-including a time grid that is not finite T > 0 with >= 2 points, a
-truncation study that breaks a usage rule of `truncation_study` (too few
-cutoffs, a cutoff outside the space, k-dependent coefficients, more than
-one tensor factor, N not exactly I), a scaling parameter k (from --k or
-the model's k_schedule, which converge sorts and de-duplicates) that is
-not finite and > 0, fewer than 3 distinct k for a generator or semigroup
-study, a truncation cutoff that is not an integer >= 0, a --tol that is
-not finite and > 0, an amplitude (--alpha, --beta or the model's) that
-is not finite or whose squared modulus overflows, finite model entries,
-amplitudes or k values whose products in a validate, eliminate,
-semigroup or converge run overflow float64, a model file with a NaN,
-Infinity or null entry or a boolean or string where a number belongs,
-and a --report or --csv path that cannot be written (a missing directory
-or a directory).
+the scaled unitarity relations); 2 malformed input or usage error: a
+library ValueError, among them a k (from --k or the model's k_schedule,
+which converge sorts and de-duplicates) that is not finite and > 0 or a
+truncation cutoff that is not a finite integer >= 0 (`_k_values`), an
+amplitude (--alpha, --beta or the model's) that is not finite or whose
+squared modulus overflows (`FieldAmplitudes`) and a usage rule of
+`truncation_study` (too few cutoffs, a cutoff outside the space,
+k-dependent coefficients, more than one tensor factor, N not exactly I);
+a time grid that is not finite T > 0 with >= 2 points, fewer than 3
+distinct k for a generator or semigroup study, a --tol that is not finite
+and > 0, finite inputs whose products in a run overflow float64, a model
+file with a NaN, Infinity or null entry or a boolean or string where a
+number belongs, and a --report or --csv path that cannot be written (a
+missing directory or a directory).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .convergence import generator_study, semigroup_study, truncation_study
+from .convergence import _k_values, generator_study, semigroup_study, truncation_study
 from .elimination import eliminate
 from .errors import ModelParseError, NonFiniteEntries, PreconditionFailed, QsdelimError
 from .modelfile import (
@@ -152,27 +151,20 @@ def _bundled_fixture(name: str) -> Fixture | None:
 
 
 def _resolve_model(ref: str) -> ModelFile:
-    name = ref[len("fixtures/"):] if ref.startswith("fixtures/") else ref
-    fix = _bundled_fixture(name)
+    fix = _bundled_fixture(ref)
     if fix is None:
         return load_model(ref)
     return ModelFile(name=fix.name, family=fix.family, sub=fix.sub)
 
 
 def _amplitudes(args, model: ModelFile) -> FieldAmplitudes:
-    n = model.family.n
-    base = model.study.amplitudes(n)
-    alpha, beta = base.alpha, base.beta
+    n, vacuum = model.family.n, (0.0,) * model.family.n
+    alpha, beta = model.study.alpha or vacuum, model.study.beta or vacuum
     if args.alpha is not None:
         alpha = _parse_amplitude_list(args.alpha, n, "--alpha")
     if args.beta is not None:
         beta = _parse_amplitude_list(args.beta, n, "--beta")
-    amp = FieldAmplitudes(alpha, beta)
-    if not math.isfinite(amp.shift):  # a NaN, an inf or a square past float64
-        raise ModelParseError(
-            "amplitudes must be finite with finite |alpha|^2 + |beta|^2"
-        )
-    return amp
+    return FieldAmplitudes(alpha, beta)
 
 
 def _report_lines(report) -> list[str]:
@@ -188,8 +180,8 @@ def _model_command(cmd):
     overflow and invalid operations raising.  Inputs are checked finite, so
     a non-finite intermediate (scipy's expm returns inf, which its operator
     reports as NonFiniteEntries) means their products left float64:
-    ModelParseError (exit 2), before any verdict.  A failed precondition
-    prints its message and its report's lines, and no verdict: exit 1."""
+    ModelParseError (exit 2) before any verdict, as is a library ValueError.
+    A failed precondition prints its message and report lines: exit 1."""
     def run(args) -> int:
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -203,6 +195,8 @@ def _model_command(cmd):
                     return 1
         except (FloatingPointError, NonFiniteEntries) as exc:
             raise ModelParseError(f"{exc}: inputs too large for float64") from exc
+        except ValueError as exc:
+            raise ModelParseError(str(exc)) from exc
     return run
 
 
@@ -289,18 +283,6 @@ def _time_grid(args, model: ModelFile) -> tuple[float, int]:
     return t_final, grid
 
 
-def _k_values(values, cutoffs: bool = False) -> tuple[float, ...]:
-    """Reject scaling parameters that are not finite and > 0, or, for a
-    truncation study, cutoffs that are not integers >= 0."""
-    values = tuple(values)
-    for k in values:
-        ok = k >= 0 and float(k).is_integer() if cutoffs else k > 0
-        if not (math.isfinite(k) and ok):
-            need = "integer cutoffs >= 0" if cutoffs else "finite k > 0"
-            raise ModelParseError(f"bad k value {k!r}: need {need}")
-    return values
-
-
 def _tolerance(text: str) -> float:
     """argparse type of --tol: a finite float > 0."""
     tol = float(text)
@@ -367,11 +349,8 @@ def cmd_converge(args, model: ModelFile) -> int:
     if args.kind != "truncation" and len(schedule) < 3:
         raise ModelParseError("--k needs >= 3 distinct values for a rate fit")
     if args.kind == "truncation":
-        try:
-            report = truncation_study(model.family, schedule, amp,
-                                      t_final, grid, tol=args.tol)
-        except ValueError as exc:  # the study's usage rules
-            raise ModelParseError(str(exc)) from exc
+        report = truncation_study(model.family, schedule, amp,
+                                  t_final, grid, tol=args.tol)
     else:
         result = eliminate(model.family, model.sub, tol=args.tol)
         if args.kind == "generator":

@@ -12,8 +12,8 @@ and hand it to `semigroup.propagate_on_grid`; each gap is an SVD of only
 the grid times whose Gram bounds can hold the max (`_gap`).  A
 truncation study needs N = I exactly, so each cutoff c is propagated from
 the leading (c+1) x (c+1) block of one generator, and a cutoff whose block
-adds nothing reuses the previous grid.  Schedules strictly increase, and
-reports are bit-reproducible for fixed inputs.
+adds nothing reuses the previous grid.  Schedules pass `_k_values` and
+strictly increase, and reports are bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -101,8 +101,7 @@ def _residuals(result: EliminationResult, amp: FieldAmplitudes, u, ks):
     t0 = Y u2 + a u1 + b u - V G V^* u, t_1 = a u2 + b u1, t_2 = b u2.
     a u, b u, a u1 and b u1 are the ones `kurtz_corrector` formed, so the
     dressing is applied once more, to u2 only."""
-    if not all(k > 0 for k in ks):
-        raise ValueError("scaling parameter k must be positive")
+    _k_values(ks)
     cor = kurtz_corrector(result, amp, u)
     au, bu, au1, bu1 = cor._dressed
     au2, bu2 = _dressed_products(result.family, amp, cor.u2)
@@ -187,6 +186,18 @@ def _safe_rate(ks, values) -> float:
         return math.nan
 
 
+def _k_values(values, cutoffs: bool = False) -> tuple:
+    """`values` as a tuple if each is finite and > 0 (with `cutoffs`: a finite
+    integer >= 0), the rule of every study and of --k; else ValueError."""
+    values = tuple(values)
+    need = "cutoffs that are finite integers >= 0" if cutoffs else "finite k > 0"
+    for k in values:
+        ok = k >= 0 and float(k).is_integer() if cutoffs else k > 0
+        if not (math.isfinite(k) and ok):
+            raise ValueError(f"bad k value {k!r}: need {need}")
+    return values
+
+
 def _increasing(values: tuple, least: int, what: str) -> tuple:
     """`values` if it holds >= `least` strictly increasing entries, the rule
     of every study's schedule, so that its rate fit and verdict read the
@@ -204,7 +215,7 @@ def generator_study(result: EliminationResult, amp: FieldAmplitudes,
     Verdict: residuals all at the floor, RESIDUAL_FLOOR max(1, k^2 |Y|) at
     k since k^2 Y u rounds like k^2 (|Y| from `_norm_bound`, no SVD), or
     nonincreasing with a clearly negative fitted decay exponent."""
-    ks = _increasing(tuple(map(float, k_schedule)), 3, "k-values")
+    ks = _increasing(_k_values(map(float, k_schedule)), 3, "k-values")
     v = result.sub.slow_basis
     if u is None:
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
@@ -231,7 +242,7 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
     factor of five, or all sit at `_at_floor`'s RESIDUAL_FLOOR max(1, k^2 |Y|)
     (|Y| from `_norm_bound`): each step's exponential rounds like k^2 |Y|.
     """
-    ks = _increasing(tuple(map(float, k_schedule)), 3, "k-values")
+    ks = _increasing(_k_values(map(float, k_schedule)), 3, "k-values")
     values = _gaps(result, amp, T, grid_points, ks)
     rate = _safe_rate(ks, values)
     verdict = (_at_floor(ks, values, _norm_bound(result.family.y.entries))
@@ -285,7 +296,7 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
     """Successive gaps between truncations of a fixed-coefficient model.
 
     Cutoff c keeps the first c+1 basis states.  ValueError, in this order:
-    bad cutoffs (not finite integers >= 0, fewer than 2, not increasing,
+    bad cutoffs (one `_k_values` rejects, fewer than 2, not increasing,
     one outside the space), Y, A or F nonzero, more than one tensor
     factor, W not exactly I (compressing any other W breaks unitarity);
     then PreconditionFailed with the report if `scaled_hp_validate` fails
@@ -300,10 +311,7 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
     first cutoffs[0]+1 states (`_gap`); verdict: a Cauchy-style decrease
     (or a single gap).
     """
-    cutoffs = tuple(map(float, cutoffs))
-    if not all(c >= 0 and c.is_integer() for c in cutoffs):  # NaN, inf fail
-        raise ValueError("cutoffs must be finite integers >= 0")
-    cutoffs = _increasing(tuple(map(int, cutoffs)), 2, "cutoffs")
+    cutoffs = _increasing(tuple(map(int, _k_values(cutoffs, True))), 2, "cutoffs")
     if cutoffs[-1] >= fam.space.total_dim:
         raise ValueError("largest cutoff must stay inside the reference space")
     if any(np.any(op.entries) for op in (fam.y, fam.a, *fam.f_ops)):

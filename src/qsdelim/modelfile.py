@@ -36,7 +36,6 @@ from .errors import ModelParseError
 from .models import Fixture, damped_funcalc, fock_toolbox
 from .operator_core import HilbertSpace, Operator, SubspacePair
 from .qsde_model import ScaledFamily
-from .semigroup import FieldAmplitudes
 
 _SEQUENCE = (list, tuple)
 # The types json.load gives a number.  A type test, not isinstance, since
@@ -248,11 +247,6 @@ class StudyParams:
     k_schedule: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     alpha: tuple[complex, ...] | None = None
     beta: tuple[complex, ...] | None = None
-
-    def amplitudes(self, n: int) -> FieldAmplitudes:
-        alpha = self.alpha if self.alpha is not None else (0.0,) * n
-        beta = self.beta if self.beta is not None else (0.0,) * n
-        return FieldAmplitudes(tuple(alpha), tuple(beta))
 
 
 @dataclass(frozen=True)

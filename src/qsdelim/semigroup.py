@@ -20,7 +20,7 @@ from .operator_core import Operator, matrix_exponential
 
 @dataclass(frozen=True)
 class FieldAmplitudes:
-    """Coherent test amplitudes, one pair of complex scalars per channel."""
+    """Finite coherent test amplitudes, one pair of complex scalars per channel."""
 
     alpha: tuple[complex, ...]
     beta: tuple[complex, ...]
@@ -30,6 +30,9 @@ class FieldAmplitudes:
         object.__setattr__(self, "beta", tuple(complex(z) for z in self.beta))
         if len(self.alpha) != len(self.beta):
             raise ValueError("alpha and beta must have equal channel counts")
+        if not np.isfinite(self.shift):  # a NaN, an inf or a square past float64
+            raise ValueError(
+                "amplitudes must be finite with finite |alpha|^2 + |beta|^2")
 
     @classmethod
     def vacuum(cls, n: int) -> "FieldAmplitudes":
@@ -41,8 +44,8 @@ class FieldAmplitudes:
 
     @property
     def shift(self) -> float:
-        """The dressing's vacuum shift (|alpha|^2 + |beta|^2) / 2: inf, not
-        an overflow error, past float64."""
+        """The dressing's vacuum shift (|alpha|^2 + |beta|^2) / 2; inf past
+        float64, not an overflow error, so that the constructor rejects it."""
         a, b = np.asarray(self.alpha), np.asarray(self.beta)
         with np.errstate(over="ignore"):
             return float(0.5 * (np.vdot(a, a).real + np.vdot(b, b).real))
@@ -118,8 +121,9 @@ def generator(c, amp: FieldAmplitudes) -> Operator:
 
 
 def _dressed_products(fam, amp: FieldAmplitudes, x: np.ndarray):
-    """(a x, b x) for the dressed parts a and b of `field_dressed_parts` and
-    x a vector or a block of columns, forming neither part: each M_i =
+    """(a x, b x) for x a vector or a block of columns, with k^2 Y + k a + b
+    the dressed prelimit generator at k (a: A, F and M from F, no vacuum
+    shift; b: B, G, M from G, and W), forming neither part: each M_i =
     -sum_j W_ij L_j^* from unitarity is applied as W_ij (L_j^* x), and
     L_j^* x is taken as (x^* L_j)^*, with no conjugated copy of L_j.  A
     term whose amplitude coefficient is exactly 0 is left out (the F_i, G_i
@@ -142,16 +146,6 @@ def _dressed_products(fam, amp: FieldAmplitudes, x: np.ndarray):
                 ax -= alpha[i] * (w.entries @ fh)
                 bx += alpha[i] * (w.entries @ gh)
     return ax, bx
-
-
-def field_dressed_parts(fam, amp: FieldAmplitudes):
-    """(a_op, b_op), with the dressed prelimit generator at parameter k
-    equal to k^2 Y + k a_op + b_op: the dressing of the order-k coefficients
-    (A, F, M from F, N = 0) without the vacuum shift, and the dressed
-    generator of the order-one coefficients (B, G, M from G, W), as
-    `_dressed_products` of the identity."""
-    parts = _dressed_products(fam, amp, np.eye(fam.space.total_dim))
-    return tuple(Operator(fam.space, x) for x in parts)
 
 
 def evolve(c, amp: FieldAmplitudes, t: float) -> Operator:

@@ -7,7 +7,8 @@ F and G, scattering cut from a unitary); `duan_kimble_fast_blocks` and
 duan-kimble fast generator and where they sit in the full space.
 `count_full_size_svds` counts the spectral norms and SVDs taken of
 full-size matrices.  `rotated_family` conjugates a fixture by a random
-unitary.
+unitary.  `field_dressed_parts` forms the dressed parts of a scaled
+family as operators.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from qsdelim import (
 )
 from qsdelim.qsde_model import _m_from_unitarity
 from qsdelim.random_models import _ginibre, _hermitian, _unitary_grid
+from qsdelim.semigroup import _dressed_products
 
 
 def random_scaled_family(rng: np.random.Generator, dim: int, n: int = 1) -> ScaledFamily:
@@ -118,3 +120,13 @@ def rotated_family(fix, seed):
         w_ops=tuple(tuple(map(rot, row)) for row in fam.w_ops),
     )
     return rotated, SubspacePair(rot(fix.sub.p0))
+
+
+def field_dressed_parts(fam, amp):
+    """(a_op, b_op), with the dressed prelimit generator at parameter k
+    equal to k^2 Y + k a_op + b_op: the dressing of the order-k coefficients
+    (A, F, M from F, N = 0) without the vacuum shift, and the dressed
+    generator of the order-one coefficients (B, G, M from G, W), as
+    `_dressed_products` of the identity."""
+    parts = _dressed_products(fam, amp, np.eye(fam.space.total_dim))
+    return tuple(Operator(fam.space, x) for x in parts)

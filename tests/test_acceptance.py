@@ -23,7 +23,6 @@ from qsdelim import (
     duan_kimble_fixture,
     eliminate,
     evolve,
-    field_dressed_parts,
     generator,
     generator_study,
     hp_validate,
@@ -43,6 +42,7 @@ from qsdelim import (
 from model_helpers import (
     duan_kimble_block_indices,
     duan_kimble_fast_blocks,
+    field_dressed_parts,
     random_hp_coefficients,
 )
 

@@ -20,7 +20,6 @@ from qsdelim import (
     assemble,
     driven_oscillator_limit,
     eliminate,
-    field_dressed_parts,
     generator,
     generator_residual,
     generator_study,
@@ -38,7 +37,7 @@ from qsdelim import (
 from qsdelim.convergence import RESIDUAL_FLOOR
 from qsdelim.operator_core import _norm_bound
 
-from model_helpers import rotated_family
+from model_helpers import field_dressed_parts, rotated_family
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +206,22 @@ class TestScheduleStrictlyIncreases:
             semigroup_study(dk[1], AMP, ks, 2.0, 8)
 
 
+class TestStudiesCheckEachK:
+    """The studies check each k by the CLI's own rule before its order: k = 0
+    once met `_residuals`' separate check, and k = inf overflowed in the
+    propagator (a FloatingPointError)."""
+
+    VAC = FieldAmplitudes.vacuum(1)
+
+    def test_generator_study(self, dk):
+        with pytest.raises(ValueError, match=r"bad k value 0\.0: need finite k > 0"):
+            generator_study(dk[1], self.VAC, (0, 2, 4))
+
+    def test_semigroup_study(self, dk):
+        with pytest.raises(ValueError, match="bad k value inf: need finite k > 0"):
+            semigroup_study(dk[1], self.VAC, (2, 4, math.inf), 2.0, 8)
+
+
 class TestSemigroupGap:
     def test_gap_decays_with_k(self, dk):
         fix, result = dk
@@ -336,8 +351,9 @@ class TestTruncationStudy:
         from qsdelim import builtin_fixture
 
         fam = builtin_fixture("truncation-demo").family
-        with pytest.raises(ValueError, match="finite integers >= 0"):
+        with pytest.raises(ValueError, match="finite integers >= 0") as err:
             truncation_study(fam, cutoffs, self.VAC, 2.0, 8)
+        assert str(err.value).startswith("bad k value ")  # the CLI's rule
 
     def test_integral_float_cutoffs_accepted(self):
         fam = trivial_family_from_limit(driven_oscillator_limit(10))[0]

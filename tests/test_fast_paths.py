@@ -93,7 +93,6 @@ from qsdelim import (
     driven_oscillator_limit,
     duan_kimble_fixture,
     eliminate,
-    field_dressed_parts,
     generator,
     generator_residual,
     generator_study,
@@ -128,8 +127,8 @@ from qsdelim.modelfile import (
 )
 
 from model_helpers import (
-    count_full_size_svds, random_hp_coefficients, random_scaled_family,
-    rotated_family,
+    count_full_size_svds, field_dressed_parts, random_hp_coefficients,
+    random_scaled_family, rotated_family,
 )
 
 

@@ -491,6 +491,49 @@ class TestRejectedInputsExit2:
         assert "PASS" not in captured.out
         assert "bad k value" in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8",
+          "--alpha=0.1,0.2"], "--alpha needs 1 comma-separated values, got 2"),
+        (["semigroup", "duan-kimble", "--k", "4", "8"],
+         "semigroup takes a single --k value"),
+    ])
+    def test_flag_values_the_model_cannot_take(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    # duan-kimble (one channel, dimension 15) with one section replaced.
+    @pytest.mark.parametrize("keys, value, message", [
+        (("channels",), 0, "channels must be >= 1"),
+        (("operators", "F"), [], "F must be a list of 1 operators"),
+        (("operators", "W"), [[]], "W must be an 1 x 1 grid of operators"),
+        (("study",), [], "study section must be an object"),
+        (("study",), {"alpha": [[0.1, 0.0], [0.2, 0.0]]},
+         "study amplitudes must have one entry per channel"),
+        (("operators", "Y"), {"op": "basis_matrix", "dim": 2, "row": 2, "col": 0},
+         "basis_matrix entry (2, 0) outside dim 2"),
+        (("operators", "Y"), {"op": "kron", "args": [{"op": "identity", "dim": 15}]},
+         "kron needs >= 2 arguments"),
+        (("operators", "Y"), {"op": "add", "args": [{"op": "identity", "dim": 15},
+                                                    {"op": "identity", "dim": 3}]},
+         "add arguments must share a shape"),
+    ], ids=["channels-0", "F-length", "W-shape", "study-list", "study-alpha",
+            "basis-matrix", "kron-one-arg", "add-shapes"])
+    def test_malformed_model_files(self, keys, value, message, tmp_path, capsys):
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        *parents, last = keys
+        section = doc
+        for key in parents:
+            section = section[key]
+        section[last] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     @pytest.mark.parametrize("argv", [
         ["validate", "duan-kimble", "--report"],
@@ -1074,6 +1117,17 @@ class TestModelCommandRunner:
         assert load.call_count == 1
         if code is not None:
             assert rc == code
+
+    def test_truncation_overflow_exits_2(self, capsys):
+        # A finite amplitude with a finite shift whose dressed generator
+        # leaves float64: the study's own ValueError once printed only
+        # "operator entries must be finite".
+        assert main(["converge", "truncation-demo", "--kind", "truncation",
+                     "--k", "4", "6", "8", "--alpha=1e100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: operator entries must be finite: "
+                                "inputs too large for float64\n")
 
 
 class TestParserBuiltOnce:

@@ -82,6 +82,18 @@ class TestBuiltinFixtures:
         assert np.array_equal(a.family.y.entries, b.family.y.entries)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: windowed_oscillator_limit(10, window=0), "window must fit"),
+    (lambda: mirror_fixture(gamma=0.0, theta=1.0, omega=1.0, mirror_cutoff=4,
+                            cavity_cutoff=4), "must be positive"),
+    (lambda: mirror_fixture(gamma=1.0, theta=1.0, omega=1.0, mirror_cutoff=1,
+                            cavity_cutoff=4), "cutoffs must be >= 2"),
+], ids=["window-0", "mirror-gamma-0", "mirror-cutoff-1"])
+def test_fixture_parameters_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 class TestLambdaAtomDetails:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

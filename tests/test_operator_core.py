@@ -129,6 +129,11 @@ class TestTensorEmbed:
         with pytest.raises(ValueError):
             tensor_embed(_op(rng, 3), 0, HilbertSpace((2, 3)))
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_factor_index_out_of_range_rejected(self, rng, index):
+        with pytest.raises(ValueError, match=f"factor index {index} out of range"):
+            tensor_embed(_op(rng, 2), index, HilbertSpace((2, 3)))
+
     def test_embeddings_of_different_factors_commute(self, rng):
         target = HilbertSpace((2, 3))
         x, y = _op(rng, 2), _op(rng, 3)
@@ -171,6 +176,11 @@ class TestMatrixExponential:
     def test_negative_time_rejected(self, rng):
         with pytest.raises(ValueError):
             matrix_exponential(_op(rng, 3), -1.0)
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan], ids=str)
+    def test_non_finite_time_rejected(self, rng, t):
+        with pytest.raises(ValueError, match="time must be finite"):
+            matrix_exponential(_op(rng, 3), t)
 
 
 class TestSubspaceBasis:

@@ -38,6 +38,21 @@ class TestDataclasses:
         with pytest.raises(ValueError):
             ScaledFamily(0, space, ident, ident, ident, (), (), ())
 
+    # Each family built on I, the identity of C^2, with one list too short.
+    @pytest.mark.parametrize("build, match", [
+        (lambda i: ScaledFamily(1, i.space, i, i, i, (), (i,), ((i,),)),
+         "exactly n F and G"),
+        (lambda i: ScaledFamily(1, i.space, i, i, i, (i,), (), ((i,),)),
+         "exactly n F and G"),
+        (lambda i: ScaledFamily(1, i.space, i, i, i, (i,), (i,), ((),)),
+         "W must be an n x n grid"),
+        (lambda i: QsdeCoefficients(1, i.space, i, (i,), (i,), ((),)),
+         "N must be an n x n grid"),
+    ], ids=["F", "G", "W", "N"])
+    def test_short_operator_lists_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build(Operator.identity(HilbertSpace((2,))))
+
     def test_space_mismatch_rejected(self):
         s2, s3 = HilbertSpace((2,)), HilbertSpace((3,))
         with pytest.raises(ValueError):

@@ -52,6 +52,12 @@ class TestFieldAmplitudes:
         with pytest.raises(ValueError):
             FieldAmplitudes((1.0,), (1.0, 2.0))
 
+    @pytest.mark.parametrize("alpha", [math.nan, 1e155], ids=str)
+    def test_non_finite_amplitudes_rejected(self, alpha):
+        # 1e155 is finite, but its squared modulus, and so the shift, is not.
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            FieldAmplitudes((alpha,), (0,))
+
 
 class TestSimpleFunction:
     def test_norm_squared_closed_form(self):
@@ -69,6 +75,14 @@ class TestSimpleFunction:
             SimpleFunction((0.5, 1.0), ((1.0,),))
         with pytest.raises(ValueError):
             SimpleFunction((0.0, 1.0, 1.0), ((1.0,), (2.0,)))
+
+    @pytest.mark.parametrize("values, match", [
+        (((1.0,),), "one value per interval"),
+        (((1.0,), (1.0, 2.0)), "one channel count"),
+    ])
+    def test_rejects_bad_values(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            SimpleFunction((0.0, 1.0, 2.0), values)
 
 
 class TestGeneratorAndDissipativity:
