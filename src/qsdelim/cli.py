@@ -47,7 +47,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .convergence import _k_values, generator_study, semigroup_study, truncation_study
+from .convergence import generator_study, semigroup_study, truncation_study
 from .elimination import eliminate
 from .errors import ModelParseError, NonFiniteEntries, PreconditionFailed, QsdelimError
 from .modelfile import (
@@ -60,6 +60,7 @@ from .modelfile import (
 from .models import BUILTIN_FIXTURES, Fixture, builtin_fixture, duan_kimble_fixture
 from .operator_core import Operator, _propagator_norms
 from .qsde_model import (
+    _k_values,
     _require_scaled_hp,
     assemble,
     hp_validate,

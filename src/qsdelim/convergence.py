@@ -28,8 +28,8 @@ from .elimination import EliminationResult
 from .errors import NonFiniteEntries, PreconditionFailed
 from .operator_core import DEFAULT_TOL, HilbertSpace, Operator, _norm_bound
 from .qsde_model import (
-    QsdeCoefficients, ScaledFamily, _m_from_unitarity, _require_scaled_hp,
-    _trivial_scattering, assemble,
+    QsdeCoefficients, ScaledFamily, _k_values, _m_from_unitarity,
+    _require_scaled_hp, _trivial_scattering, assemble,
 )
 from .semigroup import (
     FieldAmplitudes, _dressed_products, generator, propagate_on_grid,
@@ -184,18 +184,6 @@ def _safe_rate(ks, values) -> float:
         return rate_fit(ks, values)
     except ValueError:
         return math.nan
-
-
-def _k_values(values, cutoffs: bool = False) -> tuple:
-    """`values` as a tuple if each is finite and > 0 (with `cutoffs`: a finite
-    integer >= 0), the rule of every study and of --k; else ValueError."""
-    values = tuple(values)
-    need = "cutoffs that are finite integers >= 0" if cutoffs else "finite k > 0"
-    for k in values:
-        ok = k >= 0 and float(k).is_integer() if cutoffs else k > 0
-        if not (math.isfinite(k) and ok):
-            raise ValueError(f"bad k value {k!r}: need {need}")
-    return values
 
 
 def _increasing(values: tuple, least: int, what: str) -> tuple:

@@ -130,10 +130,11 @@ def _sparse_from_json(node: dict) -> np.ndarray:
     """Decode a sparse node into a dense complex array.
 
     Each list is type-checked and converted once; the indices are checked
-    on arrays; the real and imaginary parts are scattered into a +0.0
-    complex128 buffer, so every entry has the bits the dense form of the
-    same values gives.  The result is that C-contiguous buffer itself,
-    which owns its data, so an `Operator` freezes it without a copy.
+    on arrays, and the pairs are distinct if marking their flat indices in
+    a d*d boolean array marks one per pair.  The real and imaginary parts
+    are scattered into a +0.0 complex128 buffer, so every entry has the
+    bits the dense form of the same values gives.  The result is that
+    buffer itself, which owns its data, so an `Operator` freezes it uncopied.
     """
     d = _integer(node["dim"], "sparse dim")
     if d < 1:
@@ -145,7 +146,9 @@ def _sparse_from_json(node: dict) -> np.ndarray:
     if not len(row) == len(col) == len(re) == len(im):
         raise ModelParseError("sparse row, col, re and im must have equal lengths")
     flat = row * d + col
-    if np.unique(flat).size != flat.size:
+    hit = np.zeros(d * d, dtype=bool)
+    hit[flat] = True
+    if np.count_nonzero(hit) != flat.size:
         raise ModelParseError("sparse (row, col) pairs must be distinct")
     buf = np.zeros((d, d), dtype=np.complex128)
     entries = buf.reshape(-1)  # a view: writing it fills buf

@@ -194,11 +194,21 @@ def _relation(x: np.ndarray, terms) -> _Norms:
     return _Norms([x + x.conj().T + acc])
 
 
+def _k_values(values, cutoffs: bool = False) -> tuple:
+    """`values` as a tuple if each is finite and > 0 (with `cutoffs`: a finite
+    integer >= 0), the rule of `assemble`, every study and --k; else ValueError."""
+    values = tuple(values)
+    need = "cutoffs that are finite integers >= 0" if cutoffs else "finite k > 0"
+    for k in values:
+        ok = k >= 0 and float(k).is_integer() if cutoffs else k > 0
+        if not (math.isfinite(k) and ok):
+            raise ValueError(f"bad k value {k!r}: need {need}")
+    return values
+
+
 def assemble(fam: ScaledFamily, k: float) -> QsdeCoefficients:
-    """Materialize the prelimit coefficients at scaling parameter k > 0."""
-    k = float(k)
-    if k <= 0:
-        raise ValueError("scaling parameter k must be positive")
+    """Materialize the prelimit coefficients at a k that `_k_values` takes."""
+    (k,) = _k_values((float(k),))
     k_op = (k * k) * fam.y + k * fam.a + fam.b
     l_ops = tuple(k * f + g for f, g in zip(fam.f_ops, fam.g_ops))
     return QsdeCoefficients(
@@ -231,14 +241,20 @@ def _trivial_scattering(grid) -> bool:
 
 def _unitarity_defect(grid) -> _Norms:
     """Largest block norm of W W^* - I and W^* W - I for the n x n grid W,
-    stacked into one nd x nd matrix so that each product is formed once.
+    filled into one nd x nd matrix so that each product is formed once;
+    taking 1 from the diagonal in place gives the bits of - I (signed zeros).
     A trivial grid (W = I) has the exact defect 0.0 and forms no product."""
     if _trivial_scattering(grid):
         return _Norms()
-    n = len(grid)
-    w = np.block([[op.entries for op in row] for row in grid])
-    d, ident = w.shape[0] // n, np.eye(w.shape[0])
-    blocks = [(p - ident).reshape(n, d, n, d) for p in (w @ w.conj().T, w.conj().T @ w)]
+    n, d = len(grid), grid[0][0].space.total_dim
+    w = np.empty((n * d, n * d), dtype=np.complex128)
+    for i, row in enumerate(grid):
+        for j, op in enumerate(row):
+            w[i * d:(i + 1) * d, j * d:(j + 1) * d] = op.entries
+    wh, blocks = w.conj().T, []
+    for p in (w @ wh, wh @ w):
+        p.flat[:: n * d + 1] -= 1.0
+        blocks.append(p.reshape(n, d, n, d))
     return _Norms(
         b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks
     )

@@ -207,11 +207,14 @@ class TestScheduleStrictlyIncreases:
 
 
 class TestStudiesCheckEachK:
-    """The studies check each k by the CLI's own rule before its order: k = 0
-    once met `_residuals`' separate check, and k = inf overflowed in the
-    propagator (a FloatingPointError)."""
+    """The studies, `semigroup_gap` and `assemble` check each k by the CLI's
+    own rule before its order: k = 0 once met `_residuals`' separate check,
+    and k = inf overflowed in the propagator (a FloatingPointError).
+    `semigroup_gap` at inf or NaN once raised NonFiniteEntries from the
+    propagator, and `assemble` kept an older k > 0 message of its own."""
 
     VAC = FieldAmplitudes.vacuum(1)
+    BAD_K = [math.inf, math.nan, 0.0, -1.0]
 
     def test_generator_study(self, dk):
         with pytest.raises(ValueError, match=r"bad k value 0\.0: need finite k > 0"):
@@ -220,6 +223,16 @@ class TestStudiesCheckEachK:
     def test_semigroup_study(self, dk):
         with pytest.raises(ValueError, match="bad k value inf: need finite k > 0"):
             semigroup_study(dk[1], self.VAC, (2, 4, math.inf), 2.0, 8)
+
+    @pytest.mark.parametrize("k", BAD_K)
+    def test_semigroup_gap(self, dk, k):
+        with pytest.raises(ValueError, match="bad k value"):
+            semigroup_gap(dk[1], self.VAC, 2.0, 8, k)
+
+    @pytest.mark.parametrize("k", BAD_K)
+    def test_assemble(self, dk, k):
+        with pytest.raises(ValueError, match="bad k value"):
+            assemble(dk[1].family, k)
 
 
 class TestSemigroupGap:

@@ -62,6 +62,13 @@ violations, formed in another association order, agree under the oracle's
 rule); passing commands take no full-size norm to validate, and a failing
 one prints exact values.  The osc120 family's zero relations form no
 array and its report equals the eager one.
+
+`restricted_inverse` decides its condition gate by a norm bound and its
+defect gate by 1e-10 scale where they settle it: over fast blocks of
+condition 1 to 1e14, exactly singular ones and ones within 1e-3 of the
+limit, it raises or returns the bits of the exact-cond reference, and a
+passing inverse of dk40 or a dim-136 random model takes no SVD.  The
+unitarity defect's blocks have the bits of the `np.block` stacking.
 """
 
 import dataclasses
@@ -114,7 +121,7 @@ from qsdelim import (
 )
 from qsdelim import convergence, qsde_model
 from qsdelim.errors import NonFiniteEntries
-from qsdelim.operator_core import _Norms, _norm_bound
+from qsdelim.operator_core import DEFAULT_COND_LIMIT, _Norms, _norm_bound
 from qsdelim.cli import _bundled_fixture, main
 from qsdelim.modelfile import (
     eval_expression,
@@ -1088,6 +1095,33 @@ class TestValidationFactsMeasuredOnce:
         assert type(got) is float
         assert abs(got - want) <= 1e-12 * max(1.0, want)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 3),
+           st.sampled_from(["ginibre", "signed-permutation"]))
+    def test_unitarity_defect_blocks_have_the_stacked_bits(self, seed, d, n, kind):
+        """W filled in place, one W^* and 1 taken off the diagonal in place
+        give the bits of `np.block` and - I, signed zeros included: a signed
+        permutation's products are exact, with zeros of both signs."""
+        rng = np.random.default_rng(seed)
+        w = np.empty((n * d, n * d), dtype=np.complex128)
+        if kind == "ginibre":
+            w.real, w.imag = rng.standard_normal((2, n * d, n * d))
+        else:
+            w.real = np.where(np.eye(n * d)[rng.permutation(n * d)] == 1,
+                              rng.choice([-1.0, 1.0], (n * d, n * d)), -0.0)
+            w.imag = rng.choice([-0.0, 0.0], (n * d, n * d))
+        space = HilbertSpace((d,))
+        grid = tuple(
+            tuple(Operator(space, w[i * d:(i + 1) * d, j * d:(j + 1) * d])
+                  for j in range(n))
+            for i in range(n)
+        )
+        if qsde_model._trivial_scattering(grid):
+            return
+        got = qsde_model._unitarity_defect(grid)._items
+        want = _reference_stacked_blocks(grid)
+        assert [_bits(x).tobytes() for x in got] == [_bits(x).tobytes() for x in want]
+
     @settings(max_examples=20, deadline=None)
     @given(_structured_cases())
     def test_eliminate_m(self, case):
@@ -1907,14 +1941,18 @@ def _reference_check(name, defect_norm, tol, scale):
     return CheckResult(name, defect_norm, threshold, bool(defect_norm <= threshold))
 
 
-def _reference_stacked_unitarity_defect(grid):
+def _reference_stacked_blocks(grid):
+    """The blocks of W W^* - I and W^* W - I, W stacked by `np.block`."""
     n = len(grid)
     w = np.block([[op.entries for op in row] for row in grid])
     d, ident = w.shape[0] // n, np.eye(w.shape[0])
     blocks = [(p - ident).reshape(n, d, n, d)
               for p in (w @ w.conj().T, w.conj().T @ w)]
-    return _reference_max_norm(
-        [b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks], 0.0)
+    return [b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks]
+
+
+def _reference_stacked_unitarity_defect(grid):
+    return _reference_max_norm(_reference_stacked_blocks(grid), 0.0)
 
 
 def _reference_hp_validate(c, tol=1e-9):
@@ -2407,3 +2445,104 @@ class TestNoFullSizeProductAfterTheInverse:
         assert ((d, d), (d, d)) not in log
         for x, y in log:
             assert 1 in (len(x), len(y)) or {3, r} & {x[0], y[1]}, (x, y)
+
+
+# -- the restricted inverse decides its gates by bounds ----------------------
+# The reference is `_reference_restricted_inverse` above, which takes the
+# SVD's condition number first, on every call, and every norm exactly.
+
+def _inverse_outcome(run):
+    """The exception's type and message, or the bits of Y~ and the defect."""
+    try:
+        yt, defect = run()
+    except (SingularFastDynamics, StructuralViolation, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    defect = defect.value if isinstance(defect, _Norms) else defect
+    return _bits(yt.entries).tobytes(), defect.hex()
+
+
+def _unitary(rng, m):
+    return np.linalg.qr(rng.standard_normal((m, m))
+                        + 1j * rng.standard_normal((m, m)))[0]
+
+
+@st.composite
+def _fast_blocks(draw):
+    """Y whose fast block is s U diag(sigma) V^* on a coordinate p1, with
+    sigma geometric from 1 to 1 / cond: cond from 1 to 1e14, a zero last
+    sigma (exactly singular), or U = V = I and cond within 1e-3 of the
+    limit.  An optional leak s eps p0 X p1 moves the inverse defect to
+    and past its tolerance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cond", "singular", "near-limit"]))
+    r, m = draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    if kind == "near-limit":
+        m = max(m, 2)
+        cond = DEFAULT_COND_LIMIT * (1.0 + draw(st.floats(-1e-3, 1e-3)))
+        u = v = np.eye(m)
+    else:
+        cond = 10.0 ** draw(st.floats(0.0, 14.0))
+        u, v = _unitary(rng, m), _unitary(rng, m)
+    sigma = np.geomspace(1.0, 1.0 / cond, m)
+    if kind == "singular":
+        sigma[-1] = 0.0
+    s = 10.0 ** draw(st.integers(-3, 3))
+    d = r + m
+    slow = np.sort(rng.choice(d, r, replace=False))
+    fast = np.setdiff1d(np.arange(d), slow)
+    y = np.zeros((d, d), dtype=np.complex128)
+    y[np.ix_(fast, fast)] = s * (u * sigma) @ v.conj().T
+    eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    y[np.ix_(slow, fast)] = s * eps * rng.standard_normal((r, m))
+    space = HilbertSpace((d,))
+    return Operator(space, y), SubspacePair.from_basis_indices(space, slow)
+
+
+def _diagonal_case(*diagonal):
+    """Y = diag(diagonal) with p0 on its first index."""
+    space = HilbertSpace((len(diagonal),))
+    return (Operator(space, np.diag(diagonal)),
+            SubspacePair.from_basis_indices(space, [0]))
+
+
+class TestRestrictedInverseGates:
+    """The condition gate passes by `_norm_bound`(Yc) `_norm_bound`(Yc^-1 Q^*)
+    widened by 1e-3 and the defect gate by 1e-10 scale where they settle
+    it; else the SVD's cond decides.  Every outcome, message and bit is the
+    exact-cond reference's, and a passing inverse of a benchmark-sized
+    model takes no SVD."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fast_blocks())
+    @example(_diagonal_case(0.0, 1.0, 0.9995e-12))  # cond 1.0005e12: raises
+    @example(_diagonal_case(0.0, 1.0, 1.0005e-12))  # cond 0.9995e12: SVD passes
+    def test_outcome_is_the_exact_cond_rule(self, case):
+        y, sub = case
+        assert (_inverse_outcome(lambda: restricted_inverse(y, sub))
+                == _inverse_outcome(lambda: _reference_restricted_inverse(y, sub, 1e-9)))
+
+    @pytest.mark.parametrize("model", ["dk40", "random136"])
+    def test_passing_inverse_takes_no_svd(self, full_size_models, model,
+                                          monkeypatch, capsys):
+        path, _ = full_size_models[model]
+        real_inverse, real_svd = qsde_model.restricted_inverse, np.linalg.svd
+        inside, calls = [], {"inverse": 0, "svd": 0}
+
+        def inverse(*args, **kwargs):
+            calls["inverse"] += 1
+            inside.append(True)
+            try:
+                return real_inverse(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def svd(*args, **kwargs):
+            calls["svd"] += bool(inside)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(qsde_model, "restricted_inverse", inverse)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for cmd in ("eliminate", "validate"):
+            assert main([cmd, path]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert calls == {"inverse": 2, "svd": 0}
