@@ -2,8 +2,9 @@
 
 Generator residuals use the corrector expansion u + u1/k + u2/k^2 that
 cancels the k^2 and k^1 orders of the prelimit generator: the residual is
-a Laurent polynomial in k whose five coefficients are matrix-vector
-products, formed once per study, with a floor that grows like k^2 |Y|.
+a Laurent polynomial in k whose five orders are matrix-vector products,
+formed once by `kurtz_corrector` and summed at each k by
+`generator_residual`, with a floor that grows like k^2 |Y|.
 Semigroup gaps take the max over a uniform time grid of the distance
 between the adjoint prelimit propagator and the embedded limit propagator
 on the slow subspace.  Both read one `EliminationResult` and take its
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +44,13 @@ _GAP_MARGIN = 1e-8  # relative margin of `_gap`'s Gram preselection
 
 @dataclass(frozen=True)
 class KurtzCorrector:
-    """Corrector vectors: u on the slow subspace, u1 and u2 off it."""
+    """Corrector vectors, u on the slow subspace and u1, u2 off it, and the
+    Laurent orders (t2, t1, t0, t_1, t_2) of their generator residual."""
 
     u: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    # (a u, b u, a u1, b u1) as `kurtz_corrector` formed them, for `_residuals`.
-    _dressed: tuple = field(default=(), repr=False, compare=False)
+    orders: tuple
 
     def at_k(self, k: float) -> np.ndarray:
         return self.u + self.u1 / k + self.u2 / (k * k)
@@ -81,6 +82,9 @@ def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
     parts, u1 = -Y~ a u and u2 = -Y~ (b - a Y~ a) u = -Y~ (b u + a u1), as
     matrix-vector products (`_dressed_products`): Y~ p1 = Y~ (exactly for
     a coordinate projection, to round-off otherwise), so no p1 is applied.
+    With G the limit's dressed generator, the residual of u + u1/k + u2/k^2
+    has the orders t2 = Y u, t1 = Y u1 + a u, t0 = Y u2 + a u1 + b u -
+    V G V^* u, t_1 = a u2 + b u1 and t_2 = b u2; each vector is dressed once.
     """
     v, yt = result.sub.slow_basis, result.y_tilde.entries
     u = np.asarray(u, dtype=np.complex128)
@@ -91,37 +95,25 @@ def kurtz_corrector(result: EliminationResult, amp: FieldAmplitudes,
     u1 = -yt @ au
     au1, bu1 = _dressed_products(result.family, amp, u1)
     u2 = -yt @ (bu + au1)
-    return KurtzCorrector(u=u, u1=u1, u2=u2, _dressed=(au, bu, au1, bu1))
+    au2, bu2 = _dressed_products(result.family, amp, u2)
+    yu, yu1, yu2 = (result.family.y.entries @ np.stack((u, u1, u2), axis=1)).T
+    limit_side = v @ (generator(result.limit, amp).entries @ (v.conj().T @ u))
+    return KurtzCorrector(u=u, u1=u1, u2=u2, orders=(
+        yu, yu1 + au, yu2 + au1 + bu - limit_side, au2 + bu1, bu2))
 
 
-def _residuals(result: EliminationResult, amp: FieldAmplitudes, u, ks):
-    """Generator residuals for each k, and the norms of their k^2, k^1 and
-    k^0 coefficients: with G the limit's dressed generator, the residual is
-    |k^2 t2 + k t1 + t0 + t_1/k + t_2/k^2|, t2 = Y u, t1 = Y u1 + a u,
-    t0 = Y u2 + a u1 + b u - V G V^* u, t_1 = a u2 + b u1, t_2 = b u2.
-    a u, b u, a u1 and b u1 are the ones `kurtz_corrector` formed, so the
-    dressing is applied once more, to u2 only."""
-    _k_values(ks)
-    cor = kurtz_corrector(result, amp, u)
-    au, bu, au1, bu1 = cor._dressed
-    au2, bu2 = _dressed_products(result.family, amp, cor.u2)
-    v, block = result.sub.slow_basis, np.stack((cor.u, cor.u1, cor.u2), axis=1)
-    yu, yu1, yu2 = (result.family.y.entries @ block).T
-    limit_side = v @ (generator(result.limit, amp).entries @ (v.conj().T @ cor.u))
-    t2, t1, t0, t_1, t_2 = orders = (
-        yu, yu1 + au, yu2 + au1 + bu - limit_side, au2 + bu1, bu2)
-    values = tuple(
-        float(np.linalg.norm(k * k * t2 + k * t1 + t0 + t_1 / k + t_2 / (k * k)))
-        for k in map(np.float64, ks))
-    if not all(map(math.isfinite, values)):
+def generator_residual(cor: KurtzCorrector, k: float) -> float:
+    """Norm distance between the corrected prelimit action and the limit
+    action at k, |k^2 t2 + k t1 + t0 + t_1/k + t_2/k^2| from the corrector's
+    orders; NonFiniteEntries when it is not finite.  k is checked as a float,
+    so the message reads `bad k value inf`, and summed as np.float64, so an
+    overflowing k^2 raises under the CLI's errstate."""
+    (k,) = map(np.float64, _k_values((float(k),)))
+    t2, t1, t0, t_1, t_2 = cor.orders
+    value = float(np.linalg.norm(k * k * t2 + k * t1 + t0 + t_1 / k + t_2 / (k * k)))
+    if not math.isfinite(value):
         raise NonFiniteEntries("generator residuals must be finite")
-    return values, tuple(float(np.linalg.norm(t)) for t in orders[:3])
-
-
-def generator_residual(result: EliminationResult, amp: FieldAmplitudes,
-                       u, k: float) -> float:
-    """Norm distance between the corrected prelimit action and the limit action."""
-    return _residuals(result, amp, u, (k,))[0][0]
+    return value
 
 
 def _gaps(result: EliminationResult, amp: FieldAmplitudes, T: float,
@@ -197,9 +189,9 @@ def _increasing(values: tuple, least: int, what: str) -> tuple:
 
 def generator_study(result: EliminationResult, amp: FieldAmplitudes,
                     k_schedule, u=None) -> ConvergenceReport:
-    """Corrected generator residuals over a k-schedule, from the five
-    Laurent coefficients of `_residuals`; its diagnostics are the norms of
-    the k^2, k^1 and k^0 ones, which the corrector and the limit cancel.
+    """Corrected generator residuals over a k-schedule: one `kurtz_corrector`
+    and one `generator_residual` per k; its diagnostics are the norms of the
+    k^2, k^1 and k^0 orders, which the corrector and the limit cancel.
     Verdict: residuals all at the floor, RESIDUAL_FLOOR max(1, k^2 |Y|) at
     k since k^2 Y u rounds like k^2 (|Y| from `_norm_bound`, no SVD), or
     nonincreasing with a clearly negative fitted decay exponent."""
@@ -207,7 +199,8 @@ def generator_study(result: EliminationResult, amp: FieldAmplitudes,
     v = result.sub.slow_basis
     if u is None:
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
-    values, orders = _residuals(result, amp, u, ks)
+    cor = kurtz_corrector(result, amp, u)
+    values = tuple(generator_residual(cor, k) for k in ks)
     rate = _safe_rate(ks, values)
     monotone = all(a >= b - RESIDUAL_FLOOR for a, b in zip(values, values[1:]))
     verdict = _at_floor(ks, values, _norm_bound(result.family.y.entries)) or (
@@ -217,7 +210,7 @@ def generator_study(result: EliminationResult, amp: FieldAmplitudes,
         kind="generator", k_schedule=ks, values=values, fitted_rate=rate,
         t_max=0.0, grid_points=0, verdict=verdict,
         diagnostics=tuple(zip(("order_k2_norm", "order_k1_norm", "order_k0_norm"),
-                              orders)),
+                              (float(np.linalg.norm(t)) for t in cor.orders[:3]))),
     )
 
 

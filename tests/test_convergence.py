@@ -77,6 +77,11 @@ class TestKurtzCorrector:
         # order k^1: Y u1 + A^(ab) u = 0
         defect = fix.family.y.entries @ cor.u1 + a_op.entries @ cor.u
         assert np.linalg.norm(defect) < 1e-10
+        # the corrector's own k^2 and k^1 orders are these two vectors
+        t2, t1 = cor.orders[:2]
+        assert np.allclose(t2, fix.family.y.entries @ cor.u, rtol=0, atol=1e-12)
+        assert np.allclose(t1, defect, rtol=0, atol=1e-12)
+        assert np.linalg.norm(t2) < 1e-10 and np.linalg.norm(t1) < 1e-10
 
     def test_rejects_u_off_slow_subspace(self, dk):
         fix, result = dk
@@ -97,7 +102,7 @@ class TestKurtzCorrector:
         v = fix.sub.slow_basis
         u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
         k = 64.0
-        corrected = generator_residual(result, AMP, u, k)
+        corrected = generator_residual(kurtz_corrector(result, AMP, u), k)
         # uncorrected: apply the prelimit generator to u itself
         big = generator(assemble(fix.family, k), AMP).entries @ u
         small = generator(result.limit, AMP).entries @ (v.conj().T @ u)
@@ -207,9 +212,10 @@ class TestScheduleStrictlyIncreases:
 
 
 class TestStudiesCheckEachK:
-    """The studies, `semigroup_gap` and `assemble` check each k by the CLI's
-    own rule before its order: k = 0 once met `_residuals`' separate check,
-    and k = inf overflowed in the propagator (a FloatingPointError).
+    """The studies, `generator_residual`, `semigroup_gap` and `assemble`
+    check each k by the CLI's own rule before its order: k = 0 once met the
+    residual's separate check, and k = inf overflowed in the propagator (a
+    FloatingPointError).
     `semigroup_gap` at inf or NaN once raised NonFiniteEntries from the
     propagator, and `assemble` kept an older k > 0 message of its own."""
 
@@ -223,6 +229,13 @@ class TestStudiesCheckEachK:
     def test_semigroup_study(self, dk):
         with pytest.raises(ValueError, match="bad k value inf: need finite k > 0"):
             semigroup_study(dk[1], self.VAC, (2, 4, math.inf), 2.0, 8)
+
+    @pytest.mark.parametrize("k", BAD_K)
+    def test_generator_residual(self, dk, k):
+        v = dk[1].sub.slow_basis
+        cor = kurtz_corrector(dk[1], self.VAC, v[:, 0])
+        with pytest.raises(ValueError, match="bad k value"):
+            generator_residual(cor, k)
 
     @pytest.mark.parametrize("k", BAD_K)
     def test_semigroup_gap(self, dk, k):

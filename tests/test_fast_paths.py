@@ -778,7 +778,8 @@ class TestStudiesReuseTheLimitSide:
         v = result.sub.slow_basis
         u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
         report = generator_study(result, self.AMP, ks, u=u)
-        per_k = [generator_residual(result, self.AMP, u, k) for k in ks]
+        cor = kurtz_corrector(result, self.AMP, u)
+        per_k = [generator_residual(cor, k) for k in ks]
         assert np.array_equal(_bits(np.array(report.values)), _bits(np.array(per_k)))
 
     def test_kurtz_corrector_uses_the_results_inverse(self, dk_fixture,
@@ -847,13 +848,13 @@ class TestGeneratorResidualLaurentForm:
         result = eliminate(fix.family, fix.sub)
         v = result.sub.slow_basis
         u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
-        got, _ = convergence._residuals(result, amp, u, self.KS)
+        cor = kurtz_corrector(result, amp, u)
+        got = [generator_residual(cor, k) for k in self.KS]
         want = _reference_residuals(result, amp, u, self.KS)
         y_norm = _norm_bound(fix.family.y.entries)
         for k, g, w in zip(self.KS, got, want):
             floor = convergence.RESIDUAL_FLOOR * max(1.0, k * k * y_norm)
             assert _oracle_close(g, w, floor), (k, g, w)
-        cor = kurtz_corrector(result, amp, u)
         a_op, b_op = _reference_dressed_parts(fix.family, amp)
         yt = result.y_tilde.entries
         u1 = -yt @ (a_op.entries @ u)
@@ -879,7 +880,8 @@ class TestGeneratorResidualLaurentForm:
         result = eliminate(fix.family, fix.sub)
         v = result.sub.slow_basis
         u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
-        got, _ = convergence._residuals(result, amp, u, self.KS)
+        cor = kurtz_corrector(result, amp, u)
+        got = [generator_residual(cor, k) for k in self.KS]
         want = _reference_residuals(result, amp, u, self.KS)
         y_norm = _norm_bound(fix.family.y.entries)
         for k, g, w in zip(self.KS, got, want):
@@ -888,9 +890,10 @@ class TestGeneratorResidualLaurentForm:
 
     def test_dressing_is_applied_once_per_vector(self, monkeypatch):
         """The corrector's a u, b u, a u1 and b u1 are reused: the study
-        calls `kurtz_corrector` once (its traced name keeps counting) and
-        applies the dressing to u, u1 and u2 once each.  At vacuum every
-        term has a zero coefficient, so each application is A x and B x."""
+        calls `kurtz_corrector` once and `generator_residual` once per k
+        (their traced names keep counting) and applies the dressing to u,
+        u1 and u2 once each.  At vacuum every term has a zero coefficient,
+        so each application is A x and B x."""
         fix = random_structured_fixture(np.random.default_rng(4), hprime_dim=5,
                                         n=2, cutoff=4)
         fam, d = fix.family, fix.family.space.total_dim
@@ -904,11 +907,15 @@ class TestGeneratorResidualLaurentForm:
         corrected, corrector = [], convergence.kurtz_corrector
         monkeypatch.setattr(convergence, "kurtz_corrector",
                             lambda *args: corrected.append(1) or corrector(*args))
+        summed, residual = [], convergence.generator_residual
+        monkeypatch.setattr(convergence, "generator_residual",
+                            lambda cor, k: summed.append(k) or residual(cor, k))
         log = []
         monkeypatch.setattr(_MatmulSpy, "log", log)
         generator_study(result, FieldAmplitudes.vacuum(2), (2.0, 4.0, 8.0))
         monkeypatch.setattr(_MatmulSpy, "log", None)
         assert applied == [(d,)] * 3 and corrected == [1]
+        assert summed == [2.0, 4.0, 8.0]
         # A x and B x per application, then Y~ (a u) and Y~ (b u + a u1),
         # and Y u, Y u1, Y u2 as one block; no x^* F_j or x^* G_j.
         assert log.count(((d, d), (d,))) == 2 * 3 + 2
@@ -2424,7 +2431,10 @@ class TestNoFullSizeProductAfterTheInverse:
             assert shapes, name
             assert ((d, d), (d, d)) not in shapes, name
             for x, y in shapes:
-                assert 1 in (len(x), len(y)) or r in (x[0], y[1]), (name, x, y)
+                # the corrector forms its orders' Y [u u1 u2] as one d x 3 block
+                assert (1 in (len(x), len(y)) or r in (x[0], y[1])
+                        or (name, x, y) == ("kurtz_corrector", (d, d), (d, 3))), (
+                    name, x, y)
 
     @pytest.mark.parametrize("model", ["dk40", "random136"])
     def test_generator_study(self, full_size_models, model, monkeypatch):
