@@ -14,19 +14,23 @@ node it may stand wherever a matrix may, `p0` and the arguments of
 `kron`/`add`/`scale` included.
 
 Parsing is total: any inconsistency raises ModelParseError, never a
-half-built model.  Integer fields (factor dimensions, channel count, grid
-points, basis indices, expression `dim`/`row`/`col`, sparse `row`/`col`)
-take JSON integers or integral floats such as 4.0; booleans and fractional
-values are rejected, never truncated.  Real fields (study `T`,
-`k_schedule`, the [re, im] amplitude and scale-factor pairs, funcalc
-`theta`/`gamma`, and every matrix value, dense or sparse) take JSON
-numbers only; booleans, strings and null are rejected, never read as 1.0.
+half-built model.  A node whose `dim`, or a `kron` whose factor
+dimensions multiplied, exceed the model's total dimension is rejected
+before its array is allocated.  Integer fields (factor dimensions,
+channel count, grid points, basis indices, expression `dim`/`row`/`col`,
+sparse `row`/`col`) take JSON integers or integral floats such as 4.0;
+booleans and fractional values are rejected, never truncated.  Real
+fields (study `T`, `k_schedule`, the [re, im] amplitude and scale-factor
+pairs, funcalc `theta`/`gamma`, and every matrix value, dense or sparse)
+take JSON numbers only; booleans, strings and null are rejected, never
+read as 1.0.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -126,7 +130,15 @@ def matrix_from_json(rows) -> np.ndarray:
     return buf.view(np.complex128).reshape(len(rows), len(rows[0]))
 
 
-def _sparse_from_json(node: dict) -> np.ndarray:
+def _dim(node: dict, limit, what: str = "dim") -> int:
+    """The node's `dim`, by the rule of `_integer`, if it is at most `limit`."""
+    d = _integer(node["dim"], what)
+    if d > limit:
+        raise ModelParseError(f"{what} {d} exceeds the model dimension {limit}")
+    return d
+
+
+def _sparse_from_json(node: dict, limit) -> np.ndarray:
     """Decode a sparse node into a dense complex array.
 
     Each list is type-checked and converted once; the indices are checked
@@ -135,8 +147,9 @@ def _sparse_from_json(node: dict) -> np.ndarray:
     are scattered into a +0.0 complex128 buffer, so every entry has the
     bits the dense form of the same values gives.  The result is that
     buffer itself, which owns its data, so an `Operator` freezes it uncopied.
+    A `dim` above `limit` (the model's total dimension) allocates nothing.
     """
-    d = _integer(node["dim"], "sparse dim")
+    d = _dim(node, limit, "sparse dim")
     if d < 1:
         raise ModelParseError(f"sparse dim must be >= 1, got {d}")
     row = _indices(node["row"], d, "sparse row")
@@ -189,6 +202,13 @@ def _funcalc(name: str, params: dict, x: np.ndarray) -> np.ndarray:
 
 def eval_expression(node) -> np.ndarray:
     """Evaluate an operator expression tree to a dense complex matrix."""
+    return _evaluate(node, math.inf)
+
+
+def _evaluate(node, limit) -> np.ndarray:
+    """`eval_expression` for a model of total dimension `limit`: a node
+    whose `dim`, or a `kron` whose factor dimensions multiplied, exceed it
+    raise ModelParseError before the array is allocated."""
     if isinstance(node, list):
         return matrix_from_json(node)
     if not isinstance(node, dict) or "op" not in node:
@@ -196,17 +216,17 @@ def eval_expression(node) -> np.ndarray:
     op = node["op"]
     try:
         if op == "sparse":
-            return _sparse_from_json(node)
+            return _sparse_from_json(node, limit)
         if op == "identity":
-            return np.eye(_integer(node["dim"], "dim"), dtype=complex)
+            return np.eye(_dim(node, limit), dtype=complex)
         if op == "annihilator":
-            return fock_toolbox(_integer(node["dim"], "dim") - 1).b.entries.copy()
+            return fock_toolbox(_dim(node, limit) - 1).b.entries.copy()
         if op == "creator":
-            return fock_toolbox(_integer(node["dim"], "dim") - 1).b_dag.entries.copy()
+            return fock_toolbox(_dim(node, limit) - 1).b_dag.entries.copy()
         if op == "number":
-            return fock_toolbox(_integer(node["dim"], "dim") - 1).number.entries.copy()
+            return fock_toolbox(_dim(node, limit) - 1).number.entries.copy()
         if op == "basis_matrix":
-            d = _integer(node["dim"], "dim")
+            d = _dim(node, limit)
             i, j = _integer(node["row"], "row"), _integer(node["col"], "col")
             if not (0 <= i < d and 0 <= j < d):
                 raise ModelParseError(f"basis_matrix entry ({i}, {j}) outside dim {d}")
@@ -217,24 +237,29 @@ def eval_expression(node) -> np.ndarray:
             args = node["args"]
             if len(args) < 2:
                 raise ModelParseError("kron needs >= 2 arguments")
-            out = eval_expression(args[0])
+            out = _evaluate(args[0], limit)
             for arg in args[1:]:
-                out = np.kron(out, eval_expression(arg))
+                x = _evaluate(arg, limit)
+                shape = (out.shape[0] * x.shape[0], out.shape[1] * x.shape[1])
+                if max(shape) > limit:
+                    raise ModelParseError(
+                        f"kron shape {shape} exceeds the model dimension {limit}")
+                out = np.kron(out, x)
             return out
         if op == "scale":
             factor = _complex_from_pair(node["factor"], "scale factor")
-            return factor * eval_expression(node["arg"])
+            return factor * _evaluate(node["arg"], limit)
         if op == "add":
-            args = [eval_expression(a) for a in node["args"]]
+            args = [_evaluate(a, limit) for a in node["args"]]
             shapes = {a.shape for a in args}
             if len(shapes) != 1:
                 raise ModelParseError("add arguments must share a shape")
             return sum(args)
         if op == "adjoint":
-            return eval_expression(node["arg"]).conj().T
+            return _evaluate(node["arg"], limit).conj().T
         if op == "funcalc":
             return _funcalc(
-                node["name"], node.get("params", {}), eval_expression(node["arg"])
+                node["name"], node.get("params", {}), _evaluate(node["arg"], limit)
             )
     except ModelParseError:
         raise
@@ -261,7 +286,7 @@ class ModelFile:
 
 
 def _operator(space: HilbertSpace, node, role: str) -> Operator:
-    m = eval_expression(node)
+    m = _evaluate(node, space.total_dim)
     if m.shape != (space.total_dim, space.total_dim):
         raise ModelParseError(
             f"operator {role} has shape {m.shape}, expected square of "

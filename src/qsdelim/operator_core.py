@@ -8,16 +8,16 @@ pure function.  numpy is the only library loaded with the package:
 most of a command's start-up when it is taken.
 
 Because an `Operator`'s entries are frozen read-only at construction, its
-spectral norm is cached on the operator: `spectral_norm` takes the SVD of
-each operator at most once, however many validators ask for it, and an
-all-zero operator costs no SVD at all.  A largest of several norms (a
-scale, a defect over blocks) is a `_Norms`: its upper bound takes no SVD
-(a cached norm or sqrt(|X|_1 |X|_inf) per item), and its exact value,
-taken on first read, skips every item whose bound cannot exceed the
-largest norm taken so far, with the bits of taking them all.  `_at_most`
-passes a defect whose upper bound is at most the threshold on the scale's
-floor and otherwise compares the exact values; the restricted inverse's
-gates, the projection checks of `SubspacePair` (but for a coordinate
+spectral norm and its `_norm_bound` are cached on the operator:
+`spectral_norm` takes the SVD of each operator at most once, however many
+validators ask for it, and an all-zero operator costs no SVD at all.  A
+largest of several norms (a scale, a defect over blocks) is a `_Norms`:
+its upper bound takes no SVD (a cached norm or sqrt(|X|_1 |X|_inf) per
+item), and its exact value, taken on first read, skips every item whose
+bound cannot exceed the largest norm taken so far, with the bits of
+taking them all.  `_at_most` passes a defect whose upper bound is at
+most the threshold on the scale's floor and otherwise compares the exact
+values; the restricted inverse's gates, the projection checks of `SubspacePair` (but for a coordinate
 projection, which needs none) and every validator check decide this way.
 
 The per-time norms of a propagator grid (`_propagator_norms`) are
@@ -134,6 +134,10 @@ class Operator:
     def _spectral_norm(self) -> float:
         return _norm2(self.entries)
 
+    @cached_property
+    def _bound(self) -> float:
+        return _norm_bound(self.entries)
+
 
 def _norm2(m: np.ndarray) -> float:
     """Largest singular value of an array.  An all-zero or empty array skips
@@ -147,11 +151,12 @@ def _norm_bound(x) -> float:
     """A number never below the computed spectral norm of an Operator or
     array: the cached norm of an Operator that has one, else
     sqrt(|X|_1 |X|_inf) >= |X|_2 widened by 1e-8 relative, far beyond the
-    rounding of the bound and of LAPACK's sigma_max (about n eps)."""
+    rounding of the bound and of LAPACK's sigma_max (about n eps), which an
+    Operator caches too."""
     if isinstance(x, Operator):
         if "_spectral_norm" in x.__dict__:
             return x._spectral_norm
-        x = x.entries
+        return x._bound
     a = np.abs(x)
     return (math.sqrt(a.sum(axis=0).max(initial=0.0))
             * math.sqrt(a.sum(axis=1).max(initial=0.0)) * (1.0 + 1e-8))
@@ -459,7 +464,8 @@ class SubspacePair:
     The complement `p1 = I - p0` and the read-only isometries `slow_basis`
     (V) and `fast_basis` (Q), built by `subspace_basis`, are derived on
     first use and shared by every caller.  The structural checks,
-    `eliminate` and the corrector measure in these basis coordinates.
+    `eliminate` and the corrector measure in these basis coordinates;
+    `compress` applies the bases, by index for a coordinate projection.
     """
 
     p0: Operator
@@ -500,6 +506,35 @@ class SubspacePair:
         """Isometry mapping fast-subspace coordinates into the full space."""
         return _freeze(subspace_basis(self.p1.entries))
 
+    @cached_property
+    def _coordinates(self) -> dict | None:
+        """The indices of the columns of I that V and Q are, under "slow"
+        and "fast", for a coordinate projection p0; else None."""
+        slow = _coordinate_indices(self.p0.entries)
+        if slow is None:
+            return None
+        return {"slow": slow, "fast": np.flatnonzero(self.p0.entries.diagonal() == 0)}
+
+    def compress(self, x: np.ndarray, left: str | None = None,
+                 right: str | None = None) -> np.ndarray:
+        """B_left^* x B_right, where "slow" names V and "fast" Q and None
+        takes no factor on that side (at least one side is named), formed
+        left to right.  For a coordinate projection p0 the bases are
+        columns of I, so the products are row and column selections,
+        returned C-contiguous as a product is.  A selection equals the
+        product by value (`np.array_equal`) and forms no d x d product,
+        though a zero may differ from the product's in its sign.  Any other
+        p0 takes the products."""
+        at = self._coordinates
+        if at is not None:
+            if left and right:
+                return x[np.ix_(at[left], at[right])]
+            return x.take(at[left], axis=0) if left else x.take(at[right], axis=1)
+        bases = {"slow": self.slow_basis, "fast": self.fast_basis}
+        if left:
+            x = bases[left].conj().T @ x
+        return x @ bases[right] if right else x
+
 
 def restricted_inverse(y: Operator, sub: SubspacePair,
                        tol: float = DEFAULT_TOL) -> tuple[Operator, _Norms]:
@@ -514,15 +549,19 @@ def restricted_inverse(y: Operator, sub: SubspacePair,
     settles it: Yc^-1 Q^* is solved first and has norm |Yc^-1|, so cond is
     at most `_norm_bound`(Yc) `_norm_bound`(Yc^-1 Q^*) widened by 1e-3 (its
     rounding is about cond eps), and a defect at most 1e-10 scale passes.
+    y V and Yc come from `SubspacePair.compress`, so by index for a
+    coordinate projection; Y~ = Q (Yc^-1 Q^*) stays a product, whose zeros
+    carry the signs the printed limit shows.
     """
     y._check_space(sub.p0)
     scale = _Norms([y], 1.0)
-    if not _at_most(_Norms([y.entries @ sub.slow_basis]), scale, lambda s: tol * s):
+    yv = sub.compress(y.entries, right="slow")
+    if not _at_most(_Norms([yv]), scale, lambda s: tol * s):
         raise StructuralViolation("y does not annihilate the slow subspace")
     q1 = sub.fast_basis
     if q1.shape[1] == 0:  # Y~ = 0, so both defects are |0 - p1|
         return Operator.zero(y.space), _Norms([-sub.p1])
-    yc = q1.conj().T @ y.entries @ q1
+    yc = sub.compress(y.entries, "fast", "fast")
 
     def condition() -> float:
         sv = np.linalg.svd(yc, compute_uv=False)

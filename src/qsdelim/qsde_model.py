@@ -8,14 +8,15 @@ relations determine it completely.
 
 Validators never raise on a failed relation; they return a report with one
 entry per relation group, where the violation is the spectral norm of the
-defect operator.  A check computes its defect arrays and decides `passed`
-when it is made, by a bound where one settles it (`_check`); it takes the
-exact violation and tolerance, spectral norms, only when they are first
-read, so a caller that reads only verdicts takes no SVD for a passing
-check.  Defects are formed on entries arrays with the bits of the Operator
-expressions they stand for, and a product with an all-zero factor is left
-out of its sum; a relation left with an all-zero coefficient and no term
-has the exact defect 0.0 and forms no array.
+defect operator.  A check computes its defect arrays (for W, only W W^*:
+`_unitarity_defect`) and decides `passed` when it is made, by a bound
+where one settles it (`_check`); it takes the exact violation and
+tolerance, spectral norms, only when they are first read, so a caller
+that reads only verdicts takes no SVD for a passing check.  Defects are
+formed on entries arrays with the bits of the Operator expressions they
+stand for, and a product with an all-zero factor is left out of its sum;
+a relation left with an all-zero coefficient and no term has the exact
+defect 0.0 and forms no array.
 """
 
 from __future__ import annotations
@@ -33,9 +34,12 @@ from .operator_core import (
     Operator,
     SubspacePair,
     _at_most,
+    _norm_bound,
     _Norms,
     restricted_inverse,
 )
+
+_EPS = np.finfo(float).eps
 
 
 def _check_family(space: HilbertSpace, n: int, ops):
@@ -239,11 +243,53 @@ def _trivial_scattering(grid) -> bool:
         for i, row in enumerate(grid) for j, w in enumerate(row))
 
 
+class _UnitarityDefect(_Norms):
+    """The `_Norms` of `_unitarity_defect`: `upper` from P = fl(W W^*) - I
+    alone, taken when the defect is made since every check reads it; W^* W
+    and the 2 n^2 blocks (`_items`) on the first read of `value`."""
+
+    def __init__(self, w: np.ndarray, n: int):
+        self.floor, self._w, self._n = 0.0, w, n
+        self._right = w @ w.conj().T
+        self._right.flat[:: len(w) + 1] -= 1.0
+        gamma = 4 * len(w) * _EPS / (1 - 4 * len(w) * _EPS)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is inf
+            self.upper = _norm_bound(self._right) + 2 * gamma * np.vdot(w, w).real
+
+    @cached_property
+    def _items(self) -> list:
+        w, n = self._w, self._n
+        left = w.conj().T @ w
+        left.flat[:: len(w) + 1] -= 1.0
+        d = len(w) // n
+        blocks = [p.reshape(n, d, n, d) for p in (self._right, left)]
+        self._w = self._right = None
+        return [b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks]
+
+
 def _unitarity_defect(grid) -> _Norms:
-    """Largest block norm of W W^* - I and W^* W - I for the n x n grid W,
-    filled into one nd x nd matrix so that each product is formed once;
-    taking 1 from the diagonal in place gives the bits of - I (signed zeros).
-    A trivial grid (W = I) has the exact defect 0.0 and forms no product."""
+    """Largest block norm of W W^* - I and W^* W - I for the n x n grid W
+    of d x d blocks, filled into one nd x nd matrix, so that each product
+    is formed once; taking 1 from the diagonal in place gives the bits of
+    - I (signed zeros).  A trivial grid (W = I) has the exact defect 0.0
+    and forms no product.
+
+    A check whose value nobody reads forms only P = fl(W W^*) - I.  In
+    exact arithmetic |W W^* - I| = |W^* W - I| = max_i |sigma_i(W)^2 - 1|.
+    An entry (i, j) of a computed Gram product of W is a complex inner
+    product of length nd: its real and imaginary parts are real inner
+    products of length 2nd, each within gamma_2nd (|W| |W|^T)_ij of the
+    exact one (gamma_m = m eps / (1 - m eps)).  So the error of either
+    Gram has norm at most sqrt(2) gamma_2nd |W|_F^2, and every block of
+    both computed defects has norm at most |P| plus twice that:
+        upper = `_norm_bound`(P) + 2 gamma |W|_F^2,  gamma = gamma_4nd.
+    The spare in gamma_4nd >= sqrt(2) gamma_2nd covers the rounding of
+    |W|_F^2, of the sum and of LAPACK's sigma_max; taking 1 off the
+    diagonal is exact near 1, and else within eps of P's entries, under
+    `_norm_bound`'s 1e-8 margin.  W^* W and the block split are formed
+    when `value` is read: by a printout, or by a check that `upper` does
+    not decide.
+    """
     if _trivial_scattering(grid):
         return _Norms()
     n, d = len(grid), grid[0][0].space.total_dim
@@ -251,13 +297,7 @@ def _unitarity_defect(grid) -> _Norms:
     for i, row in enumerate(grid):
         for j, op in enumerate(row):
             w[i * d:(i + 1) * d, j * d:(j + 1) * d] = op.entries
-    wh, blocks = w.conj().T, []
-    for p in (w @ wh, wh @ w):
-        p.flat[:: n * d + 1] -= 1.0
-        blocks.append(p.reshape(n, d, n, d))
-    return _Norms(
-        b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks
-    )
+    return _UnitarityDefect(w, n)
 
 
 def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -331,19 +371,22 @@ def _structural_report(
 
     Checks b, d, e and the side checks are measured in the coordinates of
     the slow and fast bases V and Q, as |Y V|, |F_i^* V|, |V^* A V|,
-    |V^* L~_i Q|, |V^* N~_ij Q| and |Q^* N~_ij V|.  Check c is the inverse
-    defect that `restricted_inverse` measured for Y~, held to 1e-10 scale.
+    |V^* L~_i Q|, |V^* N~_ij Q| and |Q^* N~_ij V|, each basis applied by
+    `SubspacePair.compress` (by index for a coordinate projection).  Check
+    c is the inverse defect that `restricted_inverse` measured for Y~, held
+    to 1e-10 scale.
     When Y~ does not exist, check c and the side checks fail with violation
     inf and the tolerance each would have been held to.
     """
-    v = sub.slow_basis
+    c = sub.compress
     scale_ops = [fam.y, fam.a, *fam.f_ops]
     scale = _Norms(scale_ops, 1.0)
     checks = [
-        _check("structural.b", _Norms([fam.y.entries @ v]), tol, scale),
-        _check("structural.d", _Norms(f.entries.conj().T @ v for f in fam.f_ops),
+        _check("structural.b", _Norms([c(fam.y.entries, right="slow")]), tol, scale),
+        _check("structural.d",
+               _Norms(c(f.entries.conj().T, right="slow") for f in fam.f_ops),
                tol, scale),
-        _check("structural.e", _Norms([v.conj().T @ fam.a.entries @ v]), tol, scale),
+        _check("structural.e", _Norms([c(fam.a.entries, "slow", "slow")]), tol, scale),
     ]
     side_names = ("limit.l_side", "limit.n_side_right", "limit.n_side_left")
     side_scale = _Norms([*scale_ops, *fam.g_ops], 1.0)
@@ -374,32 +417,34 @@ def _slow_limit(fam: ScaledFamily, sub: SubspacePair, yt: np.ndarray):
         M_i        = R_i (A V) - sum_j V^* W_ij G_j^* V
 
     Returns (K, (L_i), (M_i), ((N_ij))) and the side-check blocks, on the
-    fast basis Q: (V^* L~_i Q), (V^* N~_ij Q) and (Q^* N~_ij V).
+    fast basis Q: (V^* L~_i Q), (V^* N~_ij Q) and (Q^* N~_ij V).  Every
+    product by V, V^* or Q, Q^* goes through `SubspacePair.compress`, so a
+    coordinate projection takes row and column selections in their place.
     """
-    v, q = sub.slow_basis, sub.fast_basis
-    vh, a = v.conj().T, fam.a.entries
+    c = sub.compress
+    a = fam.a.entries
     fs = [f.entries for f in fam.f_ops]
     fhs = [f.conj().T for f in fs]
     ws = [[w.entries for w in row] for row in fam.w_ops]
-    vws = [[vh @ w for w in row] for row in ws]
-    vay, av = vh @ a @ yt, a @ v
+    vws = [[c(w, "slow") for w in row] for row in ws]
+    vay, av = c(a, "slow") @ yt, c(a, right="slow")
     rs = [sum(vw @ fh for vw, fh in zip(row, fhs)) @ yt for row in vws]
-    l_rows = [vh @ g.entries - vay @ f for f, g in zip(fs, fam.g_ops)]
+    l_rows = [c(g.entries, "slow") - vay @ f for f, g in zip(fs, fam.g_ops)]
     n_rows = [[r @ f + vw for f, vw in zip(fs, row)] for r, row in zip(rs, vws)]
-    yfvs = [yt @ (f @ v) for f in fs]
-    n_cols = [[sum(w @ (fh @ yfv) for w, fh in zip(row, fhs)) + row[j] @ v
+    yfvs = [yt @ c(f, right="slow") for f in fs]
+    n_cols = [[sum(w @ (fh @ yfv) for w, fh in zip(row, fhs)) + c(row[j], right="slow")
                for j, yfv in enumerate(yfvs)] for row in ws]
-    ghvs = [g.entries.conj().T @ v for g in fam.g_ops]
+    ghvs = [c(g.entries.conj().T, right="slow") for g in fam.g_ops]
     blocks = (
-        vh @ fam.b.entries @ v - vay @ av,
-        tuple(x @ v for x in l_rows),
+        c(fam.b.entries, "slow", "slow") - vay @ av,
+        tuple(c(x, right="slow") for x in l_rows),
         tuple(r @ av - sum(vw @ ghv for vw, ghv in zip(row, ghvs))
               for r, row in zip(rs, vws)),
-        tuple(tuple(x @ v for x in row) for row in n_rows),
+        tuple(tuple(c(x, right="slow") for x in row) for row in n_rows),
     )
     sides = (
-        [x @ q for x in l_rows],
-        [x @ q for row in n_rows for x in row],
-        [q.conj().T @ x for row in n_cols for x in row],
+        [c(x, right="fast") for x in l_rows],
+        [c(x, right="fast") for row in n_rows for x in row],
+        [c(x, "fast") for row in n_cols for x in row],
     )
     return blocks, sides

@@ -1108,7 +1108,9 @@ class TestValidationFactsMeasuredOnce:
     def test_unitarity_defect_blocks_have_the_stacked_bits(self, seed, d, n, kind):
         """W filled in place, one W^* and 1 taken off the diagonal in place
         give the bits of `np.block` and - I, signed zeros included: a signed
-        permutation's products are exact, with zeros of both signs."""
+        permutation's products are exact, with zeros of both signs.  The
+        blocks, with W^* W, are formed on their first read, not with the
+        defect, whose bound takes W W^* alone."""
         rng = np.random.default_rng(seed)
         w = np.empty((n * d, n * d), dtype=np.complex128)
         if kind == "ginibre":
@@ -1125,7 +1127,9 @@ class TestValidationFactsMeasuredOnce:
         )
         if qsde_model._trivial_scattering(grid):
             return
-        got = qsde_model._unitarity_defect(grid)._items
+        defect = qsde_model._unitarity_defect(grid)
+        assert "_items" not in vars(defect)
+        got = defect._items
         want = _reference_stacked_blocks(grid)
         assert [_bits(x).tobytes() for x in got] == [_bits(x).tobytes() for x in want]
 
@@ -2556,3 +2560,116 @@ class TestRestrictedInverseGates:
             assert main([cmd, path]) == 0
         assert "FAIL" not in capsys.readouterr().out
         assert calls == {"inverse": 2, "svd": 0}
+
+
+# -- the W gate from one Gram product, coordinate bases by index ------------
+# References: the two-product stacked defect and the basis products.
+
+class TestUnitarityGateFromOneGram:
+    """`_UnitarityDefect.upper`, from W W^* alone, bounds the exact defect
+    of both Gram products, and `scaled.w` gives the verdict of the
+    two-product reference: by the bound where it decides, with neither
+    W^* W nor an exact value formed, else by the exact values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3),
+           st.sampled_from([0.0, 1e-13, 1e-6]), st.sampled_from([1e-9, 1e-15]))
+    def test_bound_and_verdict(self, seed, d, n, eps, tol):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((2, n * d, n * d))
+        w = np.linalg.qr(g[0] + 1j * g[1])[0]
+        if eps:
+            g = rng.standard_normal((2, n * d, n * d))
+            w = w + eps * (g[0] + 1j * g[1])
+        space = HilbertSpace((d,))
+        grid = tuple(
+            tuple(Operator(space, w[i * d:(i + 1) * d, j * d:(j + 1) * d])
+                  for j in range(n))
+            for i in range(n)
+        )
+        assume(not qsde_model._trivial_scattering(grid))
+        want = _reference_stacked_unitarity_defect(grid)
+        assert qsde_model._unitarity_defect(grid).upper >= want
+        zero = Operator.zero(space)
+        fam = ScaledFamily(n, space, zero, zero, zero, (zero,) * n, (zero,) * n,
+                           grid)
+        scale = _reference_max_norm([op for row in grid for op in row], 1.0)
+        check = scaled_hp_validate(fam, tol)["scaled.w"]
+        assert check.passed == (want <= tol * scale)
+        exact = "value" in vars(check._defect)
+        if tol == 1e-15:  # below the bound's rounding term 8 (nd)^2 eps
+            assert exact
+        elif eps < 1e-6:  # a defect near 1e-13 passes by the bound
+            assert check.passed and not exact
+            assert "_items" not in vars(check._defect)
+        assert check.max_violation == want
+
+
+def _signed_zeros(rng, x):
+    """x with about a third of its real and imaginary parts set to -0.0."""
+    x = x.copy()
+    x.real[rng.random(x.shape) < 0.3] = -0.0
+    x.imag[rng.random(x.shape) < 0.3] = -0.0
+    return x
+
+
+class TestCoordinateBasesByIndex:
+    """`SubspacePair.compress` on a coordinate projection selects rows and
+    columns that equal the basis products they replace; any other p0
+    takes the products."""
+
+    SIDES = [("slow", None), (None, "slow"), ("fast", None), (None, "fast"),
+             ("slow", "slow"), ("fast", "fast"), ("slow", "fast"), ("fast", "slow")]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8),
+           st.sampled_from(["one", "d-1", "any"]))
+    def test_selection_equals_product(self, seed, d, rank):
+        rng = np.random.default_rng(seed)
+        r = {"one": 1, "d-1": d - 1, "any": int(rng.integers(1, d))}[rank]
+        space = HilbertSpace((d,))
+        sub = SubspacePair.from_basis_indices(
+            space, rng.choice(d, r, replace=False).tolist())
+        bases = {"slow": subspace_basis(sub.p0), "fast": subspace_basis(sub.p1)}
+        assert bases["slow"].shape[1] == r
+        y, a, f = (_signed_zeros(rng, x) for x in
+                   rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d)))
+        for x in (y, a, f, f.conj().T):
+            for left, right in self.SIDES:
+                want = x
+                if left:
+                    want = bases[left].conj().T @ want
+                if right:
+                    want = want @ bases[right]
+                got = sub.compress(x, left, right)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want)
+
+    def test_rotated_duan_kimble_takes_the_products(self, dk_fixture, monkeypatch):
+        """The CI's rotated duan-kimble (a p0 that is no coordinate
+        projection) forms every basis product with bits of the explicit
+        one and passes; duan-kimble itself forms only Y~ = Q X."""
+        products = {}
+        for name, (fam, sub) in (("rotated", rotated_family(dk_fixture, 0)),
+                                 ("coordinate", (dk_fixture.family, dk_fixture.sub))):
+            if name == "rotated":
+                assert sub._coordinates is None
+                v, q = sub.slow_basis, sub.fast_basis
+                y = fam.y.entries
+                assert np.array_equal(_bits(sub.compress(y, "fast", "fast")),
+                                      _bits(q.conj().T @ y @ q))
+                assert np.array_equal(_bits(sub.compress(y, right="slow")),
+                                      _bits(y @ v))
+            sub = SubspacePair(sub.p0)  # fresh bases, to spy on
+            for basis in ("slow_basis", "fast_basis"):
+                vars(sub)[basis] = getattr(sub, basis).view(_MatmulSpy)
+            monkeypatch.setattr(_MatmulSpy, "log", [])
+            report = structural_validate(fam, sub)
+            products[name] = _MatmulSpy.log
+            monkeypatch.setattr(_MatmulSpy, "log", None)
+            assert report.overall
+            assert eliminate(fam, sub).limit.n == fam.n
+        d, r = dk_fixture.family.space.total_dim, dk_fixture.sub.rank
+        assert products["coordinate"] == [((d, d - r), (d - r, d))]
+        assert len(products["rotated"]) > 10
+

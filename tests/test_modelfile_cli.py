@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -745,6 +746,58 @@ class TestRejectedInputsExit2:
         doc = self._sparse_b()
         del doc["operators"]["B"]["im"]
         self._assert_rejected(doc, tmp_path, capsys)
+
+    # Each sized node once died in numpy's _ArrayMemoryError (exit 1) at
+    # dim 10**7, since its array was allocated before its shape met the
+    # space's (dim 15); dim 2000 would allocate 64 MB.
+    @pytest.mark.parametrize("node, message", [
+        ({"op": "sparse", "dim": 10**7, "row": [0], "col": [0], "re": [1.0],
+          "im": [0.0]}, "sparse dim 10000000 exceeds the model dimension 15"),
+        ({"op": "sparse", "dim": 2000, "row": [0], "col": [0], "re": [1.0],
+          "im": [0.0]}, "sparse dim 2000 exceeds the model dimension 15"),
+        ({"op": "identity", "dim": 10**7}, "dim 10000000 exceeds"),
+        ({"op": "identity", "dim": 2000}, "dim 2000 exceeds"),
+        ({"op": "annihilator", "dim": 10**7}, "dim 10000000 exceeds"),
+        ({"op": "creator", "dim": 2000}, "dim 2000 exceeds"),
+        ({"op": "number", "dim": 2000}, "dim 2000 exceeds"),
+        ({"op": "basis_matrix", "dim": 10**7, "row": 0, "col": 1},
+         "dim 10000000 exceeds"),
+        ({"op": "scale", "factor": [2.0, 0.0],
+          "arg": {"op": "adjoint", "arg": {"op": "identity", "dim": 10**7}}},
+         "dim 10000000 exceeds"),
+        ({"op": "kron", "args": [{"op": "identity", "dim": 3},
+                                 {"op": "identity", "dim": 10**7}]},
+         "dim 10000000 exceeds"),
+        ({"op": "kron", "args": [{"op": "identity", "dim": 15},
+                                 {"op": "identity", "dim": 15}]},
+         "kron shape (225, 225) exceeds the model dimension 15"),
+        ({"op": "kron", "args": [{"op": "identity", "dim": 3},
+                                 {"op": "identity", "dim": 5},
+                                 {"op": "number", "dim": 2}]},
+         "kron shape (30, 30) exceeds the model dimension 15"),
+    ], ids=str)
+    def test_oversized_dims(self, node, message, tmp_path, capsys, monkeypatch):
+        """Rejected with exit 2 before the node's array, or a kron product
+        past the model's dimension, is allocated."""
+        np_kron = np.kron
+
+        def kron(x, y):
+            assert len(x) * len(y) <= 15, "kron formed past the space"
+            return np_kron(x, y)
+
+        monkeypatch.setattr(np, "kron", kron)
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        doc["operators"]["Y"] = node
+        tracemalloc.start()
+        try:
+            self._assert_rejected(doc, tmp_path, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24  # the dim-15 model's arrays, not a dim-2000 one
+        path = tmp_path / "bad.json"
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     # Each edit once ran: a boolean or a numeric string was read as a
     # number (`true` as 1.0, `"1"` as 1), and a `params` list crashed.
