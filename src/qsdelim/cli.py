@@ -29,7 +29,8 @@ a time grid that is not finite T > 0 with >= 2 points, fewer than 3
 distinct k for a generator or semigroup study, a --tol that is not finite
 and > 0, finite inputs whose products in a run overflow float64, a model
 file with a NaN, Infinity or null entry or a boolean or string where a
-number belongs, and a --report or --csv path that cannot be written (a
+number belongs, a model file whose dimension is too large for its arrays
+to be allocated, and a --report or --csv path that cannot be written (a
 missing directory or a directory).
 """
 

@@ -29,8 +29,8 @@ from .elimination import EliminationResult
 from .errors import NonFiniteEntries, PreconditionFailed
 from .operator_core import DEFAULT_TOL, HilbertSpace, Operator, _norm_bound
 from .qsde_model import (
-    QsdeCoefficients, ScaledFamily, _k_values, _m_from_unitarity,
-    _require_scaled_hp, _trivial_scattering, assemble,
+    QsdeCoefficients, ScaledFamily, _k_values, _require_scaled_hp,
+    _trivial_scattering, assemble,
 )
 from .semigroup import (
     FieldAmplitudes, _dressed_products, generator, propagate_on_grid,
@@ -188,8 +188,9 @@ def _increasing(values: tuple, least: int, what: str) -> tuple:
 
 
 def generator_study(result: EliminationResult, amp: FieldAmplitudes,
-                    k_schedule, u=None) -> ConvergenceReport:
-    """Corrected generator residuals over a k-schedule: one `kurtz_corrector`
+                    k_schedule) -> ConvergenceReport:
+    """Corrected generator residuals over a k-schedule: one `kurtz_corrector`,
+    for u = V 1 / sqrt(r) (the normalized sum of the r slow basis vectors),
     and one `generator_residual` per k; its diagnostics are the norms of the
     k^2, k^1 and k^0 orders, which the corrector and the limit cancel.
     Verdict: residuals all at the floor, RESIDUAL_FLOOR max(1, k^2 |Y|) at
@@ -197,8 +198,7 @@ def generator_study(result: EliminationResult, amp: FieldAmplitudes,
     nonincreasing with a clearly negative fitted decay exponent."""
     ks = _increasing(_k_values(map(float, k_schedule)), 3, "k-values")
     v = result.sub.slow_basis
-    if u is None:
-        u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
+    u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
     cor = kurtz_corrector(result, amp, u)
     values = tuple(generator_residual(cor, k) for k in ks)
     rate = _safe_rate(ks, values)
@@ -305,10 +305,8 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
         raise ValueError("truncation study requires trivial scattering (N = I)")
     _require_scaled_hp(fam, tol)
 
-    gen = generator(QsdeCoefficients(
-        fam.n, fam.space, fam.b, fam.g_ops,
-        _m_from_unitarity(fam.w_ops, fam.g_ops), fam.w_ops,
-    ), amp).entries
+    gen = generator(QsdeCoefficients.unitary(fam.b, fam.g_ops, fam.w_ops),
+                    amp).entries
     rows, width = cutoffs[-1] + 1, cutoffs[0] + 1
     grids = []
     for prev, c in zip((None, *cutoffs), cutoffs):

@@ -11,9 +11,11 @@ in the slow-subspace coordinates of a deterministic isometry V (the
 pair's `slow_basis`, see `operator_core.subspace_basis`), and returns them
 in the prepared model that the convergence studies take; the structural
 check evaluates them with no full-size product after Y~
-(`qsde_model._slow_limit`).  The structural preconditions are enforced as
-hard errors: running these formulas on a family without the required
-block structure produces meaningless output.
+(`qsde_model._slow_limit`).  M is evaluated, not forced, so `hp_validate`
+of the limit checks it against the M of `QsdeCoefficients.unitary`.  The
+structural preconditions are enforced as hard errors: running these
+formulas on a family without the required block structure produces
+meaningless output.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .operator_core import (
 from .qsde_model import (
     QsdeCoefficients,
     ScaledFamily,
-    _m_from_unitarity,
     _structural_report,
     _require_scaled_hp,
 )
@@ -68,8 +69,8 @@ def eliminate(fam: ScaledFamily, sub: SubspacePair,
     def wrap(blocks):
         return tuple(Operator(small, x) for x in blocks)
 
-    limit = QsdeCoefficients(fam.n, small, Operator(small, k), wrap(l_blocks),
-                             wrap(m_blocks), tuple(map(wrap, n_blocks)))
+    limit = QsdeCoefficients(Operator(small, k), wrap(l_blocks), wrap(m_blocks),
+                             tuple(map(wrap, n_blocks)))
     return EliminationResult(family=fam, sub=sub, limit=limit, y_tilde=yt)
 
 
@@ -87,9 +88,10 @@ def cavity_closed_form(
     Direct evaluation of the closed-form limit on the auxiliary space:
     K = E00 - E01 E11^-1 E10, L_i = G_i - E01 E11^-1 F_i,
     N_ij = sum_l S_il (F_l^* E11^-1 F_j + delta_lj), with M forced by the
-    unitarity relations.  Cross-check target for `eliminate` applied to the
-    full tensor-product model.  Raises `SingularFastDynamics` when E11 is
-    singular or its computed inverse fails the two-sided defect check.
+    unitarity relations (`QsdeCoefficients.unitary`).  Cross-check target
+    for `eliminate` applied to the full tensor-product model.  Raises
+    `SingularFastDynamics` when E11 is singular or its computed inverse
+    fails the two-sided defect check.
     """
     space = e00.space
     try:
@@ -113,6 +115,4 @@ def cavity_closed_form(
               for j, fj in enumerate(f_ops))
         for row in s_ops
     )
-    return QsdeCoefficients(
-        len(f_ops), space, k_op, l_ops, _m_from_unitarity(n_ops, l_ops), n_ops
-    )
+    return QsdeCoefficients.unitary(k_op, l_ops, n_ops)

@@ -13,13 +13,14 @@ is complex(re[i], im[i]) and whose other entries are +0.0.  Like every
 node it may stand wherever a matrix may, `p0` and the arguments of
 `kron`/`add`/`scale` included.
 
-Parsing is total: any inconsistency raises ModelParseError, never a
-half-built model.  A node whose `dim`, or a `kron` whose factor
-dimensions multiplied, exceed the model's total dimension is rejected
-before its array is allocated.  Integer fields (factor dimensions,
-channel count, grid points, basis indices, expression `dim`/`row`/`col`,
-sparse `row`/`col`) take JSON integers or integral floats such as 4.0;
-booleans and fractional values are rejected, never truncated.  Real
+Parsing is total: any inconsistency, and any array numpy cannot allocate
+(`parse_model`), raises ModelParseError, never a half-built model.  A
+node whose `dim`, or a `kron` whose factor dimensions multiplied, exceed
+the model's total dimension is rejected before its array is allocated.
+Integer fields (factor dimensions, channel count, grid points, basis
+indices, expression `dim`/`row`/`col`, sparse `row`/`col`) take JSON
+integers or integral floats such as 4.0; booleans and fractional values
+are rejected, never truncated.  Real
 fields (study `T`, `k_schedule`, the [re, im] amplitude and scale-factor
 pairs, funcalc `theta`/`gamma`, and every matrix value, dense or sparse)
 take JSON numbers only; booleans, strings and null are rejected, never
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -200,15 +200,11 @@ def _funcalc(name: str, params: dict, x: np.ndarray) -> np.ndarray:
     return damped_funcalc(x, theta, gamma, resolvent=name == "damped_resolvent")
 
 
-def eval_expression(node) -> np.ndarray:
-    """Evaluate an operator expression tree to a dense complex matrix."""
-    return _evaluate(node, math.inf)
-
-
-def _evaluate(node, limit) -> np.ndarray:
-    """`eval_expression` for a model of total dimension `limit`: a node
-    whose `dim`, or a `kron` whose factor dimensions multiplied, exceed it
-    raise ModelParseError before the array is allocated."""
+def eval_expression(node, dim: int) -> np.ndarray:
+    """Evaluate an operator expression tree to a dense complex matrix, for
+    a model of total dimension `dim`: a node whose `dim`, or a `kron` whose
+    factor dimensions multiplied, exceed it raise ModelParseError before
+    the array is allocated."""
     if isinstance(node, list):
         return matrix_from_json(node)
     if not isinstance(node, dict) or "op" not in node:
@@ -216,17 +212,17 @@ def _evaluate(node, limit) -> np.ndarray:
     op = node["op"]
     try:
         if op == "sparse":
-            return _sparse_from_json(node, limit)
+            return _sparse_from_json(node, dim)
         if op == "identity":
-            return np.eye(_dim(node, limit), dtype=complex)
+            return np.eye(_dim(node, dim), dtype=complex)
         if op == "annihilator":
-            return fock_toolbox(_dim(node, limit) - 1).b.entries.copy()
+            return fock_toolbox(_dim(node, dim) - 1).b.entries.copy()
         if op == "creator":
-            return fock_toolbox(_dim(node, limit) - 1).b_dag.entries.copy()
+            return fock_toolbox(_dim(node, dim) - 1).b_dag.entries.copy()
         if op == "number":
-            return fock_toolbox(_dim(node, limit) - 1).number.entries.copy()
+            return fock_toolbox(_dim(node, dim) - 1).number.entries.copy()
         if op == "basis_matrix":
-            d = _dim(node, limit)
+            d = _dim(node, dim)
             i, j = _integer(node["row"], "row"), _integer(node["col"], "col")
             if not (0 <= i < d and 0 <= j < d):
                 raise ModelParseError(f"basis_matrix entry ({i}, {j}) outside dim {d}")
@@ -237,29 +233,29 @@ def _evaluate(node, limit) -> np.ndarray:
             args = node["args"]
             if len(args) < 2:
                 raise ModelParseError("kron needs >= 2 arguments")
-            out = _evaluate(args[0], limit)
+            out = eval_expression(args[0], dim)
             for arg in args[1:]:
-                x = _evaluate(arg, limit)
+                x = eval_expression(arg, dim)
                 shape = (out.shape[0] * x.shape[0], out.shape[1] * x.shape[1])
-                if max(shape) > limit:
+                if max(shape) > dim:
                     raise ModelParseError(
-                        f"kron shape {shape} exceeds the model dimension {limit}")
+                        f"kron shape {shape} exceeds the model dimension {dim}")
                 out = np.kron(out, x)
             return out
         if op == "scale":
             factor = _complex_from_pair(node["factor"], "scale factor")
-            return factor * _evaluate(node["arg"], limit)
+            return factor * eval_expression(node["arg"], dim)
         if op == "add":
-            args = [_evaluate(a, limit) for a in node["args"]]
+            args = [eval_expression(a, dim) for a in node["args"]]
             shapes = {a.shape for a in args}
             if len(shapes) != 1:
                 raise ModelParseError("add arguments must share a shape")
             return sum(args)
         if op == "adjoint":
-            return _evaluate(node["arg"], limit).conj().T
+            return eval_expression(node["arg"], dim).conj().T
         if op == "funcalc":
             return _funcalc(
-                node["name"], node.get("params", {}), _evaluate(node["arg"], limit)
+                node["name"], node.get("params", {}), eval_expression(node["arg"], dim)
             )
     except ModelParseError:
         raise
@@ -286,7 +282,7 @@ class ModelFile:
 
 
 def _operator(space: HilbertSpace, node, role: str) -> Operator:
-    m = _evaluate(node, space.total_dim)
+    m = eval_expression(node, space.total_dim)
     if m.shape != (space.total_dim, space.total_dim):
         raise ModelParseError(
             f"operator {role} has shape {m.shape}, expected square of "
@@ -298,22 +294,9 @@ def _operator(space: HilbertSpace, node, role: str) -> Operator:
         raise ModelParseError(f"operator {role}: {exc}") from exc
 
 
-def parse_model(doc: dict) -> ModelFile:
-    """Build a validated model from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ModelParseError("model document must be a JSON object")
-    try:
-        space = HilbertSpace(
-            _integer_list(doc["space"]["factor_dims"], "factor_dims")
-        )
-        n = _integer(doc["channels"], "channels")
-        ops = doc["operators"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelParseError(f"missing or malformed section: {exc}") from exc
-    if n < 1:
-        raise ModelParseError("channels must be >= 1")
-    if not isinstance(ops, dict) or not ops:
-        raise ModelParseError("operators section must be a nonempty object")
+def _family_and_pair(space: HilbertSpace, n: int, ops: dict, p0_node):
+    """The scaled family and the subspace pair of a model with the given
+    space and channel count n: every array of the model."""
 
     def get_list(role: str):
         block = ops.get(role)
@@ -338,15 +321,7 @@ def parse_model(doc: dict) -> ModelFile:
         tuple(_operator(space, w_block[i][j], f"W[{i}][{j}]") for j in range(n))
         for i in range(n)
     )
-    try:
-        family = ScaledFamily(
-            n=n, space=space, y=y, a=a, b=b,
-            f_ops=f_ops, g_ops=g_ops, w_ops=w_ops,
-        )
-    except ValueError as exc:
-        raise ModelParseError(str(exc)) from exc
-
-    p0_node = doc.get("p0")
+    family = ScaledFamily(y, a, b, f_ops, g_ops, w_ops)
     if p0_node is None:
         raise ModelParseError("model must declare the slow projection p0")
     try:
@@ -362,6 +337,32 @@ def parse_model(doc: dict) -> ModelFile:
             sub = SubspacePair(_operator(space, p0_node, "p0"))
     except (ValueError, TypeError, IndexError) as exc:
         raise ModelParseError(f"bad p0 section: {exc}") from exc
+    return family, sub
+
+
+def parse_model(doc: dict) -> ModelFile:
+    """Build a validated model from a parsed JSON document; a MemoryError
+    while its arrays are built becomes a ModelParseError."""
+    if not isinstance(doc, dict):
+        raise ModelParseError("model document must be a JSON object")
+    try:
+        space = HilbertSpace(
+            _integer_list(doc["space"]["factor_dims"], "factor_dims")
+        )
+        n = _integer(doc["channels"], "channels")
+        ops = doc["operators"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelParseError(f"missing or malformed section: {exc}") from exc
+    if n < 1:
+        raise ModelParseError("channels must be >= 1")
+    if not isinstance(ops, dict) or not ops:
+        raise ModelParseError("operators section must be a nonempty object")
+    try:
+        family, sub = _family_and_pair(space, n, ops, doc.get("p0"))
+    except MemoryError as exc:
+        raise ModelParseError(
+            f"model dimension {space.total_dim} too large to allocate: {exc}"
+        ) from exc
 
     study_doc = doc.get("study", {})
     if not isinstance(study_doc, dict):

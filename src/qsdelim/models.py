@@ -63,15 +63,17 @@ class Fixture:
     params: dict = field(default_factory=dict)
 
 
-def cavity_fixture(hprime_dim, cutoff, s, f, g, e00, e01, e10, e11) -> Fixture:
+def cavity_fixture(cutoff, s, f, g, e00, e01, e10, e11) -> Fixture:
     """Strongly damped oscillator coupled to a bounded auxiliary system.
 
     Builds Y = E11 (x) b^dag b, A = E10 (x) b^dag + E01 (x) b,
     B = E00 (x) I, F_i = F_i (x) b^dag, G_i = G_i (x) I, W_ij = S_ij (x) I
-    on hprime (x) oscillator, with the slow subspace hprime (x) vacuum.
-    The expected limit comes from the closed-form proposition coefficients.
+    on hprime (x) oscillator, with the slow subspace hprime (x) vacuum;
+    hprime is the space of E00.  The expected limit comes from the
+    closed-form proposition coefficients.
     """
     n = len(f)
+    hprime_dim = e00.space.total_dim
     fock = fock_toolbox(cutoff)
     space = HilbertSpace((hprime_dim, cutoff + 1))
 
@@ -83,8 +85,6 @@ def cavity_fixture(hprime_dim, cutoff, s, f, g, e00, e01, e10, e11) -> Fixture:
     b_low = tensor_embed(fock.b, 1, space)
 
     fam = ScaledFamily(
-        n=n,
-        space=space,
         y=up(e11) @ bb,
         a=up(e10) @ bd + up(e01) @ b_low,
         b=up(e00),
@@ -146,8 +146,6 @@ def duan_kimble_fixture(gamma: float, g: float, drive_alpha: complex,
     y = (-gamma / 2) * bb + g * (up(sig_m_plus) @ bd - up(sig_p_plus) @ b_low)
     a = up(alpha.conjugate() * sig_m_minus - alpha * sig_p_minus)
     fam = ScaledFamily(
-        n=1,
-        space=space,
         y=y,
         a=a,
         b=Operator.zero(space),
@@ -164,8 +162,7 @@ def duan_kimble_fixture(gamma: float, g: float, drive_alpha: complex,
     k_lim = (-abs(alpha) ** 2 * gamma / (2 * g ** 2)) * p_minus
     l_lim = (-alpha.conjugate() * math.sqrt(gamma) / g) * flip
     n_lim = Operator.identity(small) - 2 * p_minus
-    m_lim = -(n_lim @ l_lim.dag())
-    expected = QsdeCoefficients(1, small, k_lim, (l_lim,), (m_lim,), ((n_lim,),))
+    expected = QsdeCoefficients.unitary(k_lim, (l_lim,), ((n_lim,),))
     return Fixture(
         name="duan-kimble",
         family=fam,
@@ -207,8 +204,6 @@ def mirror_fixture(gamma: float, theta: float, omega: float,
     y = tensor_embed(fast_small, 0, space) @ tensor_embed(cavity.number, 1, space)
     b_coef = tensor_embed(1j * omega * (mirror.b_dag @ mirror.b), 0, space)
     fam = ScaledFamily(
-        n=1,
-        space=space,
         y=y,
         a=Operator.zero(space),
         b=b_coef,
@@ -223,13 +218,8 @@ def mirror_fixture(gamma: float, theta: float, omega: float,
     # Limit scattering: the damped Cayley transform of the displacement.
     small = mirror.space
     n_lim = Operator(small, damped_funcalc(x_small.entries, theta, gamma))
-    expected = QsdeCoefficients(
-        1,
-        small,
-        1j * omega * (mirror.b_dag @ mirror.b),
-        (Operator.zero(small),),
-        (Operator.zero(small),),
-        ((n_lim,),),
+    expected = QsdeCoefficients.unitary(
+        1j * omega * (mirror.b_dag @ mirror.b), (Operator.zero(small),), ((n_lim,),)
     )
     return Fixture(
         name="mirror",
@@ -261,9 +251,7 @@ def _driven_parts(fock: FockToolbox) -> tuple[Operator, Operator]:
 def _scattering_free_limit(h: Operator, l1: Operator) -> QsdeCoefficients:
     """K = iH - (1/2) L L^dag, M = -L^dag and N = I on the space of H."""
     k = 1j * h + (-0.5) * (l1 @ l1.dag())
-    return QsdeCoefficients(
-        1, h.space, k, (l1,), (-l1.dag(),), ((Operator.identity(h.space),),),
-    )
+    return QsdeCoefficients.unitary(k, (l1,), ((Operator.identity(h.space),),))
 
 
 def driven_oscillator_limit(cutoff: int) -> QsdeCoefficients:
@@ -296,8 +284,6 @@ def trivial_family_from_limit(limit: QsdeCoefficients) -> tuple[ScaledFamily, Su
     space = limit.space
     zero = Operator.zero(space)
     fam = ScaledFamily(
-        n=limit.n,
-        space=space,
         y=zero,
         a=zero,
         b=limit.k_op,
@@ -323,7 +309,7 @@ def _default_cavity() -> Fixture:
     e00 = (-0.5) * (g1 @ g1.dag()) + op(1j * np.diag([0.3, -0.2]))
     s = ((op(np.eye(2)),),)
     return cavity_fixture(
-        hprime_dim=2, cutoff=3, s=s, f=(f1,), g=(g1,),
+        cutoff=3, s=s, f=(f1,), g=(g1,),
         e00=e00, e01=e01, e10=e10, e11=e11,
     )
 

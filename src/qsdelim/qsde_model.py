@@ -4,7 +4,9 @@ A `QsdeCoefficients` is an assembled quadruple (K, L_i, M_i, N_ij) at one
 value of the scaling parameter (or in the limit).  A `ScaledFamily` is the
 singular-scaling decomposition K(k) = k^2 Y + k A + B, L_i(k) = k F_i + G_i,
 N_ij(k) = W_ij; M is never stored for a family because the unitarity
-relations determine it completely.
+relations determine it completely: M_i = -sum_j N_ij L_j^*, the M of
+`QsdeCoefficients.unitary`.  Both hold only their operators and read the
+channel count n and the space from them (`_check_shapes`).
 
 Validators never raise on a failed relation; they return a report with one
 entry per relation group, where the violation is the spectral norm of the
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -42,44 +45,61 @@ from .operator_core import (
 _EPS = np.finfo(float).eps
 
 
-def _check_family(space: HilbertSpace, n: int, ops):
-    if n < 1:
+def _check_shapes(c, lists: tuple[str, str], grid: str) -> None:
+    """Store the operator lists and the grid of the coefficient set c, the
+    fields named `lists` and `grid`, as tuples; ValueError unless c has
+    n >= 1 channels (n = c.n, the grid's row count), n operators in each
+    list, an n x n grid, and every operator on c.space."""
+    for name in lists:
+        object.__setattr__(c, name, tuple(getattr(c, name)))
+    object.__setattr__(c, grid, tuple(map(tuple, getattr(c, grid))))
+    if c.n < 1:
         raise ValueError("channel count must be >= 1")
-    for op in ops:
-        if op.space != space:
-            raise ValueError("all coefficients must share one space")
+    if any(len(getattr(c, name)) != c.n for name in lists):
+        raise ValueError("need exactly n %s and %s operators"
+                         % tuple(name[0].upper() for name in lists))
+    if any(len(row) != c.n for row in getattr(c, grid)):
+        raise ValueError(f"{grid[0].upper()} must be an n x n grid")
+    if any(op.space != c.space for op in c._operators()):
+        raise ValueError("all coefficients must share one space")
 
 
 @dataclass(frozen=True)
 class QsdeCoefficients:
     """Assembled Hudson-Parthasarathy coefficient quadruple."""
 
-    n: int
-    space: HilbertSpace
     k_op: Operator
     l_ops: tuple[Operator, ...]
     m_ops: tuple[Operator, ...]
     n_ops: tuple[tuple[Operator, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l_ops", tuple(self.l_ops))
-        object.__setattr__(self, "m_ops", tuple(self.m_ops))
-        object.__setattr__(self, "n_ops", tuple(tuple(row) for row in self.n_ops))
-        if len(self.l_ops) != self.n or len(self.m_ops) != self.n:
-            raise ValueError("need exactly n L and M operators")
-        if len(self.n_ops) != self.n or any(len(r) != self.n for r in self.n_ops):
-            raise ValueError("N must be an n x n grid")
-        flat = [self.k_op, *self.l_ops, *self.m_ops]
-        flat += [op for row in self.n_ops for op in row]
-        _check_family(self.space, self.n, flat)
+        _check_shapes(self, ("l_ops", "m_ops"), "n_ops")
+
+    @property
+    def n(self) -> int:
+        return len(self.n_ops)
+
+    @property
+    def space(self) -> HilbertSpace:
+        return self.k_op.space
+
+    @classmethod
+    def unitary(cls, k_op: Operator, l_ops, n_ops) -> "QsdeCoefficients":
+        """The quadruple with M_i = -sum_j N_ij L_j^*, the M that the
+        unitarity relations force (`_m_from_unitarity`)."""
+        c = cls(k_op, l_ops, l_ops, n_ops)  # checks the shapes; M's are L's
+        object.__setattr__(c, "m_ops", _m_from_unitarity(c.n_ops, c.l_ops))
+        return c
+
+    def _operators(self) -> list[Operator]:
+        return [self.k_op, *self.l_ops, *self.m_ops, *chain(*self.n_ops)]
 
 
 @dataclass(frozen=True)
 class ScaledFamily:
     """Singular-scaling decomposition of a prelimit coefficient family."""
 
-    n: int
-    space: HilbertSpace
     y: Operator
     a: Operator
     b: Operator
@@ -88,16 +108,18 @@ class ScaledFamily:
     w_ops: tuple[tuple[Operator, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "f_ops", tuple(self.f_ops))
-        object.__setattr__(self, "g_ops", tuple(self.g_ops))
-        object.__setattr__(self, "w_ops", tuple(tuple(row) for row in self.w_ops))
-        if len(self.f_ops) != self.n or len(self.g_ops) != self.n:
-            raise ValueError("need exactly n F and G operators")
-        if len(self.w_ops) != self.n or any(len(r) != self.n for r in self.w_ops):
-            raise ValueError("W must be an n x n grid")
-        flat = [self.y, self.a, self.b, *self.f_ops, *self.g_ops]
-        flat += [op for row in self.w_ops for op in row]
-        _check_family(self.space, self.n, flat)
+        _check_shapes(self, ("f_ops", "g_ops"), "w_ops")
+
+    @property
+    def n(self) -> int:
+        return len(self.w_ops)
+
+    @property
+    def space(self) -> HilbertSpace:
+        return self.y.space
+
+    def _operators(self) -> list[Operator]:
+        return [self.y, self.a, self.b, *self.f_ops, *self.g_ops, *chain(*self.w_ops)]
 
 
 class CheckResult:
@@ -215,10 +237,7 @@ def assemble(fam: ScaledFamily, k: float) -> QsdeCoefficients:
     (k,) = _k_values((float(k),))
     k_op = (k * k) * fam.y + k * fam.a + fam.b
     l_ops = tuple(k * f + g for f, g in zip(fam.f_ops, fam.g_ops))
-    return QsdeCoefficients(
-        fam.n, fam.space, k_op, l_ops, _m_from_unitarity(fam.w_ops, l_ops),
-        fam.w_ops,
-    )
+    return QsdeCoefficients.unitary(k_op, l_ops, fam.w_ops)
 
 
 def _m_from_unitarity(w_ops, l_ops) -> tuple[Operator, ...]:
@@ -306,9 +325,7 @@ def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationRepo
     k_defect = _relation(c.k_op.entries, (l @ _dagger(l) for l in ls if l.any()))
     m_defects = [m.entries - forced.entries
                  for m, forced in zip(c.m_ops, _m_from_unitarity(c.n_ops, c.l_ops))]
-    scale = _Norms(
-        [c.k_op, *c.l_ops, *c.m_ops, *(op for row in c.n_ops for op in row)], 1.0
-    )
+    scale = _Norms(c._operators(), 1.0)
     return ValidationReport((
         _check("hp.k", k_defect, tol, scale),
         _check("hp.m", _Norms(m_defects), tol, scale),
@@ -331,11 +348,7 @@ def scaled_hp_validate(fam: ScaledFamily, tol: float = DEFAULT_TOL) -> Validatio
         )),
         _relation(fam.b.entries, (g @ _dagger(g) for g in gs if g.any())),
     )
-    scale = _Norms(
-        [fam.y, fam.a, fam.b, *fam.f_ops, *fam.g_ops,
-         *(op for row in fam.w_ops for op in row)],
-        1.0,
-    )
+    scale = _Norms(fam._operators(), 1.0)
     return ValidationReport((
         *(_check(name, defect, tol, scale)
           for name, defect in zip(("scaled.y", "scaled.a", "scaled.b"), defects)),

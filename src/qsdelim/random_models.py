@@ -56,6 +56,6 @@ def random_structured_fixture(rng: np.random.Generator, hprime_dim: int = 3,
         + op(1j * _hermitian(rng, hprime_dim, 0.5))
     s = _unitary_grid(rng, hp, n)
     return cavity_fixture(
-        hprime_dim=hprime_dim, cutoff=cutoff, s=s, f=tuple(f), g=tuple(g),
+        cutoff=cutoff, s=s, f=tuple(f), g=tuple(g),
         e00=e00, e01=e01, e10=e10, e11=e11,
     )

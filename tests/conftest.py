@@ -69,7 +69,7 @@ def osc_qubit_fixture():
         return tensor_embed(op, 0, space)
 
     limit = QsdeCoefficients(
-        1, space, up(osc.k_op), (up(osc.l_ops[0]),), (up(osc.m_ops[0]),),
+        up(osc.k_op), (up(osc.l_ops[0]),), (up(osc.m_ops[0]),),
         ((up(osc.n_ops[0][0]),),),
     )
     fam, sub = trivial_family_from_limit(limit)

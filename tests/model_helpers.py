@@ -19,7 +19,6 @@ import numpy as np
 from qsdelim import (
     HilbertSpace, Operator, QsdeCoefficients, ScaledFamily, SubspacePair,
 )
-from qsdelim.qsde_model import _m_from_unitarity
 from qsdelim.random_models import _ginibre, _hermitian, _unitary_grid
 from qsdelim.semigroup import _dressed_products
 
@@ -37,7 +36,7 @@ def random_scaled_family(rng: np.random.Generator, dim: int, n: int = 1) -> Scal
     b = (-0.5) * sum((gi @ gi.dag() for gi in g), zero) \
         + Operator(space, 1j * _hermitian(rng, dim))
     return ScaledFamily(
-        n=n, space=space, y=y, a=a, b=b,
+        y=y, a=a, b=b,
         f_ops=tuple(f), g_ops=tuple(g), w_ops=_unitary_grid(rng, space, n),
     )
 
@@ -50,9 +49,7 @@ def random_hp_coefficients(rng: np.random.Generator, dim: int, n: int = 1) -> Qs
     zero = Operator.zero(space)
     k = Operator(space, 1j * _hermitian(rng, dim)) \
         + (-0.5) * sum((l @ l.dag() for l in l_ops), zero)
-    return QsdeCoefficients(
-        n, space, k, l_ops, _m_from_unitarity(n_ops, l_ops), n_ops
-    )
+    return QsdeCoefficients.unitary(k, l_ops, n_ops)
 
 
 def duan_kimble_fast_blocks(gamma: float, g: float, cutoff: int):

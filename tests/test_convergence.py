@@ -336,7 +336,7 @@ class TestTruncationStudy:
 
         space = HilbertSpace((6,))
         bad = QsdeCoefficients(
-            1, space, Operator.zero(space), (Operator.zero(space),),
+            Operator.zero(space), (Operator.zero(space),),
             (Operator.zero(space),),
             ((Operator(space, np.diag(np.exp(1j * np.arange(6)))),),),
         )

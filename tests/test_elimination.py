@@ -106,7 +106,7 @@ class TestSymmetries:
         fam = fix.family
         u = np.exp(0.7j)
         rotated = ScaledFamily(
-            fam.n, fam.space, fam.y, fam.a, fam.b, fam.f_ops, fam.g_ops,
+            fam.y, fam.a, fam.b, fam.f_ops, fam.g_ops,
             tuple(tuple(u * w for w in row) for row in fam.w_ops),
         )
         base = eliminate(fam, fix.sub).limit
@@ -123,7 +123,7 @@ class TestSymmetries:
         fam = fix.family
         c = 1.7
         scaled = ScaledFamily(
-            fam.n, fam.space, (c * c) * fam.y, c * fam.a, fam.b,
+            (c * c) * fam.y, c * fam.a, fam.b,
             tuple(c * f for f in fam.f_ops), fam.g_ops, fam.w_ops,
         )
         base = eliminate(fam, fix.sub).limit
@@ -136,7 +136,7 @@ class TestPreconditionsAndEmbedding:
         fix = random_structured_fixture(rng)
         fam = fix.family
         bad = ScaledFamily(
-            fam.n, fam.space, fam.y, fam.a + 0.2j * fix.sub.p0, fam.b,
+            fam.y, fam.a + 0.2j * fix.sub.p0, fam.b,
             fam.f_ops, fam.g_ops, fam.w_ops,
         )
         with pytest.raises(PreconditionFailed) as err:
@@ -148,7 +148,7 @@ class TestPreconditionsAndEmbedding:
         fix = random_structured_fixture(rng)
         fam = fix.family
         bad = ScaledFamily(
-            fam.n, fam.space, fam.y + 0.1 * Operator.identity(fam.space),
+            fam.y + 0.1 * Operator.identity(fam.space),
             fam.a, fam.b, fam.f_ops, fam.g_ops, fam.w_ops,
         )
         with pytest.raises(PreconditionFailed):

@@ -338,8 +338,8 @@ def _reference_sparse_node(m, rng):
             "re": re, "im": im}, len(kept)
 
 
-def _json_round_trip(node):
-    return eval_expression(json.loads(json.dumps(node)))
+def _json_round_trip(node, dim):
+    return eval_expression(json.loads(json.dumps(node)), dim)
 
 
 class TestSparseNode:
@@ -348,8 +348,8 @@ class TestSparseNode:
     def test_dense_and_sparse_encodings_decode_to_the_same_bits(self, drawn):
         m, rng = drawn
         node, stored = _reference_sparse_node(m, rng)
-        dense = _json_round_trip(matrix_to_json(m))
-        sparse = _json_round_trip(node)
+        dense = _json_round_trip(matrix_to_json(m), len(m))
+        sparse = _json_round_trip(node, len(m))
         assert sparse.dtype == np.complex128 and sparse.shape == m.shape
         assert np.array_equal(_bits(dense), _bits(m))
         assert np.array_equal(_bits(sparse), _bits(m))
@@ -362,7 +362,7 @@ class TestSparseNode:
                 zip(node["row"], node["col"]))
         else:
             assert emitted == matrix_to_json(m)
-        assert np.array_equal(_bits(_json_round_trip(emitted)), _bits(m))
+        assert np.array_equal(_bits(_json_round_trip(emitted, len(m))), _bits(m))
 
     @pytest.mark.parametrize("entries, op", [
         ([1.0, 0.0, 0.0, 0.0], "sparse"),
@@ -374,7 +374,7 @@ class TestSparseNode:
         m = np.array(entries, dtype=complex).reshape(2, 2)
         emitted = operator_to_json(m)
         assert (emitted["op"] if isinstance(emitted, dict) else "dense") == op
-        assert np.array_equal(_bits(_json_round_trip(emitted)), _bits(m))
+        assert np.array_equal(_bits(_json_round_trip(emitted, 2)), _bits(m))
 
     @pytest.mark.parametrize("name", [
         "duan-kimble", "cavity", "mirror", "truncation-demo",
@@ -401,7 +401,7 @@ class TestSparseNode:
         owns its data, and an Operator freezes that buffer in place."""
         node = {"op": "sparse", "dim": 5, "row": [0, 4, 2], "col": [1, 4, 0],
                 "re": [1.5, -0.0, 2.0], "im": [-0.0, 3.0, 0.0]}
-        m = _json_round_trip(node)
+        m = _json_round_trip(node, 5)
         assert m.dtype == np.complex128 and m.flags.c_contiguous
         assert m.flags.owndata and m.base is None
         op = Operator(HilbertSpace((5,)), m)
@@ -777,7 +777,7 @@ class TestStudiesReuseTheLimitSide:
         ks = (2.0, 8.0, 64.0)
         v = result.sub.slow_basis
         u = v @ (np.ones(v.shape[1]) / np.sqrt(v.shape[1]))
-        report = generator_study(result, self.AMP, ks, u=u)
+        report = generator_study(result, self.AMP, ks)
         cor = kurtz_corrector(result, self.AMP, u)
         per_k = [generator_residual(cor, k) for k in ks]
         assert np.array_equal(_bits(np.array(report.values)), _bits(np.array(per_k)))
@@ -1443,7 +1443,7 @@ def _reference_projection_truncation(fam, cutoffs, amp, T, grid_points):
         proj = Operator(limit.space, p)
         l_c = tuple(proj @ l @ proj for l in limit.l_ops)
         return QsdeCoefficients(
-            limit.n, limit.space, proj @ limit.k_op @ proj, l_c,
+            proj @ limit.k_op @ proj, l_c,
             tuple(-l.dag() for l in l_c), limit.n_ops,
         )
 
@@ -1467,7 +1467,7 @@ def _reference_slicing_truncation(fam, cutoffs, amp, T, grid_points):
             return Operator(fam.space, np.pad(kept, (0, d - cutoff - 1)))
 
         l_c = tuple(block(g) for g in fam.g_ops)
-        return QsdeCoefficients(fam.n, fam.space, block(fam.b), l_c,
+        return QsdeCoefficients(block(fam.b), l_c,
                                 tuple(-l.dag() for l in l_c), fam.w_ops)
 
     window = np.eye(d, cutoffs[0] + 1)
@@ -1496,7 +1496,7 @@ def _reference_quadruple_truncation(fam, cutoffs, amp, T, grid_points):
 
         l_c = tuple(block(g) for g in fam.g_ops)
         coeffs = QsdeCoefficients(
-            fam.n, space, block(fam.b), l_c, tuple(-l.dag() for l in l_c),
+            block(fam.b), l_c, tuple(-l.dag() for l in l_c),
             tuple(tuple(block(w) for w in row) for row in fam.w_ops),
         )
         grid = np.zeros((grid_points, rows, width), dtype=np.complex128)
@@ -1528,7 +1528,7 @@ def _two_channel_padded_family():
 
     zero, ident = Operator.zero(space), Operator.identity(space)
     return ScaledFamily(
-        2, space, zero, zero, padded(small.b), (zero, zero),
+        zero, zero, padded(small.b), (zero, zero),
         tuple(map(padded, small.g_ops)),
         ((ident, zero), (zero, ident)),
     )
@@ -1693,7 +1693,7 @@ class TestTruncationBlockForm:
         g = np.zeros((4, 4))
         g[row, col] = 0.8
         limit = QsdeCoefficients(
-            1, space, Operator(space, -0.5 * g @ g.T), (Operator(space, g),),
+            Operator(space, -0.5 * g @ g.T), (Operator(space, g),),
             (Operator(space, -g.T),), ((Operator.identity(space),),),
         )
         fam = trivial_family_from_limit(limit)[0]
@@ -2591,7 +2591,7 @@ class TestUnitarityGateFromOneGram:
         want = _reference_stacked_unitarity_defect(grid)
         assert qsde_model._unitarity_defect(grid).upper >= want
         zero = Operator.zero(space)
-        fam = ScaledFamily(n, space, zero, zero, zero, (zero,) * n, (zero,) * n,
+        fam = ScaledFamily(zero, zero, zero, (zero,) * n, (zero,) * n,
                            grid)
         scale = _reference_max_norm([op for row in grid for op in row], 1.0)
         check = scaled_hp_validate(fam, tol)["scaled.w"]

@@ -64,7 +64,7 @@ def _truncation_reference(limit_family, cutoffs, amp, T, grid_points):
         proj = Operator(limit_family.space, p)
         l_c = tuple(proj @ l @ proj for l in limit_family.l_ops)
         return QsdeCoefficients(
-            limit_family.n, limit_family.space, proj @ limit_family.k_op @ proj,
+            proj @ limit_family.k_op @ proj,
             l_c, tuple(-l.dag() for l in l_c), limit_family.n_ops,
         )
 

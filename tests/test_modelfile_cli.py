@@ -49,20 +49,20 @@ class TestExpressionTrees:
     def test_oscillator_primitives(self):
         fock = fock_toolbox(3)
         assert np.array_equal(
-            eval_expression({"op": "annihilator", "dim": 4}), fock.b.entries
+            eval_expression({"op": "annihilator", "dim": 4}, 4), fock.b.entries
         )
         assert np.array_equal(
-            eval_expression({"op": "creator", "dim": 4}), fock.b_dag.entries
+            eval_expression({"op": "creator", "dim": 4}, 4), fock.b_dag.entries
         )
         assert np.array_equal(
-            eval_expression({"op": "number", "dim": 4}), fock.number.entries
+            eval_expression({"op": "number", "dim": 4}, 4), fock.number.entries
         )
         assert np.array_equal(
-            eval_expression({"op": "identity", "dim": 3}), np.eye(3)
+            eval_expression({"op": "identity", "dim": 3}, 3), np.eye(3)
         )
 
     def test_basis_matrix(self):
-        m = eval_expression({"op": "basis_matrix", "dim": 3, "row": 0, "col": 2})
+        m = eval_expression({"op": "basis_matrix", "dim": 3, "row": 0, "col": 2}, 3)
         expect = np.zeros((3, 3))
         expect[0, 2] = 1.0
         assert np.array_equal(m, expect)
@@ -99,7 +99,7 @@ class TestExpressionTrees:
                 },
             ],
         }
-        got = eval_expression(node)
+        got = eval_expression(node, 6)
         base = 2j * np.kron(
             np.array([[0, 1], [0, 0]]), fock_toolbox(2).b.entries
         )
@@ -114,7 +114,7 @@ class TestExpressionTrees:
             "params": {"theta": 0.5, "gamma": 1.0},
             "arg": matrix_to_json(x),
         }
-        got = eval_expression(node)
+        got = eval_expression(node, 5)
         oracle = (1j * 0.5 * x + 0.5 * np.eye(5)) @ np.linalg.inv(
             1j * 0.5 * x - 0.5 * np.eye(5)
         )
@@ -129,16 +129,23 @@ class TestExpressionTrees:
             "arg": matrix_to_json(fock_toolbox(2).b.entries),
         }
         with pytest.raises(ModelParseError):
-            eval_expression(node)
+            eval_expression(node, 3)
 
     def test_unknown_ops_rejected(self):
         with pytest.raises(ModelParseError):
-            eval_expression({"op": "matrix_power", "arg": [[[1.0, 0.0]]]})
+            eval_expression({"op": "matrix_power", "arg": [[[1.0, 0.0]]]}, 1)
         with pytest.raises(ModelParseError):
             eval_expression({"op": "funcalc", "name": "nope",
-                             "arg": matrix_to_json(np.eye(2))})
+                             "arg": matrix_to_json(np.eye(2))}, 2)
         with pytest.raises(ModelParseError):
-            eval_expression("not an expression")
+            eval_expression("not an expression", 1)
+
+    def test_node_past_the_dimension_rejected_before_allocation(self):
+        """Evaluated with no size bound, this node died in numpy's
+        MemoryError ("Unable to allocate 1.42 PiB")."""
+        with pytest.raises(ModelParseError,
+                           match="dim 10000000 exceeds the model dimension 15"):
+            eval_expression({"op": "identity", "dim": 10**7}, 15)
 
 
 class TestModelRoundTrip:
@@ -798,6 +805,21 @@ class TestRejectedInputsExit2:
         path = tmp_path / "bad.json"
         assert main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_dimension_too_large_to_allocate(self, tmp_path, capsys):
+        """A model of dimension 10**7, whose arrays numpy refuses at once,
+        exits 2 naming the dimension; it once died in _sparse_from_json
+        with numpy's _ArrayMemoryError, a traceback and exit 1."""
+        node = {"op": "sparse", "dim": 10**7, "row": [0], "col": [0],
+                "re": [0.0], "im": [0.0]}
+        doc = {"space": {"factor_dims": [10**7]}, "channels": 1,
+               "operators": {"Y": node, "A": node, "B": node, "F": [node],
+                             "G": [node], "W": [[node]]},
+               "p0": {"basis_indices": [0]}}
+        self._assert_rejected(doc, tmp_path, capsys)
+        assert main(["validate", str(tmp_path / "bad.json")]) == 2
+        assert ("model dimension 10000000 too large to allocate"
+                in capsys.readouterr().err)
 
     # Each edit once ran: a boolean or a numeric string was read as a
     # number (`true` as 1.0, `"1"` as 1), and a `params` list crashed.

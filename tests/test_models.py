@@ -138,7 +138,7 @@ class TestMirrorDetails:
         assert np.array_equal(fix.expected_limit.n_ops[0][0].entries, want)
         node = {"op": "funcalc", "name": "damped_cayley",
                 "params": {"theta": 0.5, "gamma": 1.0}, "arg": matrix_to_json(x)}
-        assert np.array_equal(eval_expression(node), want)
+        assert np.array_equal(eval_expression(node, 9), want)
 
     def test_elimination_exact_at_small_cavity_cutoff(self):
         for cavity_cutoff in (2, 4):

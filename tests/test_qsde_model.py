@@ -25,6 +25,9 @@ from qsdelim import (
     structural_validate,
 )
 
+from qsdelim.qsde_model import _m_from_unitarity
+from qsdelim.random_models import _ginibre, _unitary_grid
+
 from model_helpers import random_hp_coefficients, random_scaled_family
 
 
@@ -33,22 +36,37 @@ class TestDataclasses:
         space = HilbertSpace((2,))
         ident = Operator.identity(space)
         with pytest.raises(ValueError):
-            QsdeCoefficients(2, space, ident, (ident,), (ident, ident),
+            QsdeCoefficients(ident, (ident,), (ident, ident),
                              ((ident, ident), (ident, ident)))
         with pytest.raises(ValueError):
-            ScaledFamily(0, space, ident, ident, ident, (), (), ())
+            ScaledFamily(ident, ident, ident, (), (), ())
 
-    # Each family built on I, the identity of C^2, with one list too short.
+    @pytest.mark.parametrize("build", [
+        lambda i: QsdeCoefficients(i, (), (), ()),
+        lambda i: ScaledFamily(i, i, i, (), (), ()),
+    ], ids=["QsdeCoefficients", "ScaledFamily"])
+    def test_zero_channels_rejected(self, build):
+        with pytest.raises(ValueError, match="channel count must be >= 1"):
+            build(Operator.identity(HilbertSpace((2,))))
+
+    # Each set built on I, the identity of C^2, with one list too short or
+    # a grid that is not n x n.
     @pytest.mark.parametrize("build, match", [
-        (lambda i: ScaledFamily(1, i.space, i, i, i, (), (i,), ((i,),)),
+        (lambda i: ScaledFamily(i, i, i, (), (i,), ((i,),)),
          "exactly n F and G"),
-        (lambda i: ScaledFamily(1, i.space, i, i, i, (i,), (), ((i,),)),
+        (lambda i: ScaledFamily(i, i, i, (i,), (), ((i,),)),
          "exactly n F and G"),
-        (lambda i: ScaledFamily(1, i.space, i, i, i, (i,), (i,), ((),)),
+        (lambda i: ScaledFamily(i, i, i, (i,), (i,), ((),)),
          "W must be an n x n grid"),
-        (lambda i: QsdeCoefficients(1, i.space, i, (i,), (i,), ((),)),
+        (lambda i: QsdeCoefficients(i, (i,), (i,), ((),)),
          "N must be an n x n grid"),
-    ], ids=["F", "G", "W", "N"])
+        (lambda i: QsdeCoefficients(i, (), (i,), ((i,),)), "exactly n L and M"),
+        (lambda i: QsdeCoefficients(i, (i,), (), ((i,),)), "exactly n L and M"),
+        (lambda i: QsdeCoefficients(i, (i, i), (i, i), ((i,), (i,))),
+         "N must be an n x n grid"),
+        (lambda i: ScaledFamily(i, i, i, (i,), (i,), ((i, i),)),
+         "W must be an n x n grid"),
+    ], ids=["F", "G", "W", "N", "L", "M", "N-2x1", "W-1x2"])
     def test_short_operator_lists_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build(Operator.identity(HilbertSpace((2,))))
@@ -57,9 +75,53 @@ class TestDataclasses:
         s2, s3 = HilbertSpace((2,)), HilbertSpace((3,))
         with pytest.raises(ValueError):
             QsdeCoefficients(
-                1, s2, Operator.identity(s2), (Operator.identity(s3),),
+                Operator.identity(s2), (Operator.identity(s3),),
                 (Operator.identity(s2),), ((Operator.identity(s2),),),
             )
+
+    # One operator on C^3 (j), the others on C^2 (i).
+    @pytest.mark.parametrize("build", [
+        lambda i, j: QsdeCoefficients(j, (i,), (i,), ((i,),)),
+        lambda i, j: QsdeCoefficients(i, (j,), (i,), ((i,),)),
+        lambda i, j: QsdeCoefficients(i, (i,), (j,), ((i,),)),
+        lambda i, j: QsdeCoefficients(i, (i,), (i,), ((j,),)),
+        lambda i, j: ScaledFamily(j, i, i, (i,), (i,), ((i,),)),
+        lambda i, j: ScaledFamily(i, j, i, (i,), (i,), ((i,),)),
+        lambda i, j: ScaledFamily(i, i, j, (i,), (i,), ((i,),)),
+        lambda i, j: ScaledFamily(i, i, i, (j,), (i,), ((i,),)),
+        lambda i, j: ScaledFamily(i, i, i, (i,), (j,), ((i,),)),
+        lambda i, j: ScaledFamily(i, i, i, (i,), (i,), ((j,),)),
+    ], ids=["K", "L", "M", "N", "Y", "A", "B", "F", "G", "W"])
+    def test_operator_on_another_space_rejected(self, build):
+        i, j = (Operator.identity(HilbertSpace((d,))) for d in (2, 3))
+        with pytest.raises(ValueError, match="share one space"):
+            build(i, j)
+
+    def test_n_and_space_read_from_the_operators(self, rng):
+        fam = random_scaled_family(rng, 3, n=2)
+        assert (fam.n, fam.space) == (2, HilbertSpace((3,)))
+        c = assemble(fam, 2.0)
+        assert (c.n, c.space) == (2, HilbertSpace((3,)))
+
+
+class TestForcedM:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("trivial", [True, False], ids=["N=I", "N unitary"])
+    def test_unitary_takes_the_forced_m(self, rng, n, trivial):
+        """`QsdeCoefficients.unitary` stores the bits of `_m_from_unitarity`,
+        so `hp_validate` reads its M relation as exactly 0.0."""
+        space = HilbertSpace((3,))
+        l_ops = tuple(Operator(space, _ginibre(rng, 3)) for _ in range(n))
+        if trivial:
+            n_ops = tuple(tuple(Operator.identity(space) if i == j
+                                else Operator.zero(space) for j in range(n))
+                          for i in range(n))
+        else:
+            n_ops = _unitary_grid(rng, space, n)
+        c = QsdeCoefficients.unitary(Operator(space, _ginibre(rng, 3)), l_ops, n_ops)
+        for got, want in zip(c.m_ops, _m_from_unitarity(n_ops, l_ops), strict=True):
+            assert got.entries.tobytes() == want.entries.tobytes()
+        assert hp_validate(c)["hp.m"].max_violation == 0.0
 
 
 class TestValidators:
@@ -83,7 +145,7 @@ class TestValidators:
         assert base < 1e-12
         eps = 1e-3
         shifted = QsdeCoefficients(
-            c.n, c.space, c.k_op + eps * Operator.identity(c.space),
+            c.k_op + eps * Operator.identity(c.space),
             c.l_ops, c.m_ops, c.n_ops,
         )
         report = hp_validate(shifted)
@@ -96,7 +158,7 @@ class TestValidators:
         eps = 5e-4
         bad_m = (c.m_ops[0] + eps * Operator.identity(c.space),)
         report = hp_validate(
-            QsdeCoefficients(c.n, c.space, c.k_op, c.l_ops, bad_m, c.n_ops)
+            QsdeCoefficients(c.k_op, c.l_ops, bad_m, c.n_ops)
         )
         assert report["hp.m"].max_violation == pytest.approx(eps, abs=1e-12)
         assert not report["hp.m"].passed
@@ -105,7 +167,7 @@ class TestValidators:
         c = random_hp_coefficients(rng, 4)
         bad_n = ((1.001 * c.n_ops[0][0],),)
         report = hp_validate(
-            QsdeCoefficients(c.n, c.space, c.k_op, c.l_ops, c.m_ops, bad_n)
+            QsdeCoefficients(c.k_op, c.l_ops, c.m_ops, bad_n)
         )
         # (1+e)^2 - 1 ~ 2e in the isometry defect
         assert report["hp.n"].max_violation == pytest.approx(0.002001, abs=1e-9)
@@ -116,9 +178,8 @@ class TestValidators:
         eps = 1e-3
         for attr, check in (("y", "scaled.y"), ("a", "scaled.a"), ("b", "scaled.b")):
             fields = {
-                "n": fam.n, "space": fam.space, "y": fam.y, "a": fam.a,
-                "b": fam.b, "f_ops": fam.f_ops, "g_ops": fam.g_ops,
-                "w_ops": fam.w_ops,
+                "y": fam.y, "a": fam.a, "b": fam.b, "f_ops": fam.f_ops,
+                "g_ops": fam.g_ops, "w_ops": fam.w_ops,
             }
             fields[attr] = fields[attr] + eps * Operator.identity(fam.space)
             report = scaled_hp_validate(ScaledFamily(**fields))
@@ -132,7 +193,7 @@ class TestValidators:
     def test_validator_monotone_in_tolerance(self, rng):
         fam = random_scaled_family(rng, 4)
         bad = ScaledFamily(
-            fam.n, fam.space, fam.y + 1e-6 * Operator.identity(fam.space),
+            fam.y + 1e-6 * Operator.identity(fam.space),
             fam.a, fam.b, fam.f_ops, fam.g_ops, fam.w_ops,
         )
         assert not scaled_hp_validate(bad, tol=1e-9).overall
@@ -189,7 +250,7 @@ class TestStructuralValidate:
         fix = random_structured_fixture(rng)
         fam = fix.family
         bad = ScaledFamily(
-            fam.n, fam.space, fam.y, fam.a + 0.01j * fix.sub.p0, fam.b,
+            fam.y, fam.a + 0.01j * fix.sub.p0, fam.b,
             fam.f_ops, fam.g_ops, fam.w_ops,
         )
         report = structural_validate(bad, fix.sub)
@@ -206,7 +267,7 @@ class TestStructuralValidate:
         y = Operator(space, np.diag([0.0, 0.0, -1.0]))
         f1 = Operator.zero(space)
         fam = ScaledFamily(
-            1, space, y + (-0.0) * y, Operator.zero(space), Operator.zero(space),
+            y + (-0.0) * y, Operator.zero(space), Operator.zero(space),
             (f1,), (f1,), ((Operator.identity(space),),),
         )
         report = structural_validate(fam, sub)
@@ -217,7 +278,7 @@ class TestStructuralValidate:
         fix = random_structured_fixture(rng)
         fam = fix.family
         bad = ScaledFamily(
-            fam.n, fam.space, fam.y + 0.05j * fix.sub.p0, fam.a, fam.b,
+            fam.y + 0.05j * fix.sub.p0, fam.a, fam.b,
             fam.f_ops, fam.g_ops, fam.w_ops,
         )
         report = structural_validate(bad, fix.sub)

@@ -145,7 +145,7 @@ class TestGeneratorAndDissipativity:
         base = dissipativity_check(c, amp)
         eps = 0.1
         shifted = QsdeCoefficients(
-            c.n, c.space, c.k_op + eps * Operator.identity(c.space),
+            c.k_op + eps * Operator.identity(c.space),
             c.l_ops, c.m_ops, c.n_ops,
         )
         assert dissipativity_check(shifted, amp) == pytest.approx(
@@ -223,7 +223,7 @@ class TestMatrixElements:
 
         space = HilbertSpace((2,))
         c = QsdeCoefficients(
-            1, space, Operator.zero(space), (Operator.zero(space),),
+            Operator.zero(space), (Operator.zero(space),),
             (Operator.zero(space),), ((Operator.identity(space),),),
         )
         t = 1.0

@@ -10,7 +10,10 @@ a checkout of the parent commit and this tree's ``src``.  The inputs of
 every benchmark workload are built once per seed (0 and 3) with
 ``bench/inputs.py`` of this checkout, and every job of their
 ``manifest.json`` runs on both trees, followed by ``FIXED``: the CI's
-example studies on bundled fixtures and their rejected inputs.
+example studies on bundled fixtures and on the models that
+``tools/ci_models.py`` of this checkout writes once ("{models}" in an
+argument), and their rejected inputs.  ``huge.json`` is left out: a tree
+from before its exit-2 rule crashes on it with a traceback.
 
 Each command is a fresh ``python -m qsdelim.cli`` process with
 ``PYTHONPATH`` set to the tree and one BLAS, OpenMP and MKL thread, since
@@ -37,6 +40,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(ROOT, "bench", "inputs.py")
+CI_MODELS = os.path.join(ROOT, "tools", "ci_models.py")
 SEEDS = (0, 3)
 THREADS = {var: "1" for var in
            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -58,12 +62,26 @@ FIXED = (
      "--csv", "sgk.csv", "--report", "sgk.json"),
     ("--verbose", "semigroup", "duan-kimble", "--k", "16", "--T", "2", "--grid", "64"),
     ("semigroup", "duan-kimble", "--grid", "64", "--csv", "sgl.csv"),
+    ("validate", "{models}/rotated.json"),
+    ("eliminate", "{models}/rotated.json"),
+    ("converge", "{models}/rotated.json", "--kind", "generator"),
+    ("converge", "{models}/rotated.json", "--kind", "generator", *AMP),
+    ("converge", "{models}/rotated.json", "--kind", "semigroup",
+     "--k", "2", "4", "8", "16", "--grid", "16"),
     # exit 1: failed preconditions
     ("eliminate", "broken-structural"),
     ("semigroup", "broken-structural", "--grid", "8"),
     ("converge", "broken-structural", "--kind", "semigroup", "--k", "2", "4", "8",
      "--grid", "8"),
+    ("validate", "{models}/lowered.json"),
+    ("eliminate", "{models}/lowered.json"),
+    ("semigroup", "{models}/lowered.json", "--k", "4", "--grid", "8"),
+    ("converge", "{models}/lowered.json", "--kind", "truncation", "--k", "4", "6", "8"),
     # exit 2: rejected inputs
+    ("validate", "{models}/half.json"),
+    ("validate", "{models}/big-sparse.json"),
+    ("validate", "{models}/big-identity.json"),
+    ("validate", "{models}/big-kron.json"),
     ("converge", "duan-kimble", "--kind", "generator", "--k", "2", "2", "2", *AMP),
     ("converge", "truncation-demo", "--kind", "truncation", "--k", "4", "6", "8",
      "--alpha=1e100"),
@@ -172,7 +190,11 @@ def main(argv=None) -> int:
                                env=dict(os.environ, **THREADS), check=True,
                                stdout=subprocess.DEVNULL)
                 suites.append((f"{workload} seed {seed}", _manifest_commands(out)))
-        suites.append(("fixed list", FIXED))
+        models = os.path.join(work, "models")
+        subprocess.run([sys.executable, CI_MODELS, models],
+                       env=dict(os.environ, **THREADS), check=True)
+        suites.append(("fixed list", [[arg.format(models=models) for arg in argv]
+                                      for argv in FIXED]))
         for name, commands in suites:
             same, first, worst = compare(args.parent_src, args.change_src, commands)
             if first is None:
