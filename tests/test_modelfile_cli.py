@@ -1060,12 +1060,13 @@ class TestSemigroupReport:
     """semigroup --report writes the table as strict JSON: the CSV's values,
     the printed max and the table's thin-phase diagnostics."""
 
+    @pytest.mark.parametrize("amp", [["--alpha=0.2-0.1j"], []],
+                             ids=["amplitude", "vacuum"])
     @pytest.mark.parametrize("k", [["--k", "16"], []])
-    def test_report_matches_csv_and_stdout(self, k, tmp_path, capsys):
+    def test_report_matches_csv_and_stdout(self, k, amp, tmp_path, capsys):
         csv_path, report = tmp_path / "sg.csv", tmp_path / "sg.json"
         assert main(["semigroup", "duan-kimble", *k, "--T", "2", "--grid", "64",
-                     "--alpha=0.2-0.1j", "--csv", str(csv_path),
-                     "--report", str(report)]) == 0
+                     *amp, "--csv", str(csv_path), "--report", str(report)]) == 0
         out = capsys.readouterr().out
         doc = json.loads(report.read_text(), parse_constant=pytest.fail)
         with csv_path.open() as fh:

@@ -1,27 +1,55 @@
-"""The output-equivalence tool `tools/same_outputs.py`, run on this tree
-against itself, and its numeric-difference helper."""
+"""The example commands of `tools/ci_models.py`, run in process, and the
+output-equivalence tool `tools/same_outputs.py`, run on this tree against
+itself, with its numeric-difference helper."""
 
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import pytest
 
+from qsdelim.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "same_outputs", ROOT / "tools" / "same_outputs.py")
-same_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(same_outputs)
 
 
-def test_a_tree_matches_itself():
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ci_models, same_outputs = _load("ci_models"), _load("same_outputs")
+
+
+def test_example_commands(tmp_path, monkeypatch, capsys):
+    """Each example exits with its code and prints its line.  An exit-0
+    command prints no FAIL, and a failing one no PASS verdict."""
+    monkeypatch.chdir(tmp_path)
+    ci_models.main(["models"])
+    for argv, code, line in ci_models.examples("models"):
+        got = main(argv)
+        out = "".join(capsys.readouterr())
+        command = " ".join(argv)
+        assert got == code, command
+        assert re.search(line, out, re.M), command
+        if code == 0:
+            assert "FAIL" not in out, command
+        else:
+            assert not re.search(r"^(verdict|overall|contraction): PASS", out,
+                                 re.M), command
+
+
+def test_a_tree_matches_itself(tmp_path):
+    """The first example of each exit code, in fresh processes."""
+    ci_models.main([str(tmp_path)])
+    examples = ci_models.examples(str(tmp_path))
+    commands = [next(argv for argv, code, _ in examples if code == want)
+                for want in (0, 1, 2)]
     src = str(ROOT / "src")
-    commands = [
-        ["converge", "duan-kimble", "--kind", "generator", "--csv", "gen.csv",
-         "--report", "gen.json"],
-        ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "2", "2"],
-    ]
-    assert same_outputs.compare(src, src, commands) == (2, None, 0.0)
+    assert same_outputs.compare(src, src, commands) == (3, None, 0.0)
 
 
 def test_max_rel_diff():

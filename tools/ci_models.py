@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Write the model files that the CI's example studies run besides the
-bundled fixtures; `tools/same_outputs.py` runs them too.
+"""Write the model files that the example commands run besides the
+bundled fixtures; ``EXAMPLES`` holds those commands.
 
 Usage (from the repository root):
 
@@ -27,6 +27,13 @@ writes into OUT_DIR:
 - ``huge.json``: a model of dimension 10**7, its operators sparse nodes of
   that dim and p0 one basis index, whose arrays numpy refuses to allocate:
   exit 2, naming the dimension.
+
+``EXAMPLES`` is the one list of example commands: the studies on the
+bundled fixtures and on these models, and their failing and rejected
+inputs.  ``tests/test_same_outputs.py`` runs each through
+``qsdelim.cli.main`` and checks its exit code and line, and
+``tools/same_outputs.py`` runs each on two source trees and compares
+their outputs.
 """
 
 from __future__ import annotations
@@ -111,6 +118,87 @@ def models() -> dict:
                                "args": [{"op": "identity", "dim": 15}] * 2}),
         "huge.json": _huge(),
     }
+
+
+AMP = "--alpha=0.2-0.1j --beta=0.3+0.2j"
+VERDICT = r"^verdict: PASS$"
+OVERALL = r"^overall: PASS$"
+CONTRACTION = r"^contraction: PASS$"
+BROKEN = (r"^preconditions fail for model broken-structural: "
+          r"structural requirements fail$")
+LOWERED = r"^  FAIL  scaled\.b +max violation 6\.000e\+00 "
+OVERSIZED = r"^error: .*dim 10000000 exceeds the model dimension 15$"
+TOO_LARGE = r"^error: .*: inputs too large for float64$"
+
+# (command, exit code, regular expression that a line of its stdout or
+# stderr matches).  "{models}" is the directory `main` wrote the models
+# to; outputs are named relative to the working directory, and
+# `validate dk.json` reads the report that `example` wrote.
+EXAMPLES = (
+    ("example duan-kimble --report dk.json", 0,
+     r"^wrote example duan-kimble to dk\.json$"),
+    ("validate dk.json", 0, OVERALL),
+    ("converge truncation-demo --kind truncation --k 4 6 8 10 12 --T 2 --grid 32",
+     0, VERDICT),
+    # With amplitudes the dressing terms of each cut generator (the
+    # alpha-bar M and beta L of its leading block) are nonzero.
+    ("converge truncation-demo --kind truncation --k 4 6 8 10 12 --T 2 --grid 32 "
+     + AMP, 0, VERDICT),
+    ("converge duan-kimble --kind generator --k 2 4 8 16 32 64 " + AMP
+     + " --csv gen.csv --report gen.json", 0, VERDICT),
+    ("converge duan-kimble --kind semigroup --k 2 4 8 16 --T 2 --grid 64 "
+     "--csv sg.csv", 0, VERDICT),
+    # mirror is exact at vacuum: its gaps are round-off that grows like
+    # k^2 |Y|, above an absolute 1e-13 at large k but within every study's
+    # floor RESIDUAL_FLOOR max(1, k^2 |Y|), so it passes.
+    ("converge mirror --kind semigroup", 0, VERDICT),
+    ("semigroup duan-kimble --k 16 --T 2 --grid 64 --csv sgk.csv "
+     "--report sgk.json", 0, CONTRACTION),
+    ("--verbose semigroup duan-kimble --k 16 --T 2 --grid 64", 0,
+     r"^INFO qsdelim\.cli: semigroup table: thin block from grid time J=\d+, "
+     r"tail bound t_J="),
+    ("semigroup duan-kimble --grid 64 --csv sgl.csv", 0, CONTRACTION),
+    # The rotated p0 is no coordinate projection (every benchmark model's is).
+    ("validate {models}/rotated.json", 0, OVERALL),
+    ("eliminate {models}/rotated.json", 0, r"^  PASS  hp\.n "),
+    ("converge {models}/rotated.json --kind generator", 0, VERDICT),
+    ("converge {models}/rotated.json --kind generator " + AMP, 0, VERDICT),
+    ("converge {models}/rotated.json --kind semigroup --k 2 4 8 16 --grid 16",
+     0, VERDICT),
+    # exit 1: failed preconditions.  A passing check takes its exact value
+    # only when it is read; a failing one must still print it.
+    ("eliminate broken-structural", 1, BROKEN),
+    ("semigroup broken-structural --grid 8", 1, BROKEN),
+    ("converge broken-structural --kind semigroup --k 2 4 8 --grid 8", 1, BROKEN),
+    ("validate {models}/lowered.json", 1, LOWERED),
+    ("eliminate {models}/lowered.json", 1, LOWERED),
+    ("semigroup {models}/lowered.json --k 4 --grid 8", 1, LOWERED),
+    ("converge {models}/lowered.json --kind truncation --k 4 6 8", 1, LOWERED),
+    # exit 2: rejected inputs.  Each oversized node is rejected before its
+    # array is allocated; a repeated k schedule is one distinct k, too few
+    # for a rate fit.
+    ("validate {models}/half.json", 2, r"^error: .*p0 is not idempotent$"),
+    ("validate {models}/big-sparse.json", 2, OVERSIZED),
+    ("validate {models}/big-identity.json", 2, OVERSIZED),
+    ("validate {models}/big-kron.json", 2,
+     r"^error: kron shape \(225, 225\) exceeds the model dimension 15$"),
+    ("validate {models}/huge.json", 2,
+     r"^error: model dimension 10000000 too large to allocate"),
+    ("converge duan-kimble --kind generator --k 2 2 2 " + AMP, 2,
+     r"^error: --k needs >= 3 distinct values"),
+    ("converge truncation-demo --kind truncation --k 4 6 8 --alpha=1e100", 2,
+     TOO_LARGE),
+    ("converge truncation-demo --kind truncation --k 4.5 6 8", 2,
+     r"^error: bad k value 4\.5"),
+    ("converge duan-kimble --kind generator --k 1e100 1e200 1e300", 2, TOO_LARGE),
+)
+
+
+def examples(models_dir: str) -> list:
+    """(CLI arguments, exit code, line pattern) of each of ``EXAMPLES``,
+    its models read from models_dir."""
+    return [([arg.format(models=models_dir) for arg in command.split()], code, line)
+            for command, code, line in EXAMPLES]
 
 
 def main(argv=None) -> int:

@@ -9,11 +9,9 @@ PARENT_SRC and CHANGE_SRC are ``src`` directories, such as the ``src`` of
 a checkout of the parent commit and this tree's ``src``.  The inputs of
 every benchmark workload are built once per seed (0 and 3) with
 ``bench/inputs.py`` of this checkout, and every job of their
-``manifest.json`` runs on both trees, followed by ``FIXED``: the CI's
-example studies on bundled fixtures and on the models that
-``tools/ci_models.py`` of this checkout writes once ("{models}" in an
-argument), and their rejected inputs.  ``huge.json`` is left out: a tree
-from before its exit-2 rule crashes on it with a traceback.
+``manifest.json`` runs on both trees, followed by the fixed list: the
+example commands ``EXAMPLES`` of ``tools/ci_models.py`` of this checkout,
+on the bundled fixtures and on the models that script writes once.
 
 Each command is a fresh ``python -m qsdelim.cli`` process with
 ``PYTHONPATH`` set to the tree and one BLAS, OpenMP and MKL thread, since
@@ -44,50 +42,6 @@ CI_MODELS = os.path.join(ROOT, "tools", "ci_models.py")
 SEEDS = (0, 3)
 THREADS = {var: "1" for var in
            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-AMP = ("--alpha=0.2-0.1j", "--beta=0.3+0.2j")
-FIXED = (
-    ("example", "duan-kimble", "--report", "dk.json"),
-    ("validate", "dk.json"),
-    ("converge", "truncation-demo", "--kind", "truncation",
-     "--k", "4", "6", "8", "10", "12", "--T", "2", "--grid", "32"),
-    ("converge", "truncation-demo", "--kind", "truncation",
-     "--k", "4", "6", "8", "10", "12", "--T", "2", "--grid", "32", *AMP),
-    ("converge", "duan-kimble", "--kind", "generator",
-     "--k", "2", "4", "8", "16", "32", "64", *AMP,
-     "--csv", "gen.csv", "--report", "gen.json"),
-    ("converge", "duan-kimble", "--kind", "semigroup", "--k", "2", "4", "8", "16",
-     "--T", "2", "--grid", "64", "--csv", "sg.csv"),
-    ("converge", "mirror", "--kind", "semigroup"),
-    ("semigroup", "duan-kimble", "--k", "16", "--T", "2", "--grid", "64",
-     "--csv", "sgk.csv", "--report", "sgk.json"),
-    ("--verbose", "semigroup", "duan-kimble", "--k", "16", "--T", "2", "--grid", "64"),
-    ("semigroup", "duan-kimble", "--grid", "64", "--csv", "sgl.csv"),
-    ("validate", "{models}/rotated.json"),
-    ("eliminate", "{models}/rotated.json"),
-    ("converge", "{models}/rotated.json", "--kind", "generator"),
-    ("converge", "{models}/rotated.json", "--kind", "generator", *AMP),
-    ("converge", "{models}/rotated.json", "--kind", "semigroup",
-     "--k", "2", "4", "8", "16", "--grid", "16"),
-    # exit 1: failed preconditions
-    ("eliminate", "broken-structural"),
-    ("semigroup", "broken-structural", "--grid", "8"),
-    ("converge", "broken-structural", "--kind", "semigroup", "--k", "2", "4", "8",
-     "--grid", "8"),
-    ("validate", "{models}/lowered.json"),
-    ("eliminate", "{models}/lowered.json"),
-    ("semigroup", "{models}/lowered.json", "--k", "4", "--grid", "8"),
-    ("converge", "{models}/lowered.json", "--kind", "truncation", "--k", "4", "6", "8"),
-    # exit 2: rejected inputs
-    ("validate", "{models}/half.json"),
-    ("validate", "{models}/big-sparse.json"),
-    ("validate", "{models}/big-identity.json"),
-    ("validate", "{models}/big-kron.json"),
-    ("converge", "duan-kimble", "--kind", "generator", "--k", "2", "2", "2", *AMP),
-    ("converge", "truncation-demo", "--kind", "truncation", "--k", "4", "6", "8",
-     "--alpha=1e100"),
-    ("converge", "truncation-demo", "--kind", "truncation", "--k", "4.5", "6", "8"),
-    ("converge", "duan-kimble", "--kind", "generator", "--k", "1e100", "1e200", "1e300"),
-)
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|[-+]?\b(?:nan|inf|NaN|Infinity)\b")
 
@@ -170,14 +124,21 @@ def _manifest_commands(inputs_dir: str) -> list:
     return commands
 
 
+def _load(path: str):
+    """The module of the script at `path`."""
+    spec = importlib.util.spec_from_file_location(
+        os.path.splitext(os.path.basename(path))[0], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     args = parser.parse_args(argv)
-    spec = importlib.util.spec_from_file_location("inputs", INPUTS)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs, ci_models = map(_load, (INPUTS, CI_MODELS))
 
     differ = False
     with tempfile.TemporaryDirectory() as work:
@@ -193,8 +154,8 @@ def main(argv=None) -> int:
         models = os.path.join(work, "models")
         subprocess.run([sys.executable, CI_MODELS, models],
                        env=dict(os.environ, **THREADS), check=True)
-        suites.append(("fixed list", [[arg.format(models=models) for arg in argv]
-                                      for argv in FIXED]))
+        suites.append(("fixed list",
+                       [argv for argv, _, _ in ci_models.examples(models)]))
         for name, commands in suites:
             same, first, worst = compare(args.parent_src, args.change_src, commands)
             if first is None:
