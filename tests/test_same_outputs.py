@@ -14,14 +14,11 @@ from qsdelim.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-ci_models, same_outputs = _load("ci_models"), _load("same_outputs")
+_spec = importlib.util.spec_from_file_location("same_outputs",
+                                               ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+ci_models = same_outputs._load(same_outputs.CI_MODELS)
 
 
 def test_example_commands(tmp_path, monkeypatch, capsys):
@@ -43,12 +40,20 @@ def test_example_commands(tmp_path, monkeypatch, capsys):
 
 
 def test_a_tree_matches_itself(tmp_path):
-    """The first example of each exit code, in fresh processes."""
+    """The first example of each exit code, and the --verbose one, in fresh
+    `python -m qsdelim.cli` processes: each exits with its code and prints
+    its line, and the tree's outputs match its own."""
     ci_models.main([str(tmp_path)])
     examples = ci_models.examples(str(tmp_path))
-    commands = [next(argv for argv, code, _ in examples if code == want)
-                for want in (0, 1, 2)]
+    picked = [next(e for e in examples if e[1] == want) for want in (0, 1, 2)]
+    picked += [e for e in examples if e[0][0] == "--verbose"]
     src = str(ROOT / "src")
+    for argv, code, line in picked:
+        outputs = dict(same_outputs._outputs(src, str(tmp_path), argv))
+        command = " ".join(argv)
+        assert outputs["exit code"] == str(code), command
+        assert re.search(line, outputs["stdout"] + outputs["stderr"], re.M), command
+    commands = [argv for argv, _, _ in picked[:3]]
     assert same_outputs.compare(src, src, commands) == (3, None, 0.0)
 
 

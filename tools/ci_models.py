@@ -165,6 +165,10 @@ EXAMPLES = (
     ("converge {models}/rotated.json --kind generator " + AMP, 0, VERDICT),
     ("converge {models}/rotated.json --kind semigroup --k 2 4 8 16 --grid 16",
      0, VERDICT),
+    # exit 1: a failed verdict.  The gap falls 0.210 -> 0.084, short of the
+    # five-fold reduction the verdict asks for.
+    ("converge duan-kimble --kind semigroup --k 2 3 4 --grid 8", 1,
+     r"^verdict: FAIL$"),
     # exit 1: failed preconditions.  A passing check takes its exact value
     # only when it is read; a failing one must still print it.
     ("eliminate broken-structural", 1, BROKEN),
