@@ -9,6 +9,9 @@ Subcommands:
 
 All but `example` run through `_model_command`, which loads the model,
 guards float64, prints failed preconditions and maps a ValueError to exit 2.
+Each of these commands returns its verdict, stdout lines, report body and
+CSV table; the runner alone writes --csv and --report (every report
+carries "model") before it prints any line, and sets the exit code.
 
 `qsdelim --verbose COMMAND ...` logs the package's INFO messages to
 stderr for that call (the semigroup table's switch to a thin block, the
@@ -90,8 +93,8 @@ def _fmt_amps(values) -> str:
 
 def _write_output(path: str, text: str) -> None:
     """Write a --csv or --report file.  A path that cannot be written is a
-    usage error (exit 2); commands write their files before they print,
-    so no verdict line precedes the error."""
+    usage error (exit 2); files are written before any stdout line, so no
+    verdict line precedes the error."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -179,31 +182,45 @@ def _report_lines(report) -> list[str]:
 
 def _model_command(cmd):
     """Run `cmd(args, model)` on the model `args.model` names, with float64
-    overflow and invalid operations raising.  Inputs are checked finite, so
-    a non-finite intermediate (scipy's expm returns inf, which its operator
-    reports as NonFiniteEntries) means their products left float64:
-    ModelParseError (exit 2) before any verdict, as is a library ValueError.
-    A failed precondition prints its message and report lines: exit 1."""
+    overflow and invalid operations raising, and give its output.  Inputs
+    are checked finite, so a non-finite intermediate (scipy's expm returns
+    inf, which its operator reports as NonFiniteEntries) means their
+    products left float64: ModelParseError (exit 2) before any verdict, as
+    is a library ValueError.  A failed precondition prints its message and
+    report lines: exit 1, no file written.
+
+    `cmd` returns (ok, lines, report, table): its verdict, its stdout lines,
+    its --report body without "model", and the (kind, amplitudes, rows) of
+    its --csv or None.  The runner writes --csv, then --report with "model"
+    added, then prints the lines, so an unwritable path or a non-finite
+    report value (exit 2) comes before any verdict line; exit 0 if ok."""
     def run(args) -> int:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 model = _resolve_model(args.model)
                 try:
-                    return cmd(args, model)
+                    ok, lines, report, table = cmd(args, model)
                 except PreconditionFailed as exc:
                     print(f"preconditions fail for model {model.name}: {exc}")
                     for line in _report_lines(exc.report) if exc.report else ():
                         print(line)
                     return 1
+                if table and args.csv:  # validate and eliminate have no --csv
+                    _write_csv(args.csv, model.name, *table)
+                if args.report:
+                    _write_report(args.report, {"model": model.name, **report})
         except (FloatingPointError, NonFiniteEntries) as exc:
             raise ModelParseError(f"{exc}: inputs too large for float64") from exc
         except ValueError as exc:
             raise ModelParseError(str(exc)) from exc
+        for line in lines:
+            print(line)
+        return 0 if ok else 1
     return run
 
 
 @_model_command
-def cmd_validate(args, model: ModelFile) -> int:
+def cmd_validate(args, model: ModelFile):
     tol = args.tol
     # A repeated k is one report: each distinct k runs once, first seen first.
     ks = tuple(dict.fromkeys(_k_values(args.k))) if args.k is not None else ()
@@ -215,66 +232,48 @@ def cmd_validate(args, model: ModelFile) -> int:
             yield (f"assembled(k={_fmt_float(k)})",
                    hp_validate(assemble(model.family, k), tol=tol))
 
-    # Each report's lines read its exact values, which frees its defect
-    # arrays, before the next report is made.
-    reports = {label: (report, _report_lines(report))
-               for label, report in validations()}
-    overall = all(report.overall for report, _ in reports.values())
-    if args.report:
-        _write_report(args.report, {
-            "model": model.name,
-            "overall": overall,
-            "checks": {
-                label: [
-                    {
-                        "name": c.name,
-                        "max_violation": _json_float(c.max_violation),
-                        "tolerance": _json_float(c.tolerance),
-                        "passed": c.passed,
-                    }
-                    for c in report.checks
-                ]
-                for label, (report, _) in reports.items()
-            },
-        })
-    print(f"model {model.name}")
-    for label, (_, lines) in reports.items():
-        print(f"{label}:")
-        for line in lines:
-            print(line)
-    print(f"overall: {'PASS' if overall else 'FAIL'}")
-    return 0 if overall else 1
+    lines, checks, overall = [f"model {model.name}"], {}, True
+    for label, report in validations():
+        # The lines read the report's exact values, which frees its defect
+        # arrays, before the next report is made.
+        lines += [f"{label}:", *_report_lines(report)]
+        checks[label] = [
+            {
+                "name": c.name,
+                "max_violation": _json_float(c.max_violation),
+                "tolerance": _json_float(c.tolerance),
+                "passed": c.passed,
+            }
+            for c in report.checks
+        ]
+        overall = overall and report.overall
+    lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
+    return overall, lines, {"overall": overall, "checks": checks}, None
 
 
-def _print_operator(label: str, op: Operator) -> None:
-    print(f"{label} =")
+def _operator_lines(label: str, op: Operator) -> list[str]:
     with np.printoptions(precision=6, suppress=True, linewidth=120):
-        print(np.array2string(op.entries))
+        return [f"{label} =", np.array2string(op.entries)]
 
 
 @_model_command
-def cmd_eliminate(args, model: ModelFile) -> int:
+def cmd_eliminate(args, model: ModelFile):
     result = eliminate(model.family, model.sub, tol=args.tol)
     limit = result.limit
     check = hp_validate(limit, tol=args.tol)
-    if args.report:
-        doc = limit_to_json(result)
-        doc["model"] = model.name
-        doc["unitarity_ok"] = check.overall
-        _write_report(args.report, doc)
-    print(f"model {model.name}: slow subspace dimension {limit.space.total_dim}, "
-          f"{limit.n} channel(s)")
-    _print_operator("K", limit.k_op)
+    lines = [f"model {model.name}: slow subspace dimension "
+             f"{limit.space.total_dim}, {limit.n} channel(s)",
+             *_operator_lines("K", limit.k_op)]
     for i, op in enumerate(limit.l_ops):
-        _print_operator(f"L[{i}]", op)
+        lines += _operator_lines(f"L[{i}]", op)
     for i, op in enumerate(limit.m_ops):
-        _print_operator(f"M[{i}]", op)
+        lines += _operator_lines(f"M[{i}]", op)
     for i, row in enumerate(limit.n_ops):
         for j, op in enumerate(row):
-            _print_operator(f"N[{i}][{j}]", op)
-    for line in _report_lines(check):
-        print(line)
-    return 0 if check.overall else 1
+            lines += _operator_lines(f"N[{i}][{j}]", op)
+    lines += _report_lines(check)
+    report = {**limit_to_json(result), "unitarity_ok": check.overall}
+    return check.overall, lines, report, None
 
 
 def _time_grid(args, model: ModelFile) -> tuple[float, int]:
@@ -294,7 +293,7 @@ def _tolerance(text: str) -> float:
 
 
 @_model_command
-def cmd_semigroup(args, model: ModelFile) -> int:
+def cmd_semigroup(args, model: ModelFile):
     amp = _amplitudes(args, model)
     t_final, grid = _time_grid(args, model)
     if args.k is not None and len(args.k) != 1:
@@ -318,30 +317,26 @@ def cmd_semigroup(args, model: ModelFile) -> int:
         log.info("semigroup table: thin block from grid time J=%d, tail bound "
                  "t_J=%.3e", switch["dense_steps"], switch["tail_bound"])
     contraction_ok = worst <= 1.0 + 1e-9
-    if args.csv:
-        _write_csv(args.csv, model.name, "contraction_norm", amp, (
-            (label, t, grid, norm)
-            for t, norm in zip(np.linspace(0.0, t_final, grid), values)))
-    if args.report:
-        _write_report(args.report, {
-            "model": model.name,
-            "k": label if args.k is not None else None,
-            "diagnostics": switch,
-            "t_max": t_final,
-            "grid_points": grid,
-            "values": values,
-            "max_norm": worst,
-            "verdict": contraction_ok,
-        })
-    print(f"model {model.name}: max semigroup norm {worst:.12g} over "
-          f"{grid} times in [0, {t_final:g}]"
-          + (f" at k={label:g}" if args.k is not None else " (limit model)"))
-    print(f"contraction: {'PASS' if contraction_ok else 'FAIL'}")
-    return 0 if contraction_ok else 1
+    lines = [f"model {model.name}: max semigroup norm {worst:.12g} over "
+             f"{grid} times in [0, {t_final:g}]"
+             + (f" at k={label:g}" if args.k is not None else " (limit model)"),
+             f"contraction: {'PASS' if contraction_ok else 'FAIL'}"]
+    report = {
+        "k": label if args.k is not None else None,
+        "diagnostics": switch,
+        "t_max": t_final,
+        "grid_points": grid,
+        "values": values,
+        "max_norm": worst,
+        "verdict": contraction_ok,
+    }
+    rows = ((label, t, grid, norm)
+            for t, norm in zip(np.linspace(0.0, t_final, grid), values))
+    return contraction_ok, lines, report, ("contraction_norm", amp, rows)
 
 
 @_model_command
-def cmd_converge(args, model: ModelFile) -> int:
+def cmd_converge(args, model: ModelFile):
     amp = _amplitudes(args, model)
     t_final, grid = _time_grid(args, model)
     schedule = sorted(set(_k_values(
@@ -351,37 +346,32 @@ def cmd_converge(args, model: ModelFile) -> int:
     if args.kind != "truncation" and len(schedule) < 3:
         raise ModelParseError("--k needs >= 3 distinct values for a rate fit")
     if args.kind == "truncation":
-        report = truncation_study(model.family, schedule, amp,
-                                  t_final, grid, tol=args.tol)
+        study = truncation_study(model.family, schedule, amp,
+                                 t_final, grid, tol=args.tol)
     else:
         result = eliminate(model.family, model.sub, tol=args.tol)
         if args.kind == "generator":
-            report = generator_study(result, amp, schedule)
+            study = generator_study(result, amp, schedule)
         else:
-            report = semigroup_study(result, amp, schedule, t_final, grid)
-    if args.csv:
-        _write_csv(args.csv, model.name, report.kind, amp, (
-            (k, report.t_max, report.grid_points, val)
-            for k, val in zip(report.k_schedule, report.values)
-        ))
-    if args.report:
-        _write_report(args.report, {
-            "model": model.name,
-            "kind": report.kind,
-            "diagnostics": {name: _json_float(x) for name, x in report.diagnostics},
-            "k_schedule": list(report.k_schedule),
-            "values": list(report.values),
-            "fitted_rate": _json_float(report.fitted_rate),
-            "t_max": report.t_max,
-            "grid_points": report.grid_points,
-            "verdict": report.verdict,
-        })
-    print(f"model {model.name}: {report.kind} study")
-    for k, val in zip(report.k_schedule, report.values):
-        print(f"  k={k:<8g} value={val:.6e}")
-    print(f"fitted log-log rate: {report.fitted_rate:.4f}")
-    print(f"verdict: {'PASS' if report.verdict else 'FAIL'}")
-    return 0 if report.verdict else 1
+            study = semigroup_study(result, amp, schedule, t_final, grid)
+    lines = [f"model {model.name}: {study.kind} study",
+             *(f"  k={k:<8g} value={val:.6e}"
+               for k, val in zip(study.k_schedule, study.values)),
+             f"fitted log-log rate: {study.fitted_rate:.4f}",
+             f"verdict: {'PASS' if study.verdict else 'FAIL'}"]
+    report = {
+        "kind": study.kind,
+        "diagnostics": {name: _json_float(x) for name, x in study.diagnostics},
+        "k_schedule": list(study.k_schedule),
+        "values": list(study.values),
+        "fitted_rate": _json_float(study.fitted_rate),
+        "t_max": study.t_max,
+        "grid_points": study.grid_points,
+        "verdict": study.verdict,
+    }
+    rows = ((k, study.t_max, study.grid_points, val)
+            for k, val in zip(study.k_schedule, study.values))
+    return study.verdict, lines, report, (study.kind, amp, rows)
 
 
 def cmd_example(args) -> int:

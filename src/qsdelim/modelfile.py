@@ -13,10 +13,11 @@ is complex(re[i], im[i]) and whose other entries are +0.0.  Like every
 node it may stand wherever a matrix may, `p0` and the arguments of
 `kron`/`add`/`scale` included.
 
-Parsing is total: any inconsistency, and any array numpy cannot allocate
-(`parse_model`), raises ModelParseError, never a half-built model.  A
-node whose `dim`, or a `kron` whose factor dimensions multiplied, exceed
-the model's total dimension is rejected before its array is allocated.
+Parsing is total: any inconsistency, any array numpy cannot allocate and
+any nesting too deep to decode or evaluate raise ModelParseError, never a
+half-built model.  A node whose `dim`, or a `kron` whose factor
+dimensions multiplied, exceed the model's total dimension is rejected
+before its array is allocated.
 Integer fields (factor dimensions, channel count, grid points, basis
 indices, expression `dim`/`row`/`col`, sparse `row`/`col`) take JSON
 integers or integral floats such as 4.0; booleans and fractional values
@@ -342,7 +343,8 @@ def _family_and_pair(space: HilbertSpace, n: int, ops: dict, p0_node):
 
 def parse_model(doc: dict) -> ModelFile:
     """Build a validated model from a parsed JSON document; a MemoryError
-    while its arrays are built becomes a ModelParseError."""
+    while its arrays are built, or a RecursionError from an expression
+    nested too deeply, becomes a ModelParseError."""
     if not isinstance(doc, dict):
         raise ModelParseError("model document must be a JSON object")
     try:
@@ -363,6 +365,8 @@ def parse_model(doc: dict) -> ModelFile:
         raise ModelParseError(
             f"model dimension {space.total_dim} too large to allocate: {exc}"
         ) from exc
+    except RecursionError as exc:
+        raise ModelParseError(f"expression nested too deeply: {exc}") from exc
 
     study_doc = doc.get("study", {})
     if not isinstance(study_doc, dict):
@@ -413,7 +417,7 @@ def load_model(path: str) -> ModelFile:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
         return parse_model(doc)
     finally:

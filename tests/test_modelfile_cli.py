@@ -526,8 +526,17 @@ class TestRejectedInputsExit2:
         (("operators", "Y"), {"op": "add", "args": [{"op": "identity", "dim": 15},
                                                     {"op": "identity", "dim": 3}]},
          "add arguments must share a shape"),
+        (("operators", "Y"), [[[0, 0]]],
+         "operator Y has shape (1, 1), expected square of dimension 15"),
+        (("operators",), {}, "operators section must be a nonempty object"),
+        (("study",), {"k_schedule": 5},
+         "bad study section: 'int' object is not iterable"),
+        (("operators", "Y"), {"op": "scale", "factor": [1],
+                              "arg": {"op": "identity", "dim": 15}},
+         "expected [re, im] pair, got [1]"),
     ], ids=["channels-0", "F-length", "W-shape", "study-list", "study-alpha",
-            "basis-matrix", "kron-one-arg", "add-shapes"])
+            "basis-matrix", "kron-one-arg", "add-shapes", "Y-shape",
+            "operators-empty", "study-k-schedule", "scale-factor"])
     def test_malformed_model_files(self, keys, value, message, tmp_path, capsys):
         doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
         *parents, last = keys
@@ -541,6 +550,31 @@ class TestRejectedInputsExit2:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("depth", [None, 995],
+                             ids=["deep-array", "deep-adjoints"])
+    def test_nesting_too_deep(self, depth, tmp_path, capsys):
+        if depth is None:
+            text = "[" * 100000 + "]" * 100000
+        else:  # duan-kimble with Y as `depth` nested adjoint nodes
+            doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+            doc["operators"]["Y"] = "Y"
+            text = json.dumps(doc).replace('"Y": "Y"', '"Y": ' + (
+                '{"op": "adjoint", "arg": ' * depth + "[]" + "}" * depth))
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_nesting_too_deep_in_memory(self):
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        for _ in range(5000):
+            doc["operators"]["Y"] = {"op": "adjoint", "arg": doc["operators"]["Y"]}
+        with pytest.raises(ModelParseError, match="nested too deeply"):
+            parse_model(doc)
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     @pytest.mark.parametrize("argv", [
@@ -1084,6 +1118,27 @@ class TestSemigroupReport:
         else:
             assert 1 <= diagnostics["dense_steps"] < 64
             assert 0 < diagnostics["tail_bound"] < 1e-6
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["validate"], ["checks", "model", "overall"]),
+    (["eliminate"], ["K", "L", "M", "N", "channels", "compression", "model",
+                     "space", "unitarity_ok"]),
+    (["semigroup", "--k", "16", "--grid", "8"],
+     ["diagnostics", "grid_points", "k", "max_norm", "model", "t_max",
+      "values", "verdict"]),
+    (["converge", "--kind", "generator"],
+     ["diagnostics", "fitted_rate", "grid_points", "k_schedule", "kind",
+      "model", "t_max", "values", "verdict"]),
+], ids=["validate", "eliminate", "semigroup", "converge"])
+def test_report_keys(argv, keys, tmp_path, capsys):
+    """Every model command's report carries "model" next to its own keys."""
+    report = tmp_path / "report.json"
+    command, *flags = argv
+    assert main([command, "duan-kimble", *flags, "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert sorted(doc) == keys
+    assert doc["model"] == "duan-kimble"
 
 
 class TestVerbose:
