@@ -9,8 +9,10 @@ most of a command's start-up when it is taken.
 
 Because an `Operator`'s entries are frozen read-only at construction, its
 spectral norm and its `_norm_bound` are cached on the operator:
-`spectral_norm` takes the SVD of each operator at most once, however many
-validators ask for it, and an all-zero operator costs no SVD at all.  A
+`spectral_norm` takes the norm of each operator at most once, however many
+validators ask for it.  Each exact norm (`_norm2`) is the largest over the
+array's independent blocks, in one LAPACK call; an array that is one block
+keeps LAPACK's bits, and an all-zero one costs no SVD at all.  A
 largest of several norms (a scale, a defect over blocks) is a `_Norms`:
 its upper bound takes no SVD (a cached norm or sqrt(|X|_1 |X|_inf) per
 item), and its exact value, taken on first read, skips every item whose
@@ -140,11 +142,48 @@ class Operator:
 
 
 def _norm2(m: np.ndarray) -> float:
-    """Largest singular value of an array.  An all-zero or empty array skips
-    LAPACK, whose norm for it is the same 0.0."""
-    if not m.any():
+    """Largest singular value of an array: the largest over its independent
+    blocks, the connected components of its nonzero pattern, where a nonzero
+    entry joins its row and its column.  An array that is one block (always
+    so when a row or column has no zero) or has a NaN or infinite entry takes
+    `np.linalg.norm(m, 2)` and its bits; any other takes one call on the
+    zero-padded (blocks, p, q) stack of its blocks, which agrees to rounding.
+    An all-zero or empty array is 0.0 with no call."""
+    nz = m != 0  # NaN is nonzero and -0.0 is not
+    if not nz.any():
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    if nz.all() or nz.all(axis=0).any() or nz.all(axis=1).any():
+        return float(np.linalg.norm(m, 2))
+    rows, cols = np.divmod(np.flatnonzero(nz), m.shape[1])  # faster than np.nonzero
+    # Each row's label becomes the least row of its block: least labels are
+    # taken across columns, then pointer chains are halved.
+    label, new = None, np.arange(m.shape[0])
+    while not np.array_equal(new, label):
+        label, col = new, np.full(m.shape[1], m.shape[0])  # kept by zero columns
+        np.minimum.at(col, cols, label[rows])
+        new = label.copy()
+        np.minimum.at(new, rows, col[cols])
+        new = new[new]
+    live = np.flatnonzero(nz.any(axis=1))
+    roots = live[label[live] == live]  # one row per block, in order
+    values = m[rows, cols]
+    if len(roots) == 1 or not np.isfinite(values).all():
+        return float(np.linalg.norm(m, 2))
+    block = np.searchsorted(roots, label)  # of each row that is not zero
+    live_cols = np.flatnonzero(col < m.shape[0])
+    at_row = _ranks(live, block[live], m.shape[0])
+    at_col = _ranks(live_cols, block[col[live_cols]], m.shape[1])
+    stack = np.zeros((len(roots), at_row.max() + 1, at_col.max() + 1), m.dtype)
+    stack[block[rows], at_row[rows], at_col[cols]] = values
+    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+
+def _ranks(index: np.ndarray, block: np.ndarray, size: int) -> np.ndarray:
+    """Each index's position among the indices of its block, in an array of `size`."""
+    order = np.argsort(block, kind="stable")
+    ranks, ordered = np.zeros(size, dtype=np.intp), block[order]
+    ranks[index[order]] = np.arange(len(order)) - np.searchsorted(ordered, ordered)
+    return ranks
 
 
 def _norm_bound(x) -> float:
@@ -175,7 +214,8 @@ class _Norms:
     first read: items are visited by decreasing `_norm_bound`, and when
     every bound is decisive the visit stops at the first bound that is at
     most the running max, so an SVD is taken only where a norm could set
-    the max, and the result has the bits of taking them all.  An item with
+    the max, and the result has the bits of taking them all.  Each norm is
+    `_norm2`'s, the largest over the item's independent blocks.  An item with
     a NaN or infinite entry raises NonFiniteEntries when the bounds are
     first taken.
     """

@@ -6,9 +6,10 @@ F and G, scattering cut from a unitary); `duan_kimble_fast_blocks` and
 `duan_kimble_block_indices` give the closed-form 3x3 sector blocks of the
 duan-kimble fast generator and where they sit in the full space.
 `count_full_size_svds` counts the spectral norms and SVDs taken of
-full-size matrices.  `rotated_family` conjugates a fixture by a random
-unitary.  `field_dressed_parts` forms the dressed parts of a scaled
-family as operators.
+full-size matrices, the norms taken of stacked blocks and every SVD.
+`rotated_family` conjugates a fixture by a random unitary.
+`field_dressed_parts` forms the dressed parts of a scaled family as
+operators.
 """
 
 import dataclasses
@@ -83,18 +84,23 @@ def duan_kimble_block_indices(cutoff: int, j: int):
 
 
 def count_full_size_svds(monkeypatch, d: int) -> dict:
-    """Patch np.linalg.norm and np.linalg.svd to count calls on a d x d array."""
-    counts = {"full": 0}
+    """Patch np.linalg.norm and np.linalg.svd to count calls: "full" on a
+    d x d array, "stacked" of np.linalg.norm on a stack of blocks (the one
+    call `_norm2` takes for an array of several blocks) and "svd" of
+    np.linalg.svd on any array."""
+    counts = {"full": 0, "stacked": 0, "svd": 0}
 
-    def spy(real):
+    def spy(real, key):
         def wrapped(x, *args, **kwargs):
             if np.shape(x) == (d, d):
                 counts["full"] += 1
+            if key == "svd" or np.ndim(x) == 3:
+                counts[key] += 1
             return real(x, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "norm", spy(np.linalg.norm))
-    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "norm", spy(np.linalg.norm, "stacked"))
+    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd, "svd"))
     return counts
 
 

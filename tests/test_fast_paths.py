@@ -15,7 +15,9 @@ must give the same bits as the per-k functions.
 
 `load_model` decodes with the cyclic collector paused and restores the
 caller's collector state, and `spectral_norm` takes one SVD per operator
-(none for an all-zero one) with the bits of a direct `np.linalg.norm`.
+(none for an all-zero one) with the bits of `_norm2`, which agrees with a
+direct `np.linalg.norm` within 8 max(m, n) eps relative, bit for bit for
+an array that is one block.
 
 Structural check c reads the defect that the restricted inverse measured
 (same bits as measuring it again), the unitarity defect forms each block
@@ -121,7 +123,7 @@ from qsdelim import (
 )
 from qsdelim import convergence, qsde_model
 from qsdelim.errors import NonFiniteEntries
-from qsdelim.operator_core import DEFAULT_COND_LIMIT, _Norms, _norm_bound
+from qsdelim.operator_core import DEFAULT_COND_LIMIT, _Norms, _norm2, _norm_bound
 from qsdelim.cli import _bundled_fixture, main
 from qsdelim.modelfile import (
     eval_expression,
@@ -600,7 +602,7 @@ class TestSpectralNormOncePerOperator:
     @example(Operator(HilbertSpace((1,)), np.zeros((1, 1))))
     @example(Operator(HilbertSpace((3,)), np.full((3, 3), -0.0 - 0.0j)))
     def test_same_bits_and_one_svd(self, x):
-        want = float(np.linalg.norm(x.entries, 2))
+        want = _norm2(x.entries)
         with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
             first = spectral_norm(x)
             assert norm.call_count == (1 if x.entries.any() else 0)
@@ -609,6 +611,95 @@ class TestSpectralNormOncePerOperator:
         assert type(first) is float
         assert first.hex() == want.hex()  # bits, so 0.0 and -0.0 differ
         assert second.hex() == want.hex()
+
+
+def _reference_block_count(x) -> int:
+    """Blocks of x's nonzero pattern, by a union-find over its entries."""
+    parent = list(range(sum(x.shape)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for r, c in zip(*np.nonzero(x)):
+        parent[find(r)] = find(x.shape[0] + c)
+    return len({find(r) for r in np.flatnonzero(x.any(axis=1))})
+
+
+@st.composite
+def _block_arrays(draw):
+    """A block-diagonal array under random row and column permutations:
+    square, or d x r and r x d as the structural checks pass them, with
+    all-zero rows and columns, -0.0 entries and scales 1e-300 to 1e150."""
+    kind = draw(st.sampled_from(["square", "tall", "wide"]))
+    rows = draw(st.lists(st.integers(1, 5), max_size=6))
+    cols = (rows if kind == "square"
+            else draw(st.lists(st.integers(0, 2), min_size=len(rows),
+                               max_size=len(rows))))
+    zero_rows = draw(st.integers(0, 3))
+    zero_cols = zero_rows if kind == "square" else draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.zeros((sum(rows) + zero_rows, sum(cols) + zero_cols), complex)
+    i = j = 0
+    for p, q in zip(rows, cols):
+        x[i:i + p, j:j + q] = (rng.standard_normal((p, q))
+                               + 1j * rng.standard_normal((p, q)))
+        i, j = i + p, j + q
+    x *= 10.0 ** draw(st.integers(-300, 150))
+    x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.3]))] = complex(-0.0, -0.0)
+    x = x[rng.permutation(x.shape[0])][:, rng.permutation(x.shape[1])]
+    return x.T if kind == "wide" else x
+
+
+class TestNormByBlocks:
+    """`_norm2` is the largest norm over the blocks of the nonzero pattern:
+    within 8 max(m, n) eps relative of `np.linalg.norm(x, 2)`, with its bits
+    for an array of one block, one call on the stack of the blocks of any
+    other, 0.0 with no LAPACK call for an all-zero or empty array, and
+    one call on the whole of an array with a NaN or infinite entry, with
+    its outcome."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_block_arrays())
+    @example(np.zeros((3, 0), complex))
+    @example(np.zeros((0, 0), complex))
+    @example(np.full((2, 3), complex(-0.0, -0.0)))
+    @example(np.diag([2.0, 0.0, 3.0, 1.0]).astype(complex))
+    def test_against_lapack(self, x):
+        blocks = _reference_block_count(x)
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            got = _norm2(x)
+        assert type(got) is float
+        if blocks == 0:
+            assert got.hex() == (0.0).hex() and norm.call_count == 0
+            return
+        assert norm.call_count == 1
+        taken = norm.call_args.args[0]
+        want = float(np.linalg.norm(x, 2))
+        if blocks == 1:
+            assert taken is x and got.hex() == want.hex()
+        else:
+            assert taken.ndim == 3 and len(taken) == blocks
+        assert abs(got - want) <= 8 * max(x.shape) * np.finfo(float).eps * want
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.nan), np.inf,
+                                     complex(-np.inf, 1.0)])
+    def test_non_finite_entries_as_lapack(self, bad, blocks):
+        x = np.kron(np.eye(blocks), [[1.0, 2.0], [0.0, 3.0]]).astype(complex)
+        x[-1, -1] = bad
+
+        def outcome(norm):
+            try:
+                return repr(norm(x))
+            except np.linalg.LinAlgError as err:
+                return f"LinAlgError: {err}"
+
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            got = outcome(_norm2)
+        assert norm.call_count == 1 and norm.call_args.args[0] is x
+        assert got == outcome(lambda a: float(np.linalg.norm(a, 2)))
 
 
 
@@ -954,7 +1045,7 @@ def _reference_unitarity_defect(grid, space, n):
             left = sum(
                 grid[j][m].entries.conj().T @ grid[j][ell].entries for j in range(n)
             ) - delta
-            worst = max(worst, np.linalg.norm(right, 2), np.linalg.norm(left, 2))
+            worst = max(worst, _norm2(right), _norm2(left))
     return float(worst)
 
 
@@ -1300,8 +1391,7 @@ def _reference_embed(x, factor_index, dims):
 
 def _reference_max_norm(items, floor):
     return max([floor] + [
-        float(np.linalg.norm(x.entries if isinstance(x, Operator) else x, 2))
-        for x in items
+        _norm2(x.entries if isinstance(x, Operator) else x) for x in items
     ])
 
 
@@ -2304,6 +2394,21 @@ class TestValidationTakesNoFullSizeNorm:
         counts = count_full_size_svds(monkeypatch, d)
         assert main([argv[0], path, *argv[1:]]) == 0
         assert counts["full"] <= (4 if table and model == "random136" else 0)
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_validate_stacks_the_full_size_norms(self, full_size_models,
+                                                 monkeypatch, capsys):
+        """validate prints every check's exact violation.  Each of
+        random136's twelve full-size arrays splits into blocks (eleven into
+        16 or 17 of 8 rows, one into two of 72 and 64 rows), so each takes
+        one norm call on its stack of blocks: none of full size, and no
+        np.linalg.svd."""
+        from qsdelim.cli import main
+
+        path, d = full_size_models["random136"]
+        counts = count_full_size_svds(monkeypatch, d)
+        assert main(["validate", path]) == 0
+        assert counts == {"full": 0, "stacked": 12, "svd": 0}
         assert "FAIL" not in capsys.readouterr().out
 
     def test_validate_reads_every_check_once(self, full_size_models, tmp_path,

@@ -166,7 +166,8 @@ class TestAgainstTheSvdNorm:
         """c and e are widened by 4 d eps |P|_F^2.  Here the warm block
         holds sigma = 1 exactly and a spread direction outside it has
         sigma = 1 + 4e-14: unwidened, c would certify 1.0; widened, the
-        bound exceeds 1 + 1e-13, so the time takes the SVD and its bits."""
+        bound exceeds 1 + 1e-13, so the time takes the SVD and its bits, in
+        one call on the stack of hidden's five blocks."""
         d = 10
         first = np.diag([1.0, 1.0, 1.0, 1.0, *np.zeros(d - 4)]).astype(complex)
         u = np.zeros(d, complex)
@@ -175,7 +176,7 @@ class TestAgainstTheSvdNorm:
         counts = count_full_size_svds(monkeypatch, d)
         got = list(_propagator_norms([first, first, hidden]))
         monkeypatch.undo()
-        assert counts["full"] == 1
+        assert counts["full"] + counts["stacked"] == 1
         assert got[2] == np.linalg.norm(hidden, 2)
 
     @pytest.mark.parametrize("scale", [

@@ -27,6 +27,8 @@ writes into OUT_DIR:
 - ``huge.json``: a model of dimension 10**7, its operators sparse nodes of
   that dim and p0 one basis index, whose arrays numpy refuses to allocate:
   exit 2, naming the dimension.
+- ``deep.json``: ``[`` 100000 times, then ``]`` 100000 times, nested
+  too deeply for the JSON decoder: exit 2, naming the recursion depth.
 
 ``EXAMPLES`` is the one list of example commands: the studies on the
 bundled fixtures and on these models, and their failing and rejected
@@ -188,6 +190,8 @@ EXAMPLES = (
      r"^error: kron shape \(225, 225\) exceeds the model dimension 15$"),
     ("validate {models}/huge.json", 2,
      r"^error: model dimension 10000000 too large to allocate"),
+    ("validate {models}/deep.json", 2,
+     r"^error: cannot read model file .*maximum recursion depth exceeded"),
     ("converge duan-kimble --kind generator --k 2 2 2 " + AMP, 2,
      r"^error: --k needs >= 3 distinct values"),
     ("converge truncation-demo --kind truncation --k 4 6 8 --alpha=1e100", 2,
@@ -213,6 +217,8 @@ def main(argv=None) -> int:
     for name, doc in models().items():
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+    with open(os.path.join(out, "deep.json"), "w", encoding="utf-8") as fh:
+        fh.write("[" * 100000 + "]" * 100000)
     return 0
 
 
