@@ -71,7 +71,7 @@ from .qsde_model import (
     scaled_hp_validate,
     structural_validate,
 )
-from .semigroup import FieldAmplitudes, generator, propagate_on_grid
+from .semigroup import FieldAmplitudes, _grid_step, generator
 
 log = logging.getLogger("qsdelim.cli")  # __main__ under python -m
 
@@ -308,8 +308,7 @@ def cmd_semigroup(args, model: ModelFile):
     gen = generator(coeffs, amp)
     # The adjoint propagator has the same spectral norm as the propagator.
     switch = {}
-    values = list(_propagator_norms(propagate_on_grid(
-        gen, t_final, grid, np.eye(gen.space.total_dim)), switch))
+    values = list(_propagator_norms(_grid_step(gen, t_final, grid), grid, switch))
     worst = max(values)
     if switch["tail_bound"] is None:
         log.info("semigroup table: ends on full propagators (%d grid times)", grid)

@@ -52,9 +52,6 @@ class KurtzCorrector:
     u2: np.ndarray
     orders: tuple
 
-    def at_k(self, k: float) -> np.ndarray:
-        return self.u + self.u1 / k + self.u2 / (k * k)
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -162,20 +159,25 @@ def rate_fit(ks, residuals) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _at_floor(ks, values, y_norm: float) -> bool:
-    """Every value within 10 times its floor RESIDUAL_FLOOR max(1, k^2 |Y|),
-    every study's rule: k^2 Y carries the prelimit generator's norm, so
-    rounding in its action and in a stepped propagator grows like k^2 |Y|
-    (the mirror model, exact at vacuum, gaps about 3e-17 k^2 |Y|)."""
-    return all(val <= RESIDUAL_FLOOR * 10 * max(1.0, k * k * y_norm)
-               for k, val in zip(ks, values))
-
-
-def _safe_rate(ks, values) -> float:
+def _report(kind: str, ks, values, y_norm: float, rule, t_max: float = 0.0,
+            grid_points: int = 0, diagnostics=()) -> ConvergenceReport:
+    """A study's report: the `rate_fit` slope of `values` over `ks` (NaN
+    where it raises) and the verdict, which passes when every value is
+    within 10 times its floor RESIDUAL_FLOOR max(1, k^2 |Y|) or when the
+    study's own `rule(values, rate)` holds.  The floor is every study's:
+    k^2 Y carries the prelimit generator's norm, so rounding in its action
+    and in a stepped propagator grows like k^2 |Y| (the mirror model,
+    exact at vacuum, gaps about 3e-17 k^2 |Y|)."""
     try:
-        return rate_fit(ks, values)
+        rate = rate_fit(ks, values)
     except ValueError:
-        return math.nan
+        rate = math.nan
+    at_floor = all(val <= RESIDUAL_FLOOR * 10 * max(1.0, k * k * y_norm)
+                   for k, val in zip(ks, values))
+    return ConvergenceReport(
+        kind=kind, k_schedule=tuple(ks), values=tuple(values), fitted_rate=rate,
+        t_max=float(t_max), grid_points=int(grid_points),
+        verdict=at_floor or rule(values, rate), diagnostics=tuple(diagnostics))
 
 
 def _increasing(values: tuple, least: int, what: str) -> tuple:
@@ -193,25 +195,20 @@ def generator_study(result: EliminationResult, amp: FieldAmplitudes,
     for u = V 1 / sqrt(r) (the normalized sum of the r slow basis vectors),
     and one `generator_residual` per k; its diagnostics are the norms of the
     k^2, k^1 and k^0 orders, which the corrector and the limit cancel.
-    Verdict: residuals all at the floor, RESIDUAL_FLOOR max(1, k^2 |Y|) at
-    k since k^2 Y u rounds like k^2 (|Y| from `_norm_bound`, no SVD), or
+    Verdict (`_report`, |Y| from `_norm_bound`, no SVD): residuals all at
+    the floor, since k^2 Y u rounds like k^2, or a rate rule:
     nonincreasing with a clearly negative fitted decay exponent."""
     ks = _increasing(_k_values(map(float, k_schedule)), 3, "k-values")
     v = result.sub.slow_basis
     u = v @ (np.ones(v.shape[1]) / math.sqrt(v.shape[1]))
     cor = kurtz_corrector(result, amp, u)
-    values = tuple(generator_residual(cor, k) for k in ks)
-    rate = _safe_rate(ks, values)
-    monotone = all(a >= b - RESIDUAL_FLOOR for a, b in zip(values, values[1:]))
-    verdict = _at_floor(ks, values, _norm_bound(result.family.y.entries)) or (
-        monotone and not math.isnan(rate) and rate <= -0.5
-    )
-    return ConvergenceReport(
-        kind="generator", k_schedule=ks, values=values, fitted_rate=rate,
-        t_max=0.0, grid_points=0, verdict=verdict,
-        diagnostics=tuple(zip(("order_k2_norm", "order_k1_norm", "order_k0_norm"),
-                              (float(np.linalg.norm(t)) for t in cor.orders[:3]))),
-    )
+    return _report(
+        "generator", ks, tuple(generator_residual(cor, k) for k in ks),
+        _norm_bound(result.family.y.entries),
+        lambda vals, rate: rate <= -0.5 and all(
+            a >= b - RESIDUAL_FLOOR for a, b in zip(vals, vals[1:])),
+        diagnostics=zip(("order_k2_norm", "order_k1_norm", "order_k0_norm"),
+                        (float(np.linalg.norm(t)) for t in cor.orders[:3])))
 
 
 def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
@@ -219,19 +216,15 @@ def semigroup_study(result: EliminationResult, amp: FieldAmplitudes,
     """Sup-over-grid semigroup gaps over a k-schedule.
 
     The limit side of the gaps is propagated once for the whole schedule.
-    Verdict: the largest-k gap improves on the smallest-k gap by at least a
-    factor of five, or all sit at `_at_floor`'s RESIDUAL_FLOOR max(1, k^2 |Y|)
-    (|Y| from `_norm_bound`): each step's exponential rounds like k^2 |Y|.
+    Verdict (`_report`, |Y| from `_norm_bound`): all gaps at the floor,
+    since each step's exponential rounds like k^2 |Y|, or a reduction rule:
+    the largest-k gap improves on the smallest-k gap by at least a factor
+    of five.
     """
     ks = _increasing(_k_values(map(float, k_schedule)), 3, "k-values")
-    values = _gaps(result, amp, T, grid_points, ks)
-    rate = _safe_rate(ks, values)
-    verdict = (_at_floor(ks, values, _norm_bound(result.family.y.entries))
-               or values[-1] <= values[0] / 5.0)
-    return ConvergenceReport(
-        kind="semigroup", k_schedule=ks, values=values, fitted_rate=rate,
-        t_max=float(T), grid_points=int(grid_points), verdict=verdict,
-    )
+    return _report("semigroup", ks, _gaps(result, amp, T, grid_points, ks),
+                   _norm_bound(result.family.y.entries),
+                   lambda vals, _: vals[-1] <= vals[0] / 5.0, T, grid_points)
 
 
 def _gap(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -289,7 +282,8 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
     cutoff whose kept B and G are zero outside the previous cutoff's block
     reuses that grid: its gap is exactly 0.0.  Values: per consecutive
     pair, the max over the grid of the spectral distance of the propagated
-    first cutoffs[0]+1 states (`_gap`); verdict: a Cauchy-style decrease
+    first cutoffs[0]+1 states (`_gap`); verdict (`_report`, Y = 0): all
+    gaps at the floor RESIDUAL_FLOOR, or a Cauchy rule: a strict decrease
     (or a single gap).
     """
     cutoffs = _increasing(tuple(map(int, _k_values(cutoffs, True))), 2, "cutoffs")
@@ -321,11 +315,7 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
         grid[:, : c + 1] = list(  # zero below row c + 1
             propagate_on_grid(cut, T, grid_points, np.eye(c + 1, width)))
         grids.append(grid)
-    gaps = tuple(_gap(lo, hi) for lo, hi in zip(grids, grids[1:]))
-    verdict = (_at_floor(cutoffs, gaps, 0.0)  # Y = 0
-               or all(a > b for a, b in zip(gaps, gaps[1:])))
-    return ConvergenceReport(
-        kind="truncation", k_schedule=tuple(float(c) for c in cutoffs[:-1]),
-        values=gaps, fitted_rate=_safe_rate(cutoffs[:-1], gaps), t_max=float(T),
-        grid_points=int(grid_points), verdict=verdict,
-    )
+    return _report("truncation", tuple(float(c) for c in cutoffs[:-1]),
+                   tuple(_gap(lo, hi) for lo, hi in zip(grids, grids[1:])), 0.0,
+                   lambda vals, _: all(a > b for a, b in zip(vals, vals[1:])),
+                   T, grid_points)

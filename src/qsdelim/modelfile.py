@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ModelParseError
 from .models import Fixture, damped_funcalc, fock_toolbox
-from .operator_core import HilbertSpace, Operator, SubspacePair
+from .operator_core import HilbertSpace, Operator, SubspacePair, _at_most, _Norms
 from .qsde_model import ScaledFamily
 
 _SEQUENCE = (list, tuple)
@@ -191,8 +191,7 @@ def operator_to_json(m: np.ndarray):
 def _funcalc(name: str, params: dict, x: np.ndarray) -> np.ndarray:
     if not isinstance(params, dict):
         raise ModelParseError(f"funcalc params must be an object, got {params!r}")
-    herm_defect = np.linalg.norm(x - x.conj().T, 2)
-    if herm_defect > 1e-10 * max(1.0, np.linalg.norm(x, 2)):
+    if not _at_most(_Norms([x - x.conj().T]), _Norms([x], 1.0), lambda s: 1e-10 * s):
         raise ModelParseError("funcalc operand must be Hermitian")
     theta = _real(params.get("theta", 1.0), "funcalc theta")
     gamma = _real(params.get("gamma", 1.0), "funcalc gamma")

@@ -22,20 +22,20 @@ most the threshold on the scale's floor and otherwise compares the exact
 values; the restricted inverse's gates, the projection checks of `SubspacePair` (but for a coordinate
 projection, which needs none) and every validator check decide this way.
 
-The per-time norms of a propagator grid (`_propagator_norms`) are
-certified Rayleigh-Ritz values: one subspace step on a small block,
+The per-time norms of a propagator grid (`_propagator_norms`) are taken
+on the powers of its step, which the table forms itself: certified
+Rayleigh-Ritz values, where one subspace step on a small block,
 warm-started from the previous time's Ritz vectors, gives a lower bound
 on sigma_max, and a two-by-two bound from the residual and the Frobenius
 mass outside the block certifies it from above.  A certified value
 agrees with LAPACK's sigma_max within 1e-12 relative but is not bit-equal
 to it; a nearly certified block takes more steps, a block the
-certificate cannot decide takes the SVD, and the t = 0 block I neither.
-A propagator grid steps on in d x 4 products once such a block carries the norm.
+certificate cannot decide takes the SVD, and the t = 0 power I neither.
+The table steps on in d x 4 products once such a block carries the norm.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -292,90 +292,81 @@ def _ritz_step(p: np.ndarray, q: np.ndarray) -> tuple[float, bool, np.ndarray, f
     return theta, upper <= theta * (1.0 + 1e-13), q, upper / theta - 1.0
 
 
-def _propagator_norms(blocks, diagnostics=None):
-    """Spectral norm of each square array of one size, within 1e-12
-    relative of `np.linalg.norm(P, 2)`, for a sequence whose leading
-    singular vectors drift slowly (the time grid of a propagator).
+def _propagator_norms(step, count, diagnostics=None):
+    """Spectral norms of the powers P_m = step^m for m = 0 .. count - 1
+    (count >= 1), each within 1e-12 relative of `np.linalg.norm(P_m, 2)`,
+    for a step whose powers' leading singular vectors drift slowly: the
+    step of a propagator grid (`semigroup._grid_step`), so that P_m is the
+    adjoint propagator at the m-th grid time.
 
-    Each P takes one subspace step (`_ritz_step`) from the previous P's
-    Ritz vectors and yields sqrt(theta) if it is certified.  A step whose
-    bound is within _RITZ_NEAR (1e-6) relative of theta but not certified
-    is repeated on the same P while each repeat cuts that excess tenfold:
-    a few more steps cost far less than an SVD.  Otherwise, if some column
-    of P is longer than sqrt(theta) (always for the first P), the warm
-    block misses a direction at least that large, and a step from the
-    columns of I at P's _RITZ_BLOCK longest columns is tried; its Ritz
-    vectors carry on if it certifies (or for the first P).  A P that
-    neither certifies yields its SVD norm.  A P that is exactly I (t = 0)
-    yields 1.0, its LAPACK norm, with no step; as the first P it leaves
-    the block where a step from I would: at the columns of I at indices
-    0 .. _RITZ_BLOCK - 1.
+    P_0 = I yields 1.0, its LAPACK norm, with no step, and leaves the block
+    where a step from I would: at the columns of I at indices 0 ..
+    _RITZ_BLOCK - 1.  Each P_m = step @ P_(m-1) takes one subspace step
+    (`_ritz_step`) from the previous P's Ritz vectors and yields
+    sqrt(theta) if it is certified.  A step whose bound is within
+    _RITZ_NEAR (1e-6) relative of theta but not certified is repeated on
+    the same P while each repeat cuts that excess tenfold: a few more steps
+    cost far less than an SVD.  Otherwise, if some column of P is longer
+    than sqrt(theta), the warm block misses a direction at least that
+    large, and a step from the columns of I at P's _RITZ_BLOCK longest
+    columns is tried; its Ritz vectors carry on if it certifies.  A P that
+    neither certifies yields its SVD norm.
 
-    On a `propagate_on_grid` iteration from I (one with `send`), P_1 is the
-    step S.  After a certified step at a time J >= 1 with Ritz block Q, the
-    tail t = |P_J - (P_J Q) Q*|_F + 4 d eps |P_J|_F and g = |P_1| (1 + 1e-13)
-    bound each P_m = S^(m-J) P_J through B = P_m Q and E = Q*Q - I:
+    After a certified step at a time J >= 1 with Ritz block Q, the tail
+    t = |P_J - (P_J Q) Q*|_F + 4 d eps |P_J|_F and g = |P_1| (1 + 1e-13)
+    bound each P_m = step^(m-J) P_J through B = P_m Q and E = Q*Q - I:
         |B|^2 (1 - |E|) <= |P_m|^2 <= |B|^2 (1 + |E|) + (g^(m-J) t)^2.
-    While these hold |B| within 1e-13 (`fits`), the grid steps on from P_J Q
-    in d x 4 products, yielding sigma_max(B); else P_m = S^(m-J) P_J steps
-    on.  They certify the tail and Q's orthonormality, not the rounding of
-    products, thin or full.  `diagnostics` gets `dense_steps` (J, or the
-    count of P if the table ends on full ones) and `tail_bound` (t or None).
+    While these hold |B| within 1e-13 (`fits`), the table steps on from
+    P_J Q as step @ B in d x 4 products, yielding sigma_max(B); else P_m =
+    step^(m-J) P_J is formed and the table steps on from it.  They certify
+    the tail and Q's orthonormality, not the rounding of products, thin or
+    full.  `diagnostics` gets `dense_steps` (J, or `count` if the table
+    ends on full products) and `tail_bound` (t or None).
     """
     def fits(norm, tail):  # |B|^2 (1 + |E|) + tail^2 <= |B|^2 (1 + 1e-13)
         return norm > 0 and e + (tail / norm) * (tail / norm) <= 1e-13
-    blocks = iter(blocks)
-    advance = getattr(blocks, "send", None) or (lambda _: next(blocks))
-    q = step = j = sent = from_eye = None
-    for m in itertools.count():
-        try:
-            p, sent = advance(sent), None
-        except StopIteration:
-            break
-        if j is not None:
-            norm, bound = _norm2(p), bound * g
+    d = len(step)
+    p, margin = np.eye(d, dtype=np.complex128), 4 * d * math.ulp(1.0)
+    q, j = np.eye(d, min(d, _RITZ_BLOCK), dtype=np.complex128), None
+    yield 1.0
+    for m in range(1, count):
+        if j is not None:  # p is P_J
+            b = step @ b
+            norm, bound = _norm2(b), bound * g
             if fits(norm, bound):
                 yield norm
                 continue
-            for _ in range(m - j):
-                p_j = step @ p_j
-            p, sent, j = p_j, p_j, None
-        ones = p[0, 0] == 1 and np.all(p.diagonal() == 1)
-        if ones and np.count_nonzero(p) == len(p):
-            if q is None:
-                q = np.eye(len(p), min(len(p), _RITZ_BLOCK), dtype=np.complex128)
-                from_eye = hasattr(blocks, "send")  # q is None only for the first P
-            yield 1.0
-            continue
-        theta, certified = -math.inf, False
-        if q is not None:
-            theta, certified, q, excess = _ritz_step(p, q)
-            while not certified and excess <= _RITZ_NEAR:
-                theta, certified, q, shrunk = _ritz_step(p, q)
-                excess = shrunk if shrunk < excess / 10 else math.inf
+            for _ in range(m - j - 1):
+                p = step @ p
+            j = None
+        p = step @ p
+        theta, certified, q, excess = _ritz_step(p, q)
+        while not certified and excess <= _RITZ_NEAR:
+            theta, certified, q, shrunk = _ritz_step(p, q)
+            excess = shrunk if shrunk < excess / 10 else math.inf
         if not certified:
             with np.errstate(over="ignore", invalid="ignore"):
                 cols = (p.real * p.real + p.imag * p.imag).sum(axis=0)
             if cols.max() > theta:
                 top = np.sort(np.argsort(-cols, kind="stable")[:_RITZ_BLOCK])
-                start = np.eye(len(cols), dtype=np.complex128)[:, top]
+                start = np.eye(d, dtype=np.complex128)[:, top]
                 theta_c, certified, q_c, _ = _ritz_step(p, start)
-                if certified or q is None:
+                if certified:
                     theta, q = theta_c, q_c
         value = math.sqrt(theta) if certified else _norm2(p)
-        if from_eye and m == 1:
-            step, g, margin = p, value * (1.0 + 1e-13), 4 * len(p) * math.ulp(1.0)
-        if certified and step is not None:  # |P|_F^2 is normal: nothing overflows
+        if m == 1:  # P_1 = step @ I
+            g = value * (1.0 + 1e-13)
+        if certified:  # |P|_F^2 is normal: nothing overflows
             b, s = p @ q, math.sqrt(np.vdot(p, p).real)
             if s * s * (1 - margin) - np.vdot(b, b).real <= 1e-13 * theta:  # t can fit
                 r = (p - b @ q.conj().T) / s  # scaled, so its square stays normal
                 t = s * (math.sqrt(np.vdot(r, r).real) + margin)
                 e = float(np.abs(q.conj().T @ q - np.eye(q.shape[1])).sum())  # >= |E|
                 if fits(value, t):
-                    j, p_j, bound, sent = m, p, t, b
+                    j, bound = m, t
         yield value
     if diagnostics is not None:
-        diagnostics.update(dense_steps=m if j is None else j,
+        diagnostics.update(dense_steps=count if j is None else j,
                            tail_bound=None if j is None else t)
 
 

@@ -5,8 +5,8 @@ lives on an infinite-dimensional field space); only its matrix elements
 between exponential vectors of simple functions are computed, and those
 reduce to ordered products of finite-dimensional semigroups.
 The whole field dressing lives here (`FieldAmplitudes.shift`,
-`generator`, and `_dressed_products` for a scaled family), and a time grid
-propagates a formed generator (`propagate_on_grid`).
+`generator`, and `_dressed_products` for a scaled family), and so does the
+time grid's step (`_grid_step`) that `propagate_on_grid` and the norm table take.
 """
 
 from __future__ import annotations
@@ -153,29 +153,33 @@ def evolve(c, amp: FieldAmplitudes, t: float) -> Operator:
     return matrix_exponential(generator(c, amp), t)
 
 
-def propagate_on_grid(gen: Operator, T: float, grid_points: int, block):
-    """Adjoint propagators of `gen` applied to `block` on a uniform time grid.
-
-    Yields exp(t * gen)^dagger @ block for t in
-    np.linspace(0, T, grid_points).  One scaling-and-squaring expm of the
-    grid step dt = T / (grid_points - 1) is taken; later grid points follow
-    by repeated products, since exp(m dt G) = exp(dt G)^m.  Only the current
-    block is kept, so memory does not grow with the grid.  A block sent in
-    (`send`: a thin P Q) is stepped on instead of the one yielded.  Arguments
-    are checked when the function is called, not when iteration starts.
-    """
-    T = float(T)
-    grid_points = int(grid_points)
+def _grid_step(gen: Operator, T: float, grid_points: int) -> np.ndarray:
+    """exp(dt * gen)^dagger, one expm, the step dt = T / (grid_points - 1)
+    of a uniform grid of `grid_points` times in [0, T].  ValueError unless
+    T is positive and finite and grid_points >= 2."""
+    T, grid_points = float(T), int(grid_points)
     if not (np.isfinite(T) and T > 0):
         raise ValueError("T must be positive and finite")
     if grid_points < 2:
         raise ValueError("need at least two grid points")
-    step = matrix_exponential(gen, T / (grid_points - 1)).entries.conj().T
+    return matrix_exponential(gen, T / (grid_points - 1)).entries.conj().T
+
+
+def propagate_on_grid(gen: Operator, T: float, grid_points: int, block):
+    """Adjoint propagators of `gen` applied to `block` on a uniform time grid.
+
+    Yields exp(t * gen)^dagger @ block for t in np.linspace(0, T,
+    grid_points), by repeated products with the step (`_grid_step`), since
+    exp(m dt G) = exp(dt G)^m.  Only the current block is kept, so memory
+    does not grow with the grid.  Arguments are checked when the function
+    is called, not when iteration starts.
+    """
+    step = _grid_step(gen, T, grid_points)
 
     def blocks(current):
-        for _ in range(grid_points - 1):
-            sent = yield current
-            current = step @ (current if sent is None else sent)
+        for _ in range(int(grid_points) - 1):
+            yield current
+            current = step @ current
         yield current
 
     return blocks(np.asarray(block, dtype=np.complex128))

@@ -917,7 +917,7 @@ def _reference_residuals(result, amp, u, ks):
     limit_side = v @ (generator(result.limit, amp).entries @ (v.conj().T @ u))
     return [
         float(np.linalg.norm(generator(assemble(result.family, k), amp).entries
-                             @ cor.at_k(k) - limit_side))
+                             @ (cor.u + cor.u1 / k + cor.u2 / (k * k)) - limit_side))
         for k in ks
     ]
 

@@ -32,6 +32,8 @@ from qsdelim import cli
 from qsdelim.cli import build_parser, main
 from qsdelim.modelfile import matrix_from_json, matrix_to_json
 
+from model_helpers import count_full_size_svds
+
 
 class TestMatrixCodec:
     def test_round_trip(self, rng):
@@ -128,8 +130,17 @@ class TestExpressionTrees:
             "name": "damped_cayley",
             "arg": matrix_to_json(fock_toolbox(2).b.entries),
         }
-        with pytest.raises(ModelParseError):
+        with pytest.raises(ModelParseError, match="funcalc operand must be Hermitian"):
             eval_expression(node, 3)
+
+    def test_funcalc_on_a_hermitian_operand_takes_no_svd(self, monkeypatch):
+        """The Hermitian defect of a Hermitian operand is exactly 0, so its
+        bound settles the check: no 2-D norm and no SVD."""
+        x = fock_toolbox(4).b.entries + fock_toolbox(4).b_dag.entries
+        counts = count_full_size_svds(monkeypatch, 5)
+        node = {"op": "funcalc", "name": "damped_cayley", "arg": matrix_to_json(x)}
+        eval_expression(node, 5)
+        assert counts == {"full": 0, "stacked": 0, "svd": 0}
 
     def test_unknown_ops_rejected(self):
         with pytest.raises(ModelParseError):

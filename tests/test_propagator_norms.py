@@ -1,21 +1,23 @@
 """Per-time propagator norms against the SVD norm they replace.
 
 `qsdelim semigroup` tabulates |exp(tG)| at every grid time through
-`operator_core._propagator_norms`: a Rayleigh-Ritz value on a small
+`operator_core._propagator_norms(step, count)`, the norms of the powers
+P_m = step^m of the grid step: a Rayleigh-Ritz value on a small
 warm-started block, certified from above, with the SVD where the
-certificate does not decide.  The reference is `np.linalg.norm(P, 2)`;
-every value must lie within max(1e-12 |ref|, 1e-14) of it, over grids of
-random dissipative generators and hand-made sequences that defeat the
-warm start (equal singular values, a dominant direction outside the
-block, near-degenerate tops, entries from 1e-150 to 1e150).  The t = 0
-block I takes neither a step nor an SVD, and a nearly certified step is
-repeated while it converges, so random136's table takes at most half its
-old SVDs while dk40's keeps its bits.  `_gap` equals the batched SVD's
-max bit for bit over stacks of every shape, near-ties and entry scales,
-while passing only the slices its Gram eigenvalues single out; semigroup
-gaps have the bits of the per-point norms, and a unitarity defect of
-W = I is 0.0 with no product.  Over a `propagate_on_grid` iteration the
-table goes thin once a certified 4-column block carries the norm: the
+certificate does not decide.  The reference is `np.linalg.norm(P_m, 2)`
+of the same products; every value must lie within max(1e-12 |ref|,
+1e-14) of it, over the steps of random dissipative generators and
+hand-made steps that defeat the warm start (equal singular values, a
+dominant direction outside the block, near-degenerate tops, entries from
+1e-150 to 1e150), each met by the block e0..e3 that t = 0 leaves.  The
+t = 0 block I takes neither a step nor an SVD, and a nearly certified
+step is repeated while it converges, so random136's table takes at most
+half its old SVDs while dk40's keeps its bits up to its thin phase.
+`_gap` equals the batched SVD's max bit for bit over stacks of every
+shape, near-ties and entry scales, while passing only the slices its
+Gram eigenvalues single out; semigroup gaps have the bits of the
+per-point norms, and a unitarity defect of W = I is 0.0 with no product.
+The table goes thin once a certified 4-column block carries the norm: the
 thin values keep the same tolerance over random and k^2-scaled models,
 a bound that stops certifying returns to full products, and dk40's
 64-row table forms at most 6 full-size products.
@@ -45,6 +47,7 @@ from qsdelim import convergence, operator_core, qsde_model, semigroup
 from qsdelim.cli import main
 from qsdelim.operator_core import Operator, _propagator_norms
 from qsdelim.qsde_model import assemble
+from qsdelim.semigroup import _grid_step
 
 from model_helpers import count_full_size_svds, random_hp_coefficients
 
@@ -56,26 +59,34 @@ def _within(got, want) -> bool:
     return abs(got - want) <= max(REL_TOL * abs(want), ABS_TOL)
 
 
-def _check_sequence(blocks):
-    """Every norm within tolerance of LAPACK's, with float64 overflow and
-    invalid operations raising as they do in the CLI."""
+def _powers(step, count) -> list:
+    """P_0 = I and P_m = step @ P_(m-1), the products the table forms."""
+    powers = [np.eye(len(step), dtype=np.complex128)]
+    for _ in range(count - 1):
+        powers.append(step @ powers[-1])
+    return powers
+
+
+def _check_table(step, count=2):
+    """Every norm of the table within tolerance of LAPACK's norm of the
+    power, with float64 overflow and invalid operations raising as they do
+    in the CLI."""
     with np.errstate(over="raise", invalid="raise"):
-        got = list(_propagator_norms(iter(blocks)))
-    assert len(got) == len(blocks)
-    for value, p in zip(got, blocks):
+        got = list(_propagator_norms(step, count))
+    assert len(got) == count and got[0] == 1.0
+    for value, p in zip(got, _powers(step, count)):
         assert isinstance(value, float)
         assert _within(value, np.linalg.norm(p, 2)), (value, np.linalg.norm(p, 2))
     return got
 
 
-def _grid(rng, dim, n, T, grid_points):
+def _grid_gen(rng, dim, n):
     coeffs = random_hp_coefficients(rng, dim, n)
     amp = FieldAmplitudes(
         tuple(complex(*rng.normal(size=2)) * 0.5 for _ in range(n)),
         tuple(complex(*rng.normal(size=2)) * 0.5 for _ in range(n)),
     )
-    return list(propagate_on_grid(generator(coeffs, amp), T, grid_points,
-                                  np.eye(dim)))
+    return generator(coeffs, amp)
 
 
 def _rotated(rng, sv):
@@ -92,67 +103,65 @@ class TestAgainstTheSvdNorm:
            n=st.integers(1, 2), T=st.sampled_from([0.3, 2.0, 8.0, 30.0]),
            grid_points=st.integers(2, 40))
     def test_random_dissipative_grids(self, seed, dim, n, T, grid_points):
-        rng = np.random.default_rng(seed)
-        _check_sequence(_grid(rng, dim, n, T, grid_points))
+        gen = _grid_gen(np.random.default_rng(seed), dim, n)
+        _check_table(_grid_step(gen, T, grid_points), grid_points)
 
     def test_certified_values_on_a_decaying_grid(self, monkeypatch):
         """A grid that decays to low rank takes the SVD only at its first
         times; the rest are certified Ritz values, not LAPACK's bits."""
-        blocks = _grid(np.random.default_rng(5), 30, 2, 30.0, 40)
+        step = _grid_step(_grid_gen(np.random.default_rng(5), 30, 2), 30.0, 40)
         counts = count_full_size_svds(monkeypatch, 30)
-        got = list(_propagator_norms(blocks))
+        got = list(_propagator_norms(step, 40))
         monkeypatch.undo()
         assert counts["full"] <= 4
-        _check_sequence(blocks)
-        assert got != [np.linalg.norm(p, 2) for p in blocks]
+        _check_table(step, 40)
+        assert got != [np.linalg.norm(p, 2) for p in _powers(step, 40)]
 
     @pytest.mark.parametrize("d", [1, 2, 5, 40])
     def test_identity_and_zero(self, d):
         eye, zero = np.eye(d, dtype=complex), np.zeros((d, d), complex)
-        assert _check_sequence([eye, zero, eye, zero, zero, eye]) == [
-            1.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+        assert _check_table(eye, 4) == [1.0] * 4
+        assert _check_table(zero, 4) == [1.0, 0.0, 0.0, 0.0]
 
     def test_unitaries_fall_back(self, monkeypatch):
         """All singular values equal: the block cannot certify, so every
-        time takes the SVD and has its bits."""
-        rng = np.random.default_rng(1)
-        blocks = [_rotated(rng, np.ones(12)) for _ in range(5)]
+        time after t = 0 takes the SVD and has its bits."""
+        step = _rotated(np.random.default_rng(1), np.ones(12))
         counts = count_full_size_svds(monkeypatch, 12)
-        got = list(_propagator_norms(blocks))
+        got = list(_propagator_norms(step, 6))
         monkeypatch.undo()
-        assert counts["full"] == len(blocks)
-        assert got == [np.linalg.norm(p, 2) for p in blocks]
+        assert counts["full"] == 5
+        assert got == [np.linalg.norm(p, 2) for p in _powers(step, 6)]
 
     def test_rank_one(self):
         rng = np.random.default_rng(2)
-        blocks = []
         for s in (3.0, 1e-3, 0.5, 7.0):
             u = rng.normal(size=20) + 1j * rng.normal(size=20)
             v = rng.normal(size=20) + 1j * rng.normal(size=20)
-            blocks.append(s * np.outer(u, v.conj()))
-        _check_sequence(blocks)
+            _check_table(s * np.outer(u, v.conj()), 3)
 
     def test_near_degenerate_top(self):
         rng = np.random.default_rng(3)
         sv = np.array([1 + 1e-14, 1.0, 0.3, 1e-3, *np.zeros(16)])
-        blocks = [_rotated(rng, sv * s) for s in (1.0, 0.99, 0.98, 0.97)]
-        _check_sequence(blocks)
+        for s in (1.0, 0.99, 0.98, 0.97):
+            _check_table(_rotated(rng, sv * s))
         # The top pair inside the warm block, and then swapped within it.
-        swap = np.diag(np.array([1.0, 1 + 1e-14, 0.3, 1e-3, 0, 0, 0, 0]))
-        _check_sequence([np.diag([1 + 1e-14, 1.0, 0.3, 1e-3, 0, 0, 0, 0]), swap, swap])
+        _check_table(np.diag([1 + 1e-14, 1.0, 0.3, 1e-3, 0, 0, 0, 0]), 3)
+        _check_table(np.diag([1.0, 1 + 1e-14, 0.3, 1e-3, 0, 0, 0, 0]), 3)
 
     def test_decaying_spectrum_under_random_rotations(self):
         """The one subspace step leaves a residual that the certificate
         must see: the block is not invariant."""
         rng = np.random.default_rng(4)
         sv = 0.6 ** np.arange(12)
-        _check_sequence([_rotated(rng, sv) for _ in range(6)])
+        for _ in range(6):
+            _check_table(_rotated(rng, sv), 3)
 
     def test_dominant_direction_outside_the_warm_block(self):
-        """After the first times the warm block holds e0..e3; the largest
-        singular value then sits on an orthogonal direction, once on a
-        coordinate (a long column reveals it) and once spread (no column
-        does)."""
+        """After t = 0 the warm block holds e0..e3; the largest singular
+        value of the step and its powers sits on an orthogonal direction,
+        once on a coordinate (a long column reveals it) and once spread (no
+        column does)."""
         d = 10
         first = np.diag([1.0, 0.9, 0.8, 0.7, *np.zeros(d - 4)]).astype(complex)
         coordinate = first.copy()
@@ -160,24 +169,25 @@ class TestAgainstTheSvdNorm:
         u = np.zeros(d, complex)
         u[4:] = 1 / np.sqrt(d - 4)
         spread = first + 2.0 * np.outer(u, u)
-        _check_sequence([first, first, coordinate, first, spread, spread, first])
+        for step in (first, coordinate, spread):
+            _check_table(step, 3)
 
     def test_hidden_mass_within_the_rounding_margin_falls_back(self, monkeypatch):
         """c and e are widened by 4 d eps |P|_F^2.  Here the warm block
-        holds sigma = 1 exactly and a spread direction outside it has
-        sigma = 1 + 4e-14: unwidened, c would certify 1.0; widened, the
+        e0..e3 holds sigma = 1 exactly and a spread direction outside it
+        has sigma = 1 + 4e-14: unwidened, c would certify 1.0; widened, the
         bound exceeds 1 + 1e-13, so the time takes the SVD and its bits, in
         one call on the stack of hidden's five blocks."""
         d = 10
-        first = np.diag([1.0, 1.0, 1.0, 1.0, *np.zeros(d - 4)]).astype(complex)
         u = np.zeros(d, complex)
         u[4:] = 1 / np.sqrt(d - 4)
-        hidden = first + (1 + 4e-14) * np.outer(u, u)
+        hidden = np.diag([1.0, 1.0, 1.0, 1.0, *np.zeros(d - 4)]) + (
+            1 + 4e-14) * np.outer(u, u)
         counts = count_full_size_svds(monkeypatch, d)
-        got = list(_propagator_norms([first, first, hidden]))
+        got = list(_propagator_norms(hidden, 2))
         monkeypatch.undo()
         assert counts["full"] + counts["stacked"] == 1
-        assert got[2] == np.linalg.norm(hidden, 2)
+        assert got[1] == np.linalg.norm(_powers(hidden, 2)[1], 2)
 
     @pytest.mark.parametrize("scale", [
         1e-170, 1e-162, 1e-150, 1e-140, 1e-100, 1e-80, 1e-20,
@@ -186,10 +196,11 @@ class TestAgainstTheSvdNorm:
     def test_extreme_entry_scales(self, scale):
         """Bounds that underflow or overflow fall back to the SVD; nothing
         raises under the CLI's errstate."""
-        blocks = [scale * p for p in _grid(np.random.default_rng(6), 16, 1, 8.0, 12)]
-        got = _check_sequence(blocks)
-        for value, p in zip(got, blocks):
-            assert abs(value - np.linalg.norm(p, 2)) <= REL_TOL * np.linalg.norm(p, 2)
+        step = _grid_step(_grid_gen(np.random.default_rng(6), 16, 1), 8.0, 12)
+        for p in _powers(step, 12):
+            got = _check_table(scale * p)
+            assert abs(got[1] - np.linalg.norm(scale * p, 2)) <= (
+                REL_TOL * np.linalg.norm(scale * p, 2))
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -217,36 +228,45 @@ class TestStepsAndSvdsSkipped:
         assert np.array_equal(stepped.view(np.uint64), left.view(np.uint64))
 
     def test_identity_takes_no_step_and_no_svd(self, monkeypatch):
+        step = _rotated(np.random.default_rng(1), np.linspace(0.1, 1.0, 30))
         steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
         counts = count_full_size_svds(monkeypatch, 30)
-        assert list(_propagator_norms([np.eye(30, dtype=complex)] * 3)) == [1.0] * 3
-        assert (len(steps), counts["full"]) == (0, 0)
+        assert list(_propagator_norms(step, 1)) == [1.0]
+        assert (len(steps), counts["full"], counts["stacked"]) == (0, 0, 0)
+
+    def test_identity_step_yields_one(self, monkeypatch):
+        """A later P that is exactly I (the step of a zero generator) is no
+        shortcut: each takes one step and the SVD, whose norm is 1.0."""
+        steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
+        counts = count_full_size_svds(monkeypatch, 30)
+        assert list(_propagator_norms(np.eye(30, dtype=complex), 3)) == [1.0] * 3
+        assert (len(steps), counts["stacked"]) == (2, 2)
 
     def test_unitaries_take_one_step_per_time(self, monkeypatch):
         """All singular values equal: every bound is far from theta, so no
-        time repeats its step, and each takes the SVD."""
-        rng = np.random.default_rng(1)
-        blocks = [_rotated(rng, np.ones(12)) for _ in range(6)]
+        time repeats its step, and each after t = 0 takes the SVD."""
+        step = _rotated(np.random.default_rng(1), np.ones(12))
         steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
-        got = list(_propagator_norms(blocks))
+        got = list(_propagator_norms(step, 6))
         monkeypatch.undo()
-        assert len(steps) == len(blocks)
-        assert got == [np.linalg.norm(p, 2) for p in blocks]
+        assert len(steps) == 5
+        assert got == [np.linalg.norm(p, 2) for p in _powers(step, 6)]
 
     def test_repeats_stop_when_a_step_stalls(self, monkeypatch):
-        """The hidden direction's sigma exceeds the block's by 4e-14, so a
-        repeated step leaves the bound's excess (1.4e-13) where it was:
-        one repeat, then the SVD."""
+        """The hidden direction's sigma exceeds that of the block e0..e3
+        by 4e-14, so a repeated step leaves the bound's excess (1.4e-13)
+        where it was: one repeat, then the SVD."""
         d = 10
-        first = np.diag([1.0, 1.0, 1.0, 1.0, *np.zeros(d - 4)]).astype(complex)
         u = np.zeros(d, complex)
         u[4:] = 1 / np.sqrt(d - 4)
-        hidden = first + (1 + 4e-14) * np.outer(u, u)
+        hidden = np.diag([1.0, 1.0, 1.0, 1.0, *np.zeros(d - 4)]) + (
+            1 + 4e-14) * np.outer(u, u)
         steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
-        got = list(_propagator_norms([first, first, hidden]))
+        got = list(_propagator_norms(hidden, 2))
         monkeypatch.undo()
-        assert [p is hidden for p in steps] == [False, False, True, True]
-        assert got[2] == np.linalg.norm(hidden, 2)
+        assert len(steps) == 2 and steps[0] is steps[1]
+        assert np.array_equal(steps[0], hidden)
+        assert got[1] == np.linalg.norm(hidden, 2)
 
 
 @pytest.fixture(scope="module")
@@ -283,33 +303,25 @@ def test_dk40_table_takes_one_full_svd(dk40_path, tmp_path, monkeypatch):
     assert counts["full"] == 1
 
 
-class _Sends:
-    """A grid iteration that records what is sent into it: None for a
-    plain step, else the shape of the block the grid steps on from."""
+class _Step(np.ndarray):
+    """A grid step that records the width of each block it is applied to:
+    d for a full product, the Ritz block's width for a thin one."""
 
-    def __init__(self, grid):
-        self.grid, self.sent = grid, []
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return self.send(None)
-
-    def send(self, block):
-        self.sent.append(None if block is None else block.shape)
-        return self.grid.send(block)
+    def __matmul__(self, other):
+        self.widths.append(other.shape[1])
+        return np.asarray(self) @ other
 
 
 def _thin_table(gen, T, grid_points):
-    """(sends, diagnostics) of the table taken over a generator's live
-    grid, each value checked against the SVD norm of the full product and
-    the tail bound against its rounding margin 4 d eps |P_J|_F."""
+    """(widths, diagnostics) of the table of a generator's grid step, each
+    value checked against the SVD norm of the full product and the tail
+    bound against its rounding margin 4 d eps |P_J|_F."""
     d = gen.space.total_dim
     blocks = list(propagate_on_grid(gen, T, grid_points, np.eye(d)))
-    sends, diagnostics = _Sends(propagate_on_grid(gen, T, grid_points, np.eye(d))), {}
+    step, diagnostics = _grid_step(gen, T, grid_points).view(_Step), {}
+    step.widths = []
     with np.errstate(over="raise", invalid="raise"):
-        got = list(_propagator_norms(sends, diagnostics))
+        got = list(_propagator_norms(step, grid_points, diagnostics))
     assert len(got) == len(blocks) and got[0] == 1.0
     for value, p in zip(got, blocks):
         want = np.linalg.norm(p, 2)
@@ -317,7 +329,7 @@ def _thin_table(gen, T, grid_points):
     if diagnostics["tail_bound"] is not None:
         p_j = blocks[diagnostics["dense_steps"]]
         assert diagnostics["tail_bound"] >= 4 * d * np.finfo(float).eps * np.linalg.norm(p_j)
-    return sends.sent, diagnostics
+    return step.widths, diagnostics
 
 
 @st.composite
@@ -358,12 +370,18 @@ class TestThinTail:
     @given(gen=_thin_generators(), T=st.sampled_from([0.3, 2.0, 8.0]),
            grid_points=st.integers(2, 64))
     def test_random_and_scaled_models(self, gen, T, grid_points):
-        sent, diagnostics = _thin_table(gen, T, grid_points)
-        assert sent[0] is None and len(sent) == grid_points + 1
+        """The table ends on full products or on a thin phase from J: its
+        last grid_points - 1 - J products are thin and the one before
+        forms P_J."""
+        widths, diagnostics = _thin_table(gen, T, grid_points)
+        d, j = gen.space.total_dim, diagnostics["dense_steps"]
+        assert len(widths) >= grid_points - 1
         if diagnostics["tail_bound"] is None:
-            assert diagnostics["dense_steps"] == grid_points
+            assert j == grid_points and widths[-1] == d
         else:
-            assert 1 <= diagnostics["dense_steps"] < grid_points
+            assert 1 <= j < grid_points
+            thin = grid_points - 1 - j
+            assert widths[len(widths) - thin - 1:] == [d] + [min(d, 4)] * thin
 
     @pytest.mark.parametrize("slow, rate, coupling, fast", [
         ((0.0, -0.1), 40.0, 400.0, (-30.0, -35.0)),  # |step| = 3.6 > 1
@@ -374,35 +392,26 @@ class TestThinTail:
         """The table goes thin, the bound fails, P_m is formed from the
         kept P_J and the table goes on from it: the last thin phase starts
         later than the first, and every value keeps the tolerance."""
-        sent, diagnostics = _thin_table(
+        widths, diagnostics = _thin_table(
             _jordan_generator(slow, rate, coupling, fast), 2.0, 64)
-        # The block sent in call m steps on from the one yielded at m - 1.
-        first_j = sent.index((6, 4)) - 1
+        # Before any fallback, product m forms the block of time m + 1.
+        first_j = widths.index(4)
+        assert 6 in widths[first_j:]
         assert diagnostics["dense_steps"] > first_j
 
     def test_lasting_fallback_steps_on_from_the_full_propagator(self):
         """Four transient modes of norm about 1e8 t e^-t carry the norm over
         a steady mode of norm 1 outside the block.  Once they have decayed
         the tail no longer fits, so after the fallback the table stays on
-        full products, stepping on from the P_m it formed and sent."""
+        full products, stepping on from the P_m it formed."""
         d = 9
         g = np.zeros((d, d), dtype=complex)
         for i, rate in enumerate((1.0, 1.1, 1.2, 1.3)):
             g[2 * i, 2 * i] = g[2 * i + 1, 2 * i + 1] = -rate
             g[2 * i, 2 * i + 1] = 1e8
-        sent, diagnostics = _thin_table(Operator(HilbertSpace((d,)), g), 10.0, 64)
-        assert sent.index((d, d)) > sent.index((d, 4))
-        assert sent[sent.index((d, d)) + 1:] == [None] * (64 - sent.index((d, d)))
-        assert diagnostics == {"dense_steps": 64, "tail_bound": None}
-
-    def test_lists_take_no_thin_phase(self):
-        """A sequence without `send` keeps the full products and the bits
-        of the table before the thin phase."""
-        fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=40)
-        gen = generator(assemble(fix.family, 16), FieldAmplitudes.vacuum(1))
-        blocks, diagnostics = list(propagate_on_grid(gen, 2.0, 64, np.eye(123))), {}
-        assert list(_propagator_norms(blocks, diagnostics)) == list(
-            _reference_norms(blocks))
+        widths, diagnostics = _thin_table(Operator(HilbertSpace((d,)), g), 10.0, 64)
+        last_thin = len(widths) - 1 - widths[::-1].index(4)
+        assert widths[last_thin + 1:] == [d] * (len(widths) - 1 - last_thin) != []
         assert diagnostics == {"dense_steps": 64, "tail_bound": None}
 
 
@@ -467,13 +476,17 @@ def _reference_norms(blocks):
 ])
 def test_dk40_table_keeps_its_bits(alpha, beta):
     """At k = 16 no step is repeated, and the block that t = 0 leaves is
-    the one its step left, so every value has the bits of the old rule
-    (the benchmark's amplitudes at seeds 0 and 3, and vacuum)."""
+    the one its step left, so every value up to the thin phase has the
+    bits of the old rule, and every thin value keeps the tolerance (the
+    benchmark's amplitudes at seeds 0 and 3, and vacuum)."""
     fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=40)
-    blocks = list(propagate_on_grid(
-        generator(assemble(fix.family, 16), FieldAmplitudes((alpha,), (beta,))),
-        2.0, 64, np.eye(123)))
-    assert list(_propagator_norms(blocks)) == list(_reference_norms(blocks))
+    gen = generator(assemble(fix.family, 16), FieldAmplitudes((alpha,), (beta,)))
+    blocks, diagnostics = list(propagate_on_grid(gen, 2.0, 64, np.eye(123))), {}
+    got = list(_propagator_norms(_grid_step(gen, 2.0, 64), 64, diagnostics))
+    j = diagnostics["dense_steps"]
+    assert got[: j + 1] == list(_reference_norms(blocks[: j + 1]))
+    for value, p in zip(got[j + 1:], blocks[j + 1:]):
+        assert _within(value, np.linalg.norm(p, 2))
 
 
 def test_random136_table_takes_few_svds(monkeypatch):
@@ -483,14 +496,13 @@ def test_random136_table_takes_few_svds(monkeypatch):
     4 SVDs (there were 8) and 20 steps, each at most a tenth of an SVD."""
     fix = random_structured_fixture(np.random.default_rng(11), 8, n=2, cutoff=16)
     amp = FieldAmplitudes((0j, 0j), (0j, 0j))
-    blocks = list(propagate_on_grid(generator(assemble(fix.family, 4), amp),
-                                    1.0, 8, np.eye(136)))
+    step = _grid_step(generator(assemble(fix.family, 4), amp), 1.0, 8)
     steps = _count_calls(monkeypatch, operator_core, "_ritz_step")
     counts = count_full_size_svds(monkeypatch, 136)
-    list(_propagator_norms(blocks))
+    list(_propagator_norms(step, 8))
     monkeypatch.undo()
     assert counts["full"] <= 4 and len(steps) <= 20
-    assert _check_sequence(blocks)[0] == 1.0
+    _check_table(step, 8)
 
 
 def test_semigroup_gaps_have_the_bits_of_per_point_norms():
