@@ -11,10 +11,12 @@ on the slow subspace.  Both read one `EliminationResult` and take its
 limit side once per study.  Grid studies form each dressed generator once
 and hand it to `semigroup.propagate_on_grid`; each gap is an SVD of only
 the grid times whose Gram bounds can hold the max (`_gap`).  A
-truncation study needs N = I exactly, so each cutoff c is propagated from
-the leading (c+1) x (c+1) block of one generator, and a cutoff whose block
-adds nothing reuses the previous grid.  Schedules pass `_k_values` and
-strictly increase, and reports are bit-reproducible for fixed inputs.
+truncation study needs N = I exactly, so its one generator is dressed on
+the kept block, from the leading blocks of B, G_i and W up to the largest
+cutoff; each cutoff c is propagated from the leading (c+1) x (c+1) block
+of it, and a cutoff whose block adds nothing reuses the previous grid.
+Schedules pass `_k_values` and strictly increase, and reports are
+bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -274,9 +276,12 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
     one outside the space), Y, A or F nonzero, more than one tensor
     factor, W not exactly I (compressing any other W breaks unitarity);
     then PreconditionFailed with the report if `scaled_hp_validate` fails
-    at `tol`, as in `eliminate`.  With W = delta_ij I every dressing term
-    acts entry by entry, so the leading (c+1) x (c+1) block of the model's
-    one dressed generator is, bit for bit, cutoff c's; on the whole space
+    at `tol`, as in `eliminate`.  With W = delta_ij I, M = -L^* and every
+    dressing term acts entry by entry, so the one generator is dressed on
+    the kept block, from the leading (c_max+1) x (c_max+1) blocks of B,
+    G_i and W for the largest cutoff c_max: it is bit for bit the leading
+    block of the model's full dressed generator, and its leading
+    (c+1) x (c+1) block is, bit for bit, cutoff c's; on the whole space
     the truncation adds a multiple of I on the dropped states, which the
     propagated states never reach, so only the block is propagated.  A
     cutoff whose kept B and G are zero outside the previous cutoff's block
@@ -299,9 +304,15 @@ def truncation_study(fam: ScaledFamily, cutoffs, amp: FieldAmplitudes,
         raise ValueError("truncation study requires trivial scattering (N = I)")
     _require_scaled_hp(fam, tol)
 
-    gen = generator(QsdeCoefficients.unitary(fam.b, fam.g_ops, fam.w_ops),
-                    amp).entries
     rows, width = cutoffs[-1] + 1, cutoffs[0] + 1
+    kept_space = HilbertSpace((rows,))
+
+    def lead(op):
+        return Operator(kept_space, op.entries[:rows, :rows])
+
+    gen = generator(QsdeCoefficients.unitary(
+        lead(fam.b), tuple(map(lead, fam.g_ops)),
+        tuple(tuple(map(lead, row)) for row in fam.w_ops)), amp).entries
     grids = []
     for prev, c in zip((None, *cutoffs), cutoffs):
         kept = [op.entries[: c + 1, : c + 1] for op in (fam.b, *fam.g_ops)]

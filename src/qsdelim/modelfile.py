@@ -148,11 +148,15 @@ def _sparse_from_json(node: dict, limit) -> np.ndarray:
     are scattered into a +0.0 complex128 buffer, so every entry has the
     bits the dense form of the same values gives.  The result is that
     buffer itself, which owns its data, so an `Operator` freezes it uncopied.
+    A node whose four lists are all empty decodes to a +0.0 buffer alone:
+    its lists are not converted and no distinctness array is marked.
     A `dim` above `limit` (the model's total dimension) allocates nothing.
     """
     d = _dim(node, limit, "sparse dim")
     if d < 1:
         raise ModelParseError(f"sparse dim must be >= 1, got {d}")
+    if all(node[key] == [] for key in ("row", "col", "re", "im")):
+        return np.zeros((d, d), dtype=np.complex128)
     row = _indices(node["row"], d, "sparse row")
     col = _indices(node["col"], d, "sparse col")
     re = _reals(node["re"], "sparse re")

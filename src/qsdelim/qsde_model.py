@@ -207,8 +207,11 @@ def _dagger(x: np.ndarray) -> np.ndarray:
 def _relation(x: np.ndarray, terms) -> _Norms:
     """The defect x + x^* + (0 + each term in turn) of a relation of the
     form K + K^* + sum_i L_i L_i^* = 0, summed as `sum(terms, zero)` adds,
-    as a `_Norms`.  Callers leave out a product with an all-zero factor:
-    adding its +-0.0 entries to a sum that starts at +0.0 changes no bit.
+    as a `_Norms`.  The sum and the defect are formed in place, in the same
+    left-to-right order, so they have the bits of that expression and no
+    other array of their size is made.  Callers leave out a product with
+    an all-zero factor: adding its +-0.0 entries to a sum that starts at
+    +0.0 changes no bit.
     An all-zero x with no term left has the exact defect 0.0, so it forms
     no array."""
     terms = list(terms)
@@ -216,8 +219,10 @@ def _relation(x: np.ndarray, terms) -> _Norms:
         return _Norms()
     acc = np.zeros_like(x)
     for t in terms:
-        acc = acc + t
-    return _Norms([x + x.conj().T + acc])
+        acc += t
+    defect = x + x.conj().T
+    defect += acc
+    return _Norms([defect])
 
 
 def _k_values(values, cutoffs: bool = False) -> tuple:

@@ -46,13 +46,17 @@ match the d-dim projection products and the d-dim slicing it replaced to
 max(1e-12 |ref|, 1e-14), with exactly 0.0 wherever the reference is 0.0,
 and the per-cutoff coefficient quadruples it replaced bit for bit (it cuts
 one dressed generator, also for two channels with nonzero amplitudes);
+that generator is dressed on the leading (c_max+1)-dim block and has the
+bits of the full model's generator cut to it, and so do the gaps;
 it takes one expm per distinct block, and each nonzero gap passes one
 time slice to the SVD.  `_m_from_unitarity` gives -L_i^* with no product
 for an exactly delta_ij I grid and the products for any other unitary
 grid, e^{0.3i} I among them.  `SubspacePair` takes |p0| only for a defect above
 1e-9 and decides as the rule that took it first; a coordinate projection
 forms no product, and other diagonal p0 keep their messages.  A sparse
-node decodes into a buffer its Operator keeps without a copy.  At zero
+node decodes into a buffer its Operator keeps without a copy; an empty one
+decodes to +0.0 without converting its lists, and a bad node keeps its
+message.  At zero
 amplitude components the dressing leaves their terms out, and the
 generator study applies it once to each of u, u1 and u2.
 
@@ -63,7 +67,8 @@ verdicts, violations and tolerances are the same bits (the side checks'
 violations, formed in another association order, agree under the oracle's
 rule); passing commands take no full-size norm to validate, and a failing
 one prints exact values.  The osc120 family's zero relations form no
-array and its report equals the eager one.
+array and its report equals the eager one, and `_relation`'s in-place
+defect has the bits of x + x^* + sum(terms, zero).
 
 `restricted_inverse` decides its condition gate by a norm bound and its
 defect gate by 1e-10 scale where they settle it: over fast blocks of
@@ -121,7 +126,7 @@ from qsdelim import (
     truncation_study,
     windowed_oscillator_limit,
 )
-from qsdelim import convergence, qsde_model
+from qsdelim import convergence, modelfile, qsde_model
 from qsdelim.errors import NonFiniteEntries
 from qsdelim.operator_core import DEFAULT_COND_LIMIT, _Norms, _norm2, _norm_bound
 from qsdelim.cli import _bundled_fixture, main
@@ -411,6 +416,47 @@ class TestSparseNode:
         want = np.zeros((5, 5), dtype=complex)
         want[[0, 4, 2], [1, 4, 0]] = [complex(1.5, -0.0), complex(-0.0, 3.0), 2.0]
         assert np.array_equal(_bits(op.entries), _bits(want))
+
+    def test_empty_node_is_the_zero_buffer(self, monkeypatch):
+        """A node with four empty lists decodes to the +0.0 buffer without
+        converting its lists; a non-empty node still checks its indices."""
+        calls = []
+        real = modelfile._indices
+        monkeypatch.setattr(modelfile, "_indices",
+                            lambda *args: calls.append(args) or real(*args))
+        node = {"op": "sparse", "dim": 6, "row": [], "col": [], "re": [], "im": []}
+        m = _json_round_trip(node, 6)
+        assert calls == []
+        assert m.dtype == np.complex128 and m.shape == (6, 6)
+        assert m.flags.owndata and m.flags.c_contiguous
+        assert not _bits(m).any()  # +0.0 in both parts
+        node.update(row=[2], col=[3], re=[-0.0], im=[1.0])
+        m = _json_round_trip(node, 6)
+        assert [args[2] for args in calls] == ["sparse row", "sparse col"]
+        want = np.zeros((6, 6), dtype=complex)
+        want[2, 3] = complex(-0.0, 1.0)
+        assert np.array_equal(_bits(m), _bits(want))
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"row": [0, 0], "col": [1, 1], "re": [1.0, 2.0], "im": [0.0, 0.0]},
+         "sparse (row, col) pairs must be distinct"),
+        ({"row": [0, 4], "col": [1, 1], "re": [1.0, 2.0], "im": [0.0, 0.0]},
+         "sparse row must be integers in [0, 4)"),
+        ({"row": [0], "col": [-1], "re": [1.0], "im": [0.0]},
+         "sparse col must be integers in [0, 4)"),
+        ({"row": [], "col": [0], "re": [1.0], "im": [0.0]},
+         "sparse row, col, re and im must have equal lengths"),
+        ({"row": [], "col": [], "re": [], "im": [0.0]},
+         "sparse row, col, re and im must have equal lengths"),
+        ({"row": [], "col": [], "re": [], "im": None},
+         "sparse im must be a list of numbers"),
+        ({"row": [], "col": [], "re": []}, "bad 'sparse' node: 'im'"),
+    ], ids=str)
+    def test_errors_keep_their_messages(self, edit, message):
+        node = {"op": "sparse", "dim": 4, **edit}
+        with pytest.raises(ModelParseError) as err:
+            eval_expression(node, 4)
+        assert str(err.value) == message
 
 
 @st.composite
@@ -1571,29 +1617,11 @@ def _reference_slicing_truncation(fam, cutoffs, amp, T, grid_points):
     return tuple(gaps)
 
 
-def _reference_quadruple_truncation(fam, cutoffs, amp, T, grid_points):
-    """The per-cutoff build the study replaced: a coefficient quadruple of
-    the leading blocks of B, G and W on a space of its own, with M_c =
-    -L_c^*, dressed and propagated per cutoff, the same reuse rule, and
-    each gap the max of one batched SVD of the grid."""
+def _reference_block_truncation(fam, cutoffs, T, grid_points, dressed):
+    """The study's reuse rule and zero-padded grids, with `dressed(c)` the
+    generator of cutoff c on its own (c+1)-dim space, and each gap the max
+    of one batched SVD of the grid."""
     rows, width = cutoffs[-1] + 1, cutoffs[0] + 1
-
-    def propagated(cutoff):
-        space = HilbertSpace((cutoff + 1,))
-
-        def block(op):
-            return Operator(space, op.entries[: cutoff + 1, : cutoff + 1])
-
-        l_c = tuple(block(g) for g in fam.g_ops)
-        coeffs = QsdeCoefficients(
-            block(fam.b), l_c, tuple(-l.dag() for l in l_c),
-            tuple(tuple(block(w) for w in row) for row in fam.w_ops),
-        )
-        grid = np.zeros((grid_points, rows, width), dtype=np.complex128)
-        grid[:, : cutoff + 1] = list(propagate_on_grid(
-            generator(coeffs, amp), T, grid_points, np.eye(cutoff + 1, width)))
-        return grid
-
     grids = []
     for prev, c in zip((None, *cutoffs), cutoffs):
         kept = [op.entries[: c + 1, : c + 1] for op in (fam.b, *fam.g_ops)]
@@ -1601,10 +1629,43 @@ def _reference_quadruple_truncation(fam, cutoffs, amp, T, grid_points):
             np.any(m[prev + 1:]) or np.any(m[:, prev + 1:]) for m in kept
         ):
             grids.append(grids[-1])
-        else:
-            grids.append(propagated(c))
+            continue
+        grid = np.zeros((grid_points, rows, width), dtype=np.complex128)
+        grid[:, : c + 1] = list(propagate_on_grid(
+            dressed(c), T, grid_points, np.eye(c + 1, width)))
+        grids.append(grid)
     return tuple(float(np.linalg.svd(lo - hi, compute_uv=False).max())
                  for lo, hi in zip(grids, grids[1:]))
+
+
+def _reference_quadruple_truncation(fam, cutoffs, amp, T, grid_points):
+    """The per-cutoff build the study replaced: a coefficient quadruple of
+    the leading blocks of B, G and W on a space of its own, with M_c =
+    -L_c^*, dressed and propagated per cutoff."""
+
+    def dressed(cutoff):
+        space = HilbertSpace((cutoff + 1,))
+
+        def block(op):
+            return Operator(space, op.entries[: cutoff + 1, : cutoff + 1])
+
+        l_c = tuple(block(g) for g in fam.g_ops)
+        return generator(QsdeCoefficients(
+            block(fam.b), l_c, tuple(-l.dag() for l in l_c),
+            tuple(tuple(block(w) for w in row) for row in fam.w_ops),
+        ), amp)
+
+    return _reference_block_truncation(fam, cutoffs, T, grid_points, dressed)
+
+
+def _reference_full_dressing_truncation(fam, cutoffs, amp, T, grid_points):
+    """The build the study replaced next: the model's full dressed
+    generator, with each cutoff's leading block sliced from it."""
+    gen = generator(QsdeCoefficients.unitary(fam.b, fam.g_ops, fam.w_ops),
+                    amp).entries
+    return _reference_block_truncation(
+        fam, cutoffs, T, grid_points,
+        lambda c: Operator(HilbertSpace((c + 1,)), gen[: c + 1, : c + 1]))
 
 
 def _two_channel_padded_family():
@@ -1691,6 +1752,45 @@ def _fixed_coefficient_cases(draw):
     return fam, tuple(cutoffs), amp
 
 
+@st.composite
+def _sparse_fixed_coefficient_cases(draw):
+    """A fixed-coefficient family with W = delta_ij I, sparse G_i and B =
+    i H - sum_i G_i G_i^* / 2 (H sparse Hermitian), with half of their
+    zero parts -0.0; vacuum or random amplitudes; >= 2 increasing cutoffs,
+    the largest often d - 1."""
+    d, n = draw(st.integers(2, 10)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = HilbertSpace((d,))
+
+    def signed_zeros(m):
+        for part in (m.real, m.imag):
+            part[(part == 0) & (rng.random((d, d)) < 0.5)] = -0.0
+        return m
+
+    def sparse(scale):
+        values = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return np.where(rng.random((d, d)) < 0.3, scale * values, 0.0)
+
+    gs = [signed_zeros(sparse(0.7)) for _ in range(n)]
+    h = sparse(1.0)
+    b = 1j * (h + h.conj().T) / 2 - 0.5 * sum(g @ g.conj().T for g in gs)
+    zero, ident = Operator.zero(space), Operator.identity(space)
+    fam = ScaledFamily(
+        zero, zero, Operator(space, signed_zeros(b)), (zero,) * n,
+        tuple(Operator(space, g) for g in gs),
+        tuple(tuple(ident if i == j else zero for j in range(n))
+              for i in range(n)),
+    )
+    inner = draw(st.sets(st.integers(0, d - 1)))
+    cutoffs = sorted(inner | set(draw(st.sampled_from([(), (d - 1,)]))))
+    assume(len(cutoffs) >= 2)
+    amp = FieldAmplitudes.vacuum(n) if draw(st.booleans()) else FieldAmplitudes(*(
+        tuple(complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(n))
+        for _ in range(2)
+    ))
+    return fam, tuple(cutoffs), amp
+
+
 class TestTruncationBySlicing:
     @settings(max_examples=40, deadline=None)
     @given(_fixed_coefficient_cases(), st.sampled_from([8, 17]))
@@ -1750,6 +1850,29 @@ class TestTruncationBlockForm:
                              amp, 1.5, 8)
         assert gen.call_count == 1
         assert gen.call_args.args[0].space.total_dim == 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sparse_fixed_coefficient_cases(), st.sampled_from([8, 17]))
+    def test_generator_dressed_on_the_kept_block(self, case, grid_points):
+        """The one generator is dressed on the leading (c_max+1)-dim block:
+        bit for bit the leading block of the full model's, and so are the
+        gaps of the full dressing sliced per cutoff."""
+        fam, cutoffs, amp = case
+        made, real = [], convergence.generator
+        with mock.patch.object(
+                convergence, "generator",
+                lambda c, a: made.append((c, real(c, a))) or made[-1][1]):
+            got = truncation_study(fam, cutoffs, amp, 1.5, grid_points).values
+        rows = cutoffs[-1] + 1
+        ((coeffs, gen),) = made
+        assert coeffs.space.total_dim == gen.space.total_dim == rows
+        full = generator(
+            QsdeCoefficients.unitary(fam.b, fam.g_ops, fam.w_ops), amp).entries
+        assert np.array_equal(_bits(gen.entries), _bits(full[:rows, :rows]))
+        want = _reference_full_dressing_truncation(fam, cutoffs, amp, 1.5,
+                                                   grid_points)
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(want).view(np.uint64))
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(_fixed_coefficient_cases(), _osc120_cases()),
@@ -2352,6 +2475,44 @@ class TestCheckResultContract:
         for c in report.checks:
             assert c == CheckResult(c.name, c.max_violation, c.tolerance, c.passed)
             assert repr(c).startswith(f"CheckResult(name={c.name!r}, max_violation=")
+
+
+@st.composite
+def _relation_cases(draw):
+    """A d x d x and 0-3 terms of the same shape, entries from a small
+    pool with -0.0 and subnormals, at a drawn density."""
+    d = draw(st.integers(1, 6))
+    pool = np.array([0.0, -0.0, 5e-324, -1.5, 0.25, 3.0, -1e-300])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+    def matrix():
+        m = np.empty((d, d), dtype=complex)
+        for part in (m.real, m.imag):
+            part[...] = np.where(rng.random((d, d)) < density,
+                                 rng.choice(pool, (d, d)), -0.0)
+        return m
+
+    return matrix(), [matrix() for _ in range(draw(st.integers(0, 3)))]
+
+
+class TestRelationInPlace:
+    @settings(max_examples=150, deadline=None)
+    @given(_relation_cases())
+    def test_defect_has_the_bits_of_the_expression(self, case):
+        """The in-place sum and defect have the bits of x + x^* + sum(terms,
+        zero); an all-zero x with no term forms no array."""
+        x, terms = case
+        want = x + x.conj().T + sum(terms, np.zeros_like(x))
+        before = [t.copy() for t in terms]
+        items = qsde_model._relation(x, iter(terms))._items
+        if not terms and not x.any():
+            assert items == [] and not want.any()
+        else:
+            (got,) = items
+            assert np.array_equal(_bits(got), _bits(want))
+        assert all(np.array_equal(_bits(t), _bits(u))
+                   for t, u in zip(terms, before))  # no term is written
 
 
 @pytest.fixture(scope="module")
