@@ -31,7 +31,8 @@ mass outside the block certifies it from above.  A certified value
 agrees with LAPACK's sigma_max within 1e-12 relative but is not bit-equal
 to it; a nearly certified block takes more steps, a block the
 certificate cannot decide takes the SVD, and the t = 0 power I neither.
-The table steps on in d x 4 products once such a block carries the norm.
+The table steps on in d x 4 products once such a block carries the norm,
+taking their norms from one batched SVD per chunk of blocks formed ahead.
 """
 
 from __future__ import annotations
@@ -292,6 +293,46 @@ def _ritz_step(p: np.ndarray, q: np.ndarray) -> tuple[float, bool, np.ndarray, f
     return theta, upper <= theta * (1.0 + 1e-13), q, upper / theta - 1.0
 
 
+def _refined_ritz(p: np.ndarray, q: np.ndarray) -> tuple[float, bool, np.ndarray]:
+    """(theta, certified, Ritz vectors) of `_ritz_step` from the block q,
+    repeated on the same p while its bound is within _RITZ_NEAR (1e-6)
+    relative of theta but not certified and each repeat cuts that excess
+    tenfold: a few more steps cost far less than an SVD."""
+    theta, certified, q, excess = _ritz_step(p, q)
+    while not certified and excess <= _RITZ_NEAR:
+        theta, certified, q, shrunk = _ritz_step(p, q)
+        excess = shrunk if shrunk < excess / 10 else math.inf
+    return theta, certified, q
+
+
+def _thin_norms(step: np.ndarray, b: np.ndarray, count: int):
+    """sigma_max of B_i = step^i b for i = 1 .. count, each with the bits of
+    `_norm2(B_i)`.  The B_i are formed ahead in chunks of 1, 2, 4, ...
+    blocks, so a reader that stops after i values has made fewer than 2 i,
+    and the norms of a chunk's blocks come from one `np.linalg.svd` of
+    their stack, which takes each block alone, as `np.linalg.norm(B, 2)`
+    does; a block that `_norm2` could split (a zero in every row and every
+    column) or that is not finite takes `_norm2`.  Each chunk is formed
+    under the caller's errstate: a block past float64 raises there (the CLI)
+    or is inf."""
+    size = 1
+    while count > 0:
+        stack = np.empty((min(size, count), *b.shape), dtype=b.dtype)
+        for block in stack:
+            block[...] = b = step @ b
+        nz = stack != 0  # NaN is nonzero
+        whole = (nz.all(axis=1).any(axis=1) | nz.all(axis=2).any(axis=1)) & (
+            np.isfinite(stack).all(axis=(1, 2)))
+        norms = np.zeros(len(stack))
+        if whole.any():
+            norms[whole] = np.linalg.svd(stack[whole], compute_uv=False)[:, 0]
+        for i in np.flatnonzero(~whole):
+            norms[i] = _norm2(stack[i])
+        yield from norms.tolist()
+        count -= len(stack)
+        size *= 2
+
+
 def _propagator_norms(step, count, diagnostics=None):
     """Spectral norms of the powers P_m = step^m for m = 0 .. count - 1
     (count >= 1), each within 1e-12 relative of `np.linalg.norm(P_m, 2)`,
@@ -301,15 +342,13 @@ def _propagator_norms(step, count, diagnostics=None):
 
     P_0 = I yields 1.0, its LAPACK norm, with no step, and leaves the block
     where a step from I would: at the columns of I at indices 0 ..
-    _RITZ_BLOCK - 1.  Each P_m = step @ P_(m-1) takes one subspace step
-    (`_ritz_step`) from the previous P's Ritz vectors and yields
-    sqrt(theta) if it is certified.  A step whose bound is within
-    _RITZ_NEAR (1e-6) relative of theta but not certified is repeated on
-    the same P while each repeat cuts that excess tenfold: a few more steps
-    cost far less than an SVD.  Otherwise, if some column of P is longer
-    than sqrt(theta), the warm block misses a direction at least that
-    large, and a step from the columns of I at P's _RITZ_BLOCK longest
-    columns is tried; its Ritz vectors carry on if it certifies.  A P that
+    _RITZ_BLOCK - 1.  Each P_m = step @ P_(m-1) takes a subspace step
+    from the previous P's Ritz vectors, repeated while it nearly certifies
+    (`_refined_ritz`), and yields sqrt(theta) if it is certified.
+    Otherwise, if some column of P is longer than sqrt(theta), the warm
+    block misses a direction at least that large, and a step from the
+    columns of I at P's _RITZ_BLOCK longest columns is tried under the
+    same repeat rule; its Ritz vectors carry on if it certifies.  A P that
     neither certifies yields its SVD norm.
 
     After a certified step at a time J >= 1 with Ritz block Q, the tail
@@ -317,11 +356,12 @@ def _propagator_norms(step, count, diagnostics=None):
     bound each P_m = step^(m-J) P_J through B = P_m Q and E = Q*Q - I:
         |B|^2 (1 - |E|) <= |P_m|^2 <= |B|^2 (1 + |E|) + (g^(m-J) t)^2.
     While these hold |B| within 1e-13 (`fits`), the table steps on from
-    P_J Q as step @ B in d x 4 products, yielding sigma_max(B); else P_m =
-    step^(m-J) P_J is formed and the table steps on from it.  They certify
-    the tail and Q's orthonormality, not the rounding of products, thin or
-    full.  `diagnostics` gets `dense_steps` (J, or `count` if the table
-    ends on full products) and `tail_bound` (t or None).
+    P_J Q as step @ B in d x 4 products, yielding sigma_max(B) from
+    `_thin_norms`, which forms the blocks ahead in doubling chunks; else
+    P_m = step^(m-J) P_J is formed and the table steps on from it.  They
+    certify the tail and Q's orthonormality, not the rounding of products,
+    thin or full.  `diagnostics` gets `dense_steps` (J, or `count` if the
+    table ends on full products) and `tail_bound` (t or None).
     """
     def fits(norm, tail):  # |B|^2 (1 + |E|) + tail^2 <= |B|^2 (1 + 1e-13)
         return norm > 0 and e + (tail / norm) * (tail / norm) <= 1e-13
@@ -331,8 +371,7 @@ def _propagator_norms(step, count, diagnostics=None):
     yield 1.0
     for m in range(1, count):
         if j is not None:  # p is P_J
-            b = step @ b
-            norm, bound = _norm2(b), bound * g
+            norm, bound = next(thin), bound * g
             if fits(norm, bound):
                 yield norm
                 continue
@@ -340,17 +379,14 @@ def _propagator_norms(step, count, diagnostics=None):
                 p = step @ p
             j = None
         p = step @ p
-        theta, certified, q, excess = _ritz_step(p, q)
-        while not certified and excess <= _RITZ_NEAR:
-            theta, certified, q, shrunk = _ritz_step(p, q)
-            excess = shrunk if shrunk < excess / 10 else math.inf
+        theta, certified, q = _refined_ritz(p, q)
         if not certified:
             with np.errstate(over="ignore", invalid="ignore"):
                 cols = (p.real * p.real + p.imag * p.imag).sum(axis=0)
             if cols.max() > theta:
                 top = np.sort(np.argsort(-cols, kind="stable")[:_RITZ_BLOCK])
                 start = np.eye(d, dtype=np.complex128)[:, top]
-                theta_c, certified, q_c, _ = _ritz_step(p, start)
+                theta_c, certified, q_c = _refined_ritz(p, start)
                 if certified:
                     theta, q = theta_c, q_c
         value = math.sqrt(theta) if certified else _norm2(p)
@@ -363,7 +399,7 @@ def _propagator_norms(step, count, diagnostics=None):
                 t = s * (math.sqrt(np.vdot(r, r).real) + margin)
                 e = float(np.abs(q.conj().T @ q - np.eye(q.shape[1])).sum())  # >= |E|
                 if fits(value, t):
-                    j, bound = m, t
+                    j, bound, thin = m, t, _thin_norms(step, b, count - 1 - m)
         yield value
     if diagnostics is not None:
         diagnostics.update(dense_steps=count if j is None else j,

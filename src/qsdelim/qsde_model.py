@@ -238,11 +238,23 @@ def _k_values(values, cutoffs: bool = False) -> tuple:
 
 
 def assemble(fam: ScaledFamily, k: float) -> QsdeCoefficients:
-    """Materialize the prelimit coefficients at a k that `_k_values` takes."""
+    """Materialize the prelimit coefficients at a k that `_k_values` takes.
+
+    K = (k^2 Y + k A) + B and L_i = k F_i + G_i are formed on the entries
+    in place, in that order and with the complex scalars that `Operator`'s
+    `*` takes, so they have the bits of the Operator expressions, and each
+    is one Operator."""
     (k,) = _k_values((float(k),))
-    k_op = (k * k) * fam.y + k * fam.a + fam.b
-    l_ops = tuple(k * f + g for f, g in zip(fam.f_ops, fam.g_ops))
-    return QsdeCoefficients.unitary(k_op, l_ops, fam.w_ops)
+    kk, k1 = complex(k * k), complex(k)
+    k_op = fam.y.entries * kk
+    k_op += fam.a.entries * k1
+    k_op += fam.b.entries
+    l_ops = []
+    for f, g in zip(fam.f_ops, fam.g_ops):
+        l_op = f.entries * k1
+        l_op += g.entries
+        l_ops.append(Operator(fam.space, l_op))
+    return QsdeCoefficients.unitary(Operator(fam.space, k_op), l_ops, fam.w_ops)
 
 
 def _m_from_unitarity(w_ops, l_ops) -> tuple[Operator, ...]:

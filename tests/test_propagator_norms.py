@@ -11,8 +11,9 @@ hand-made steps that defeat the warm start (equal singular values, a
 dominant direction outside the block, near-degenerate tops, entries from
 1e-150 to 1e150), each met by the block e0..e3 that t = 0 leaves.  The
 t = 0 block I takes neither a step nor an SVD, and a nearly certified
-step is repeated while it converges, so random136's table takes at most
-half its old SVDs while dk40's keeps its bits up to its thin phase.
+step, warm or restarted, is repeated while it converges, so random136's
+table takes at most half its old SVDs and dk40's takes none, with the
+bits of that rule up to its thin phase.
 `_gap` equals the batched SVD's max bit for bit over stacks of every
 shape, near-ties and entry scales, while passing only the slices its
 Gram eigenvalues single out; semigroup gaps have the bits of the
@@ -20,7 +21,12 @@ per-point norms, and a unitarity defect of W = I is 0.0 with no product.
 The table goes thin once a certified 4-column block carries the norm: the
 thin values keep the same tolerance over random and k^2-scaled models,
 a bound that stops certifying returns to full products, and dk40's
-64-row table forms at most 6 full-size products.
+64-row table forms at most 6 full-size products.  The thin norms come
+from one batched SVD per chunk of 1, 2, 4, ... blocks formed ahead, with
+the bits of `_norm2` block by block, over random stable steps, phases
+that fail at their first, second and later times, blocks that split and
+blocks past float64; a phase that stops after i values formed fewer than
+2i blocks.
 """
 
 import json
@@ -293,14 +299,17 @@ def test_dk40_table_takes_few_full_svds(dk40_path, amps, tmp_path, monkeypatch, 
     assert len(rows) == 64 and rows[0].endswith(",1")
 
 
-def test_dk40_table_takes_one_full_svd(dk40_path, tmp_path, monkeypatch):
-    """At the benchmark's amplitudes only t = dt falls back (t = 0 is I)."""
+def test_dk40_table_takes_no_full_svd(dk40_path, tmp_path, monkeypatch):
+    """At the benchmark's amplitudes t = dt nearly certifies on the block
+    of P's longest columns, and its repeated steps certify it, so no time
+    takes the SVD (t = 0 is I).  The 59 thin times from J = 4 take one
+    np.linalg.svd per chunk of 1, 2, 4, 8, 16 and 28 blocks."""
     counts = count_full_size_svds(monkeypatch, 123)
     argv = ["semigroup", dk40_path, "--k", "16", "--T", "2", "--grid", "64",
             "--alpha=0.38-0.23j", "--beta=-0.05-0.39j",
             "--csv", str(tmp_path / "sg.csv")]
     assert main(argv) == 0
-    assert counts["full"] == 1
+    assert counts == {"full": 0, "stacked": 0, "svd": 6}
 
 
 class _Step(np.ndarray):
@@ -404,15 +413,150 @@ class TestThinTail:
         a steady mode of norm 1 outside the block.  Once they have decayed
         the tail no longer fits, so after the fallback the table stays on
         full products, stepping on from the P_m it formed."""
-        d = 9
-        g = np.zeros((d, d), dtype=complex)
-        for i, rate in enumerate((1.0, 1.1, 1.2, 1.3)):
-            g[2 * i, 2 * i] = g[2 * i + 1, 2 * i + 1] = -rate
-            g[2 * i, 2 * i + 1] = 1e8
-        widths, diagnostics = _thin_table(Operator(HilbertSpace((d,)), g), 10.0, 64)
+        widths, diagnostics = _thin_table(_transient_generator(), 10.0, 64)
         last_thin = len(widths) - 1 - widths[::-1].index(4)
-        assert widths[last_thin + 1:] == [d] * (len(widths) - 1 - last_thin) != []
+        assert widths[last_thin + 1:] == [9] * (len(widths) - 1 - last_thin) != []
         assert diagnostics == {"dense_steps": 64, "tail_bound": None}
+
+
+def _transient_generator():
+    """diag of four 2 x 2 blocks [[-r, 1e8], [0, -r]] (r = 1.0 .. 1.3) and
+    a steady 0: on a T = 10, 64-point grid the norm is carried by modes
+    that decay below the steady one, so the tail stops fitting."""
+    d = 9
+    g = np.zeros((d, d), dtype=complex)
+    for i, rate in enumerate((1.0, 1.1, 1.2, 1.3)):
+        g[2 * i, 2 * i] = g[2 * i + 1, 2 * i + 1] = -rate
+        g[2 * i, 2 * i + 1] = 1e8
+    return Operator(HilbertSpace((d,)), g)
+
+
+def _sequential_thin_norms(step, b, count):
+    """The thin phase block by block: B_i = step @ B_(i-1) and its `_norm2`."""
+    for _ in range(count):
+        b = step @ b
+        yield operator_core._norm2(b)
+
+
+def _outcome(step, count, errstate):
+    """The table's values as uint64 bits (NaN included), or the type and
+    message of the error it raised, under the given errstate."""
+    try:
+        with np.errstate(over=errstate, invalid=errstate):
+            return np.array(list(_propagator_norms(step, count))).view(np.uint64).tolist()
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _thin_phases(monkeypatch, step) -> list:
+    """Wrap `_thin_norms`: each thin phase appends [values read, blocks
+    formed, blocks it may read], the formed blocks counted as the d x 4
+    products that the `_Step` `step` records while its values are read."""
+    phases, real = [], operator_core._thin_norms
+
+    def counted(step_, b, count):
+        phase = [0, 0, count]
+        phases.append(phase)
+        values = real(step_, b, count)
+        while True:
+            before = len(step.widths)
+            try:
+                value = next(values)
+            except StopIteration:
+                return
+            phase[0] += 1
+            phase[1] += step.widths[before:].count(b.shape[1])
+            yield value
+
+    monkeypatch.setattr(operator_core, "_thin_norms", counted)
+    return phases
+
+
+def _chunked_table(monkeypatch, step, count):
+    """(values, phases, svd calls, diagnostics) of the table of a d x d
+    step with d > 4; the values are checked against `_check_table` and,
+    bit for bit, against the table whose thin norms are taken block by
+    block, and each phase that stopped after i values formed fewer than 2i
+    blocks."""
+    step = np.asarray(step).view(_Step)
+    step.widths, diagnostics = [], {}
+    phases = _thin_phases(monkeypatch, step)
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    with np.errstate(over="raise", invalid="raise"):
+        got = list(_propagator_norms(step, count, diagnostics))
+    monkeypatch.undo()
+    monkeypatch.setattr(operator_core, "_thin_norms", _sequential_thin_norms)
+    assert _outcome(step, count, "raise") == np.array(got).view(np.uint64).tolist()
+    monkeypatch.undo()
+    _check_table(np.asarray(step), count)
+    for read, formed, capacity in phases:
+        assert read <= formed < 2 * read or read == formed == capacity == 0
+    return got, phases, svds, diagnostics
+
+
+def _failures(phases, diagnostics) -> list:
+    """The thin time (1 = the first after J) at which each failed phase
+    stopped: every phase but a last one that ran to the table's end."""
+    done = diagnostics["tail_bound"] is not None
+    return [read for read, _, _ in (phases[:-1] if done else phases)]
+
+
+class TestThinNormsInChunks:
+    """The thin phase forms its blocks ahead in chunks of 1, 2, 4, ... and
+    takes sigma_max of each chunk from one batched SVD, with the bits of
+    `_norm2` block by block; a block `_norm2` would split, or one that is
+    not finite, takes `_norm2`."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(gen=_thin_generators(), T=st.sampled_from([0.3, 2.0, 8.0]),
+           grid_points=st.integers(2, 64))
+    def test_random_stable_steps(self, gen, T, grid_points):
+        if gen.space.total_dim > 4:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _chunked_table(monkeypatch, _grid_step(gen, T, grid_points), grid_points)
+        else:
+            _check_table(_grid_step(gen, T, grid_points), grid_points)
+
+    def test_phases_that_fail_at_the_first_second_and_later_times(self, monkeypatch):
+        """A Jordan block whose step has norm 3.6 makes the tail bound
+        outgrow the norm again and again."""
+        step = _grid_step(_jordan_generator((0.0, -0.1), 40.0, 400.0, (-30.0, -35.0)), 2.0, 64)
+        _, phases, svds, diagnostics = _chunked_table(monkeypatch, step, 64)
+        failures = _failures(phases, diagnostics)
+        assert {1, 2} <= set(failures) and max(failures) > 2
+        assert len(svds) >= len(phases)
+
+    def test_split_blocks_take_norm2(self, monkeypatch):
+        """A diagonal step's thin blocks have a zero in every row and
+        column: each takes `_norm2` (which splits it), none the batch."""
+        step = np.diag([0.9, 0.8, 0.7, 0.6, 1e-3, 1e-4]).astype(complex)
+        calls = _count_calls(monkeypatch, operator_core, "_norm2")
+        _, phases, svds, diagnostics = _chunked_table(monkeypatch, step, 20)
+        assert diagnostics["dense_steps"] == 3 and phases == [[16, 16, 16]]
+        assert svds == [] and sum(np.shape(x) == (6, 4) for x in calls) == 16
+
+    def test_a_block_past_float64_fails_as_block_by_block(self, monkeypatch):
+        """sigma_max of 1e12 per step: the thin blocks leave float64 at
+        about t = 26.  Under the CLI's errstate the table raises the
+        overflow of a product, as block by block; without it, the
+        non-finite block takes `_norm2`, with the same outcome."""
+        step = _rotated(np.random.default_rng(1), [1e12, 0.5, 0.3, 0.2, 0.1, 0.05, 0, 0, 0, 0])
+        chunked = [_outcome(step, 64, e) for e in ("raise", "ignore")]
+        monkeypatch.setattr(operator_core, "_thin_norms", _sequential_thin_norms)
+        assert chunked == [_outcome(step, 64, e) for e in ("raise", "ignore")]
+        assert chunked[0] == (FloatingPointError, "overflow encountered in matmul")
+
+    def test_transient_model_forms_at_most_twice_the_thin_blocks(self, monkeypatch):
+        """The 9 x 9 model of the lasting fallback re-enters a thin phase
+        that fails at its first time, 25 times: block by block the table
+        formed 25 d x 4 products.  Chunks that start at one block form no
+        more; each takes one batched SVD unless its one block splits."""
+        step = _grid_step(_transient_generator(), 10.0, 64)
+        _, phases, svds, diagnostics = _chunked_table(monkeypatch, step, 64)
+        formed = sum(f for _, f, _ in phases)
+        assert formed <= 2 * 25
+        assert _failures(phases, diagnostics) == [1] * 25
+        assert len(svds) <= formed
 
 
 def _count_full_products(monkeypatch, d) -> list:
@@ -449,23 +593,34 @@ def test_dk40_table_forms_few_full_products(dk40_path, tmp_path, monkeypatch, ca
     assert capsys.readouterr().out.splitlines()[-1] == "contraction: PASS"
 
 
+def _refined(p, q):
+    """A Ritz step from q, repeated on p while its bound's excess is at
+    most 1e-6 and each repeat cuts it tenfold."""
+    theta, certified, q, excess = operator_core._ritz_step(p, q)
+    while not certified and excess <= 1e-6:
+        theta, certified, q, shrunk = operator_core._ritz_step(p, q)
+        excess = shrunk if shrunk < excess / 10 else np.inf
+    return theta, certified, q
+
+
 def _reference_norms(blocks):
-    """The per-time rule before the t = 0 and repeated-step shortcuts: a
-    warm step, else a step from the longest columns, else the SVD."""
+    """(value, Ritz block) per time by the rule without the t = 0 shortcut:
+    a warm step, else a step from the longest columns, each repeated while
+    it nearly certifies, else the SVD."""
     q = None
     for p in blocks:
         theta, certified = -np.inf, False
         if q is not None:
-            theta, certified, q, _ = operator_core._ritz_step(p, q)
+            theta, certified, q = _refined(p, q)
         if not certified:
             cols = (p.real * p.real + p.imag * p.imag).sum(axis=0)
             if cols.max() > theta:
                 top = np.sort(np.argsort(-cols, kind="stable")[:4])
                 start = np.eye(len(cols), dtype=np.complex128)[:, top]
-                theta_c, certified, q_c, _ = operator_core._ritz_step(p, start)
+                theta_c, certified, q_c = _refined(p, start)
                 if certified or q is None:
                     theta, q = theta_c, q_c
-        yield float(np.sqrt(theta)) if certified else float(np.linalg.norm(p, 2))
+        yield (float(np.sqrt(theta)) if certified else float(np.linalg.norm(p, 2))), q
 
 
 @pytest.mark.parametrize("alpha, beta", [
@@ -475,17 +630,26 @@ def _reference_norms(blocks):
      0.18591140473819195 + 0.29189000346616989j),
 ])
 def test_dk40_table_keeps_its_bits(alpha, beta):
-    """At k = 16 no step is repeated, and the block that t = 0 leaves is
-    the one its step left, so every value up to the thin phase has the
-    bits of the old rule, and every thin value keeps the tolerance (the
-    benchmark's amplitudes at seeds 0 and 3, and vacuum)."""
+    """Every value has the bits of the reference rule up to J, the block
+    that t = 0 leaves being the one its step left, and every thin value
+    those of `_norm2` of step^(m-J) P_J Q, with Q the reference's Ritz
+    block at J; every value keeps the tolerance (the benchmark's
+    amplitudes at seeds 0 and 3, whose t = dt certifies after repeated
+    steps on the block of the longest columns, and vacuum)."""
     fix = duan_kimble_fixture(gamma=1.0, g=2.0, drive_alpha=0.3 + 0.4j, cutoff=40)
     gen = generator(assemble(fix.family, 16), FieldAmplitudes((alpha,), (beta,)))
     blocks, diagnostics = list(propagate_on_grid(gen, 2.0, 64, np.eye(123))), {}
-    got = list(_propagator_norms(_grid_step(gen, 2.0, 64), 64, diagnostics))
+    step = _grid_step(gen, 2.0, 64)
+    got = list(_propagator_norms(step, 64, diagnostics))
     j = diagnostics["dense_steps"]
-    assert got[: j + 1] == list(_reference_norms(blocks[: j + 1]))
-    for value, p in zip(got[j + 1:], blocks[j + 1:]):
+    assert j == 4
+    reference = list(_reference_norms(blocks[: j + 1]))
+    assert got[: j + 1] == [value for value, _ in reference]
+    b = blocks[j] @ reference[j][1]
+    for value in got[j + 1:]:
+        b = step @ b
+        assert value == operator_core._norm2(b)
+    for value, p in zip(got, blocks):
         assert _within(value, np.linalg.norm(p, 2))
 
 
