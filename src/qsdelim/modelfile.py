@@ -31,6 +31,7 @@ read as 1.0.
 from __future__ import annotations
 
 import gc
+import io
 import json
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -43,7 +44,7 @@ from .operator_core import HilbertSpace, Operator, SubspacePair, _at_most, _Norm
 from .qsde_model import ScaledFamily
 
 _SEQUENCE = (list, tuple)
-# The types json.load gives a number.  A type test, not isinstance, since
+# The types the JSON decoders give a number.  A type test, not isinstance, since
 # bool is a subclass of int.
 _NUMBER_TYPES = frozenset({int, float})
 
@@ -402,8 +403,46 @@ def parse_model(doc: dict) -> ModelFile:
     return ModelFile(name=name, family=family, sub=sub, study=study)
 
 
+# orjson has no nesting limit and crashes the interpreter on deep input
+# (objects 6e4 deep, arrays 1.4e5), so it is given only documents with at
+# most this many opening brackets, which nest at most this deep.  A safety
+# limit, not a tuning knob: half the interpreter's default recursion limit,
+# so json.load would decode every document orjson is given, and the two
+# agree on it.
+_MAX_OPENINGS = 512
+# Every byte but "[" and "{": deleting these leaves the opening brackets.
+_NOT_OPENING = bytes(sorted(set(range(256)) - set(b"[{")))
+
+
+def _decode(data: bytes):
+    """The JSON document in `data`: by orjson when it holds at most
+    `_MAX_OPENINGS` opening brackets and orjson takes it, else by json.load
+    of the same bytes read in text mode, as a file opened with "r" reads."""
+    if len(data.translate(None, _NOT_OPENING)) <= _MAX_OPENINGS:
+        import orjson
+
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:  # NaN, 1e400, a BOM, bad syntax ...
+            pass
+    return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
 def load_model(path: str) -> ModelFile:
     """Read and parse a model file with the cyclic garbage collector paused.
+
+    The file is read as bytes.  orjson decodes it when it holds at most
+    `_MAX_OPENINGS` opening brackets (the bound on nesting that keeps
+    orjson from crashing on deep input; every sparse or expression model
+    has a few dozen) and orjson takes it.  Every other document goes to a
+    text-mode read and json.load, as before: a dense matrix (one bracket
+    per entry), and any document orjson refuses (NaN or Infinity, a number
+    beyond float64, a lone surrogate, a BOM, invalid UTF-8, bad syntax),
+    so such a document keeps its message, line and column.  Where both
+    decoders take a document they give the same objects, with one
+    exception: orjson decodes an integer literal outside [-2**63, 2**64)
+    to the nearest float, so a rejection that echoes it shows that float's
+    digits.
 
     For a dense matrix the decoder builds one small acyclic list per
     [re, im] pair (about 1e5 for a dim-123 model), and at the default
@@ -418,8 +457,8 @@ def load_model(path: str) -> ModelFile:
     gc.disable()
     try:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            with open(path, "rb") as fh:
+                doc = _decode(fh.read())
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
         return parse_model(doc)

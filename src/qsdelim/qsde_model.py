@@ -259,9 +259,13 @@ def assemble(fam: ScaledFamily, k: float) -> QsdeCoefficients:
 
 def _m_from_unitarity(w_ops, l_ops) -> tuple[Operator, ...]:
     """M_i = -sum_j W_ij L_j^*, the M that the unitarity relations force;
-    -L_i^*, equal by value and with no product, when W is exactly delta_ij I."""
+    -L_i^*, equal by value and with no product, when W is exactly delta_ij I,
+    formed as one C-ordered array per channel with the bits of -l.dag():
+    both are sign flips of the same parts."""
     if _trivial_scattering(w_ops):
-        return tuple(-l.dag() for l in l_ops)
+        ms = [np.negative(l.entries.T, order="C") for l in l_ops]
+        return tuple(Operator(l.space, np.conjugate(m, out=m))
+                     for l, m in zip(l_ops, ms))
     zero = Operator.zero(l_ops[0].space)
     return tuple(
         -sum((w @ l.dag() for w, l in zip(row, l_ops)), zero) for row in w_ops

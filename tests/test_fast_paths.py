@@ -14,7 +14,10 @@ to 1e-12 relative, and the studies, which reuse one elimination result,
 must give the same bits as the per-k functions.
 
 `load_model` decodes with the cyclic collector paused and restores the
-caller's collector state, and `spectral_norm` takes one SVD per operator
+caller's collector state.  It decodes a document of at most
+`_MAX_OPENINGS` opening brackets by orjson, to the bits `json.loads`
+gives, and every other one, or one orjson refuses, by json.load with its
+old message and exit code.  `spectral_norm` takes one SVD per operator
 (none for an all-zero one) with the bits of `_norm2`, which agrees with a
 direct `np.linalg.norm` within 8 max(m, n) eps relative, bit for bit for
 an array that is one block.
@@ -50,10 +53,11 @@ that generator is dressed on the leading (c_max+1)-dim block and has the
 bits of the full model's generator cut to it, and so do the gaps;
 it takes one expm per distinct block, and each nonzero gap passes one
 time slice to the SVD.  `_m_from_unitarity` gives -L_i^* with no product
-for an exactly delta_ij I grid and the products for any other unitary
-grid, e^{0.3i} I among them.  `SubspacePair` takes |p0| only for a defect above
-1e-9 and decides as the rule that took it first; a coordinate projection
-forms no product, and other diagonal p0 keep their messages.  A sparse
+for an exactly delta_ij I grid, bit for bit in one array per channel, and
+the products for any other unitary grid, e^{0.3i} I among them.
+`SubspacePair` takes |p0| only for a defect above 1e-9 and decides as
+the rule that took it first; a coordinate projection forms no product,
+and other diagonal p0 keep their messages.  A sparse
 node decodes into a buffer its Operator keeps without a copy; an empty one
 decodes to +0.0 without converting its lists, and a bad node keeps its
 message.  At zero
@@ -82,9 +86,14 @@ import dataclasses
 import functools
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings
@@ -610,19 +619,209 @@ class TestLoadModelPausesTheCollector:
             load_model(str(path))
         assert gc.isenabled() is gc_state
 
-    def test_decode_runs_with_the_collector_off(self, model_path, gc_state,
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "refused"])
+    def test_decode_runs_with_the_collector_off(self, kind, tmp_path, gc_state,
                                                 monkeypatch):
-        seen = []
-        real = json.load
+        """orjson decodes the sparse file; json.load the dense one (more than
+        `_MAX_OPENINGS` brackets) and the one orjson refuses (a lone
+        surrogate in an unread key), each with the collector off."""
+        path = tmp_path / "model.json"
+        fix = builtin_fixture("duan-kimble")
+        doc = fixture_to_model_dict(fix)
+        if kind == "dense":  # 3 x 241 brackets at dim 15
+            fam = fix.family
+            for role, op in (("Y", fam.y), ("A", fam.a), ("B", fam.b)):
+                doc["operators"][role] = matrix_to_json(op.entries)
+        text = json.dumps(doc)
+        if kind == "refused":
+            text = text.replace('{"name"', '{"note": "\\ud800", "name"', 1)
+        path.write_text(text)
+        seen, real_loads, real_load = [], orjson.loads, json.load
 
-        def spy(*args, **kwargs):
-            seen.append(gc.isenabled())
-            return real(*args, **kwargs)
+        def spy(name, real):
+            def call(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(json, "load", spy)
-        load_model(model_path)
-        assert seen == [False]
+        monkeypatch.setattr(orjson, "loads", spy("orjson", real_loads))
+        monkeypatch.setattr(json, "load", spy("json", real_load))
+        load_model(str(path))
+        assert seen == {"sparse": [("orjson", False)],
+                        "dense": [("json", False)],
+                        "refused": [("orjson", False), ("json", False)]}[kind]
         assert gc.isenabled() is gc_state
+
+
+# -- decoding with orjson -------------------------------------------------
+
+# JSON number literals as written by hand or by other tools: -0.0 and
+# subnormals, 17- and 20-digit mantissas, integral floats and integers
+# (past 2**64 too, which orjson decodes to the nearest float).
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_literals = st.one_of(
+    st.sampled_from(["-0.0", "0.0", "0", "-0", "-0e0", "5e-324", "-5e-324",
+                     "4.9406564584124654e-324", "2.2250738585072009e-308",
+                     "2.4703282292062328e-324", "1e-400", "4.0", "-17E+0",
+                     "9007199254740993", "1.7976931348623157e308"]),
+    _finite.map(repr),
+    _finite.map(lambda x: f"{x:.16e}"),
+    st.floats(-1e-300, 1e-300).map(lambda x: f"{x:.19e}"),
+    st.integers(-10**15, 10**15).map(lambda i: f"{i}.0"),
+    st.integers(-(2**64), 2**65).map(str),
+    st.integers(-(10**40), 10**40).map(str),
+)
+
+
+@st.composite
+def _model_texts(draw):
+    """duan-kimble's document (dim 15, one channel) with Y, A, B and G[0]
+    each redrawn as a dense matrix or a sparse node of drawn literals."""
+    d = 15
+    doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+    nodes = []
+    for i, role in enumerate(("Y", "A", "B", "G")):
+        values = lambda n: draw(st.lists(_literals, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            re, im = values(d * d), values(d * d)
+            node = "[" + ",".join(
+                "[" + ",".join(f"[{re[r * d + c]},{im[r * d + c]}]" for c in range(d))
+                + "]" for r in range(d)) + "]"
+        else:
+            flat = draw(st.lists(st.integers(0, d * d - 1), max_size=30, unique=True))
+            index = st.sampled_from(["{}", "{}.0"])
+            rows = [draw(index).format(k // d) for k in flat]
+            cols = [draw(index).format(k % d) for k in flat]
+            node = (f'{{"op": "sparse", "dim": {d}, "row": [{",".join(rows)}], '
+                    f'"col": [{",".join(cols)}], "re": [{",".join(values(len(flat)))}], '
+                    f'"im": [{",".join(values(len(flat)))}]}}')
+        nodes.append(node)
+        doc["operators"][role] = f"@{i}@" if role != "G" else [f"@{i}@"]
+    text = json.dumps(doc)
+    for i, node in enumerate(nodes):
+        text = text.replace(f'"@{i}@"', node)
+    return text
+
+
+def _model_operators(model):
+    fam = model.family
+    return [fam.y, fam.a, fam.b, *fam.f_ops, *fam.g_ops,
+            *(w for row in fam.w_ops for w in row), model.sub.p0]
+
+
+def _run_validate(path):
+    """`qsdelim validate PATH` in a fresh interpreter: its exit code and
+    output, so a crash of the decoder fails the test, not the test run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from qsdelim.cli import main; sys.exit(main(sys.argv[1:]))",
+         "validate", str(path)],
+        env=env, capture_output=True, text=True, timeout=300)
+
+
+class TestOrjsonDecoder:
+    """`load_model` decodes a document with at most `_MAX_OPENINGS` opening
+    brackets by orjson, to the objects json.load gives, and every other
+    document, or one orjson refuses, by json.load, with the old message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_model_texts())
+    def test_same_bits_as_json_loads(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("parity") / "model.json"
+        path.write_text(text)
+        want = parse_model(json.loads(text))
+        with mock.patch.object(orjson, "loads", wraps=orjson.loads) as spy:
+            got = load_model(str(path))
+        openings = text.count("[") + text.count("{")
+        assert spy.call_count == (openings <= modelfile._MAX_OPENINGS)
+        for x, y in zip(_model_operators(got), _model_operators(want), strict=True):
+            assert np.array_equal(_bits(x.entries), _bits(y.entries))
+        assert got.study == want.study and got.name == want.name
+
+    # Messages and exit codes as the stdlib-only decoder gave them, with
+    # PATH for the file's path.  Each document is duan-kimble's with one
+    # change ("surrogate" puts a lone surrogate in a key no command reads);
+    # "nested-1000" is a model whose name nests 1000 deep within
+    # 1024 opening brackets, which orjson decodes but json.load does not.
+    REFUSED = {
+        "nan": (2, "error: operator B: operator entries must be finite\n"),
+        "infinity": (2, "error: operator B: operator entries must be finite\n"),
+        "1e400": (2, "error: operator B: operator entries must be finite\n"),
+        "surrogate": (0, ""),
+        "bom": (2, "error: cannot read model file PATH: Unexpected UTF-8 BOM "
+                   "(decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+        "utf8": (2, "error: 'utf-8' codec can't decode byte 0xff in position "
+                    "21: invalid start byte\n"),
+        "crlf": (2, "error: cannot read model file PATH: Expecting ':' "
+                    "delimiter: line 9 column 13 (char 88)\n"),
+        "trailing": (2, "error: cannot read model file PATH: Extra data: line 1 "
+                        "column 2368 (char 2367)\n"),
+        "deep": (2, "error: cannot read model file PATH: maximum recursion depth "
+                    "exceeded while decoding a JSON array from a unicode string\n"),
+        "nested-1000": (2, "error: cannot read model file PATH: maximum recursion "
+                           "depth exceeded while decoding a JSON array from a "
+                           "unicode string\n"),
+    }
+
+    @staticmethod
+    def _refused(kind: str) -> bytes:
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        text = json.dumps(doc)
+        value = {"nan": "NaN", "infinity": "-Infinity", "1e400": "1e400"}.get(kind)
+        if value is not None:
+            doc["operators"]["B"] = {"op": "sparse", "dim": 15, "row": [0],
+                                     "col": [0], "re": ["@"], "im": [0.0]}
+            return json.dumps(doc).replace('"@"', value).encode()
+        if kind == "surrogate":
+            return text.replace('{"name"', '{"note": "\\ud800", "name"', 1).encode()
+        if kind == "bom":
+            return b"\xef\xbb\xbf" + text.encode()
+        if kind == "utf8":
+            return text.replace('"duan-kimble"', '"duan-kimble\xff"', 1).encode("latin-1")
+        if kind == "crlf":
+            text = json.dumps(doc, indent=1).replace("\n", "\r\n")
+            return text.replace('"channels"', '"channels" 1,', 1).encode()
+        if kind == "trailing":
+            return text.encode() + b" x"
+        if kind == "deep":
+            return b"[" * 100000 + b"]" * 100000
+        space, ident = {"factor_dims": [1]}, {"op": "identity", "dim": 1}
+        small = {"name": "@", "space": space, "channels": 1, "p0": ident,
+                 "operators": {"Y": ident, "A": ident, "B": ident, "F": [ident],
+                               "G": [ident], "W": [[ident]]}}
+        text = json.dumps(small).replace('"@"', "[" * 1000 + "]" * 1000)
+        assert text.count("[") + text.count("{") <= 1024
+        return text.encode()
+
+    @pytest.mark.parametrize("kind", list(REFUSED))
+    def test_refused_documents_keep_their_messages(self, kind, tmp_path, capsys):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(self._refused(kind))
+        code, err = self.REFUSED[kind]
+        assert main(["validate", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err.replace("PATH", str(path))
+        assert (captured.out == "") is (code == 2)
+
+    def test_nesting_200000_deep_exits_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 200000 + b"]" * 200000)
+        proc = _run_validate(path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read model file {path}: ")
+
+    def test_dim_past_2_to_64_exits_2(self, tmp_path, capsys):
+        """orjson decodes 2**64 + 1 to the float 2**64, so the message echoes
+        its digits; the exit code is that of the integer."""
+        text = json.dumps(fixture_to_model_dict(builtin_fixture("duan-kimble")))
+        path = tmp_path / "big.json"
+        path.write_text(text.replace('"dim": 15', f'"dim": {2**64 + 1}', 1))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sparse dim {2**64} exceeds the model dimension 15\n")
 
 
 # -- one SVD per operator --------------------------------------------------
@@ -1997,6 +2196,22 @@ class TestMFromUnitarity:
         for m, l, w in zip(got, l_ops, want):
             assert np.array_equal(m.entries, -l.entries.conj().T)
             assert np.array_equal(m.entries, w.entries)  # by value
+
+    @settings(max_examples=60, deadline=None)
+    @given(_special_matrices(), st.integers(1, 2))
+    def test_identity_grid_keeps_the_bits_of_minus_l_dagger(self, drawn, n):
+        """One C-ordered array per channel, with the bits of -l.dag(), -0.0
+        parts and subnormals included."""
+        m, rng = drawn
+        space = HilbertSpace((len(m),))
+        l_ops = [Operator(space, m), Operator(space, rng.permutation(m.ravel())
+                                               .reshape(m.shape))][:n]
+        ident, zero = Operator.identity(space), Operator.zero(space)
+        grid = tuple(tuple(ident if i == j else zero for j in range(n))
+                     for i in range(n))
+        for got, l in zip(qsde_model._m_from_unitarity(grid, l_ops), l_ops, strict=True):
+            assert got.entries.flags.c_contiguous
+            assert np.array_equal(_bits(got.entries), _bits((-l.dag()).entries))
 
     @pytest.mark.parametrize("kind", ["phase", "phase-grid", "swap"])
     def test_other_unitary_grid_takes_the_products(self, kind):

@@ -1022,7 +1022,7 @@ runs = (["validate", "duan-kimble"], ["eliminate", "duan-kimble"],
         ["converge", "duan-kimble", "--kind", "generator"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [qsdelim.cli.main(argv) for argv in runs]
-loaded = ["scipy" in sys.modules]
+loaded = ["orjson" in sys.modules, "scipy" in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(qsdelim.cli.main(["semigroup", "duan-kimble", "--k", "16",
                                    "--grid", "8"]))
@@ -1032,9 +1032,9 @@ print(codes, loaded)
 
 
 class TestStartupImports:
-    """scipy is imported on the first matrix exponential, not with the
-    package.  Checked in a fresh interpreter, since these test modules
-    import scipy themselves."""
+    """scipy is imported on the first matrix exponential and orjson on the
+    first model file, not with the package.  Checked in a fresh
+    interpreter, since these test modules import both themselves."""
 
     def test_only_an_exponential_loads_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -1042,7 +1042,7 @@ class TestStartupImports:
         proc = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0] [False, True]"
+        assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 0] [False, False, True]"
 
 
 class TestTruncationPreconditions:
