@@ -43,11 +43,12 @@ import argparse
 import csv
 import functools
 import io
-import json
 import logging
 import math
 import sys
 from dataclasses import replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -117,10 +118,59 @@ def _write_csv(path: str, name: str, kind: str, amp: FieldAmplitudes,
     _write_output(path, buf.getvalue())
 
 
+def _json_text(doc, indent: str = "\n") -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)` of a
+    document whose dict keys are strings; `indent` is the newline and
+    indentation of the line `doc` starts on.  A regular float block, a list
+    with lists of equal, nonzero lengths at every level and exact floats
+    at the leaves (an [re, im] matrix), is one %-format of its skeleton;
+    anything else recurses as json's pure-Python encoder does, so a NaN
+    or infinity raises its ValueError."""
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None:
+        return "null"
+    if isinstance(doc, bool):  # before int, its base
+        return "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float):
+        if not math.isfinite(doc):
+            raise ValueError("Out of range float values are not JSON compliant: "
+                             + repr(doc))
+        return float.__repr__(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        items, ends = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+                       for key, value in sorted(doc.items())], "{}"
+    elif isinstance(doc, (list, tuple)):
+        level, shape = [doc], []
+        while (kinds := set(map(type, level))) == {list}:
+            sizes = set(map(len, level))  # an empty list leaves no leaves
+            if len(sizes) != 1:
+                break
+            shape.append(sizes.pop())
+            level = list(chain.from_iterable(level))
+        if kinds == {float}:
+            text = "%r"
+            for depth in reversed(range(len(shape))):
+                at = indent + "  " * depth
+                text = ("[" + at + "  " + ("," + at + "  ").join([text] * shape[depth])
+                        + at + "]")
+            text %= tuple(level)
+            if "n" not in text:  # no "nan" or "inf": a finite repr has no n
+                return text
+        items, ends = [_json_text(value, inner) for value in doc], "[]"
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _write_report(path: str, doc: dict) -> None:
     """Write `doc` as strict JSON (RFC 8259): a non-finite number raises."""
-    _write_output(path, json.dumps(doc, indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n")
+    _write_output(path, _json_text(doc) + "\n")
 
 
 def _json_float(x: float) -> float | None:
@@ -251,9 +301,39 @@ def cmd_validate(args, model: ModelFile):
     return overall, lines, {"overall": overall, "checks": checks}, None
 
 
+def _matrix_text(m: np.ndarray) -> str:
+    """`np.array2string(m)` of a complex 2-D array under precision=6,
+    suppress=True and linewidth=120.  Each part prints as
+    np.format_float_positional(x, 6, trim=".") gives it, which is "%.6f"
+    with its trailing zeros stripped, its integer digits right-aligned and
+    its fraction left-aligned over the array, the imaginary part signed
+    and its padding after the "j".  A row breaks before a word that would
+    reach past column 118 of a line that holds one; the words are equally
+    wide, at most 33 characters, so a line holds 117 // (width + 1).  An
+    empty array, one of more than 1000 entries (which numpy summarizes) or
+    one with a part of magnitude 1e8 or more or not finite (exponent
+    format) is numpy's own."""
+    parts = np.ascontiguousarray(m).view(np.float64)  # re, im, re, ...
+    if not 0 < m.size <= 1000 or not abs(parts).max() < 1e8:  # NaN fails too
+        return np.array2string(m, max_line_width=120, precision=6, suppress_small=True)
+    values, cuts = parts.ravel().tolist(), []
+    for fmt, part in (("%.6f", values[0::2]), ("%+.6f", values[1::2])):
+        ints, fracs = zip(*((fmt % x).rstrip("0").split(".") for x in part))
+        cuts += ints, fracs, max(map(len, ints)), max(map(len, fracs))
+    ri, rf, a, b, ii, jf, c, e = cuts
+    word = f"%{a}s.%-{b}s%{c}s.%-{e + 1}s"
+    words = [word % (w, x, y, z + "j") for w, x, y, z in zip(ri, rf, ii, jf)]
+    per_line, cols = 117 // (len(words[0]) + 1), m.shape[1]
+    rows = []
+    for start in range(0, len(words), cols):
+        row = words[start:start + cols]
+        lines = [" ".join(row[i:i + per_line]) for i in range(0, cols, per_line)]
+        rows.append("[" + "\n  ".join([x.rstrip() for x in lines[:-1]] + lines[-1:]) + "]")
+    return "[" + "\n ".join(rows) + "]"
+
+
 def _operator_lines(label: str, op: Operator) -> list[str]:
-    with np.printoptions(precision=6, suppress=True, linewidth=120):
-        return [f"{label} =", np.array2string(op.entries)]
+    return [f"{label} =", _matrix_text(op.entries)]
 
 
 @_model_command
@@ -388,7 +468,7 @@ def cmd_example(args) -> int:
         _write_report(args.report, doc)
         print(f"wrote example {name} to {args.report}")
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_json_text(doc))
     return 0
 
 

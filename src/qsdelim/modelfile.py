@@ -348,7 +348,9 @@ def _family_and_pair(space: HilbertSpace, n: int, ops: dict, p0_node):
 def parse_model(doc: dict) -> ModelFile:
     """Build a validated model from a parsed JSON document; a MemoryError
     while its arrays are built, or a RecursionError from an expression
-    nested too deeply, becomes a ModelParseError."""
+    nested too deeply, becomes a ModelParseError, as does a `name` that is
+    not a str for which `str.isprintable()` holds (no newline, control
+    character or lone surrogate), which is echoed through `ascii()`."""
     if not isinstance(doc, dict):
         raise ModelParseError("model document must be a JSON object")
     try:
@@ -399,7 +401,9 @@ def parse_model(doc: dict) -> ModelFile:
     for amps in (study.alpha, study.beta):
         if amps is not None and len(amps) != n:
             raise ModelParseError("study amplitudes must have one entry per channel")
-    name = str(doc.get("name", "model"))
+    name = doc.get("name", "model")
+    if not (isinstance(name, str) and name.isprintable()):  # no forged lines
+        raise ModelParseError(f"model name must be a printable string, got {ascii(name)}")
     return ModelFile(name=name, family=family, sub=sub, study=study)
 
 

@@ -147,14 +147,14 @@ def _norm2(m: np.ndarray) -> float:
     blocks, the connected components of its nonzero pattern, where a nonzero
     entry joins its row and its column.  An array that is one block (always
     so when a row or column has no zero) or has a NaN or infinite entry takes
-    `np.linalg.norm(m, 2)` and its bits; any other takes one call on the
-    zero-padded (blocks, p, q) stack of its blocks, which agrees to rounding.
-    An all-zero or empty array is 0.0 with no call."""
+    `_whole_norm2`; any other takes one call on the zero-padded (blocks,
+    p, q) stack of its blocks, which agrees to rounding.  An all-zero or
+    empty array is 0.0 with no call."""
     nz = m != 0  # NaN is nonzero and -0.0 is not
     if not nz.any():
         return 0.0
     if nz.all() or nz.all(axis=0).any() or nz.all(axis=1).any():
-        return float(np.linalg.norm(m, 2))
+        return _whole_norm2(m)
     rows, cols = np.divmod(np.flatnonzero(nz), m.shape[1])  # faster than np.nonzero
     # Each row's label becomes the least row of its block: least labels are
     # taken across columns, then pointer chains are halved.
@@ -169,7 +169,7 @@ def _norm2(m: np.ndarray) -> float:
     roots = live[label[live] == live]  # one row per block, in order
     values = m[rows, cols]
     if len(roots) == 1 or not np.isfinite(values).all():
-        return float(np.linalg.norm(m, 2))
+        return _whole_norm2(m)
     block = np.searchsorted(roots, label)  # of each row that is not zero
     live_cols = np.flatnonzero(col < m.shape[0])
     at_row = _ranks(live, block[live], m.shape[0])
@@ -177,6 +177,19 @@ def _norm2(m: np.ndarray) -> float:
     stack = np.zeros((len(roots), at_row.max() + 1, at_col.max() + 1), m.dtype)
     stack[block[rows], at_row[rows], at_col[cols]] = values
     return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+
+def _whole_norm2(m: np.ndarray) -> float:
+    """`np.linalg.norm(m, 2)` and its bits, or NonFiniteEntries where
+    LAPACK's SVD does not converge on an array with a NaN entry (one with
+    an infinite entry and no NaN may give NaN instead)."""
+    try:
+        return float(np.linalg.norm(m, 2))
+    except np.linalg.LinAlgError as exc:
+        if np.isfinite(m).all():
+            raise
+        raise NonFiniteEntries("the spectral norm's SVD did not converge on a "
+                               "NaN or infinite entry") from exc
 
 
 def _ranks(index: np.ndarray, block: np.ndarray, size: int) -> np.ndarray:

@@ -903,7 +903,7 @@ class TestNormByBlocks:
     for an array of one block, one call on the stack of the blocks of any
     other, 0.0 with no LAPACK call for an all-zero or empty array, and
     one call on the whole of an array with a NaN or infinite entry, with
-    its outcome."""
+    its outcome, but NonFiniteEntries where LAPACK raises LinAlgError."""
 
     @settings(max_examples=200, deadline=None)
     @given(_block_arrays())
@@ -938,13 +938,16 @@ class TestNormByBlocks:
         def outcome(norm):
             try:
                 return repr(norm(x))
-            except np.linalg.LinAlgError as err:
-                return f"LinAlgError: {err}"
+            except (np.linalg.LinAlgError, NonFiniteEntries):
+                return "does not converge"
 
         with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
             got = outcome(_norm2)
         assert norm.call_count == 1 and norm.call_args.args[0] is x
         assert got == outcome(lambda a: float(np.linalg.norm(a, 2)))
+        if got == "does not converge":  # a NaN entry: not LAPACK's LinAlgError
+            with pytest.raises(NonFiniteEntries, match="did not converge"):
+                _norm2(x)
 
 
 

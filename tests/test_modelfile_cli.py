@@ -1,7 +1,11 @@
-"""Model-file parsing, expression trees, and the command-line interface."""
+"""Model-file parsing, expression trees, and the command-line interface,
+with the CLI's bulk writers of reports and printed matrices checked byte
+for byte against `json.dumps` and `np.array2string`."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -14,6 +18,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsdelim import (
     Fixture,
@@ -1300,3 +1306,186 @@ class TestParserBuiltOnce:
         assert main(["converge", "duan-kimble", "--kind", "generator",
                      "--k", "2", "4", "8"]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
+
+
+# The model's name is echoed on stdout, in the report and in the CSV.
+FORGED_NAME = "x: structural check\n  PASS  everything\noverall: PASS\nmodel x"
+
+
+class TestModelName:
+    """`parse_model` takes `name` only as a str for which `str.isprintable()`
+    holds; any other exits 2 before any stdout line, the name shown through
+    `ascii()`, so no name can add a line to the output."""
+
+    @staticmethod
+    def _run(tmp_path, base, name, *argv):
+        """Exit code, stdout and stderr of `qsdelim CMD FILE` on the document
+        of the bundled model `base` with `name`."""
+        fix = cli._bundled_fixture(base)
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({**fixture_to_model_dict(fix), "name": name}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("name", [FORGED_NAME, "\ud800", ["a", 1], None, 7,
+                                      "bell\a", "esc\x1b[2J", "line\u2028sep"])
+    @pytest.mark.parametrize("argv", [["validate"], ["eliminate"],
+                                      ["semigroup", "--grid", "8"]])
+    def test_rejected(self, name, argv, tmp_path):
+        got = self._run(tmp_path, "broken-structural", name, *argv)
+        assert got == (2, "", "error: model name must be a printable string, "
+                              f"got {ascii(name)}\n")
+
+    def test_lone_surrogate_in_a_fresh_process(self, tmp_path):
+        """The surrogate once died in `print` with UnicodeEncodeError."""
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({**fixture_to_model_dict(
+            builtin_fixture("duan-kimble")), "name": "\ud800"}))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qsdelim.cli", "validate",
+                               str(path)], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: model name must be a printable string, "
+                               "got '\\ud800'\n")
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.text(st.characters(exclude_categories=()), max_size=12)
+           | st.sampled_from(["café", "x\r", "\x85", "a\u2029"])
+           | st.lists(st.integers() | st.text(max_size=3), max_size=3)
+           | st.none() | st.booleans() | st.floats())
+    def test_no_line_from_a_name(self, name, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("name")
+        code, out, err = self._run(tmp_path, "duan-kimble", name, "validate")
+        _, want, _ = self._run(tmp_path, "duan-kimble", "m", "validate")
+        if isinstance(name, str) and name.isprintable():
+            assert (code, err) == (0, "")
+            assert out.split("\n") == [f"model {name}", *want.split("\n")[1:]]
+            assert out.splitlines() == [f"model {name}", *want.splitlines()[1:]]
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: model name must be a printable string, got {ascii(name)}\n"
+
+
+# -- the bulk writers of reports and printed matrices ---------------------
+# `cli._json_text` and `cli._matrix_text` must give the bytes of the
+# general-purpose formatters they replaced, which are the references here.
+
+def _reference_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _reference_matrix(m) -> str:
+    with np.printoptions(precision=6, suppress=True, linewidth=120):
+        return np.array2string(m)
+
+
+def _outcome(write, doc):
+    """The text `write` gives, or the message of its ValueError."""
+    try:
+        return write(doc)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 1e17,
+                                -1e17, 0.1, 1.0, 2.0**53, 1.7976931348623157e308])
+_JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", "café", "\ud800", "\udfff x", "tab\there", "\x00\x1f\x7f", "\"\\/", " "])
+
+
+@st.composite
+def _float_blocks(draw, floats):
+    """A regular nested list of floats, 1 to 4 levels of 1 to 3 entries."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    values = draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=float).reshape(shape).tolist()
+
+
+def _documents(floats):
+    leaves = (st.none() | st.booleans()
+              | st.integers(-2**70, 2**70) | st.sampled_from([2**64, -2**64 - 1])
+              | floats | floats.map(np.float64) | _JSON_TEXT
+              | _float_blocks(floats))
+    return st.recursive(
+        leaves,
+        lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                      | st.dictionaries(_JSON_TEXT, kids, max_size=4)),
+        max_leaves=24)
+
+
+@st.composite
+def _printed_matrices(draw):
+    """Complex r x r, r = 1 .. 12, with magnitudes from 1e-12 up to 10^top,
+    zeros, -0.0 and entries rounded to 0 .. 6 places (integral ones too)."""
+    r = draw(st.integers(1, 12))
+    top = draw(st.sampled_from([-11, -3, 0, 2, 5, 7, 8, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((r, r, 2)) * 10.0 ** rng.uniform(-12, top, (r, r, 2))
+    kind = rng.random((r, r, 2))
+    x[kind < 0.1] = 0.0
+    x[(kind >= 0.1) & (kind < 0.2)] = -0.0
+    rounded = (kind >= 0.2) & (kind < 0.35)
+    x[rounded] = np.round(x[rounded], draw(st.integers(0, 6)))
+    return x.view(np.complex128).reshape(r, r)
+
+
+class TestBulkWriters:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents(st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS))
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": [[]], "d": [[1.0], []], "e": [[1.0, 2.0], [3.0]]})
+    @example({"K": [[[0.0, -1e17], [1e-05, 5e-324]]], "n": [1, 2, 3], "ok": True})
+    @example([[1.0, 2], [3.0, 4.0]])
+    @example([[True, 1.0]])
+    def test_json_text_is_json_dumps(self, doc):
+        assert cli._json_text(doc) == _reference_json(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_documents(st.floats() | _EDGE_FLOATS))
+    @example([[1.0, float("nan")], [float("inf"), 2.0]])
+    @example({"b": [[2.0, -float("inf")]], "a": np.float64("nan")})
+    def test_non_finite_raises_as_json_dumps(self, doc):
+        """The first NaN or infinity in the encoder's order raises json's
+        ValueError, with its message."""
+        assert _outcome(cli._json_text, doc) == _outcome(_reference_json, doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_report_raises_json_message(self, bad, tmp_path):
+        with pytest.raises(ValueError) as want:
+            _reference_json([bad])
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            cli._write_report(str(tmp_path / "r.json"), {"values": [[1.0, bad]]})
+
+    @settings(max_examples=300, deadline=None)
+    @given(_printed_matrices())
+    @example(np.zeros((3, 3), complex))
+    @example(np.full((2, 2), complex(-0.0, -0.0)))
+    @example(np.array([[1 + 2j, -3.0], [4j, 1e7 - 1e-7j]]))
+    @example(np.array([[5e-7 + 5e-7j, 1.0000005 - 0.1234565j]]))
+    @example(np.full((10, 10), -1.25 + 2.125j))  # 9 words of 12 fill 117 columns
+    def test_matrix_text_is_array2string(self, m):
+        assert cli._matrix_text(m) == _reference_matrix(m)
+
+    @pytest.mark.parametrize("m, numpy", [
+        (np.array([[1e8, 0.0], [0.0, 1.0]], complex), True),
+        (np.array([[1.0, -1e8j]]), True),
+        (np.array([[1.0, complex(0.0, np.nan)]]), True),
+        (np.array([[np.inf + 0j]]), True),
+        (np.zeros((0, 0), complex), True),
+        (np.ones((7, 143), complex), True),  # 1001 entries: numpy summarizes
+        (np.ones((25, 40), complex), False),
+        (np.array([[99999999.99 - 99999999.99j, 1e-300]]), False),
+        (np.array([[-1e17j]]), True),
+    ], ids=["re-1e8", "im-1e8", "nan", "inf", "empty", "summarized", "1000",
+            "below-1e8", "im-1e17"])
+    def test_which_matrices_numpy_prints(self, m, numpy):
+        """A part of magnitude 1e8 or more (numpy's exponent format) or not
+        finite, an empty array or one of more than 1000 entries goes to
+        `np.array2string`; any other is formatted here."""
+        with mock.patch.object(np, "array2string", wraps=np.array2string) as calls:
+            got = cli._matrix_text(m)
+        assert calls.call_count == numpy
+        assert got == _reference_matrix(m)

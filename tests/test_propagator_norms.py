@@ -51,6 +51,7 @@ from qsdelim import (
 )
 from qsdelim import convergence, operator_core, qsde_model, semigroup
 from qsdelim.cli import main
+from qsdelim.errors import NonFiniteEntries
 from qsdelim.operator_core import Operator, _propagator_norms
 from qsdelim.qsde_model import assemble
 from qsdelim.semigroup import _grid_step
@@ -444,7 +445,7 @@ def _outcome(step, count, errstate):
     try:
         with np.errstate(over=errstate, invalid=errstate):
             return np.array(list(_propagator_norms(step, count))).view(np.uint64).tolist()
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError, NonFiniteEntries) as exc:
         return type(exc), str(exc)
 
 
@@ -539,12 +540,14 @@ class TestThinNormsInChunks:
         """sigma_max of 1e12 per step: the thin blocks leave float64 at
         about t = 26.  Under the CLI's errstate the table raises the
         overflow of a product, as block by block; without it, the
-        non-finite block takes `_norm2`, with the same outcome."""
+        non-finite block takes `_norm2`, with the same outcome:
+        NonFiniteEntries, not LAPACK's LinAlgError."""
         step = _rotated(np.random.default_rng(1), [1e12, 0.5, 0.3, 0.2, 0.1, 0.05, 0, 0, 0, 0])
         chunked = [_outcome(step, 64, e) for e in ("raise", "ignore")]
         monkeypatch.setattr(operator_core, "_thin_norms", _sequential_thin_norms)
         assert chunked == [_outcome(step, 64, e) for e in ("raise", "ignore")]
         assert chunked[0] == (FloatingPointError, "overflow encountered in matmul")
+        assert chunked[1][0] is NonFiniteEntries
 
     def test_transient_model_forms_at_most_twice_the_thin_blocks(self, monkeypatch):
         """The 9 x 9 model of the lasting fallback re-enters a thin phase

@@ -27,6 +27,12 @@ writes into OUT_DIR:
 - ``huge.json``: a model of dimension 10**7, its operators sparse nodes of
   that dim and p0 one basis index, whose arrays numpy refuses to allocate:
   exit 2, naming the dimension.
+- ``shifted.json``: duan-kimble with B replaced by B - 1e17 i I, named
+  ``café-shifted``.  Its limit K holds -1e17 i, so ``eliminate`` prints
+  K in numpy's exponent format, and its report holds ``1e+17``-style
+  floats and the escaped ``é``: exit 0.
+- ``forged.json``: duan-kimble named with newlines and a forged
+  ``overall: PASS`` line: exit 2, the name shown escaped.
 - ``deep.json``: ``[`` 100000 times, then ``]`` 100000 times, nested
   too deeply for the JSON decoder: exit 2, naming the recursion depth.
 
@@ -56,6 +62,7 @@ from qsdelim import (  # noqa: E402
 )
 
 BIG = 10**7
+FORGED = "x: structural check\n  PASS  everything\noverall: PASS\nmodel x"
 
 
 def _rotated() -> dict:
@@ -92,6 +99,14 @@ def _half() -> dict:
     return doc
 
 
+def _shifted() -> dict:
+    fix = builtin_fixture("duan-kimble")
+    fam = fix.family
+    fam = dataclasses.replace(fam, b=fam.b - 1e17j * Operator.identity(fam.space))
+    return fixture_to_model_dict(dataclasses.replace(fix, name="café-shifted",
+                                                     family=fam))
+
+
 def _big(node: dict) -> dict:
     doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
     doc["operators"]["Y"] = node
@@ -113,6 +128,9 @@ def models() -> dict:
         "rotated.json": _rotated(),
         "lowered.json": _lowered(),
         "half.json": _half(),
+        "shifted.json": _shifted(),
+        "forged.json": {**fixture_to_model_dict(builtin_fixture("duan-kimble")),
+                        "name": FORGED},
         "big-sparse.json": _big({"op": "sparse", "dim": BIG, "row": [0],
                                  "col": [0], "re": [1.0], "im": [0.0]}),
         "big-identity.json": _big({"op": "identity", "dim": BIG}),
@@ -139,6 +157,7 @@ TOO_LARGE = r"^error: .*: inputs too large for float64$"
 EXAMPLES = (
     ("example duan-kimble --report dk.json", 0,
      r"^wrote example duan-kimble to dk\.json$"),
+    ("example truncation-demo", 0, r'^  "name": "truncation-demo",$'),
     ("validate dk.json", 0, OVERALL),
     ("converge truncation-demo --kind truncation --k 4 6 8 10 12 --T 2 --grid 32",
      0, VERDICT),
@@ -163,6 +182,9 @@ EXAMPLES = (
     # The rotated p0 is no coordinate projection (every benchmark model's is).
     ("validate {models}/rotated.json", 0, OVERALL),
     ("eliminate {models}/rotated.json", 0, r"^  PASS  hp\.n "),
+    # Exponent-format matrix lines, and a report with 1e+17 and \u00e9.
+    ("eliminate {models}/shifted.json --report shifted.json", 0,
+     r"^model café-shifted: slow subspace dimension 2, 1 channel\(s\)$"),
     ("converge {models}/rotated.json --kind generator", 0, VERDICT),
     ("converge {models}/rotated.json --kind generator " + AMP, 0, VERDICT),
     ("converge {models}/rotated.json --kind semigroup --k 2 4 8 16 --grid 16",
@@ -184,6 +206,9 @@ EXAMPLES = (
     # array is allocated; a repeated k schedule is one distinct k, too few
     # for a rate fit.
     ("validate {models}/half.json", 2, r"^error: .*p0 is not idempotent$"),
+    ("validate {models}/forged.json", 2,
+     r"^error: model name must be a printable string, got 'x: structural "
+     r"check\\n  PASS  everything\\noverall: PASS\\nmodel x'$"),
     ("validate {models}/big-sparse.json", 2, OVERSIZED),
     ("validate {models}/big-identity.json", 2, OVERSIZED),
     ("validate {models}/big-kron.json", 2,
