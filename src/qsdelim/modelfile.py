@@ -21,7 +21,8 @@ before its array is allocated.
 Integer fields (factor dimensions, channel count, grid points, basis
 indices, expression `dim`/`row`/`col`, sparse `row`/`col`) take JSON
 integers or integral floats such as 4.0; booleans and fractional values
-are rejected, never truncated.  Real
+are rejected, never truncated, as is a float beyond 2**53 in magnitude,
+where float64 no longer holds every integer.  Real
 fields (study `T`, `k_schedule`, the [re, im] amplitude and scale-factor
 pairs, funcalc `theta`/`gamma`, and every matrix value, dense or sparse)
 take JSON numbers only; booleans, strings and null are rejected, never
@@ -49,14 +50,25 @@ _SEQUENCE = (list, tuple)
 _NUMBER_TYPES = frozenset({int, float})
 
 
+_EXACT_FLOAT_INTEGERS = 2.0**53
+
+
 def _integer(value, what: str) -> int:
-    """A JSON integer or integral float as int; anything else is an error."""
+    """A JSON integer or integral float as int; anything else is an error.
+
+    Past 2**53 a float need not be the integer written, so it is an error
+    too; among such floats is each one orjson makes of an integer outside
+    [-2**63, 2**64), which json.load keeps as an int.
+    """
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or isinstance(value, float) and not value.is_integer()
     ):
         raise ModelParseError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, float) and abs(value) > _EXACT_FLOAT_INTEGERS:
+        raise ModelParseError(f"{what} must be an integer, got the float {value!r} "
+                              "beyond 2**53")
     return int(value)
 
 
@@ -418,10 +430,12 @@ _MAX_OPENINGS = 512
 _NOT_OPENING = bytes(sorted(set(range(256)) - set(b"[{")))
 
 
-def _decode(data: bytes):
-    """The JSON document in `data`: by orjson when it holds at most
-    `_MAX_OPENINGS` opening brackets and orjson takes it, else by json.load
-    of the same bytes read in text mode, as a file opened with "r" reads."""
+_REFUSED = object()
+
+
+def _orjson_decode(data: bytes):
+    """The JSON document in `data` by orjson when it holds at most
+    `_MAX_OPENINGS` opening brackets and orjson takes it, else `_REFUSED`."""
     if len(data.translate(None, _NOT_OPENING)) <= _MAX_OPENINGS:
         import orjson
 
@@ -429,6 +443,12 @@ def _decode(data: bytes):
             return orjson.loads(data)
         except orjson.JSONDecodeError:  # NaN, 1e400, a BOM, bad syntax ...
             pass
+    return _REFUSED
+
+
+def _json_decode(data: bytes):
+    """The JSON document in `data` by json.load of the bytes read in text
+    mode, as a file opened with "r" reads."""
     return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
@@ -442,11 +462,16 @@ def load_model(path: str) -> ModelFile:
     text-mode read and json.load, as before: a dense matrix (one bracket
     per entry), and any document orjson refuses (NaN or Infinity, a number
     beyond float64, a lone surrogate, a BOM, invalid UTF-8, bad syntax),
-    so such a document keeps its message, line and column.  Where both
-    decoders take a document they give the same objects, with one
-    exception: orjson decodes an integer literal outside [-2**63, 2**64)
-    to the nearest float, so a rejection that echoes it shows that float's
-    digits.
+    so such a document keeps its message, line and column.
+
+    Where both decoders take a document they give the same objects, save
+    that orjson decodes an integer literal outside [-2**63, 2**64) to the
+    float `float()` makes of it, where json.load keeps the int.  A real
+    field reads the same float from either; an integer field rejects a
+    float beyond 2**53; so a document orjson decodes is parsed as json.load
+    would parse it, or rejected.  A rejected one is decoded again by
+    json.load and parsed, so its model or its message, which may echo a
+    value, is the one json.load gives.
 
     For a dense matrix the decoder builds one small acyclic list per
     [re, im] pair (about 1e5 for a dim-123 model), and at the default
@@ -462,8 +487,18 @@ def load_model(path: str) -> ModelFile:
     try:
         try:
             with open(path, "rb") as fh:
-                doc = _decode(fh.read())
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+                data = fh.read()
+        except OSError as exc:
+            raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
+        doc = _orjson_decode(data)
+        if doc is not _REFUSED:
+            try:
+                return parse_model(doc)
+            except ModelParseError:
+                pass
+        try:
+            doc = _json_decode(data)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelParseError(f"cannot read model file {path}: {exc}") from exc
         return parse_model(doc)
     finally:

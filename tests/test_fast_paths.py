@@ -814,14 +814,61 @@ class TestOrjsonDecoder:
         assert proc.stderr.startswith(f"error: cannot read model file {path}: ")
 
     def test_dim_past_2_to_64_exits_2(self, tmp_path, capsys):
-        """orjson decodes 2**64 + 1 to the float 2**64, so the message echoes
-        its digits; the exit code is that of the integer."""
+        """orjson decodes 2**64 + 1 to the float 2**64, which an integer
+        field rejects; json.load decodes the document again, so the message
+        echoes the integer written."""
         text = json.dumps(fixture_to_model_dict(builtin_fixture("duan-kimble")))
         path = tmp_path / "big.json"
         path.write_text(text.replace('"dim": 15', f'"dim": {2**64 + 1}', 1))
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: sparse dim {2**64} exceeds the model dimension 15\n")
+            f"error: sparse dim {2**64 + 1} exceeds the model dimension 15\n")
+
+    @staticmethod
+    def _edited(tmp_path, edit):
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("n", [2**64 + 1, -(2**63) - 1, 10**30, 2**63])
+    def test_grid_points_past_2_to_53_load_as_json_load_decodes_them(
+            self, n, tmp_path):
+        """orjson decodes the integers outside [-2**63, 2**64) to floats, which
+        grid_points rejects; json.load's int is the one the model keeps."""
+        path = self._edited(tmp_path, lambda doc: doc.update(study={"grid_points": n}))
+        seen = []
+
+        def spy(name, real):
+            return lambda *a, **k: seen.append(name) or real(*a, **k)
+
+        with mock.patch.object(orjson, "loads", spy("orjson", orjson.loads)), \
+                mock.patch.object(json, "load", spy("json", json.load)):
+            model = load_model(str(path))
+        assert model.study.grid_points == n and type(model.study.grid_points) is int
+        assert seen == (["orjson"] if -(2**63) <= n < 2**64 else ["orjson", "json"])
+
+    @pytest.mark.parametrize("name", [[-(2**63) - 1], [2**64, 0.5], {"k": 10**30}])
+    def test_a_rejection_echoes_what_json_load_decodes(self, name, tmp_path, capsys):
+        path = self._edited(tmp_path, lambda doc: doc.update(name=name))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model name must be a printable string, got {ascii(name)}\n")
+
+    @pytest.mark.parametrize("value, ok", [(2.0**53, True), (-(2.0**53), True),
+                                           (2.0**53 + 2, False), (1e19, False),
+                                           (-1e300, False)])
+    def test_an_integral_float_is_an_integer_up_to_2_to_53(self, value, ok):
+        doc = fixture_to_model_dict(builtin_fixture("duan-kimble"))
+        doc["study"] = {"grid_points": value}
+        if ok:
+            assert parse_model(doc).study.grid_points == int(value)
+        else:
+            with pytest.raises(ModelParseError) as info:
+                parse_model(doc)
+            assert str(info.value) == (
+                f"grid_points must be an integer, got the float {value!r} beyond 2**53")
 
 
 # -- one SVD per operator --------------------------------------------------

@@ -1355,6 +1355,7 @@ class TestModelName:
            | st.sampled_from(["café", "x\r", "\x85", "a\u2029"])
            | st.lists(st.integers() | st.text(max_size=3), max_size=3)
            | st.none() | st.booleans() | st.floats())
+    @example(name=[-(2**63) - 1])  # orjson decodes it to a float
     def test_no_line_from_a_name(self, name, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("name")
         code, out, err = self._run(tmp_path, "duan-kimble", name, "validate")
