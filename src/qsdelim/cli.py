@@ -43,12 +43,11 @@ import argparse
 import csv
 import functools
 import io
+import json
 import logging
 import math
 import sys
 from dataclasses import replace
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -118,59 +117,10 @@ def _write_csv(path: str, name: str, kind: str, amp: FieldAmplitudes,
     _write_output(path, buf.getvalue())
 
 
-def _json_text(doc, indent: str = "\n") -> str:
-    """`json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)` of a
-    document whose dict keys are strings; `indent` is the newline and
-    indentation of the line `doc` starts on.  A regular float block, a list
-    with lists of equal, nonzero lengths at every level and exact floats
-    at the leaves (an [re, im] matrix), is one %-format of its skeleton;
-    anything else recurses as json's pure-Python encoder does, so a NaN
-    or infinity raises its ValueError."""
-    if isinstance(doc, str):
-        return encode_basestring_ascii(doc)
-    if doc is None:
-        return "null"
-    if isinstance(doc, bool):  # before int, its base
-        return "true" if doc else "false"
-    if isinstance(doc, int):
-        return int.__repr__(doc)
-    if isinstance(doc, float):
-        if not math.isfinite(doc):
-            raise ValueError("Out of range float values are not JSON compliant: "
-                             + repr(doc))
-        return float.__repr__(doc)
-    inner = indent + "  "
-    if isinstance(doc, dict):
-        items, ends = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
-                       for key, value in sorted(doc.items())], "{}"
-    elif isinstance(doc, (list, tuple)):
-        level, shape = [doc], []
-        while (kinds := set(map(type, level))) == {list}:
-            sizes = set(map(len, level))  # an empty list leaves no leaves
-            if len(sizes) != 1:
-                break
-            shape.append(sizes.pop())
-            level = list(chain.from_iterable(level))
-        if kinds == {float}:
-            text = "%r"
-            for depth in reversed(range(len(shape))):
-                at = indent + "  " * depth
-                text = ("[" + at + "  " + ("," + at + "  ").join([text] * shape[depth])
-                        + at + "]")
-            text %= tuple(level)
-            if "n" not in text:  # no "nan" or "inf": a finite repr has no n
-                return text
-        items, ends = [_json_text(value, inner) for value in doc], "[]"
-    else:
-        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
-
-
 def _write_report(path: str, doc: dict) -> None:
-    """Write `doc` as strict JSON (RFC 8259): a non-finite number raises."""
-    _write_output(path, _json_text(doc) + "\n")
+    """Write `doc` as one line of strict JSON (RFC 8259), keys sorted: a
+    non-finite number raises.  `python -m json.tool FILE` pretty-prints it."""
+    _write_output(path, json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _json_float(x: float) -> float | None:
@@ -464,11 +414,12 @@ def cmd_example(args) -> int:
         "T": study.t_max, "grid_points": study.grid_points,
         "k_schedule": list(study.k_schedule),
     })
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if args.report:
-        _write_report(args.report, doc)
+        _write_output(args.report, text + "\n")
         print(f"wrote example {name} to {args.report}")
     else:
-        print(_json_text(doc))
+        print(text)
     return 0
 
 

@@ -231,15 +231,21 @@ class _Norms:
     the max, and the result has the bits of taking them all.  Each norm is
     `_norm2`'s, the largest over the item's independent blocks.  An item with
     a NaN or infinite entry raises NonFiniteEntries when the bounds are
-    first taken.
+    first taken.  `items` may be a function of no arguments, called when the
+    bounds are first taken, and a given `upper` is kept as given (a NaN
+    decides nothing), so a caller can bound items it has not yet formed.
     """
 
-    def __init__(self, items=(), floor: float = 0.0):
-        self._items = list(items)
+    def __init__(self, items=(), floor: float = 0.0, upper: float | None = None):
+        self._items = items if callable(items) else list(items)
         self.floor = floor
+        if upper is not None:
+            self.upper = upper
 
     @cached_property
     def _bounds(self) -> list[float]:
+        if callable(self._items):
+            self._items = self._items()
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is inf
             bounds = [_norm_bound(x) for x in self._items]
         for x, b in zip(self._items, bounds):
@@ -254,7 +260,7 @@ class _Norms:
 
     @cached_property
     def value(self) -> float:
-        items, bounds = self._items, self._bounds
+        bounds, items = self._bounds, self._items  # _bounds forms the items
         stops = all(map(_decisive, bounds))
         best = self.floor
         for k in sorted(range(len(items)), key=bounds.__getitem__, reverse=True):

@@ -283,30 +283,6 @@ def _trivial_scattering(grid) -> bool:
         for i, row in enumerate(grid) for j, w in enumerate(row))
 
 
-class _UnitarityDefect(_Norms):
-    """The `_Norms` of `_unitarity_defect`: `upper` from P = fl(W W^*) - I
-    alone, taken when the defect is made since every check reads it; W^* W
-    and the 2 n^2 blocks (`_items`) on the first read of `value`."""
-
-    def __init__(self, w: np.ndarray, n: int):
-        self.floor, self._w, self._n = 0.0, w, n
-        self._right = w @ w.conj().T
-        self._right.flat[:: len(w) + 1] -= 1.0
-        gamma = 4 * len(w) * _EPS / (1 - 4 * len(w) * _EPS)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is inf
-            self.upper = _norm_bound(self._right) + 2 * gamma * np.vdot(w, w).real
-
-    @cached_property
-    def _items(self) -> list:
-        w, n = self._w, self._n
-        left = w.conj().T @ w
-        left.flat[:: len(w) + 1] -= 1.0
-        d = len(w) // n
-        blocks = [p.reshape(n, d, n, d) for p in (self._right, left)]
-        self._w = self._right = None
-        return [b[m, :, ell, :] for m in range(n) for ell in range(n) for b in blocks]
-
-
 def _unitarity_defect(grid) -> _Norms:
     """Largest block norm of W W^* - I and W^* W - I for the n x n grid W
     of d x d blocks, filled into one nd x nd matrix, so that each product
@@ -337,7 +313,18 @@ def _unitarity_defect(grid) -> _Norms:
     for i, row in enumerate(grid):
         for j, op in enumerate(row):
             w[i * d:(i + 1) * d, j * d:(j + 1) * d] = op.entries
-    return _UnitarityDefect(w, n)
+    right = w @ w.conj().T
+    right.flat[:: n * d + 1] -= 1.0
+    gamma = 4 * n * d * _EPS / (1 - 4 * n * d * _EPS)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is inf
+        upper = _norm_bound(right) + 2 * gamma * np.vdot(w, w).real
+
+    def blocks():
+        left = w.conj().T @ w
+        left.flat[:: n * d + 1] -= 1.0
+        split = [p.reshape(n, d, n, d) for p in (right, left)]
+        return [b[m, :, ell, :] for m in range(n) for ell in range(n) for b in split]
+    return _Norms(blocks, upper=upper)
 
 
 def hp_validate(c: QsdeCoefficients, tol: float = DEFAULT_TOL) -> ValidationReport:

@@ -1514,7 +1514,8 @@ class TestValidationFactsMeasuredOnce:
         if qsde_model._trivial_scattering(grid):
             return
         defect = qsde_model._unitarity_defect(grid)
-        assert "_items" not in vars(defect)
+        assert "_bounds" not in vars(defect)
+        defect._bounds  # forms the blocks
         got = defect._items
         want = _reference_stacked_blocks(grid)
         assert [_bits(x).tobytes() for x in got] == [_bits(x).tobytes() for x in want]
@@ -2719,6 +2720,15 @@ class TestChecksDecidedByBounds:
                 pytest.raises(NonFiniteEntries):
             scaled_hp_validate(big)
 
+    def test_a_nan_upper_decides_nothing(self):
+        """A given upper is kept as given, not raised to the floor: a NaN
+        one leaves the verdict to the exact values, which raise on the
+        items' NaN entry."""
+        defect = _Norms(lambda: [np.array([[np.nan, 1.0], [0.0, 1.0]])], upper=np.nan)
+        assert np.isnan(defect.upper) and "_bounds" not in vars(defect)
+        with pytest.raises(NonFiniteEntries):
+            qsde_model._at_most(defect, _Norms((), 1.0), lambda s: 1e-9 * s)
+
 
 class TestCheckResultContract:
     def test_plain_values(self):
@@ -3097,7 +3107,7 @@ class TestRestrictedInverseGates:
 # References: the two-product stacked defect and the basis products.
 
 class TestUnitarityGateFromOneGram:
-    """`_UnitarityDefect.upper`, from W W^* alone, bounds the exact defect
+    """`_unitarity_defect(W).upper`, from W W^* alone, bounds the exact defect
     of both Gram products, and `scaled.w` gives the verdict of the
     two-product reference: by the bound where it decides, with neither
     W^* W nor an exact value formed, else by the exact values."""
@@ -3132,7 +3142,7 @@ class TestUnitarityGateFromOneGram:
             assert exact
         elif eps < 1e-6:  # a defect near 1e-13 passes by the bound
             assert check.passed and not exact
-            assert "_items" not in vars(check._defect)
+            assert "_bounds" not in vars(check._defect)
         assert check.max_violation == want
 
 

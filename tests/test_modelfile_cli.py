@@ -1369,9 +1369,9 @@ class TestModelName:
             assert err == f"error: model name must be a printable string, got {ascii(name)}\n"
 
 
-# -- the bulk writers of reports and printed matrices ---------------------
-# `cli._json_text` and `cli._matrix_text` must give the bytes of the
-# general-purpose formatters they replaced, which are the references here.
+# -- the writers of reports and printed matrices ---------------------------
+# Reports and example documents are json.dumps's; `cli._matrix_text` must
+# give the bytes of `np.array2string`, which it replaced.
 
 def _reference_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
@@ -1380,40 +1380,6 @@ def _reference_json(doc) -> str:
 def _reference_matrix(m) -> str:
     with np.printoptions(precision=6, suppress=True, linewidth=120):
         return np.array2string(m)
-
-
-def _outcome(write, doc):
-    """The text `write` gives, or the message of its ValueError."""
-    try:
-        return write(doc)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 1e17,
-                                -1e17, 0.1, 1.0, 2.0**53, 1.7976931348623157e308])
-_JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
-    ["", "café", "\ud800", "\udfff x", "tab\there", "\x00\x1f\x7f", "\"\\/", " "])
-
-
-@st.composite
-def _float_blocks(draw, floats):
-    """A regular nested list of floats, 1 to 4 levels of 1 to 3 entries."""
-    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
-    values = draw(st.lists(floats, min_size=math.prod(shape), max_size=math.prod(shape)))
-    return np.array(values, dtype=float).reshape(shape).tolist()
-
-
-def _documents(floats):
-    leaves = (st.none() | st.booleans()
-              | st.integers(-2**70, 2**70) | st.sampled_from([2**64, -2**64 - 1])
-              | floats | floats.map(np.float64) | _JSON_TEXT
-              | _float_blocks(floats))
-    return st.recursive(
-        leaves,
-        lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
-                      | st.dictionaries(_JSON_TEXT, kids, max_size=4)),
-        max_leaves=24)
 
 
 @st.composite
@@ -1433,31 +1399,38 @@ def _printed_matrices(draw):
 
 
 class TestBulkWriters:
-    @settings(max_examples=300, deadline=None)
-    @given(_documents(st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS))
-    @example({})
-    @example([])
-    @example({"a": [], "b": {}, "c": [[]], "d": [[1.0], []], "e": [[1.0, 2.0], [3.0]]})
-    @example({"K": [[[0.0, -1e17], [1e-05, 5e-324]]], "n": [1, 2, 3], "ok": True})
-    @example([[1.0, 2], [3.0, 4.0]])
-    @example([[True, 1.0]])
-    def test_json_text_is_json_dumps(self, doc):
-        assert cli._json_text(doc) == _reference_json(doc)
+    @pytest.mark.parametrize("argv", [
+        ["validate", "duan-kimble", "--k", "4"],
+        ["eliminate", "duan-kimble"],
+        ["semigroup", "duan-kimble", "--grid", "8"],
+        ["converge", "duan-kimble", "--kind", "generator", "--k", "2", "4", "8"],
+        ["converge", "duan-kimble", "--kind", "semigroup", "--k", "2", "4", "8",
+         "--grid", "8"],
+    ], ids=["validate", "eliminate", "semigroup", "generator", "converge"])
+    def test_report_is_one_line_of_sorted_json(self, argv, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main([*argv, "--report", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, allow_nan=False) + "\n"
 
-    @settings(max_examples=200, deadline=None)
-    @given(_documents(st.floats() | _EDGE_FLOATS))
-    @example([[1.0, float("nan")], [float("inf"), 2.0]])
-    @example({"b": [[2.0, -float("inf")]], "a": np.float64("nan")})
-    def test_non_finite_raises_as_json_dumps(self, doc):
-        """The first NaN or infinity in the encoder's order raises json's
-        ValueError, with its message."""
-        assert _outcome(cli._json_text, doc) == _outcome(_reference_json, doc)
+    @pytest.mark.parametrize("name", [*sorted(cli.BUILTIN_FIXTURES), "broken-structural"])
+    def test_example_prints_and_writes_indented_json(self, name, tmp_path, capsys):
+        study = StudyParams()
+        doc = fixture_to_model_dict(cli._bundled_fixture(name), study={
+            "T": study.t_max, "grid_points": study.grid_points,
+            "k_schedule": list(study.k_schedule),
+        })
+        path = tmp_path / "model.json"
+        assert main(["example", name]) == 0
+        assert capsys.readouterr().out == _reference_json(doc) + "\n"
+        assert main(["example", name, "--report", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == _reference_json(doc) + "\n"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_report_raises_json_message(self, bad, tmp_path):
-        with pytest.raises(ValueError) as want:
-            _reference_json([bad])
-        with pytest.raises(ValueError, match=f"^{want.value}$"):
+        """json's C encoder raises, echoing no value."""
+        with pytest.raises(ValueError, match="^Out of range float values are not "
+                           "JSON compliant$"):
             cli._write_report(str(tmp_path / "r.json"), {"values": [[1.0, bad]]})
 
     @settings(max_examples=300, deadline=None)
